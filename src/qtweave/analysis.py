@@ -1,40 +1,19 @@
 """Exact verification: weight spectra, Griesmer bound, gap prediction, projectivity.
 
-The weight distribution is computed by enumerating all q^k messages of the
-2t-dimensional message space.  The enumeration walks the span with numpy:
-a suffix of the generator rows is expanded into an in-memory table of partial
-codewords, and the remaining message prefixes are folded in one at a time.
-Partitioning over message prefixes also gives the optional multi-process mode;
-partial weight counts merge by plain addition.
+Weight spectra come from the column-multiplicity transform in ``spectrum``,
+which is exact over all q^k messages; everything else here is checked against
+those spectra.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT
-from .errors import BudgetExceededError, ParameterError, VerificationError
-from .fields import Field, field_create
-
-DEFAULT_BUDGET = 1 << 24
-_CHUNK_ENTRIES = 1 << 22
-
-
-@dataclass(frozen=True)
-class WeightDistribution:
-    n: int
-    k: int
-    q: int
-    counts: dict  # weight -> number of codewords, weight 0 included
-
-    def nonzero_weights(self) -> tuple[int, ...]:
-        return tuple(sorted(w for w, c in self.counts.items() if w > 0 and c > 0))
-
-    def total(self) -> int:
-        return sum(self.counts.values())
+from .errors import ParameterError, VerificationError
+# The engine lives in its own module so that construction can verify simplex
+# codes with it without importing this one; its public names are re-exported.
+from .spectrum import DEFAULT_BUDGET, WeightDistribution, weight_distribution_of_rows
 
 
 @dataclass(frozen=True)
@@ -62,97 +41,8 @@ class GriesmerReport:
     length_optimal: bool
 
 
-def _add_table(field: Field) -> np.ndarray:
-    q = field.q
-    a = np.arange(q)
-    if field.e == 1:
-        return ((a[:, None] + a[None, :]) % q).astype(np.int16)
-    out = np.zeros((q, q), dtype=np.int16)
-    x, y, shift = a[:, None], a[None, :], 1
-    for _ in range(field.e):
-        out += (((x % field.p) + (y % field.p)) % field.p).astype(np.int16) * shift
-        x, y, shift = x // field.p, y // field.p, shift * field.p
-    return out
-
-
-def _scaled_rows(field: Field, rows) -> list[np.ndarray]:
-    return [
-        np.array([[field.mul(a, v) for v in row] for a in field.elements()], dtype=np.int16)
-        for row in rows
-    ]
-
-
-def _count_slice(field: Field, rows, split: int, start: int, stop: int) -> np.ndarray:
-    """Weight counts over messages whose prefix index lies in [start, stop)."""
-    q, n = field.q, len(rows[0])
-    tbl = _add_table(field)
-    scaled = _scaled_rows(field, rows)
-    span = np.zeros((1, n), dtype=np.int16)
-    for s in scaled[split:]:
-        span = tbl[span[:, None, :], s[None, :, :]].reshape(-1, n)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for idx in range(start, stop):
-        offset = None
-        rem = idx
-        for r in range(split - 1, -1, -1):
-            rem, digit = divmod(rem, q)
-            if digit:
-                v = scaled[r][digit]
-                offset = v if offset is None else tbl[offset, v]
-        block = span if offset is None else tbl[span, offset[None, :]]
-        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=n + 1)
-    return counts
-
-
-def _count_slice_job(args):
-    p, e, rows, split, start, stop = args
-    return _count_slice(field_create(p, e), rows, split, start, stop)
-
-
-def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
-                                jobs: int = 1) -> WeightDistribution:
-    """Exact weight counts of the code spanned by the given rows."""
-    rows = [tuple(r) for r in rows]
-    if not rows or not rows[0]:
-        raise ParameterError("need at least one nonempty row")
-    k, n, q = len(rows), len(rows[0]), field.q
-    if any(len(r) != n for r in rows):
-        raise ParameterError("rows have unequal lengths")
-    total = q**k
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(
-            f"enumeration needs q^k = {total} messages, budget is {limit}",
-            required=total,
-            budget=limit,
-        )
-    split = k
-    while split > 0 and q ** (k - split + 1) * n <= _CHUNK_ENTRIES:
-        split -= 1
-    if jobs > 1:
-        while split < k and q**split < jobs:
-            split += 1
-    if jobs > 1 and q**split >= jobs:
-        prefix_total = q**split
-        bounds = [prefix_total * i // jobs for i in range(jobs + 1)]
-        payload = [
-            (field.p, field.e, rows, split, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = sum(pool.map(_count_slice_job, payload))
-    else:
-        counts = _count_slice(field, rows, split, 0, q**split)
-    result = {int(w): int(c) for w, c in enumerate(counts) if c}
-    if sum(result.values()) != total:
-        raise AssertionError("enumeration lost codewords")
-    return WeightDistribution(n=n, k=k, q=q, counts=result)
-
-
-def weight_distribution(G: GeneratorMatrix, budget: int | None = None,
-                        jobs: int = 1) -> WeightDistribution:
-    return weight_distribution_of_rows(G.field, G.rows, budget=budget, jobs=jobs)
+def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> WeightDistribution:
+    return weight_distribution_of_rows(G.field, G.rows, budget=budget)
 
 
 def min_distance(W: WeightDistribution) -> int:

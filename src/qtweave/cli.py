@@ -108,9 +108,13 @@ def _resolve_budget(args) -> int:
     return analysis.DEFAULT_BUDGET
 
 
-def _digit_string(word, q: int) -> str:
+def _require_digits(q: int) -> None:
     if q > len(_DIGITS):
         raise ParameterError(f"digit strings support fields up to order {len(_DIGITS)}")
+
+
+def _digit_string(word, q: int) -> str:
+    _require_digits(q)
     return "".join(_DIGITS[c] for c in word)
 
 
@@ -178,7 +182,7 @@ def _print_code_details(code, G, W, out):
 
 def _cmd_construct(args) -> int:
     code, G, budget = _build_code(args)
-    W = analysis.weight_distribution(G, budget=budget, jobs=args.jobs)
+    W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, G, W, sys.stdout)
     if args.matrix:
         print("generator matrix (reduced):")
@@ -193,7 +197,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_analyze(args) -> int:
     code, G, budget = _build_code(args)
-    W = analysis.weight_distribution(G, budget=budget, jobs=args.jobs)
+    W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, G, W, sys.stdout)
     dist = " ".join(f"{w}:{c}" for w, c in sorted(W.counts.items()))
     print(f"weight distribution: {dist}")
@@ -359,7 +363,7 @@ def _write_text_export(path, code, G):
         fh.write("\n".join(lines) + "\n")
 
 
-def _roundtrip_json(path, W) -> bool:
+def _roundtrip_json(path, W, budget) -> bool:
     with open(path) as fh:
         data = json.load(fh)
     field = field_create(data["q_characteristic"], data["q_degree"])
@@ -377,26 +381,29 @@ def _roundtrip_json(path, W) -> bool:
         code, G = construction.build_two_weight(s, data["p"], selection=selection)
     if [_digit_string(row, field.q) for row in G.rows] != data["generator_rows"]:
         return False
-    W2 = analysis.weight_distribution(G)
+    W2 = analysis.weight_distribution(G, budget=budget)
     return {str(w): c for w, c in sorted(W2.counts.items())} == data["weight_counts"] and (
         W2.counts == W.counts
     )
 
 
-def _roundtrip_text(path, field, W) -> bool:
+def _roundtrip_text(path, field, W, budget) -> bool:
     with open(path) as fh:
         header, *row_lines = [line for line in fh.read().splitlines() if line]
     n, k, q, _t, _p, _lam = (int(v) for v in header.split())
     rows = [tuple(int(tok) for tok in line.split()) for line in row_lines]
     if len(rows) != k or any(len(r) != n for r in rows) or q != field.q:
         return False
-    W2 = analysis.weight_distribution_of_rows(field, rows)
+    W2 = analysis.weight_distribution_of_rows(field, rows, budget=budget)
     return W2.counts == W.counts
 
 
 def _cmd_export(args) -> int:
+    if args.format == "json":  # rows are written as digit strings
+        p_char, e = _parse_q(args.q)
+        _require_digits(p_char**e)
     code, G, budget = _build_code(args)
-    W = analysis.weight_distribution(G, budget=budget, jobs=args.jobs)
+    W = analysis.weight_distribution(G, budget=budget)
     if args.format == "json":
         payload = _export_payload(code, G, W)
         with open(args.output, "w") as fh:
@@ -407,9 +414,9 @@ def _cmd_export(args) -> int:
     print(f"wrote {args.format} export to {args.output}")
     if args.roundtrip:
         ok = (
-            _roundtrip_json(args.output, W)
+            _roundtrip_json(args.output, W, budget)
             if args.format == "json"
-            else _roundtrip_text(args.output, code.field, W)
+            else _roundtrip_text(args.output, code.field, W, budget)
         )
         print("round trip: " + ("ok" if ok else "MISMATCH"))
         if not ok:
@@ -438,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--g", help="generator polynomial override for the cyclic base (implies --cyclic)")
     common.add_argument("--selection", help="block selection override, comma-separated i:j pairs")
     common.add_argument("--budget", type=int, help="enumeration budget in messages (default 2^24)")
-    common.add_argument("--jobs", type=int, default=1, help="parallel enumeration workers")
 
     p_construct = sub.add_parser("construct", parents=[common],
                                  help="build a code and print its parameters")

@@ -15,8 +15,8 @@ Two assembled shapes are supported, both of dimension 2t:
   [(q^(2t)-1)/(q-1), 2t, q^(2t-1)]_q simplex in quasi-twisted form.
 
 All constructions verify their claimed invariants (exact divisibility,
-equidistance by enumeration, full rank) and raise VerificationError on any
-failure instead of returning a bad object.
+equidistance by an exact weight spectrum, full rank) and raise
+VerificationError on any failure instead of returning a bad object.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from math import gcd
 from .errors import ParameterError, VerificationError
 from .fields import Field
 from .polynomial import Poly, find_primitive, is_primitive, minimal_polynomial, x_pow_mod
+from .spectrum import weight_distribution_of_rows
 from .twist_ring import RingElement, TwistRing, TwistulantMatrix
 
 CONSTA_CYCLIC = "consta-cyclic"
@@ -124,28 +125,17 @@ def _rank(field: Field, rows) -> int:
     return rank
 
 
-def _simplex_words(field: Field, ring: TwistRing, g: Poly, t: int):
-    """All q^t codewords of the simplex code, by spanning x^u * g for u < t."""
-    gvec = ring.reduce(g)
-    words = [ring.zero()]
-    for u in range(t):
-        row = ring.consta_shift(gvec, u)
-        scaled = [ring.scale(row, a) for a in field.elements()]
-        words = [ring.add(w, s) for w in words for s in scaled]
-    return words
-
-
 def _check_equidistant(field: Field, ring: TwistRing, g: Poly, t: int) -> None:
-    words = _simplex_words(field, ring, g, t)
-    if len(set(words)) != field.q**t:
-        raise VerificationError("simplex span is degenerate: repeated codewords")
-    target = field.q ** (t - 1)
-    for w in words:
-        wt = sum(1 for c in w if c)
-        if w != ring.zero() and wt != target:
-            raise VerificationError(
-                f"simplex code is not equidistant: found weight {wt}, expected {target}"
-            )
+    """The t shifts of g span q^t distinct words, each nonzero one of weight q^(t-1)."""
+    gvec = ring.reduce(g)
+    rows = [ring.consta_shift(gvec, u) for u in range(t)]
+    counts = weight_distribution_of_rows(field, rows).counts
+    expected = {0: 1, field.q ** (t - 1): field.q**t - 1}
+    if counts != expected:
+        raise VerificationError(
+            f"simplex code is degenerate or not equidistant: weight counts {counts}, "
+            f"expected {expected}"
+        )
 
 
 def _assemble_simplex(field: Field, t: int, h: Poly, variant: str) -> SimplexSpec:

@@ -1,0 +1,132 @@
+"""Exact weight spectra of linear codes over GF(q) by a column-multiplicity transform.
+
+Each column c of a k x n generator is a point of F_q^k, and the codeword of a
+message u has weight n - #{columns c : u.c = 0}.  The engine buckets the n
+columns into a multiplicity array A[s, c] (s = 0 for every column) and then
+takes one step per coordinate: the column coordinate c_j is replaced by the
+message coordinate u_j while s tracks the partial inner product,
+
+    A'[s, ..., u_j, ...] = sum over c_j of A[s - u_j c_j, ..., c_j, ...].
+
+After k steps A[s, u] counts the columns with u.c = s, so A[0] holds the
+zero count of every message at once.  That costs O(nk + k q^(k+2)) integer
+operations and q^(k+1) cells instead of an n q^k enumeration, and it is
+still exact over the whole message space.  When q^(k+1) cells exceed the
+chunk size, a message prefix of length r is fixed per chunk and seeds s with
+its inner product with the first r rows.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
+
+from .errors import BudgetExceededError, ParameterError
+from .fields import Field
+
+DEFAULT_BUDGET = 1 << 24
+_CHUNK_ENTRIES = 1 << 22
+_MAX_LENGTH = (1 << 31) - 1  # a cell counts columns and is an int32
+
+
+@dataclass(frozen=True)
+class WeightDistribution:
+    n: int
+    k: int
+    q: int
+    counts: dict  # weight -> number of codewords, weight 0 included
+
+    def nonzero_weights(self) -> tuple[int, ...]:
+        return tuple(sorted(w for w, c in self.counts.items() if w > 0 and c > 0))
+
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+
+def _add_table(field: Field) -> np.ndarray:
+    """Digit-wise addition of the base-p encodings."""
+    a = np.arange(field.q)
+    out = np.zeros((field.q, field.q), dtype=np.int64)
+    x, y, shift = a[:, None], a[None, :], 1
+    for _ in range(field.e):
+        out += (((x % field.p) + (y % field.p)) % field.p) * shift
+        x, y, shift = x // field.p, y // field.p, shift * field.p
+    return out
+
+
+def _zero_counts(flat: np.ndarray, q: int, steps: int, shifts: np.ndarray) -> np.ndarray:
+    """Columns orthogonal to each message, from each column's flat index into A[s, c].
+
+    c runs over the last `steps` coordinates, so A has q^(steps+1) cells.  Each
+    step reads the leading column coordinate and writes the message coordinate
+    last, so after all steps the axes are back in their original order.
+    shifts[u, c] is the permutation s' -> s' - u c of the s axis.  Only A, the
+    step's output and one (q, q^(steps-1)) buffer are alive at a time.
+    """
+    A = np.bincount(flat, minlength=q ** (steps + 1)).astype(np.int32)
+    rest = q**steps // q
+    tmp = np.empty((q, rest), dtype=np.int32)
+    for _ in range(steps):
+        src = A.reshape(q, q, rest)
+        out = np.empty((q, rest, q), dtype=np.int32)
+        for u in range(q):
+            acc = out[:, :, u]
+            acc[...] = src[:, 0]
+            for c in range(1, q):
+                if u == 0:
+                    acc += src[:, c]
+                else:  # shifts are permutations; "clip" skips buffering tmp for bounds errors
+                    np.take(src[:, c], shifts[u, c], axis=0, out=tmp, mode="clip")
+                    acc += tmp
+        A = out
+    return A.reshape(q, -1)[0]
+
+
+def weight_distribution_of_rows(field: Field, rows,
+                                budget: int | None = None) -> WeightDistribution:
+    """Exact weight counts of the code spanned by the given rows."""
+    rows = [tuple(r) for r in rows]
+    if not rows or not rows[0]:
+        raise ParameterError("need at least one nonempty row")
+    k, n, q = len(rows), len(rows[0]), field.q
+    if any(len(r) != n for r in rows):
+        raise ParameterError("rows have unequal lengths")
+    if n > _MAX_LENGTH:
+        raise ParameterError(f"length {n} exceeds the 32-bit column counts ({_MAX_LENGTH})")
+    total = q**k
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if total > limit:
+        raise BudgetExceededError(
+            f"enumeration needs q^k = {total} messages, budget is {limit}",
+            required=total,
+            budget=limit,
+        )
+    gen = np.array(rows, dtype=np.int64)
+    if gen.min() < 0 or gen.max() >= q:
+        raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
+    add = _add_table(field)
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    neg = np.array([field.neg(a) for a in range(q)])
+    shifts = add[:, neg[mul]].transpose(1, 2, 0)  # shifts[u, c, s'] = s' - u c
+    r = 0
+    while r < k and q ** (k - r + 1) > _CHUNK_ENTRIES:
+        r += 1
+    steps = k - r
+    cells = q**steps
+    index = np.zeros(n, dtype=np.int64)  # column value over rows r..k-1, row r leading
+    for row in gen[r:]:
+        index = index * q + row
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for prefix in product(range(q), repeat=r):
+        s = np.zeros(n, dtype=np.int64)
+        for u, row in zip(prefix, gen):
+            if u:
+                s = add[s, mul[u, row]]
+        counts += np.bincount(n - _zero_counts(s * cells + index, q, steps, shifts),
+                              minlength=n + 1)
+    result = {int(w): int(c) for w, c in enumerate(counts) if c}
+    if sum(result.values()) != total:
+        raise AssertionError("transform lost codewords")
+    return WeightDistribution(n=n, k=k, q=q, counts=result)

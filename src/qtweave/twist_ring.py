@@ -66,10 +66,6 @@ class TwistRing:
             w = (f.mul(self.lam, w[-1]),) + w[:-1]
         return w
 
-    def add(self, a: RingElement, b: RingElement) -> RingElement:
-        f = self.field
-        return tuple(f.add(x, y) for x, y in zip(a, b))
-
     def scale(self, w: RingElement, c: int) -> RingElement:
         f = self.field
         return tuple(f.mul(c, x) for x in w)

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the package's optimized code paths:
 weight counts are recomputed by looping over every message with scalar field
 operations, and matrix products are done schoolbook-style, so they can catch
-bugs in the numpy enumeration and the ring shortcuts.
+bugs in the spectrum transform and the ring shortcuts.
 """
 
 from collections import Counter

@@ -72,12 +72,6 @@ def test_budget_guard(code56):
     assert err.value.budget == 10
 
 
-def test_parallel_enumeration_matches(gf3):
-    s = simplex_consta(gf3, 3)
-    _, G = build_two_weight(s, 20)
-    assert weight_distribution(G, jobs=2).counts == weight_distribution(G).counts
-
-
 def test_verify_two_weight(code56):
     code, G = code56
     W = weight_distribution(G)
@@ -239,6 +233,8 @@ def test_weight_distribution_of_rows_validation(gf3):
         weight_distribution_of_rows(gf3, [])
     with pytest.raises(ParameterError):
         weight_distribution_of_rows(gf3, [(1, 2), (1,)])
+    with pytest.raises(ParameterError):
+        weight_distribution_of_rows(gf3, [(1, 3)])  # 3 is not an element of GF(3)
 
 
 def test_two_weights_hold_for_randomized_selections():

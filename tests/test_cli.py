@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qtweave import analysis
 from qtweave.cli import main
 
 
@@ -275,3 +276,33 @@ def test_g_override_implies_cyclic(capsys):
     assert rc == 0
     assert "[26, 6; 9, 18]_3" in out
     assert "simplex base: cyclic [13, 3, 9]_3" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_export_roundtrip_honours_budget(tmp_path, capsys, monkeypatch, fmt):
+    # a spectrum call that omits the budget gets a default of 100 < 2^8 messages
+    engine = analysis.weight_distribution_of_rows
+    budgets = []
+
+    def low_default(field, rows, budget=None, **kwargs):
+        budgets.append(budget)
+        return engine(field, rows, budget=100 if budget is None else budget, **kwargs)
+
+    monkeypatch.setattr(analysis, "weight_distribution_of_rows", low_default)
+    rc, out, _ = run(capsys, "export", "--q", "2", "--t", "4", "--p", "4", "--budget", "1000",
+                     "--format", fmt, "--output", str(tmp_path / f"code.{fmt}"), "--roundtrip")
+    assert rc == 0
+    assert "round trip: ok" in out
+    assert budgets == [1000, 1000]
+
+
+def test_export_json_rejects_large_fields_before_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "weight_distribution", lambda *a, **kw: calls.append(a))
+    path = tmp_path / "gf37.json"
+    rc, _, err = run(capsys, "export", "--q", "37", "--t", "2", "--p", "2",
+                     "--format", "json", "--output", str(path))
+    assert rc == 2
+    assert "digit strings" in err
+    assert calls == []
+    assert not path.exists()

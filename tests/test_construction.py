@@ -3,6 +3,8 @@ import pytest
 from qtweave import (
     ParameterError,
     Poly,
+    TwistRing,
+    VerificationError,
     build_qt_simplex,
     build_two_weight,
     codeword_poly,
@@ -12,7 +14,7 @@ from qtweave import (
     simplex_consta,
     simplex_cyclic,
 )
-from qtweave.construction import _rank
+from qtweave.construction import _check_equidistant, _rank
 from conftest import naive_weight_counts, span_words
 
 
@@ -164,6 +166,17 @@ def test_rank_is_full_for_samples(s_binary, s_ternary, gf3):
     for s, p in ((s_binary, 5), (s_ternary, 7), (simplex_consta(gf3, 3), 4)):
         code, G = build_two_weight(s, p)
         assert _rank(s.field, G.rows) == code.k
+
+
+def test_equidistance_check_rejects_non_simplex_spans(gf3):
+    # h = x^2 + 1 is irreducible over GF(3) but not primitive: x^4 = 1 mod h, and
+    # g = (x^4 - 1)/h = x^2 - 1 spans a code with weights 2 and 4
+    ring = TwistRing(gf3, 4, 1)
+    g = Poly(gf3, (2, 0, 1))
+    with pytest.raises(VerificationError, match="not equidistant"):
+        _check_equidistant(gf3, ring, g, 2)
+    with pytest.raises(VerificationError):  # x^2 g = -g: three shifts span only 9 words
+        _check_equidistant(gf3, ring, g, 3)
 
 
 def test_qt_simplex_shape(gf2, s_ternary):

@@ -1,0 +1,46 @@
+"""Differential test of the spectrum engine against the scalar oracle."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtweave import field_create, spectrum, weight_distribution_of_rows
+from conftest import naive_weight_counts
+
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3))
+ORACLE_MESSAGES = 256  # q^k bound that keeps the scalar oracle fast
+
+
+@st.composite
+def generator_rows(draw):
+    """A random k x n matrix, optionally with a repeated row and a zero column."""
+    field = field_create(*draw(st.sampled_from(FIELDS)))
+    q = field.q
+    k_max = max(k for k in range(1, 9) if q**k <= ORACLE_MESSAGES)
+    k = draw(st.integers(1, k_max))
+    n = draw(st.integers(1, 10))
+    symbol = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, k - 1))])
+    if draw(st.booleans()):
+        at = draw(st.integers(0, n))
+        rows = [row[:at] + [0] + row[at:] for row in rows]
+    return field, rows
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "prefix-split"])
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_engine_matches_naive_oracle(split, data):
+    field, rows = data.draw(generator_rows())
+    k = len(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            # chunks of q^j cells fix a message prefix of k + 1 - j coordinates;
+            # j = 1 splits the message space down to single messages
+            j = data.draw(st.integers(1, k))
+            mp.setattr(spectrum, "_CHUNK_ENTRIES", field.q**j)
+        W = weight_distribution_of_rows(field, rows)
+    assert W.counts == naive_weight_counts(field, rows)
+    assert (W.n, W.k, W.q, W.total()) == (len(rows[0]), k, field.q, field.q**k)
