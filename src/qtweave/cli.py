@@ -15,9 +15,8 @@ import os
 import sys
 from importlib import resources
 
-from . import analysis, construction
+from . import analysis, construction, fields
 from .errors import BudgetExceededError, ParameterError, VerificationError
-from .fields import Field, field_create
 from .polynomial import Poly, find_primitive
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -33,35 +32,6 @@ def _load_fixture(name: str) -> dict:
     return json.loads(path.read_text())
 
 
-def _parse_q(text: str) -> tuple[int, int]:
-    """Field order as a plain prime power ("9") or explicit "p^e" ("3^2")."""
-    text = text.strip()
-    if "^" in text:
-        p_str, e_str = text.split("^", 1)
-        try:
-            return int(p_str), int(e_str)
-        except ValueError:
-            raise ParameterError(f"cannot parse field order {text!r}") from None
-    try:
-        q = int(text)
-    except ValueError:
-        raise ParameterError(f"cannot parse field order {text!r}") from None
-    if q < 2:
-        raise ParameterError(f"field order must be >= 2, got {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    e, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise ParameterError(f"{q} is not a prime power")
-    return p, e
-
-
 def _parse_ints(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
@@ -69,7 +39,7 @@ def _parse_ints(text: str) -> list[int]:
         raise ParameterError(f"cannot parse coefficient list {text!r}") from None
 
 
-def _poly_from_user(field: Field, ints) -> Poly:
+def _poly_from_user(field: fields.Field, ints) -> Poly:
     coeffs = []
     for v in ints:
         if v < 0:
@@ -97,15 +67,19 @@ def _parse_selection(text: str):
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
+    """--budget, else QTWEAVE_BUDGET, else the default; a budget below 1 is invalid input."""
+    budget = getattr(args, "budget", None)
     env = os.environ.get("QTWEAVE_BUDGET")
-    if env:
+    if budget is None and env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ParameterError(f"QTWEAVE_BUDGET must be an integer, got {env!r}") from None
-    return analysis.DEFAULT_BUDGET
+    if budget is None:
+        return analysis.DEFAULT_BUDGET
+    if budget < 1:
+        raise ParameterError(f"the enumeration budget must be >= 1, got {budget}")
+    return budget
 
 
 def _require_digits(q: int) -> None:
@@ -118,13 +92,16 @@ def _digit_string(word, q: int) -> str:
     return "".join(_DIGITS[c] for c in word)
 
 
-def _build_code(args):
-    """Field, simplex base and assembled code from the common flags."""
-    p_char, e = _parse_q(args.q)
-    field = field_create(p_char, e)
+def _field_and_budget(args):
+    """Field and budget of the common flags; a malformed budget fails before any field work."""
+    budget = _resolve_budget(args)
+    return fields.field_from_order(args.q), budget
+
+
+def _build_code(args, field, budget):
+    """Simplex base and assembled code from the common flags."""
     if args.t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {args.t}")
-    budget = _resolve_budget(args)
     total = field.q ** (2 * args.t)
     if total > budget:  # checked before any construction work starts
         raise BudgetExceededError(
@@ -152,7 +129,7 @@ def _build_code(args):
         if args.p is None:
             raise ParameterError("--p is required for the two-weight variant")
         code, G = construction.build_two_weight(s, args.p, selection=selection)
-    return code, G, budget
+    return code, G
 
 
 def _summary_line(code, W) -> str:
@@ -181,7 +158,8 @@ def _print_code_details(code, G, W, out):
 
 
 def _cmd_construct(args) -> int:
-    code, G, budget = _build_code(args)
+    field, budget = _field_and_budget(args)
+    code, G = _build_code(args, field, budget)
     W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, G, W, sys.stdout)
     if args.matrix:
@@ -196,7 +174,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    code, G, budget = _build_code(args)
+    field, budget = _field_and_budget(args)
+    code, G = _build_code(args, field, budget)
     W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, G, W, sys.stdout)
     dist = " ".join(f"{w}:{c}" for w, c in sorted(W.counts.items()))
@@ -243,11 +222,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    budget = _resolve_budget(args)
     fixture = _load_fixture("table1.json")
     q, t = fixture["q"], fixture["t"]
-    field = field_create(q)
-    s = construction.simplex_consta(field, t)
-    budget = _resolve_budget(args)
+    s = construction.simplex_consta(fields.field_from_order(q), t)
     status = EXIT_OK
     print(" p    d    n   gb  gap  i  r  q  status")
     for row in fixture["rows"]:
@@ -287,48 +265,42 @@ def _check_series(s, entries, budget, label) -> bool:
     return ok
 
 
+def _example_bases(fixture):
+    """(label, header, ok, simplex, series) per simplex base in the examples fixture.
+
+    An entry with h is a consta-cyclic base checked against its g and lambda;
+    one without is a cyclic base checked against its simplex parameters, once
+    derived and once from its reference g.  Bases are built one at a time.
+    """
+    for name, ex in fixture.items():
+        field = fields.field_from_order(ex["q"])
+        if "h" in ex:
+            s = construction.simplex_consta(field, ex["t"], h=Poly(field, ex["h"]))
+            ok = list(s.g.coeffs) == ex["g"] and s.lam == ex["lambda"]
+            yield name, f"{name}: g = {s.g}, lambda = {s.lam} ", ok, s, ex["series"]
+            continue
+        params = (ex["simplex"]["n"], ex["simplex"]["k"], ex["simplex"]["d"])
+        s = construction.simplex_cyclic(field, ex["t"])
+        header = f"{name}: simplex [{s.m}, {s.t}, {s.weight}]_{s.q}, g = {s.g} "
+        yield name, header, s.params() == params, s, ex["series"]
+        s = construction.simplex_cyclic(field, ex["t"], g=Poly(field, ex["reference_g"]))
+        header = f"{name} (reference g): simplex [{s.m}, {s.t}, {s.weight}]_{s.q} "
+        yield f"{name}/ref-g", header, s.params() == params, s, ex["series"]
+
+
 def _cmd_examples(args) -> int:
-    fixture = _load_fixture("examples.json")
     budget = _resolve_budget(args)
     status = EXIT_OK
-
-    ex = fixture["binary_t3"]
-    field = field_create(2)
-    s = construction.simplex_consta(field, ex["t"], h=Poly(field, ex["h"]))
-    g_ok = list(s.g.coeffs) == ex["g"] and s.lam == ex["lambda"]
-    print(f"binary_t3: g = {s.g}, lambda = {s.lam} " + ("ok" if g_ok else "MISMATCH"))
-    if not (g_ok and _check_series(s, ex["series"], budget, "binary_t3")):
-        status = EXIT_MISMATCH
-
-    ex = fixture["ternary_cyclic_t3"]
-    field = field_create(3)
-    s = construction.simplex_cyclic(field, ex["t"])
-    base_ok = s.params() == (ex["simplex"]["n"], ex["simplex"]["k"], ex["simplex"]["d"])
-    print(f"ternary_cyclic_t3: simplex [{s.m}, {s.t}, {s.weight}]_3, g = {s.g} "
-          + ("ok" if base_ok else "MISMATCH"))
-    if not (base_ok and _check_series(s, ex["series"], budget, "ternary_cyclic_t3")):
-        status = EXIT_MISMATCH
-    s_ref = construction.simplex_cyclic(field, ex["t"], g=Poly(field, ex["reference_g"]))
-    ref_ok = s_ref.params() == (ex["simplex"]["n"], ex["simplex"]["k"], ex["simplex"]["d"])
-    print(f"ternary_cyclic_t3 (reference g): simplex [{s_ref.m}, {s_ref.t}, {s_ref.weight}]_3 "
-          + ("ok" if ref_ok else "MISMATCH"))
-    if not (ref_ok and _check_series(s_ref, ex["series"], budget, "ternary_cyclic_t3/ref-g")):
-        status = EXIT_MISMATCH
-
-    ex = fixture["ternary_consta_t2"]
-    s = construction.simplex_consta(field, ex["t"], h=Poly(field, ex["h"]))
-    g_ok = list(s.g.coeffs) == ex["g"] and s.lam == ex["lambda"]
-    print(f"ternary_consta_t2: g = {s.g}, lambda = {s.lam} " + ("ok" if g_ok else "MISMATCH"))
-    if not (g_ok and _check_series(s, ex["series"], budget, "ternary_consta_t2")):
-        status = EXIT_MISMATCH
-
+    for label, header, ok, s, series in _example_bases(_load_fixture("examples.json")):
+        print(header + ("ok" if ok else "MISMATCH"))
+        if not (ok and _check_series(s, series, budget, label)):
+            status = EXIT_MISMATCH
     print("examples: " + ("all ok" if status == EXIT_OK else "MISMATCHES FOUND"))
     return status
 
 
 def _cmd_search_primitive(args) -> int:
-    p_char, e = _parse_q(args.q)
-    field = field_create(p_char, e)
+    field = fields.field_from_order(args.q)
     polys = find_primitive(field, args.t, limit=args.limit)
     for h in polys:
         coeffs = ",".join(str(c) for c in h.coeffs)
@@ -344,6 +316,7 @@ def _export_payload(code, G, W) -> dict:
         "q_degree": s.field.e,
         "field_modulus": list(s.field.modulus) if s.field.modulus else None,
         "t": s.t,
+        "simplex_variant": s.variant,
         "p": code.p,
         "lambda": s.lam,
         "h": list(s.h.coeffs),
@@ -366,12 +339,15 @@ def _write_text_export(path, code, G):
 def _roundtrip_json(path, W, budget) -> bool:
     with open(path) as fh:
         data = json.load(fh)
-    field = field_create(data["q_characteristic"], data["q_degree"])
+    field = fields.field_create(data["q_characteristic"], data["q_degree"])
     if (list(field.modulus) if field.modulus else None) != data["field_modulus"]:
         raise VerificationError("re-imported field modulus does not match the canonical one")
-    h = Poly(field, data["h"])
-    variant = construction.CYCLIC if data["lambda"] == 1 else construction.CONSTA_CYCLIC
-    s = construction._assemble_simplex(field, data["t"], h, variant)
+    if data["simplex_variant"] == construction.CYCLIC:
+        s = construction.simplex_cyclic(field, data["t"], g=Poly(field, data["g"]))
+    else:
+        s = construction.simplex_consta(field, data["t"], h=Poly(field, data["h"]))
+    if (s.variant, s.lam, list(s.h.coeffs)) != (data["simplex_variant"], data["lambda"], data["h"]):
+        return False
     selection = tuple((i, j) for i, j in data["selection"])
     if data["variant"] == construction.QT_SIMPLEX:
         code, G = construction.build_qt_simplex(s)
@@ -399,10 +375,10 @@ def _roundtrip_text(path, field, W, budget) -> bool:
 
 
 def _cmd_export(args) -> int:
+    field, budget = _field_and_budget(args)
     if args.format == "json":  # rows are written as digit strings
-        p_char, e = _parse_q(args.q)
-        _require_digits(p_char**e)
-    code, G, budget = _build_code(args)
+        _require_digits(field.q)
+    code, G = _build_code(args, field, budget)
     W = analysis.weight_distribution(G, budget=budget)
     if args.format == "json":
         payload = _export_payload(code, G, W)

@@ -28,7 +28,7 @@ from .errors import ParameterError, VerificationError
 from .fields import Field
 from .polynomial import Poly, find_primitive, is_primitive, minimal_polynomial, x_pow_mod
 from .spectrum import weight_distribution_of_rows
-from .twist_ring import RingElement, TwistRing, TwistulantMatrix
+from .twist_ring import RingElement, TwistRing
 
 CONSTA_CYCLIC = "consta-cyclic"
 CYCLIC = "cyclic"
@@ -236,16 +236,21 @@ def _validate_selection(s: SimplexSpec, selection, expected_len: int):
     return pairs, blocks
 
 
-def _assemble_rows(s: SimplexSpec, blocks, trailing_g: bool):
-    ring, t = s.ring, s.t
-    gvec = ring.reduce(s.g)
+def _assemble_rows(code: QtCodeSpec, blocks, shifts: int) -> tuple:
+    """Rows u = 0..shifts-1 of the top group (x^u g per block) and the bottom group.
+
+    With shifts = t these are the generator rows; with shifts = m every
+    twistulant block is written out in full.
+    """
+    ring = code.simplex.ring
+    gvec = ring.reduce(code.simplex.g)
     zero = ring.zero()
-    p_blocks = len(blocks) + 1
+    trailing_g = code.variant == QT_SIMPLEX
     rows = []
-    for u in range(t):
-        top = ring.consta_shift(gvec, u) * p_blocks
+    for u in range(shifts):
+        top = ring.consta_shift(gvec, u) * (len(blocks) + 1)
         rows.append(top + zero if trailing_g else top)
-    for u in range(t):
+    for u in range(shifts):
         bottom = zero + tuple(c for b in blocks for c in ring.consta_shift(b, u))
         if trailing_g:
             bottom = bottom + ring.consta_shift(gvec, u)
@@ -253,7 +258,8 @@ def _assemble_rows(s: SimplexSpec, blocks, trailing_g: bool):
     return tuple(rows)
 
 
-def _finish(code: QtCodeSpec, rows) -> GeneratorMatrix:
+def _finish(code: QtCodeSpec, blocks) -> GeneratorMatrix:
+    rows = _assemble_rows(code, blocks, code.simplex.t)
     if _rank(code.field, rows) != code.k:
         raise VerificationError(f"generator matrix does not have full rank {code.k}")
     return GeneratorMatrix(
@@ -274,7 +280,7 @@ def build_two_weight(s: SimplexSpec, p: int, selection=None) -> tuple[QtCodeSpec
         selection = default_selection(s, p - 1)
     pairs, blocks = _validate_selection(s, selection, p - 1)
     code = QtCodeSpec(simplex=s, p=p, selection=pairs, variant=TWO_WEIGHT)
-    return code, _finish(code, _assemble_rows(s, blocks, trailing_g=False))
+    return code, _finish(code, blocks)
 
 
 def build_qt_simplex(s: SimplexSpec) -> tuple[QtCodeSpec, GeneratorMatrix]:
@@ -282,40 +288,11 @@ def build_qt_simplex(s: SimplexSpec) -> tuple[QtCodeSpec, GeneratorMatrix]:
     p = s.q**s.t
     pairs, blocks = _validate_selection(s, default_selection(s, p - 1), p - 1)
     code = QtCodeSpec(simplex=s, p=p, selection=pairs, variant=QT_SIMPLEX)
-    return code, _finish(code, _assemble_rows(s, blocks, trailing_g=True))
-
-
-def encode(G: GeneratorMatrix, msg) -> tuple:
-    """Linear combination of generator rows; the zero message gives the zero word."""
-    msg = tuple(G.field.check(c) for c in msg)
-    if len(msg) != G.k:
-        raise ParameterError(f"message must have length {G.k}, got {len(msg)}")
-    f = G.field
-    out = [0] * G.n
-    for c, row in zip(msg, G.rows):
-        if c == 0:
-            continue
-        for j, v in enumerate(row):
-            if v:
-                out[j] = f.add(out[j], f.mul(c, v))
-    return tuple(out)
+    return code, _finish(code, blocks)
 
 
 def full_block_matrix(code: QtCodeSpec) -> list[tuple]:
     """The unreduced 2m-row block form: every twistulant block written out in full."""
     s = code.simplex
-    ring = s.ring
-    g_mat = TwistulantMatrix(ring, ring.reduce(s.g))
-    sel_mats = [TwistulantMatrix(ring, codeword_poly(s, i, j)) for i, j in code.selection]
-    zero = ring.zero()
-    trailing = code.variant == QT_SIMPLEX
-    rows = []
-    for u in range(s.m):
-        top = g_mat.row(u) * (len(sel_mats) + 1)
-        rows.append(top + zero if trailing else top)
-    for u in range(s.m):
-        bottom = zero + tuple(c for mat in sel_mats for c in mat.row(u))
-        if trailing:
-            bottom = bottom + g_mat.row(u)
-        rows.append(bottom)
-    return rows
+    blocks = [codeword_poly(s, i, j) for i, j in code.selection]
+    return list(_assemble_rows(code, blocks, s.m))

@@ -113,15 +113,6 @@ class Field:
             return pow(a, -1, self.p)
         return self.exp_table[-self.log_table[a] % (self.q - 1)]
 
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 1 if k == 0 else 0
-        if self.e == 1:
-            return pow(a, k, self.p)
-        return self.exp_table[(self.log_table[a] * k) % (self.q - 1)]
-
     def element_order(self, a: int) -> int:
         """Smallest k >= 1 with a^k = 1; divides q - 1."""
         if a == 0:
@@ -133,13 +124,6 @@ class Field:
             if k > self.q:  # cannot happen in a field; guards a broken table
                 raise AssertionError("order search did not terminate")
         return k
-
-    def primitive_element(self) -> int:
-        """Smallest encoding whose multiplicative order is q - 1."""
-        for a in self.nonzero():
-            if self.element_order(a) == self.q - 1:
-                return a
-        raise AssertionError("no primitive element found")
 
 
 def _mul_by_x(digits, mod_tail, p):
@@ -198,8 +182,20 @@ def field_create(p: int, e: int = 1, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
     raise AssertionError(f"no primitive polynomial of degree {e} over GF({p})")
 
 
-def field_from_order(q: int, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
-    """Build GF(q) from the field order, factoring q = p^e."""
+def field_from_order(q: int | str, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
+    """Build GF(q) from the field order: an int, or text such as "9" or "3^2".
+
+    This is the one place that factors an order q = p^e; an explicit "p^e"
+    is passed to field_create as written.
+    """
+    if isinstance(q, str):
+        p_text, caret, e_text = q.strip().partition("^")
+        try:
+            q, e = int(p_text), (int(e_text) if caret else None)
+        except ValueError:
+            raise ParameterError(f"cannot parse field order {q.strip()!r}") from None
+        if e is not None:
+            return field_create(q, e, limit)
     if q < 2:
         raise ParameterError(f"field order must be >= 2, got {q}")
     p = 2

@@ -142,14 +142,6 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
-    def evaluate(self, a: int) -> int:
-        f = self.field
-        f.check(a)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -255,10 +247,12 @@ def find_primitive(field: Field, t: int, limit: int | None = None,
                    bound: int = DEFAULT_SEARCH_BOUND) -> list[Poly]:
     """All monic primitive degree-t polynomials, low-degree-first lexicographic order.
 
-    With limit = N only the first N are returned.
+    With limit = N >= 1 only the first N are returned.
     """
     if t < 1:
         raise ParameterError(f"degree must be >= 1, got {t}")
+    if limit is not None and limit < 1:
+        raise ParameterError(f"limit must be >= 1, got {limit}")
     if field.q**t > bound:
         raise BudgetExceededError(
             f"enumerating degree-{t} polynomials over {field!r} needs "

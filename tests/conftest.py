@@ -2,16 +2,28 @@
 
 The oracles here deliberately avoid the package's optimized code paths:
 weight counts are recomputed by looping over every message with scalar field
-operations, and matrix products are done schoolbook-style, so they can catch
-bugs in the spectrum transform and the ring shortcuts.
+operations, matrix products are done schoolbook-style, and dual weight counts
+come from the MacWilliams transform of a spectrum, so they can catch bugs in
+the spectrum transform, the ring shortcuts and the projectivity check.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
-from qtweave import field_create
+from qtweave import (
+    build_two_weight,
+    field_create,
+    field_from_order,
+    griesmer_report,
+    simplex_consta,
+    weight_distribution,
+)
+
+SWEEP_CONFIGS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2))
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +44,19 @@ def gf4():
 @pytest.fixture(scope="session")
 def gf5():
     return field_create(5)
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """Every (q, t, p) two-weight code of the seven configured families, fully analyzed."""
+    results = []
+    for q, t in SWEEP_CONFIGS:
+        s = simplex_consta(field_from_order(q), t)
+        for p in range(2, q**t + 1):
+            code, G = build_two_weight(s, p)
+            W = weight_distribution(G)
+            results.append((q, t, p, code, G, W, griesmer_report(code, W)))
+    return results
 
 
 def euler_phi(n: int) -> int:
@@ -74,6 +99,29 @@ def schoolbook_vec_mat(field, u, matrix_rows):
         for j, v in enumerate(row):
             out[j] = field.add(out[j], field.mul(c, v))
     return tuple(out)
+
+
+def twistulant_rows(ring, c):
+    """The m x m twistulant matrix of c: row k is the k-fold consta-cyclic shift."""
+    return [ring.consta_shift(tuple(c), k) for k in range(ring.m)]
+
+
+def krawtchouk(j, i, n, q):
+    """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s)."""
+    return sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+               for s in range(j + 1))
+
+
+def dual_counts(W, upto=2):
+    """Dual weight counts B_0..B_upto from a spectrum by the MacWilliams identity.
+
+    B_j = (1/|C|) sum_i A_i K_j(i).  The counts are Fractions, so a spectrum
+    that is not a linear code's shows up as a non-integer.  A spectrum over
+    all q^k messages of a rank-r generator repeats each codeword q^(k-r)
+    times, which the division by W.total() cancels.
+    """
+    return [Fraction(sum(a * krawtchouk(j, i, W.n, W.q) for i, a in W.counts.items()), W.total())
+            for j in range(upto + 1)]
 
 
 def span_words(field, rows):

@@ -8,17 +8,14 @@ import json
 import random
 from importlib import resources
 
-import pytest
-
 from qtweave import (
     Poly,
     TwistRing,
-    TwistulantMatrix,
     build_qt_simplex,
     build_two_weight,
     decompose_block_count,
     expected_counts,
-    field_create,
+    field_from_order,
     gap_fn,
     griesmer_report,
     min_distance,
@@ -28,37 +25,11 @@ from qtweave import (
     weight_distribution,
     weight_distribution_of_rows,
 )
-from conftest import schoolbook_vec_mat, span_words
-
-SWEEP_CONFIGS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2))
+from conftest import SWEEP_CONFIGS, schoolbook_vec_mat, span_words, twistulant_rows
 
 
 def _fixture(name):
     return json.loads(resources.files("qtweave").joinpath("fixtures", name).read_text())
-
-
-def _field_for(q):
-    p = 2
-    while q % p:
-        p += 1
-    e = 0
-    while q % p**(e + 1) == 0 or p**e < q:
-        e += 1
-    return field_create(p, e)
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    """Every (q, t, p) instance of the seven configured families, fully analyzed."""
-    results = []
-    for q, t in SWEEP_CONFIGS:
-        field = _field_for(q)
-        s = simplex_consta(field, t)
-        for p in range(2, q**t + 1):
-            code, G = build_two_weight(s, p)
-            W = weight_distribution(G)
-            results.append((q, t, p, code, W, griesmer_report(code, W)))
-    return results
 
 
 def test_criterion_01_binary_t3_reproduction(gf2):
@@ -138,7 +109,7 @@ def test_criterion_06_best_known_distances():
         q, t, p = entry["q"], entry["t"], entry["p"]
         key = (q, t)
         if key not in simplexes:
-            simplexes[key] = simplex_consta(_field_for(q), t)
+            simplexes[key] = simplex_consta(field_from_order(q), t)
         code, G = build_two_weight(simplexes[key], p)
         W = weight_distribution(G)
         assert (code.n, code.k) == (entry["n"], entry["k"])
@@ -148,7 +119,7 @@ def test_criterion_06_best_known_distances():
 
 
 def test_criterion_07_gap_prediction(sweep):
-    for q, t, p, code, W, rep in sweep:
+    for q, t, p, code, G, W, rep in sweep:
         i, r = decompose_block_count(p, t, q)
         assert rep.gap_observed == gap_fn(i, t, q), (q, t, p)
         assert rep.gap_match
@@ -157,7 +128,7 @@ def test_criterion_07_gap_prediction(sweep):
 
 
 def test_criterion_08_length_optimal_exactly_when_i_is_1(sweep):
-    for q, t, p, code, W, rep in sweep:
+    for q, t, p, code, G, W, rep in sweep:
         assert rep.length_optimal == (rep.i == 1), (q, t, p)
         assert rep.length_optimal == (p >= q**t - q + 2), (q, t, p)
     print("criterion 8: PASS (zero gap exactly for i = 1, "
@@ -167,7 +138,7 @@ def test_criterion_08_length_optimal_exactly_when_i_is_1(sweep):
 def test_criterion_09_qt_simplex_single_weight():
     expected = {(2, 2): (15, 4, 8), (2, 3): (63, 6, 32), (3, 2): (40, 4, 27)}
     for (q, t), (n, k, w) in expected.items():
-        s = simplex_consta(_field_for(q), t)
+        s = simplex_consta(field_from_order(q), t)
         code, G = build_qt_simplex(s)
         W = weight_distribution(G)
         assert (code.n, code.k) == (n, k)
@@ -178,28 +149,28 @@ def test_criterion_09_qt_simplex_single_weight():
 
 
 def test_criterion_10_property_suite(sweep):
-    # (a) ring product equals explicit vector-matrix product on random instances
+    # (a) ring product equals u times the twistulant matrix of c on random instances
     rng = random.Random(2024)
     for q in (2, 3, 4, 5):
-        field = _field_for(q)
+        field = field_from_order(q)
         for _ in range(25):
             m = rng.randrange(2, 7)
             lam = rng.randrange(1, q)
             ring = TwistRing(field, m, lam)
             u = tuple(rng.randrange(q) for _ in range(m))
             c = tuple(rng.randrange(q) for _ in range(m))
-            mat = TwistulantMatrix(ring, c)
-            assert ring.mul(u, c) == schoolbook_vec_mat(field, u, mat.rows())
+            product = ring.reduce(Poly(field, u) * Poly(field, c))
+            assert product == schoolbook_vec_mat(field, u, twistulant_rows(ring, c))
 
     # (b) blockwise consta-shift closure, all codewords, codes with q^(2t) <= 2^16
     closure_cases = []
     for q, t in SWEEP_CONFIGS:
         assert q ** (2 * t) <= 1 << 16
-        s = simplex_consta(_field_for(q), t)
+        s = simplex_consta(field_from_order(q), t)
         for p in {3, q**t}:
             closure_cases.append((s,) + build_two_weight(s, p))
     for q, t in ((2, 2), (3, 2)):
-        s = simplex_consta(_field_for(q), t)
+        s = simplex_consta(field_from_order(q), t)
         closure_cases.append((s,) + build_qt_simplex(s))
     for s, code, G in closure_cases:
         ring, m = s.ring, s.m
@@ -222,7 +193,7 @@ def test_criterion_10_property_suite(sweep):
         assert bottom.nonzero_weights() == (expected_bottom,)
 
     # (d) the closed-form count prediction agrees with enumeration everywhere
-    for q, t, p, code, W, rep in sweep:
+    for q, t, p, code, G, W, rep in sweep:
         verdict = verify_two_weight(W, code)
         assert verdict.ok, (q, t, p)
         a1, a2 = expected_counts(code)

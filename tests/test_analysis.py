@@ -24,7 +24,7 @@ from qtweave import (
     weight_distribution,
     weight_distribution_of_rows,
 )
-from conftest import naive_weight_counts
+from conftest import dual_counts, naive_weight_counts
 
 
 @pytest.fixture(scope="session")
@@ -205,6 +205,31 @@ def test_is_projective(code56, s_ternary2):
     # zero column
     zero_col = dataclasses.replace(G, rows=tuple(r + (0,) for r in G.rows))
     assert not is_projective(zero_col)
+
+
+def test_macwilliams_dual_counts_agree_with_is_projective(sweep, gf3, gf4):
+    # B_1 counts zero columns and B_2 pairs of proportional columns, so both vanish
+    # exactly when the generator is projective; B_0 = 1 and integrality check the spectrum
+    cases = [(G, W) for *_, G, W, _ in sweep]
+    for field in (gf3, gf4):
+        _, G = build_two_weight(simplex_consta(field, 2), 3)
+        c0 = tuple(r[0] for r in G.rows)
+        extras = {
+            "zero column": ((0,) * G.k, (field.q - 1, 0)),
+            "repeated column": (c0, (0, field.q - 1)),
+            "scalar multiple": (tuple(field.mul(2, c) for c in c0), (0, field.q - 1)),
+        }
+        for label, (col, b12) in extras.items():
+            H = dataclasses.replace(G, rows=tuple(r + (c,) for r, c in zip(G.rows, col)))
+            W = weight_distribution(H)
+            assert tuple(dual_counts(W)[1:]) == b12, (field, label)
+            assert not is_projective(H), (field, label)
+            cases.append((H, W))
+    for G, W in cases:
+        B = dual_counts(W)
+        assert B[0] == 1
+        assert all(b.denominator == 1 and b >= 0 for b in B)
+        assert (B[1] == B[2] == 0) == is_projective(G)
 
 
 def test_expected_counts(code56, s_ternary2, gf2):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qtweave import analysis
+from qtweave import analysis, construction, fields
 from qtweave.cli import main
 
 
@@ -65,6 +65,25 @@ def test_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("QTWEAVE_BUDGET", "10")
     rc, _, err = run(capsys, "analyze", "--q", "2", "--t", "3", "--p", "8")
     assert rc == 3
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["export", "--format", "json", "--output", "x"]],
+                         ids=["analyze", "export-json"])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_budget_below_one_is_invalid_input(capsys, monkeypatch, source, budget, command):
+    calls = []
+    monkeypatch.setattr(fields, "field_from_order", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(construction, "simplex_consta", lambda *a, **kw: calls.append(a))
+    argv = command + ["--q", "2", "--t", "3", "--p", "8"]
+    if source == "flag":
+        argv += ["--budget", budget]
+    else:
+        monkeypatch.setenv("QTWEAVE_BUDGET", budget)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert f"budget must be >= 1, got {budget}" in err
+    assert calls == []
 
 
 def test_analyze_report(capsys):
@@ -178,6 +197,24 @@ def test_search_primitive(capsys):
     assert "x + 1" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_search_primitive_rejects_limit_below_one(capsys, limit):
+    rc, out, err = run(capsys, "search-primitive", "--q", "2", "--t", "3", "--limit", limit)
+    assert rc == 2
+    assert "limit must be >= 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("q", ["4^2", "6", "2^0", "two"])
+@pytest.mark.parametrize("command", ["construct", "search-primitive"])
+def test_invalid_field_order_exits_2(capsys, command, q):
+    argv = [command, "--q", q, "--t", "2"] + (["--p", "2"] if command == "construct" else [])
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_export_text_format(tmp_path, capsys):
     path = tmp_path / "code.txt"
     rc, out, _ = run(capsys, "export", "--q", "3", "--t", "2", "--h", "2,2,1",
@@ -249,6 +286,22 @@ def test_export_cyclic_json_roundtrip(tmp_path, capsys):
     assert "round trip: ok" in out
     data = json.loads(path.read_text())
     assert data["lambda"] == 1
+
+
+@pytest.mark.parametrize("args, simplex_variant", [
+    (("--q", "2", "--t", "3", "--p", "4"), "consta-cyclic"),
+    (("--q", "2", "--t", "3", "--p", "4", "--cyclic"), "cyclic"),
+    (("--q", "3", "--t", "3", "--p", "2", "--cyclic"), "cyclic"),
+    (("--q", "2^2", "--t", "2", "--p", "4"), "consta-cyclic"),
+    (("--q", "2", "--t", "2", "--variant", "qt-simplex"), "consta-cyclic"),
+])
+def test_export_json_records_simplex_variant(tmp_path, capsys, args, simplex_variant):
+    path = tmp_path / "code.json"
+    rc, out, _ = run(capsys, "export", *args, "--format", "json", "--output", str(path),
+                     "--roundtrip")
+    assert rc == 0
+    assert "round trip: ok" in out
+    assert json.loads(path.read_text())["simplex_variant"] == simplex_variant
 
 
 def test_export_unwritable_path(capsys):

@@ -9,7 +9,6 @@ from qtweave import (
     build_two_weight,
     codeword_poly,
     default_selection,
-    encode,
     full_block_matrix,
     simplex_consta,
     simplex_cyclic,
@@ -190,17 +189,6 @@ def test_qt_simplex_shape(gf2, s_ternary):
     assert G.rows[2][-3:] == gvec              # trailing generator block at the bottom
     code3, G3 = build_qt_simplex(s_ternary)
     assert (code3.n, code3.k) == (40, 4)
-
-
-def test_encode(s_binary):
-    code, G = build_two_weight(s_binary, 8)
-    assert encode(G, (0,) * 6) == (0,) * 56
-    msg = (1,) + (0,) * 5
-    assert encode(G, msg) == G.rows[0]
-    word = encode(G, (1, 0, 0, 1, 0, 0))
-    assert sum(word) in {28, 32}
-    with pytest.raises(ParameterError):
-        encode(G, (1, 0, 0))
 
 
 def test_full_block_matrix_spans_the_same_code(s_ternary):

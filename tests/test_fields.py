@@ -34,6 +34,20 @@ def test_field_from_order():
         field_from_order(1)
 
 
+@pytest.mark.parametrize("text, pe", [("9", (3, 2)), ("3^2", (3, 2)), (" 2^2 ", (2, 2)),
+                                      ("7", (7, 1)), ("8", (2, 3))])
+def test_field_from_order_text(text, pe):
+    f = field_from_order(text)
+    assert (f.p, f.e) == pe
+    assert f == field_from_order(f.q)
+
+
+@pytest.mark.parametrize("text", ["4^2", "6", "2^0", "1", "3^", "^2", "nine", "2^11"])
+def test_field_from_order_rejects_bad_text(text):
+    with pytest.raises(ParameterError):
+        field_from_order(text)
+
+
 def test_gf3_basics(gf3):
     assert gf3.inv(2) == 2  # 2 * 2 = 4 = 1 (mod 3)
     assert gf3.neg(1) == 2
@@ -92,18 +106,12 @@ def test_order_divides_group_order():
             assert (f.q - 1) % f.element_order(a) == 0
 
 
-def test_primitive_element(gf2, gf3, gf5):
-    assert gf2.primitive_element() == 1
-    assert gf3.primitive_element() == 2
-    assert gf5.primitive_element() == 2
-
-
 def test_rebuild_is_deterministic():
     a = field_create(3, 2)
     b = field_create(3, 2)
     assert a.modulus == b.modulus
     assert a.exp_table == b.exp_table
-    assert a.primitive_element() == b.primitive_element()
+    assert a.log_table == b.log_table
 
 
 def test_canonical_gf9_modulus():
@@ -130,16 +138,6 @@ def test_field_axioms_exhaustive(pe):
         assert f.mul(v, f.inv(v)) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-
-
-def test_pow(gf3, gf4):
-    assert gf3.pow(2, 0) == 1
-    assert gf3.pow(2, 5) == 2
-    assert gf3.pow(2, -1) == 2
-    assert gf4.pow(2, 3) == 1
-    assert gf4.pow(0, 3) == 0
-    with pytest.raises(ZeroDivisionError):
-        gf4.pow(0, -1)
 
 
 def test_check_rejects_foreign_values(gf3):

@@ -180,6 +180,12 @@ def test_find_primitive_limit_and_bound(gf2):
         find_primitive(gf2, 4, bound=8)
 
 
+@pytest.mark.parametrize("limit", [0, -2])
+def test_find_primitive_rejects_limit_below_one(gf2, limit):
+    with pytest.raises(ParameterError):
+        find_primitive(gf2, 3, limit=limit)
+
+
 def test_minimal_polynomial_of_x_is_h(gf2, gf3):
     for h in (Poly(gf2, (1, 1, 0, 1)), Poly(gf3, (2, 2, 1))):
         assert minimal_polynomial(1, h) == h

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import ParameterError, Poly, TwistRing, TwistulantMatrix, field_create
-from conftest import schoolbook_vec_mat
+from qtweave import ParameterError, Poly, TwistRing, field_create
+from conftest import schoolbook_vec_mat, twistulant_rows
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
@@ -18,11 +18,6 @@ def ring34(gf3):
 def test_twist_constant_must_be_nonzero(gf3):
     with pytest.raises(ParameterError):
         TwistRing(gf3, 4, 0)
-
-
-def test_from_coeffs_length(ring34):
-    with pytest.raises(ParameterError):
-        ring34.from_coeffs((1, 0, 2))
 
 
 def test_consta_shift_single(ring34):
@@ -50,39 +45,32 @@ def test_reduce(gf2, gf3, ring34):
     assert ring27.reduce(x7_plus_1) == (0,) * 7
 
 
-def test_mul(gf2, ring34):
-    a = ring34.from_coeffs((1, 2, 0, 1))
-    assert ring34.mul(a, ring34.one()) == a
-    x3 = ring34.from_coeffs((0, 0, 0, 1))
-    x1 = ring34.from_coeffs((0, 1, 0, 0))
-    assert ring34.mul(x3, x1) == (2, 0, 0, 0)
+def test_mul(gf2, gf3, ring34):
+    # the ring product is the polynomial product reduced by x^m = lam
+    a = Poly(gf3, (1, 2, 0, 1))
+    assert ring34.reduce(a * Poly.one(gf3)) == (1, 2, 0, 1)
+    assert ring34.reduce(Poly.monomial(gf3, 3) * Poly.x(gf3)) == (2, 0, 0, 0)
     ring27 = TwistRing(gf2, 7, 1)
-    g = ring27.reduce(Poly(gf2, (1, 1, 1, 0, 1)))
-    x = ring27.from_coeffs((0, 1, 0, 0, 0, 0, 0))
-    assert ring27.mul(g, x) == (0, 1, 1, 1, 0, 1, 0)
-
-
-def test_mul_length_mismatch(ring34):
-    with pytest.raises(ParameterError):
-        ring34.mul((1, 0, 2), (0, 1, 0, 0))
+    g = Poly(gf2, (1, 1, 1, 0, 1))
+    assert ring27.reduce(g * Poly.x(gf2)) == (0, 1, 1, 1, 0, 1, 0)
 
 
 def test_matrix_rows(ring34):
     c = (1, 0, 2, 1)
-    mat = TwistulantMatrix(ring34, c)
-    assert mat.row(0) == c
-    assert mat.row(1) == (2 * 1 % 3, 1, 0, 2)
+    rows = twistulant_rows(ring34, c)
+    assert rows[0] == c
+    assert rows[1] == (2 * 1 % 3, 1, 0, 2)
     # second-row pattern: (lam*c3, c0, c1, c2)
-    assert mat.row(1) == (ring34.field.mul(2, c[3]), c[0], c[1], c[2])
-    assert len(mat.rows()) == 4
+    assert rows[1] == (ring34.field.mul(2, c[3]), c[0], c[1], c[2])
+    assert len(rows) == 4
 
 
 def test_circulant_when_twist_is_one(gf3):
     ring = TwistRing(gf3, 4, 1)
-    mat = TwistulantMatrix(ring, (1, 2, 0, 1))
+    rows = twistulant_rows(ring, (1, 2, 0, 1))
     for k in range(4):
         expected = tuple((1, 2, 0, 1)[(j - k) % 4] for j in range(4))
-        assert mat.row(k) == expected
+        assert rows[k] == expected
 
 
 def test_ring_product_equals_matrix_product_exhaustive_sample(gf3):
@@ -92,9 +80,8 @@ def test_ring_product_equals_matrix_product_exhaustive_sample(gf3):
     for _ in range(50):
         u = tuple(rng.randrange(3) for _ in range(4))
         c = tuple(rng.randrange(3) for _ in range(4))
-        mat = TwistulantMatrix(ring, c)
-        explicit = schoolbook_vec_mat(gf3, u, mat.rows())
-        assert ring.mul(u, c) == explicit == mat.vec_mul(u)
+        explicit = schoolbook_vec_mat(gf3, u, twistulant_rows(ring, c))
+        assert ring.reduce(Poly(gf3, u) * Poly(gf3, c)) == explicit
 
 
 @settings(deadline=None, max_examples=150)
@@ -106,18 +93,5 @@ def test_ring_matrix_isomorphism(data):
     ring = TwistRing(field, m, lam)
     u = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
     c = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
-    mat = TwistulantMatrix(ring, c)
-    assert ring.mul(u, c) == schoolbook_vec_mat(field, u, mat.rows())
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.data())
-def test_mul_agrees_with_poly_reduction(data):
-    field = data.draw(st.sampled_from(FIELDS))
-    m = data.draw(st.integers(2, 5))
-    lam = data.draw(st.integers(1, field.q - 1))
-    ring = TwistRing(field, m, lam)
-    a = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
-    b = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
-    via_poly = ring.reduce(ring.to_poly(a) * ring.to_poly(b))
-    assert ring.mul(a, b) == via_poly
+    product = ring.reduce(Poly(field, u) * Poly(field, c))
+    assert product == schoolbook_vec_mat(field, u, twistulant_rows(ring, c))
