@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT
 from .errors import ParameterError, VerificationError
 # The engine lives in its own module so that construction can verify simplex
@@ -141,19 +143,20 @@ def griesmer_report(code: QtCodeSpec, W: WeightDistribution) -> GriesmerReport:
 
 
 def is_projective(G: GeneratorMatrix) -> bool:
-    """True iff no column is zero and no two columns are scalar multiples."""
-    f = G.field
-    seen = set()
-    for col in zip(*G.rows):
-        pivot = next((c for c in col if c), None)
-        if pivot is None:
-            return False
-        inv = f.inv(pivot)
-        canon = tuple(f.mul(inv, c) for c in col)
-        if canon in seen:
-            return False
-        seen.add(canon)
-    return True
+    """True iff no column is zero and no two columns are scalar multiples.
+
+    Each column is scaled by the inverse of its first nonzero entry; the
+    canonical columns are sorted lexicographically and neighbours compared.
+    """
+    _, mul, _, inv = G.field.tables
+    cols = np.array(G.rows, dtype=mul.dtype)  # k x n: column j is cols[:, j]
+    nonzero = cols != 0
+    if not nonzero.any(axis=0).all():
+        return False
+    first = cols[nonzero.argmax(axis=0), np.arange(cols.shape[1])]
+    canon = mul[inv[first], cols]
+    canon = canon[:, np.lexsort(canon)]
+    return not (canon[:, 1:] == canon[:, :-1]).all(axis=0).any()
 
 
 def mean_weight_identity_holds(W: WeightDistribution) -> bool:

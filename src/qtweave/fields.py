@@ -7,6 +7,8 @@ first: value = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 
 Extension fields carry discrete exp/log tables with respect to x, the residue
 of the defining variable, so multiplication and inversion are table lookups.
+Every field also has numpy lookup tables for whole-array arithmetic (the
+`tables` attribute), built vectorised on first use and shared by all callers.
 The defining modulus is the canonical one: the lexicographically smallest
 monic primitive polynomial of degree e over GF(p), coefficients compared low
 degree first.  That makes the arithmetic reproducible across runs without a
@@ -16,6 +18,9 @@ hard-coded polynomial table.
 from __future__ import annotations
 
 from itertools import product
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -37,10 +42,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class FieldTables(NamedTuple):
+    """Read-only lookup tables: add[a, b], mul[a, b], neg[a] and inv[a] (inv[0] = 0).
+
+    The dtype is the smallest unsigned type that holds q - 1, so index
+    arithmetic on looked-up values must be widened first.
+    """
+
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+    inv: np.ndarray
+
+
 class Field:
     """A finite field GF(p^e) operating on canonically encoded integers."""
 
-    __slots__ = ("p", "e", "q", "modulus", "exp_table", "log_table")
+    __slots__ = ("p", "e", "q", "modulus", "exp_table", "log_table", "_tables")
 
     def __init__(self, p, e, modulus, exp_table, log_table):
         self.p = p
@@ -49,6 +67,14 @@ class Field:
         self.modulus = modulus      # ascending monic coefficients, None for e == 1
         self.exp_table = exp_table  # exp_table[k] = x^k, None for e == 1
         self.log_table = log_table
+        self._tables = None
+
+    @property
+    def tables(self) -> FieldTables:
+        """The q x q add/mul and length-q neg/inv tables, built on first use."""
+        if self._tables is None:
+            self._tables = _build_tables(self)
+        return self._tables
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -126,6 +152,29 @@ class Field:
         return k
 
 
+def _build_tables(field: Field) -> FieldTables:
+    p, q = field.p, field.q
+    a = np.arange(q)
+    add = np.zeros((q, q), dtype=np.int64)  # digit-wise addition of the base-p encodings
+    x, y, shift = a[:, None], a[None, :], 1
+    for _ in range(field.e):
+        add += (x % p + y % p) % p * shift
+        x, y, shift = x // p, y // p, shift * p
+    if field.e == 1:
+        mul = a[:, None] * a[None, :] % p
+    else:
+        exp, log = np.array(field.exp_table), np.array(field.log_table)
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+    neg = np.argmax(add == 0, axis=1)
+    inv = np.argmax(mul == 1, axis=1)  # row 0 holds no 1, so inv[0] = 0
+    dtype = np.min_scalar_type(q - 1)
+    tables = FieldTables(*(t.astype(dtype) for t in (add, mul, neg, inv)))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _mul_by_x(digits, mod_tail, p):
     # digits: e coefficients ascending; mod_tail: low e coefficients of the monic modulus
     carry = digits[-1]
@@ -163,6 +212,10 @@ def _try_tables(p, e, mod_tail):
 
 def field_create(p: int, e: int = 1, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
     """Build GF(p^e) with the canonical modulus; identical inputs give identical arithmetic."""
+    # p >= 2 and e >= limit.bit_length() give p^e >= 2^e > limit; checking
+    # that first keeps _is_prime and p**e away from huge inputs
+    if p > limit or (p >= 2 and e >= limit.bit_length()):
+        raise ParameterError(f"field order {p}^{e} exceeds the limit {limit}")
     if not _is_prime(p):
         raise ParameterError(f"characteristic {p} is not prime")
     if e < 1:
@@ -198,6 +251,8 @@ def field_from_order(q: int | str, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
             return field_create(q, e, limit)
     if q < 2:
         raise ParameterError(f"field order must be >= 2, got {q}")
+    if q > limit:
+        raise ParameterError(f"field order {q} exceeds the limit {limit}")
     p = 2
     while p * p <= q and q % p:
         p += 1

@@ -45,17 +45,6 @@ class WeightDistribution:
         return sum(self.counts.values())
 
 
-def _add_table(field: Field) -> np.ndarray:
-    """Digit-wise addition of the base-p encodings."""
-    a = np.arange(field.q)
-    out = np.zeros((field.q, field.q), dtype=np.int64)
-    x, y, shift = a[:, None], a[None, :], 1
-    for _ in range(field.e):
-        out += (((x % field.p) + (y % field.p)) % field.p) * shift
-        x, y, shift = x // field.p, y // field.p, shift * field.p
-    return out
-
-
 def _zero_counts(flat: np.ndarray, q: int, steps: int, shifts: np.ndarray) -> np.ndarray:
     """Columns orthogonal to each message, from each column's flat index into A[s, c].
 
@@ -106,9 +95,7 @@ def weight_distribution_of_rows(field: Field, rows,
     gen = np.array(rows, dtype=np.int64)
     if gen.min() < 0 or gen.max() >= q:
         raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
-    add = _add_table(field)
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
-    neg = np.array([field.neg(a) for a in range(q)])
+    add, mul, neg, _ = field.tables
     shifts = add[:, neg[mul]].transpose(1, 2, 0)  # shifts[u, c, s'] = s' - u c
     r = 0
     while r < k and q ** (k - r + 1) > _CHUNK_ENTRIES:
@@ -120,11 +107,12 @@ def weight_distribution_of_rows(field: Field, rows,
         index = index * q + row
     counts = np.zeros(n + 1, dtype=np.int64)
     for prefix in product(range(q), repeat=r):
-        s = np.zeros(n, dtype=np.int64)
+        s = np.zeros(n, dtype=add.dtype)
         for u, row in zip(prefix, gen):
             if u:
                 s = add[s, mul[u, row]]
-        counts += np.bincount(n - _zero_counts(s * cells + index, q, steps, shifts),
+        flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
+        counts += np.bincount(n - _zero_counts(flat, q, steps, shifts),
                               minlength=n + 1)
     result = {int(w): int(c) for w, c in enumerate(counts) if c}
     if sum(result.values()) != total:

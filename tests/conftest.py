@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the package's optimized code paths:
 weight counts are recomputed by looping over every message with scalar field
-operations, matrix products are done schoolbook-style, and dual weight counts
-come from the MacWilliams transform of a spectrum, so they can catch bugs in
-the spectrum transform, the ring shortcuts and the projectivity check.
+operations, matrix products are done schoolbook-style, rank is row reduction
+with scalar field operations, projectivity compares every pair of columns,
+and dual weight counts come from the MacWilliams transform of a spectrum, so
+they can catch bugs in the spectrum transform, the ring shortcuts, the rank
+check and the projectivity check.
 """
 
 from collections import Counter
@@ -89,6 +91,38 @@ def naive_weight_counts(field, rows) -> dict:
                     word[j] = field.add(word[j], field.mul(c, v))
         counts[sum(1 for v in word if v)] += 1
     return dict(counts)
+
+
+def naive_rank(field, rows) -> int:
+    """Rank by Gauss-Jordan elimination with scalar field ops."""
+    work = [list(r) for r in rows]
+    rank = 0
+    n = len(work[0]) if work else 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = field.inv(work[rank][col])
+        work[rank] = [field.mul(inv, v) for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                c = work[r][col]
+                work[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+def naive_is_projective(field, rows) -> bool:
+    """No zero column and no pair of columns with one a scalar multiple of the other."""
+    cols = list(zip(*rows))
+    if any(not any(c) for c in cols):
+        return False
+    return not any(tuple(field.mul(a, v) for v in x) == y
+                   for i, x in enumerate(cols) for y in cols[i + 1:]
+                   for a in field.nonzero())
 
 
 def schoolbook_vec_mat(field, u, matrix_rows):

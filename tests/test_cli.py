@@ -131,6 +131,12 @@ def test_selection_override(capsys):
     assert rc == 2
 
 
+def test_oversized_field_order_exits_2(capsys):
+    rc, _, err = run(capsys, "analyze", "--q", "1000000000000000003", "--t", "2", "--p", "3")
+    assert rc == 2
+    assert "exceeds the limit" in err
+
+
 def test_prime_power_syntax(capsys):
     rc, out, _ = run(capsys, "construct", "--q", "2^2", "--t", "2", "--p", "5")
     assert rc == 0

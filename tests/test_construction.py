@@ -8,13 +8,14 @@ from qtweave import (
     build_qt_simplex,
     build_two_weight,
     codeword_poly,
+    construction,
     default_selection,
     full_block_matrix,
     simplex_consta,
     simplex_cyclic,
 )
-from qtweave.construction import _check_equidistant, _rank
-from conftest import naive_weight_counts, span_words
+from qtweave.construction import _check_equidistant
+from conftest import naive_rank, naive_weight_counts, span_words
 
 
 @pytest.fixture(scope="session")
@@ -161,10 +162,56 @@ def test_two_weight_p2_weights(s_ternary):
     assert set(counts) == {0, 3, 6}  # {q^(t-1), 2 q^(t-1)} plus the zero word
 
 
-def test_rank_is_full_for_samples(s_binary, s_ternary, gf3):
+@pytest.fixture
+def rank_widths(monkeypatch):
+    """The column count of every matrix handed to the rank check, in call order."""
+    widths = []
+    rank = construction._rank
+
+    def recording_rank(field, rows):
+        widths.append(len(rows[0]))
+        return rank(field, rows)
+
+    monkeypatch.setattr(construction, "_rank", recording_rank)
+    return widths
+
+
+def _reorder_blocks(monkeypatch, layout):
+    """Reassemble every generator row from the width-m blocks that layout(block_count) lists."""
+    assemble = construction._assemble_rows
+
+    def reordered(code, blocks, shifts):
+        m = code.simplex.m
+        return tuple(sum((r[b * m:(b + 1) * m] for b in layout(code.block_count)), ())
+                     for r in assemble(code, blocks, shifts))
+
+    monkeypatch.setattr(construction, "_assemble_rows", reordered)
+
+
+def test_rank_is_full_for_samples(s_binary, s_ternary, gf3, rank_widths):
     for s, p in ((s_binary, 5), (s_ternary, 7), (simplex_consta(gf3, 3), 4)):
+        rank_widths.clear()
         code, G = build_two_weight(s, p)
-        assert _rank(s.field, G.rows) == code.k
+        assert naive_rank(s.field, G.rows) == code.k
+        assert rank_widths == [2 * s.m]  # the leading two blocks settle it
+
+
+def test_rank_falls_back_to_all_columns(s_ternary, monkeypatch, rank_widths):
+    # blocks 0, 0, 2, 3: the leading columns [[G, G], [0, 0]] have rank t only,
+    # while blocks 0 and 2 together give [[G, G], [0, B_2]] of rank 2t
+    _reorder_blocks(monkeypatch, lambda count: [0, 0, *range(2, count)])
+    code, G = build_two_weight(s_ternary, 4)
+    lead = 2 * s_ternary.m
+    assert naive_rank(G.field, [r[:lead] for r in G.rows]) == s_ternary.t
+    assert naive_rank(G.field, G.rows) == code.k
+    assert rank_widths == [lead, code.n]
+
+
+def test_rank_deficient_generator_is_rejected(s_ternary, monkeypatch, rank_widths):
+    _reorder_blocks(monkeypatch, lambda count: [0] * count)
+    with pytest.raises(VerificationError, match="full rank"):
+        build_two_weight(s_ternary, 4)
+    assert rank_widths == [2 * s_ternary.m, 4 * s_ternary.m]
 
 
 def test_equidistance_check_rejects_non_simplex_spans(gf3):
@@ -198,9 +245,9 @@ def test_full_block_matrix_spans_the_same_code(s_ternary):
     assert all(len(r) == code.n for r in block_rows)
     # every block-form row lies in the span of the reduced generator
     for row in block_rows:
-        assert _rank(s_ternary.field, list(G.rows) + [row]) == code.k
+        assert naive_rank(s_ternary.field, list(G.rows) + [row]) == code.k
     # and the block form has full rank itself, so the two codes coincide
-    assert _rank(s_ternary.field, block_rows) == code.k
+    assert naive_rank(s_ternary.field, block_rows) == code.k
 
 
 def test_full_block_matrix_qt_simplex(s_ternary):
@@ -209,7 +256,7 @@ def test_full_block_matrix_qt_simplex(s_ternary):
     assert len(block_rows) == 8
     assert all(len(r) == 40 for r in block_rows)
     for row in block_rows:
-        assert _rank(s_ternary.field, list(G.rows) + [row]) == code.k
+        assert naive_rank(s_ternary.field, list(G.rows) + [row]) == code.k
 
 
 def test_blockwise_shift_closure(s_ternary):

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qtweave import ParameterError, field_create, field_from_order
+from qtweave import ParameterError, field_create, field_from_order, fields
 
 
 def test_rejects_non_prime_characteristic():
@@ -46,6 +46,26 @@ def test_field_from_order_text(text, pe):
 def test_field_from_order_rejects_bad_text(text):
     with pytest.raises(ParameterError):
         field_from_order(text)
+
+
+@pytest.mark.parametrize("order", [1000000000000000003, "1000000000000000003",
+                                   "99999999999999999989^2", "2^10000000000"])
+def test_oversized_order_is_rejected_before_any_factoring(monkeypatch, order):
+    # trial division of 10^18 + 3, a primality test of a 20-digit p, or 2**(10^10)
+    # (about 1.25 GB) would each come before the limit check if it came last
+    def no_primality_test(n):
+        raise AssertionError(f"primality test of {n} before the limit check")
+    monkeypatch.setattr(fields, "_is_prime", no_primality_test)
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        field_from_order(order)
+
+
+@pytest.mark.parametrize("order, message", [(6, "not a prime power"), ("1000", "not a prime power"),
+                                            ("4^2", "4 is not prime"), ("2^0", "extension degree"),
+                                            (2048, "exceeds the limit"), ("2^11", "exceeds the limit")])
+def test_small_bad_orders_keep_their_messages(order, message):
+    with pytest.raises(ParameterError, match=message):
+        field_from_order(order)
 
 
 def test_gf3_basics(gf3):
@@ -138,6 +158,12 @@ def test_field_axioms_exhaustive(pe):
         assert f.mul(v, f.inv(v)) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+    # the numpy lookup tables agree with the scalar operations and are shared read-only
+    t = f.tables
+    assert np.array_equal(t.add, add) and np.array_equal(t.mul, mul)
+    assert t.neg.tolist() == [f.neg(v) for v in range(q)]
+    assert t.inv.tolist() == [0] + [f.inv(v) for v in f.nonzero()]
+    assert f.tables is t and not any(table.flags.writeable for table in t)
 
 
 def test_check_rejects_foreign_values(gf3):
