@@ -35,10 +35,8 @@ from .fields import Field, field_create, field_from_order
 from .polynomial import (
     Poly,
     find_primitive,
-    is_irreducible,
     is_primitive,
     minimal_polynomial,
-    poly_gcd,
     pow_mod,
     x_pow_mod,
 )
@@ -73,13 +71,11 @@ __all__ = [
     "gap_fn",
     "griesmer_length",
     "griesmer_report",
-    "is_irreducible",
     "is_primitive",
     "is_projective",
     "mean_weight_identity_holds",
     "min_distance",
     "minimal_polynomial",
-    "poly_gcd",
     "pow_mod",
     "simplex_consta",
     "simplex_cyclic",

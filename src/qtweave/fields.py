@@ -154,22 +154,22 @@ class Field:
 
 def _build_tables(field: Field) -> FieldTables:
     p, q = field.p, field.q
-    a = np.arange(q)
-    add = np.zeros((q, q), dtype=np.int64)  # digit-wise addition of the base-p encodings
-    x, y, shift = a[:, None], a[None, :], 1
-    for _ in range(field.e):
-        add += (x % p + y % p) % p * shift
-        x, y, shift = x // p, y // p, shift * p
+    dtype = np.min_scalar_type(q - 1)
+    a = np.arange(p)
+    digit = ((a[:, None] + a[None, :]) % p).astype(dtype)
+    add, low = digit, p
+    for _ in range(field.e - 1):  # encodings d * low + r: add the digits d, then the rest r
+        add = (digit[:, None, :, None] * low + add[None, :, None, :]).reshape(low * p, low * p)
+        low *= p
     if field.e == 1:
         mul = a[:, None] * a[None, :] % p
     else:
-        exp, log = np.array(field.exp_table), np.array(field.log_table)
-        mul = np.zeros((q, q), dtype=np.int64)
-        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        exp, log = np.array(field.exp_table * 2, dtype=dtype), np.array(field.log_table)
+        mul = np.zeros((q, q), dtype=dtype)
+        mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
     neg = np.argmax(add == 0, axis=1)
     inv = np.argmax(mul == 1, axis=1)  # row 0 holds no 1, so inv[0] = 0
-    dtype = np.min_scalar_type(q - 1)
-    tables = FieldTables(*(t.astype(dtype) for t in (add, mul, neg, inv)))
+    tables = FieldTables(*(t.astype(dtype, copy=False) for t in (add, mul, neg, inv)))
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -224,7 +224,8 @@ def field_create(p: int, e: int = 1, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
         raise ParameterError(f"field order {p}^{e} exceeds the limit {limit}")
     if e == 1:
         return Field(p, 1, None, None, None)
-    for tail in product(range(p), repeat=e):
+    # x is no unit modulo a zero constant term, so _try_tables would reject it
+    for tail in product(range(1, p), *[range(p)] * (e - 1)):
         exp = _try_tables(p, e, list(tail))
         if exp is not None:
             q = p**e

@@ -161,15 +161,6 @@ class Poly:
         return f"Poly({self.field!r}, {self})"
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    if a.is_zero() and b.is_zero():
-        raise ParameterError("gcd of two zero polynomials is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
 def pow_mod(base: Poly, n: int, h: Poly) -> Poly:
     """base^n reduced modulo h, by square and multiply."""
     if n < 0:
@@ -191,27 +182,6 @@ def x_pow_mod(n: int, h: Poly) -> Poly:
     return pow_mod(Poly.x(h.field), n, h)
 
 
-def is_irreducible(h: Poly) -> bool:
-    """True iff h has no nontrivial factor over its field.
-
-    Any factor of degree i divides x^(q^i) - x, so h of degree t is
-    irreducible iff gcd(h, x^(q^i) - x) is constant for i = 1 .. t // 2.
-    """
-    t = h.degree
-    if t < 1:
-        raise ParameterError("irreducibility is defined for degree >= 1")
-    if t == 1:
-        return True
-    q = h.field.q
-    x = Poly.x(h.field)
-    r = x % h
-    for _ in range(t // 2):
-        r = pow_mod(r, q, h)
-        if poly_gcd(h, r - x).degree > 0:
-            return False
-    return True
-
-
 def _factor_int(n: int):
     """Distinct prime factors by trial division (desk-scale inputs)."""
     primes = []
@@ -227,27 +197,95 @@ def _factor_int(n: int):
     return primes
 
 
+def _exponents(q: int, t: int) -> list[int]:
+    """N = q^t - 1 followed by N / r for every prime r dividing N."""
+    n = q**t - 1
+    return [n] + [n // r for r in _factor_int(n)]
+
+
+def _x_pow_is_one(e: int, ntail, add, mul) -> bool:
+    """x^e == 1 modulo x^t - ntail, by square-and-multiply on the tables.
+
+    ntail lists the t low coefficients of x^t mod h, that is, the negated
+    tail of h.  Residues are lists of t coefficients, ascending.
+    """
+    t = len(ntail)
+    taps = [(i, c) for i, c in enumerate(ntail) if c]
+    one = [1] + [0] * (t - 1)
+    acc = one
+    for bit in bin(e)[2:]:
+        prod = [0] * (2 * t - 1)
+        for i, a in enumerate(acc):
+            if a:
+                row = mul[a]
+                for j, b in enumerate(acc, i):
+                    if b:
+                        prod[j] = add[prod[j]][row[b]]
+        for k in range(2 * t - 2, t - 1, -1):  # x^k = x^(k-t) * ntail
+            c = prod[k]
+            if c:
+                row = mul[c]
+                for i, d in taps:
+                    prod[k - t + i] = add[prod[k - t + i]][row[d]]
+        acc = prod[:t]
+        if bit == "1":  # times x: shift up, fold the carry back in
+            c = acc[-1]
+            acc = [0] + acc[:-1]
+            if c:
+                row = mul[c]
+                for i, d in taps:
+                    acc[i] = add[acc[i]][row[d]]
+    return acc == one
+
+
+def _primitive_tail(tail, exponents, add, mul, neg) -> bool:
+    """Whether the monic h = x^t + tail(x) is primitive, on lookup tables.
+
+    tail holds the t low coefficients of h, ascending; exponents is
+    _exponents(q, t); add, mul and neg are the field's tables, as numpy arrays
+    or as their nested lists.
+    """
+    if not tail[0]:  # x is not a unit modulo h
+        return False
+    if len(tail) >= 2:  # a root r in GF(q) gives the factor x - r
+        for r in range(1, len(neg)):
+            row, v = mul[r], 1
+            for c in reversed(tail):
+                v = add[row[v]][c]
+            if not v:
+                return False
+    ntail = [neg[c] for c in tail]
+    n, *cofactors = exponents
+    return (_x_pow_is_one(n, ntail, add, mul)
+            and not any(_x_pow_is_one(e, ntail, add, mul) for e in cofactors))
+
+
 def is_primitive(h: Poly) -> bool:
-    """True iff h is irreducible and x has order q^t - 1 in F_q[x]/(h)."""
+    """True iff x has order exactly N = q^t - 1 in F_q[x]/(h).
+
+    That order also certifies that h is irreducible: the N powers of x are
+    distinct units, so they fill all q^t - 1 nonzero residues, every nonzero
+    residue is a unit and the quotient is a field.  The test is therefore
+    x^N = 1 and x^(N/r) != 1 for every prime r | N, by square-and-multiply
+    modulo h on the field's lookup tables, with two cheap rejections first:
+    a zero constant term (x is then no unit) and, for t >= 2, a root in
+    GF(q).  The tables are indexed as numpy arrays, so one call converts
+    nothing of size q x q.
+    """
     if not h.is_monic() or h.degree < 1:
         raise ParameterError("primitivity is defined for monic polynomials of degree >= 1")
-    if not is_irreducible(h):
-        return False
-    if h.coeffs[0] == 0:  # h = x, up to the irreducibility above
-        return False
-    q, t = h.field.q, h.degree
-    n = q**t - 1
-    one = Poly.one(h.field)
-    if x_pow_mod(n, h) != one:
-        return False
-    return all(x_pow_mod(n // f, h) != one for f in _factor_int(n))
+    add, mul, neg, _ = h.field.tables
+    return _primitive_tail(h.coeffs[:-1], _exponents(h.field.q, h.degree), add, mul, neg)
 
 
 def find_primitive(field: Field, t: int, limit: int | None = None,
                    bound: int = DEFAULT_SEARCH_BOUND) -> list[Poly]:
     """All monic primitive degree-t polynomials, low-degree-first lexicographic order.
 
-    With limit = N >= 1 only the first N are returned.
+    With limit = N >= 1 only the first N are returned.  Each candidate runs
+    the test of is_primitive (no separate irreducibility pass) on the field's
+    tables, converted to lists once per search together with the exponents
+    N and N / r.  Tails with a zero constant term are never generated.
     """
     if t < 1:
         raise ParameterError(f"degree must be >= 1, got {t}")
@@ -260,11 +298,12 @@ def find_primitive(field: Field, t: int, limit: int | None = None,
             required=field.q**t,
             budget=bound,
         )
+    add, mul, neg = (table.tolist() for table in field.tables[:3])
+    exponents = _exponents(field.q, t)
     found = []
-    for tail in product(field.elements(), repeat=t):
-        h = Poly(field, tail + (1,))
-        if is_primitive(h):
-            found.append(h)
+    for tail in product(field.nonzero(), *[field.elements()] * (t - 1)):
+        if _primitive_tail(tail, exponents, add, mul, neg):
+            found.append(Poly(field, tail + (1,)))
             if limit is not None and len(found) >= limit:
                 break
     return found

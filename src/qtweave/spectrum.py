@@ -45,14 +45,15 @@ class WeightDistribution:
         return sum(self.counts.values())
 
 
-def _zero_counts(flat: np.ndarray, q: int, steps: int, shifts: np.ndarray) -> np.ndarray:
+def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
+                 minus: np.ndarray) -> np.ndarray:
     """Columns orthogonal to each message, from each column's flat index into A[s, c].
 
     c runs over the last `steps` coordinates, so A has q^(steps+1) cells.  Each
     step reads the leading column coordinate and writes the message coordinate
     last, so after all steps the axes are back in their original order.
-    shifts[u, c] is the permutation s' -> s' - u c of the s axis.  Only A, the
-    step's output and one (q, q^(steps-1)) buffer are alive at a time.
+    minus[w] is the permutation s' -> s' - w of the s axis, taken at w = u c.
+    Only A, the step's output and one (q, q^(steps-1)) buffer are alive at a time.
     """
     A = np.bincount(flat, minlength=q ** (steps + 1)).astype(np.int32)
     rest = q**steps // q
@@ -66,8 +67,8 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, shifts: np.ndarray) -> np
             for c in range(1, q):
                 if u == 0:
                     acc += src[:, c]
-                else:  # shifts are permutations; "clip" skips buffering tmp for bounds errors
-                    np.take(src[:, c], shifts[u, c], axis=0, out=tmp, mode="clip")
+                else:  # minus rows are permutations; "clip" skips buffering tmp for bounds errors
+                    np.take(src[:, c], minus[mul[u, c]], axis=0, out=tmp, mode="clip")
                     acc += tmp
         A = out
     return A.reshape(q, -1)[0]
@@ -96,7 +97,7 @@ def weight_distribution_of_rows(field: Field, rows,
     if gen.min() < 0 or gen.max() >= q:
         raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
     add, mul, neg, _ = field.tables
-    shifts = add[:, neg[mul]].transpose(1, 2, 0)  # shifts[u, c, s'] = s' - u c
+    minus = add[:, neg].T  # minus[w, s'] = s' - w
     r = 0
     while r < k and q ** (k - r + 1) > _CHUNK_ENTRIES:
         r += 1
@@ -112,7 +113,7 @@ def weight_distribution_of_rows(field: Field, rows,
             if u:
                 s = add[s, mul[u, row]]
         flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
-        counts += np.bincount(n - _zero_counts(flat, q, steps, shifts),
+        counts += np.bincount(n - _zero_counts(flat, q, steps, mul, minus),
                               minlength=n + 1)
     result = {int(w): int(c) for w, c in enumerate(counts) if c}
     if sum(result.values()) != total:

@@ -6,7 +6,8 @@ operations, matrix products are done schoolbook-style, rank is row reduction
 with scalar field operations, projectivity compares every pair of columns,
 and dual weight counts come from the MacWilliams transform of a spectrum, so
 they can catch bugs in the spectrum transform, the ring shortcuts, the rank
-check and the projectivity check.
+check and the projectivity check.  Irreducibility is decided by the classic
+gcd test, independent of the order-of-x test that primitivity uses.
 """
 
 from collections import Counter
@@ -17,10 +18,13 @@ from math import comb
 import pytest
 
 from qtweave import (
+    ParameterError,
+    Poly,
     build_two_weight,
     field_create,
     field_from_order,
     griesmer_report,
+    pow_mod,
     simplex_consta,
     weight_distribution,
 )
@@ -166,3 +170,30 @@ def span_words(field, rows):
         scaled = [tuple(field.mul(a, v) for v in row) for a in field.elements()]
         words = [tuple(field.add(x, y) for x, y in zip(w, s)) for w in words for s in scaled]
     return words
+
+
+def poly_gcd(a, b):
+    """Monic greatest common divisor of two polynomials, by Euclid."""
+    if a.is_zero() and b.is_zero():
+        raise ParameterError("gcd of two zero polynomials is undefined")
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def is_irreducible(h) -> bool:
+    """True iff h has no nontrivial factor over its field.
+
+    Any factor of degree i divides x^(q^i) - x, so h of degree t is
+    irreducible iff gcd(h, x^(q^i) - x) is constant for i = 1 .. t // 2.
+    """
+    t = h.degree
+    if t < 1:
+        raise ParameterError("irreducibility is defined for degree >= 1")
+    x = Poly.x(h.field)
+    r = x % h
+    for _ in range(t // 2):
+        r = pow_mod(r, h.field.q, h)
+        if poly_gcd(h, r - x).degree > 0:
+            return False
+    return True

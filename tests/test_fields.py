@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qtweave import ParameterError, field_create, field_from_order, fields
+from qtweave import ParameterError, field_create, field_from_order, fields, find_primitive
 
 
 def test_rejects_non_prime_characteristic():
@@ -138,6 +138,13 @@ def test_canonical_gf9_modulus():
     # x^2 + 1 comes first lexicographically but x has order 4 there, so the
     # canonical primitive modulus is x^2 + x + 2
     assert field_create(3, 2).modulus == (2, 1, 1)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                                 for e in range(2, 11) if p**e <= 1024])
+def test_modulus_is_the_first_primitive_polynomial(p, e):
+    # two independent searches for the same lexicographically first primitive polynomial
+    assert field_create(p, e).modulus == find_primitive(field_create(p), e, limit=1)[0].coeffs
 
 
 @pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),

@@ -9,15 +9,15 @@ from qtweave import (
     ParameterError,
     Poly,
     field_create,
+    field_from_order,
     find_primitive,
-    is_irreducible,
     is_primitive,
     minimal_polynomial,
-    poly_gcd,
     pow_mod,
+    simplex_consta,
     x_pow_mod,
 )
-from conftest import euler_phi
+from conftest import euler_phi, is_irreducible, poly_gcd
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
@@ -127,15 +127,21 @@ def test_is_irreducible_against_trial_division(gf2, gf3):
 
 
 def _order_of_x(h):
-    one = Poly.one(h.field)
-    acc = Poly.x(h.field) % h
-    k = 1
-    while acc != one:
-        acc = (acc * Poly.x(h.field)) % h
-        k += 1
-        if k > h.field.q ** h.degree:
-            return None
-    return k
+    """Multiplicative order of x modulo h, one multiplication by x at a time.
+
+    None when the powers of x never return to 1, that is, when x is no unit.
+    """
+    f, t = h.field, h.degree
+    x_t = [f.neg(c) for c in h.coeffs[:-1]]  # x^t modulo h
+    one = [1] + [0] * (t - 1)
+    acc = one
+    for k in range(1, f.q**t):
+        carry, acc = acc[-1], [0] + acc[:-1]
+        if carry:
+            acc = [f.add(a, f.mul(carry, c)) for a, c in zip(acc, x_t)]
+        if acc == one:
+            return k
+    return None
 
 
 def test_is_primitive_known_cases(gf2, gf3):
@@ -151,6 +157,39 @@ def test_primitive_implies_irreducible_and_full_order(gf2, gf3):
             if is_primitive(h):
                 assert is_irreducible(h)
                 assert _order_of_x(h) == field.q**t - 1
+
+
+@pytest.mark.parametrize("q,t", [
+    (q, t) for q in (2, 3, 4, 5) for t in (1, 2, 3, 4)
+] + [(q, t) for q in (7, 8, 9) for t in (1, 2, 3)] + [(16, 2)])
+def test_primitivity_agrees_with_the_order_of_x(q, t):
+    """Every monic h of degree t: is_primitive and find_primitive against _order_of_x."""
+    field = field_from_order(q)
+    candidates = [Poly(field, tail + (1,)) for tail in product(field.elements(), repeat=t)]
+    expected = [_order_of_x(h) == q**t - 1 for h in candidates]
+    assert [is_primitive(h) for h in candidates] == expected
+    assert find_primitive(field, t) == [h for h, ok in zip(candidates, expected) if ok]
+
+
+@pytest.mark.parametrize("q,t,coeffs", [
+    (2, 3, (1, 0, 1, 1)),
+    (2, 4, (1, 0, 0, 1, 1)),
+    (2, 5, (1, 0, 0, 1, 0, 1)),
+    (2, 9, (1, 0, 0, 0, 0, 1, 0, 0, 0, 1)),
+    (3, 2, (2, 1, 1)),
+    (3, 3, (1, 0, 2, 1)),
+    (3, 4, (2, 0, 0, 1, 1)),
+    (4, 2, (2, 1, 1)),
+    (4, 4, (2, 0, 1, 1, 1)),
+    (5, 2, (2, 1, 1)),
+    (7, 2, (3, 1, 1)),
+    (8, 2, (2, 1, 1)),
+    (9, 2, (3, 3, 1)),
+])
+def test_canonical_h_is_pinned(q, t, coeffs):
+    field = field_from_order(q)
+    assert find_primitive(field, t, limit=1)[0].coeffs == coeffs
+    assert simplex_consta(field, t).h.coeffs == coeffs
 
 
 @pytest.mark.parametrize("pe,t", [

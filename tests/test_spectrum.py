@@ -1,10 +1,12 @@
 """Differential test of the spectrum engine against the scalar oracle."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import field_create, spectrum, weight_distribution_of_rows
+from qtweave import field_create, field_from_order, spectrum, weight_distribution_of_rows
 from conftest import naive_weight_counts
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3))
@@ -44,3 +46,17 @@ def test_engine_matches_naive_oracle(split, data):
         W = weight_distribution_of_rows(field, rows)
     assert W.counts == naive_weight_counts(field, rows)
     assert (W.n, W.k, W.q, W.total()) == (len(rows[0]), k, field.q, field.q**k)
+
+
+def test_large_field_small_message_space_stays_small():
+    # the s - u c permutations come from one q x q table, not a q x q x q one
+    field = field_from_order(256)
+    field.tables
+    tracemalloc.start()
+    try:
+        W = weight_distribution_of_rows(field, [(1, 2, 3)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.counts == {0: 1, 3: 255}
+    assert peak < 4 << 20
