@@ -24,7 +24,6 @@ from .construction import (
     SimplexSpec,
     build_qt_simplex,
     build_two_weight,
-    codeword_poly,
     default_selection,
     full_block_matrix,
     simplex_consta,
@@ -40,7 +39,6 @@ from .polynomial import (
     pow_mod,
     x_pow_mod,
 )
-from .twist_ring import TwistRing
 
 __version__ = "0.1.0"
 
@@ -54,13 +52,11 @@ __all__ = [
     "Poly",
     "QtCodeSpec",
     "SimplexSpec",
-    "TwistRing",
     "TwoWeightVerdict",
     "VerificationError",
     "WeightDistribution",
     "build_qt_simplex",
     "build_two_weight",
-    "codeword_poly",
     "decompose_block_count",
     "default_selection",
     "expected_counts",

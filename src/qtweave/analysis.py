@@ -149,7 +149,7 @@ def is_projective(G: GeneratorMatrix) -> bool:
     canonical columns are sorted lexicographically and neighbours compared.
     """
     _, mul, _, inv = G.field.tables
-    cols = np.array(G.rows, dtype=mul.dtype)  # k x n: column j is cols[:, j]
+    cols = G.rows  # k x n: column j is cols[:, j]
     nonzero = cols != 0
     if not nonzero.any(axis=0).all():
         return False

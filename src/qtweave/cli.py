@@ -89,7 +89,7 @@ def _require_digits(q: int) -> None:
 
 def _digit_string(word, q: int) -> str:
     _require_digits(q)
-    return "".join(_DIGITS[c] for c in word)
+    return "".join(_DIGITS[c] for c in word.tolist())
 
 
 def _field_and_budget(args):
@@ -135,10 +135,9 @@ def _build_code(args, field, budget):
 def _summary_line(code, W) -> str:
     weights = W.nonzero_weights()
     q = code.field.q
-    if code.variant == construction.TWO_WEIGHT:
-        w_txt = ", ".join(str(w) for w in weights)
-        return f"[{code.n}, {code.k}; {w_txt}]_{q} two-weight quasi-twisted code"
     w_txt = ", ".join(str(w) for w in weights)
+    if code.variant == construction.TWO_WEIGHT:
+        return f"[{code.n}, {code.k}; {w_txt}]_{q} two-weight quasi-twisted code"
     return f"[{code.n}, {code.k}; {w_txt}]_{q} quasi-twisted simplex code"
 
 
@@ -165,11 +164,11 @@ def _cmd_construct(args) -> int:
     if args.matrix:
         print("generator matrix (reduced):")
         for row in G.rows:
-            print(" ".join(str(c) for c in row))
+            print(" ".join(str(c) for c in row.tolist()))
     if args.block_matrix:
         print("generator matrix (full block form):")
         for row in construction.full_block_matrix(code):
-            print(" ".join(str(c) for c in row))
+            print(" ".join(str(c) for c in row.tolist()))
     return EXIT_OK
 
 
@@ -199,8 +198,8 @@ def _cmd_analyze(args) -> int:
             status = EXIT_MISMATCH
     else:
         weights = W.nonzero_weights()
-        single = s_w = code.simplex.q ** (2 * code.simplex.t - 1)
-        if weights == (single,):
+        s_w = code.simplex.q ** (2 * code.simplex.t - 1)
+        if weights == (s_w,):
             print(f"single-weight check: ok (w = {s_w})")
         else:
             print(f"single-weight check: FAILED (expected {{{s_w}}}, observed {list(weights)})")
@@ -331,7 +330,7 @@ def _export_payload(code, G, W) -> dict:
 def _write_text_export(path, code, G):
     s = code.simplex
     lines = [f"{code.n} {code.k} {s.q} {s.t} {code.p} {s.lam}"]
-    lines += [" ".join(str(c) for c in row) for row in G.rows]
+    lines += [" ".join(str(c) for c in row.tolist()) for row in G.rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

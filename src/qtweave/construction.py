@@ -14,9 +14,18 @@ Two assembled shapes are supported, both of dimension 2t:
 * qt-simplex: the p = q^t extreme plus one trailing block, giving the
   [(q^(2t)-1)/(q-1), 2t, q^(2t-1)]_q simplex in quasi-twisted form.
 
+Every block of either shape is a word a x^e g mod (x^m - lam), and one
+gather computes a batch of them: entry c of word(a, e) is a lam^w g_k with
+k = (c - e) mod m and w = (k + e) div m, read through the field's mul table.
+A row group is a list of (a, e) blocks, and its row u adds u to every e.  The
+shifts stay below 2m (a selected shift j < m plus a row index u < m, even in
+the full 2m-row block form), so k + e < 3m and w is 0, 1 or 2.  Scale 0
+gives the zero block.  The generator is one read-only (k, n) numpy array in
+the dtype of the field tables.
+
 All constructions verify their claimed invariants (exact divisibility,
-equidistance by an exact weight spectrum, full rank) and raise
-VerificationError on any failure instead of returning a bad object.
+equidistance by an exact weight spectrum, distinct nonzero blocks, full rank)
+and raise VerificationError on any failure instead of returning a bad object.
 
 Full rank 2t is checked exactly by elimination over GF(q).  Blocks 0 and 1
 form the block-triangular [[G_t, G_t], [0, B_1]], whose diagonal blocks are
@@ -27,6 +36,7 @@ if they fall short are all n columns eliminated, so the verdict stays exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -36,7 +46,6 @@ from .errors import ParameterError, VerificationError
 from .fields import Field
 from .polynomial import Poly, find_primitive, is_primitive, minimal_polynomial, x_pow_mod
 from .spectrum import weight_distribution_of_rows
-from .twist_ring import RingElement, TwistRing
 
 CONSTA_CYCLIC = "consta-cyclic"
 CYCLIC = "cyclic"
@@ -53,7 +62,6 @@ class SimplexSpec:
     h: Poly
     g: Poly
     variant: str
-    ring: TwistRing
 
     @property
     def q(self) -> int:
@@ -93,7 +101,7 @@ class QtCodeSpec:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    rows: tuple[RingElement, ...]
+    rows: np.ndarray  # (k, n), read-only, dtype of the field tables
     row_groups: tuple[int, int]
     block_count: int
     block_width: int
@@ -105,11 +113,11 @@ class GeneratorMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return self.rows.shape[1]
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
 
 def _rank(field: Field, rows) -> int:
@@ -135,12 +143,23 @@ def _rank(field: Field, rows) -> int:
     return rank
 
 
-def _check_equidistant(field: Field, ring: TwistRing, g: Poly, t: int) -> None:
+def _words(s: SimplexSpec, scales, shifts) -> np.ndarray:
+    """Coefficients of a x^e g mod (x^m - lam), one row per pair (a, e), 0 <= e < 2m."""
+    _, mul, _, _ = s.field.tables
+    m = s.m
+    g = np.zeros(m, dtype=mul.dtype)
+    g[:len(s.g.coeffs)] = s.g.coeffs
+    lam_pow = np.array([1, s.lam, mul[s.lam, s.lam]], dtype=mul.dtype)
+    e = np.asarray(shifts)[:, None]
+    k = (np.arange(m) - e) % m
+    return mul[mul[np.asarray(scales)[:, None], lam_pow[(k + e) // m]], g[k]]
+
+
+def _check_equidistant(s: SimplexSpec) -> None:
     """The t shifts of g span q^t distinct words, each nonzero one of weight q^(t-1)."""
-    gvec = ring.reduce(g)
-    rows = [ring.consta_shift(gvec, u) for u in range(t)]
-    counts = weight_distribution_of_rows(field, rows).counts
-    expected = {0: 1, field.q ** (t - 1): field.q**t - 1}
+    rows = _words(s, [1] * s.t, range(s.t))
+    counts = weight_distribution_of_rows(s.field, rows).counts
+    expected = {0: 1, s.weight: s.q**s.t - 1}
     if counts != expected:
         raise VerificationError(
             f"simplex code is degenerate or not equidistant: weight counts {counts}, "
@@ -166,9 +185,9 @@ def _assemble_simplex(field: Field, t: int, h: Poly, variant: str) -> SimplexSpe
         raise VerificationError(f"h = {h} does not divide x^{m} - {lam}")
     if g.degree != m - t:
         raise VerificationError("generator polynomial has the wrong degree")
-    ring = TwistRing(field, m, lam)
-    _check_equidistant(field, ring, g, t)
-    return SimplexSpec(field, t, m, lam, h, g, variant, ring)
+    s = SimplexSpec(field, t, m, lam, h, g, variant)
+    _check_equidistant(s)
+    return s
 
 
 def simplex_consta(field: Field, t: int, h: Poly | None = None) -> SimplexSpec:
@@ -217,17 +236,6 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
     return _assemble_simplex(field, t, h, CYCLIC)
 
 
-def codeword_poly(s: SimplexSpec, i: int, j: int) -> RingElement:
-    """The codeword a_i * x^j * g, with a_i the i-th nonzero element in ascending order."""
-    q, m = s.q, s.m
-    if not 1 <= i <= q - 1:
-        raise ParameterError(f"scale index must be in 1..{q - 1}, got {i}")
-    if not 0 <= j < m:
-        raise ParameterError(f"shift must be in 0..{m - 1}, got {j}")
-    gvec = s.ring.reduce(s.g)
-    return s.ring.scale(s.ring.consta_shift(gvec, j), i)
-
-
 def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]:
     """First `count` (scale, shift) pairs in canonical order: scale ascending, then shift."""
     pairs = [(i, j) for i in range(1, s.q) for j in range(s.m)]
@@ -235,44 +243,55 @@ def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]
 
 
 def _validate_selection(s: SimplexSpec, selection, expected_len: int):
-    pairs = tuple((int(i), int(j)) for i, j in selection)
+    """Distinct integer pairs (i, j), 1 <= i < q and 0 <= j < m, whose blocks i x^j g
+    are nonzero and pairwise distinct (neighbours compared after a lexsort)."""
+    try:
+        pairs = tuple((operator.index(i), operator.index(j)) for i, j in selection)
+    except TypeError:
+        raise ParameterError("selection entries must be pairs of integers") from None
     if len(pairs) != expected_len:
         raise ParameterError(f"selection must list exactly {expected_len} pairs, got {len(pairs)}")
     if len(set(pairs)) != len(pairs):
         raise ParameterError("selection contains duplicate pairs")
-    blocks = [codeword_poly(s, i, j) for i, j in pairs]
-    if len(set(blocks)) != len(blocks) or any(b == s.ring.zero() for b in blocks):
+    for i, j in pairs:
+        if not 1 <= i <= s.q - 1:
+            raise ParameterError(f"scale index must be in 1..{s.q - 1}, got {i}")
+        if not 0 <= j < s.m:
+            raise ParameterError(f"shift must be in 0..{s.m - 1}, got {j}")
+    blocks = _words(s, *np.array(pairs).T)
+    blocks = blocks[np.lexsort(blocks.T)]
+    if not blocks.any(axis=1).all() or (blocks[1:] == blocks[:-1]).all(axis=1).any():
         raise VerificationError("selection induced repeated or zero codeword blocks")
-    return pairs, blocks
+    return pairs
 
 
-def _assemble_rows(code: QtCodeSpec, blocks, shifts: int) -> tuple:
-    """Rows u = 0..shifts-1 of the top group (x^u g per block) and the bottom group.
+def _assemble_rows(code: QtCodeSpec, shifts: int) -> np.ndarray:
+    """Rows u = 0..shifts-1 of the top group, then of the bottom group, as one array.
 
-    With shifts = t these are the generator rows; with shifts = m every
-    twistulant block is written out in full.
+    The top group has blocks g (and a trailing zero block for qt-simplex),
+    the bottom group a zero block, the selected blocks (and a trailing g);
+    row u shifts every block by x^u.  With shifts = t these are the generator
+    rows; with shifts = m every twistulant block is written out in full.  One
+    row is gathered at a time, so the index temporaries stay O(n).
     """
-    ring = code.simplex.ring
-    gvec = ring.reduce(code.simplex.g)
-    zero = ring.zero()
-    trailing_g = code.variant == QT_SIMPLEX
-    rows = []
-    for u in range(shifts):
-        top = ring.consta_shift(gvec, u) * (len(blocks) + 1)
-        rows.append(top + zero if trailing_g else top)
-    for u in range(shifts):
-        bottom = zero + tuple(c for b in blocks for c in ring.consta_shift(b, u))
-        if trailing_g:
-            bottom = bottom + ring.consta_shift(gvec, u)
-        rows.append(bottom)
-    return tuple(rows)
+    s = code.simplex
+    trailing = code.variant == QT_SIMPLEX
+    top = [(1, 0)] * code.p + [(0, 0)] * trailing
+    bottom = [(0, 0), *code.selection] + [(1, 0)] * trailing
+    rows = np.empty((2 * shifts, code.n), dtype=s.field.tables.mul.dtype)
+    for group, blocks in enumerate((top, bottom)):
+        scales, base = np.array(blocks).T
+        for u in range(shifts):
+            rows[group * shifts + u] = _words(s, scales, base + u).ravel()
+    return rows
 
 
-def _finish(code: QtCodeSpec, blocks) -> GeneratorMatrix:
-    rows = _assemble_rows(code, blocks, code.simplex.t)
+def _finish(code: QtCodeSpec) -> GeneratorMatrix:
+    rows = _assemble_rows(code, code.simplex.t)
+    rows.setflags(write=False)
     # rank k on the leading two blocks implies rank k on all columns
     lead = 2 * code.simplex.m
-    if (_rank(code.field, [r[:lead] for r in rows]) != code.k
+    if (_rank(code.field, rows[:, :lead]) != code.k
             and _rank(code.field, rows) != code.k):
         raise VerificationError(f"generator matrix does not have full rank {code.k}")
     return GeneratorMatrix(
@@ -291,21 +310,19 @@ def build_two_weight(s: SimplexSpec, p: int, selection=None) -> tuple[QtCodeSpec
         raise ParameterError(f"block count p must be in 2..{qt}, got {p}")
     if selection is None:
         selection = default_selection(s, p - 1)
-    pairs, blocks = _validate_selection(s, selection, p - 1)
+    pairs = _validate_selection(s, selection, p - 1)
     code = QtCodeSpec(simplex=s, p=p, selection=pairs, variant=TWO_WEIGHT)
-    return code, _finish(code, blocks)
+    return code, _finish(code)
 
 
 def build_qt_simplex(s: SimplexSpec) -> tuple[QtCodeSpec, GeneratorMatrix]:
     """Assemble the dimension-2t simplex code in quasi-twisted form (p forced to q^t)."""
     p = s.q**s.t
-    pairs, blocks = _validate_selection(s, default_selection(s, p - 1), p - 1)
+    pairs = _validate_selection(s, default_selection(s, p - 1), p - 1)
     code = QtCodeSpec(simplex=s, p=p, selection=pairs, variant=QT_SIMPLEX)
-    return code, _finish(code, blocks)
+    return code, _finish(code)
 
 
-def full_block_matrix(code: QtCodeSpec) -> list[tuple]:
-    """The unreduced 2m-row block form: every twistulant block written out in full."""
-    s = code.simplex
-    blocks = [codeword_poly(s, i, j) for i, j in code.selection]
-    return list(_assemble_rows(code, blocks, s.m))
+def full_block_matrix(code: QtCodeSpec) -> np.ndarray:
+    """The unreduced (2m, n) block form: every twistulant block written out in full."""
+    return _assemble_rows(code, code.simplex.m)

@@ -76,13 +76,14 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
 
 def weight_distribution_of_rows(field: Field, rows,
                                 budget: int | None = None) -> WeightDistribution:
-    """Exact weight counts of the code spanned by the given rows."""
-    rows = [tuple(r) for r in rows]
-    if not rows or not rows[0]:
+    """Exact weight counts of the code spanned by the rows of a (k, n) array or list."""
+    try:
+        gen = np.asarray(rows)
+    except ValueError:
+        raise ParameterError("rows have unequal lengths") from None
+    if gen.ndim != 2 or not gen.size:
         raise ParameterError("need at least one nonempty row")
-    k, n, q = len(rows), len(rows[0]), field.q
-    if any(len(r) != n for r in rows):
-        raise ParameterError("rows have unequal lengths")
+    (k, n), q = gen.shape, field.q
     if n > _MAX_LENGTH:
         raise ParameterError(f"length {n} exceeds the 32-bit column counts ({_MAX_LENGTH})")
     total = q**k
@@ -93,8 +94,7 @@ def weight_distribution_of_rows(field: Field, rows,
             required=total,
             budget=limit,
         )
-    gen = np.array(rows, dtype=np.int64)
-    if gen.min() < 0 or gen.max() >= q:
+    if gen.dtype.kind not in "iu" or gen.min() < 0 or gen.max() >= q:
         raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
     add, mul, neg, _ = field.tables
     minus = add[:, neg].T  # minus[w, s'] = s' - w

@@ -2,12 +2,15 @@
 
 The oracles here deliberately avoid the package's optimized code paths:
 weight counts are recomputed by looping over every message with scalar field
-operations, matrix products are done schoolbook-style, rank is row reduction
-with scalar field operations, projectivity compares every pair of columns,
-and dual weight counts come from the MacWilliams transform of a spectrum, so
-they can catch bugs in the spectrum transform, the ring shortcuts, the rank
-check and the projectivity check.  Irreducibility is decided by the classic
-gcd test, independent of the order-of-x test that primitivity uses.
+operations, matrix products are done schoolbook-style, ring elements are
+reduced by Poly long division and shifted one position at a time, rank is row
+reduction with scalar field operations, projectivity compares every pair of
+columns, and dual weight counts come from the MacWilliams transform of a
+spectrum, so they can catch bugs in the spectrum transform, the block gather,
+the rank check and the projectivity check.  Matrices may come in as numpy
+arrays; the oracles read them as lists of Python ints.  Irreducibility is
+decided by the classic gcd test, independent of the order-of-x test that
+primitivity uses.
 """
 
 from collections import Counter
@@ -80,8 +83,14 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _ints(rows):
+    """Rows as lists of Python ints, whatever sequence or array they came in."""
+    return [[int(v) for v in r] for r in rows]
+
+
 def naive_weight_counts(field, rows) -> dict:
     """Weight counts by looping over every message with scalar field ops."""
+    rows = _ints(rows)
     k = len(rows)
     n = len(rows[0])
     counts = Counter()
@@ -99,7 +108,7 @@ def naive_weight_counts(field, rows) -> dict:
 
 def naive_rank(field, rows) -> int:
     """Rank by Gauss-Jordan elimination with scalar field ops."""
-    work = [list(r) for r in rows]
+    work = _ints(rows)
     rank = 0
     n = len(work[0]) if work else 0
     for col in range(n):
@@ -121,7 +130,7 @@ def naive_rank(field, rows) -> int:
 
 def naive_is_projective(field, rows) -> bool:
     """No zero column and no pair of columns with one a scalar multiple of the other."""
-    cols = list(zip(*rows))
+    cols = list(zip(*_ints(rows)))
     if any(not any(c) for c in cols):
         return False
     return not any(tuple(field.mul(a, v) for v in x) == y
@@ -139,9 +148,25 @@ def schoolbook_vec_mat(field, u, matrix_rows):
     return tuple(out)
 
 
-def twistulant_rows(ring, c):
+def consta_shift(field, lam, w):
+    """One lam-consta-cyclic shift: (w_0, ..., w_{m-1}) -> (lam w_{m-1}, w_0, ..., w_{m-2})."""
+    w = tuple(w)
+    return (field.mul(lam, w[-1]),) + w[:-1]
+
+
+def twistulant_rows(field, lam, c):
     """The m x m twistulant matrix of c: row k is the k-fold consta-cyclic shift."""
-    return [ring.consta_shift(tuple(c), k) for k in range(ring.m)]
+    rows = [tuple(c)]
+    while len(rows) < len(rows[0]):
+        rows.append(consta_shift(field, lam, rows[-1]))
+    return rows
+
+
+def residue(poly, m, lam):
+    """Coefficients of poly mod (x^m - lam), ascending and padded to m, by Poly division."""
+    field = poly.field
+    r = poly % (Poly.monomial(field, m) - Poly(field, (lam,)))
+    return tuple(r.coeffs) + (0,) * (m - len(r.coeffs))
 
 
 def krawtchouk(j, i, n, q):
@@ -164,6 +189,7 @@ def dual_counts(W, upto=2):
 
 def span_words(field, rows):
     """All vectors spanned by the given rows, via scalar field ops."""
+    rows = _ints(rows)
     n = len(rows[0])
     words = [(0,) * n]
     for row in rows:

@@ -10,7 +10,6 @@ from importlib import resources
 
 from qtweave import (
     Poly,
-    TwistRing,
     build_qt_simplex,
     build_two_weight,
     decompose_block_count,
@@ -25,7 +24,8 @@ from qtweave import (
     weight_distribution,
     weight_distribution_of_rows,
 )
-from conftest import SWEEP_CONFIGS, schoolbook_vec_mat, span_words, twistulant_rows
+from conftest import (SWEEP_CONFIGS, consta_shift, residue, schoolbook_vec_mat, span_words,
+                      twistulant_rows)
 
 
 def _fixture(name):
@@ -73,8 +73,7 @@ def test_criterion_04_ternary_cyclic_t3(gf3):
     for s in (simplex_cyclic(gf3, 3), simplex_cyclic(gf3, 3, g=reference_g)):
         assert s.params() == (13, 3, 9)
         # equidistance over all 27 codewords
-        gvec = s.ring.reduce(s.g)
-        words = span_words(gf3, [s.ring.consta_shift(gvec, u) for u in range(3)])
+        words = span_words(gf3, twistulant_rows(gf3, s.lam, residue(s.g, s.m, s.lam))[:3])
         assert {sum(1 for c in w if c) for w in words if any(w)} == {9}
         for p in (2, 16, 17, 27):
             code, G = build_two_weight(s, p)
@@ -156,11 +155,10 @@ def test_criterion_10_property_suite(sweep):
         for _ in range(25):
             m = rng.randrange(2, 7)
             lam = rng.randrange(1, q)
-            ring = TwistRing(field, m, lam)
             u = tuple(rng.randrange(q) for _ in range(m))
             c = tuple(rng.randrange(q) for _ in range(m))
-            product = ring.reduce(Poly(field, u) * Poly(field, c))
-            assert product == schoolbook_vec_mat(field, u, twistulant_rows(ring, c))
+            product = residue(Poly(field, u) * Poly(field, c), m, lam)
+            assert product == schoolbook_vec_mat(field, u, twistulant_rows(field, lam, c))
 
     # (b) blockwise consta-shift closure, all codewords, codes with q^(2t) <= 2^16
     closure_cases = []
@@ -173,13 +171,13 @@ def test_criterion_10_property_suite(sweep):
         s = simplex_consta(field_from_order(q), t)
         closure_cases.append((s,) + build_qt_simplex(s))
     for s, code, G in closure_cases:
-        ring, m = s.ring, s.m
+        m = s.m
         words = set(span_words(s.field, G.rows))
         assert len(words) == s.q ** code.k
         for w in words:
             shifted = ()
             for b in range(code.block_count):
-                shifted += ring.consta_shift(w[b * m:(b + 1) * m], 1)
+                shifted += consta_shift(s.field, s.lam, w[b * m:(b + 1) * m])
             assert shifted in words
 
     # (c) the two row groups generate equidistant sub-codes

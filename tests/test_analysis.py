@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 from math import ceil
 
+import numpy as np
 import pytest
 
 from qtweave import (
@@ -92,7 +93,9 @@ def test_verify_two_weight_series_values(gf3):
 def test_verify_two_weight_negative_control(code56):
     code, G = code56
     # replace a row with a weight-1 word: a weight outside {28, 32} must appear
-    bad_rows = ((1,) + (0,) * 55,) + G.rows[1:]
+    bad_rows = G.rows.copy()
+    bad_rows[0] = 0
+    bad_rows[0, 0] = 1
     tampered = dataclasses.replace(G, rows=bad_rows)
     verdict = verify_two_weight(weight_distribution(tampered), code)
     assert not verdict.ok
@@ -193,6 +196,11 @@ def test_griesmer_report_rejects_wrong_distance(gf3):
         griesmer_report(code18, weight_distribution(G17))
 
 
+def with_column(G, col):
+    """G with one more column appended, in the generator's dtype."""
+    return dataclasses.replace(G, rows=np.column_stack([G.rows, np.array(col, G.rows.dtype)]))
+
+
 def test_is_projective(code56, s_ternary2):
     code, G = code56
     assert is_projective(G)  # frozen from the pairwise column check
@@ -200,11 +208,10 @@ def test_is_projective(code56, s_ternary2):
     _, G_p2 = build_two_weight(s, 2, selection=((1, 0),))
     assert is_projective(G_p2)  # frozen verdict for the smallest member
     # duplicated column: scalar dependence must be detected
-    dup = dataclasses.replace(G, rows=tuple(r + (r[0],) for r in G.rows))
-    assert not is_projective(dup)
+    assert not is_projective(with_column(G, G.rows[:, 0]))
     # zero column
-    zero_col = dataclasses.replace(G, rows=tuple(r + (0,) for r in G.rows))
-    assert not is_projective(zero_col)
+    assert not is_projective(with_column(G, (0,) * G.k))
+
 
 
 def test_macwilliams_dual_counts_agree_with_is_projective(sweep, gf3, gf4):
@@ -213,14 +220,14 @@ def test_macwilliams_dual_counts_agree_with_is_projective(sweep, gf3, gf4):
     cases = [(G, W) for *_, G, W, _ in sweep]
     for field in (gf3, gf4):
         _, G = build_two_weight(simplex_consta(field, 2), 3)
-        c0 = tuple(r[0] for r in G.rows)
+        c0 = tuple(G.rows[:, 0].tolist())
         extras = {
             "zero column": ((0,) * G.k, (field.q - 1, 0)),
             "repeated column": (c0, (0, field.q - 1)),
             "scalar multiple": (tuple(field.mul(2, c) for c in c0), (0, field.q - 1)),
         }
         for label, (col, b12) in extras.items():
-            H = dataclasses.replace(G, rows=tuple(r + (c,) for r, c in zip(G.rows, col)))
+            H = with_column(G, col)
             W = weight_distribution(H)
             assert tuple(dual_counts(W)[1:]) == b12, (field, label)
             assert not is_projective(H), (field, label)

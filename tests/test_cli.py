@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,48 @@ def test_construct_matrix_output(capsys):
     assert rc == 0
     assert "2 1 1 0 2 1 1 0" in out
     assert "generator matrix (full block form):" in out
+
+
+# SHA-256 of the stdout of `construct ... --matrix --block-matrix`, frozen from the
+# output of tuple rows, so any change of row type or number formatting shows
+CONSTRUCT_DIGESTS = {
+    "--q 3 --t 2 --p 3 --selection 1:0,2:1":
+        "aa8e14c76fa917a361665ac30712e9772e0f102a2065d6a591a1f0d4c71cf519",
+    "--cyclic --q 3 --t 3 --p 4":
+        "f2ffab109ac0f0e3278d7687090070ff82666c042d69caa12d67d6b758df7564",
+    "--variant qt-simplex --q 2 --t 2":
+        "51db3c3440903863b3a5450a9ca47de44e1bda7acfeffb40c5d96d7206e97c2c",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CONSTRUCT_DIGESTS))
+def test_construct_matrix_output_is_byte_identical(capsys, args):
+    rc, out, _ = run(capsys, "construct", *args.split(), "--matrix", "--block-matrix")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[args]
+
+
+def test_export_text_is_byte_identical(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    rc, out, _ = run(capsys, "export", "--q", "4", "--t", "2", "--p", "6",
+                     "--format", "text", "--output", str(path), "--roundtrip")
+    assert rc == 0 and "round trip: ok" in out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6abca0c13c740414a2d931d83cade70353cfb6e2a2a37f18a4eaa696260455db")
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("0:0", "scale index must be in 1..2, got 0"),
+    ("3:0", "scale index must be in 1..2, got 3"),
+    ("1:4", "shift must be in 0..3, got 4"),
+    ("1:-1", "shift must be in 0..3, got -1"),
+])
+def test_out_of_range_selection_exits_2(capsys, pair, message):
+    rc, out, err = run(capsys, "construct", "--q", "3", "--t", "2", "--p", "2",
+                       "--selection", pair)
+    assert rc == 2
+    assert out == ""
+    assert message in err
 
 
 def test_construct_invalid_p(capsys):

@@ -1,21 +1,22 @@
+import numpy as np
 import pytest
 
 from qtweave import (
     ParameterError,
     Poly,
-    TwistRing,
+    SimplexSpec,
     VerificationError,
     build_qt_simplex,
     build_two_weight,
-    codeword_poly,
     construction,
     default_selection,
     full_block_matrix,
     simplex_consta,
     simplex_cyclic,
 )
-from qtweave.construction import _check_equidistant
-from conftest import naive_rank, naive_weight_counts, span_words
+from qtweave.construction import CYCLIC, _check_equidistant, _words
+from conftest import (consta_shift, naive_rank, naive_weight_counts, residue, span_words,
+                      twistulant_rows)
 
 
 @pytest.fixture(scope="session")
@@ -76,8 +77,7 @@ def test_cyclic_simplex_parameters(gf3):
     assert s.lam == 1
     assert s.params() == (13, 3, 9)
     # explicit equidistance oracle over all 27 codewords
-    gvec = s.ring.reduce(s.g)
-    rows = [s.ring.consta_shift(gvec, u) for u in range(3)]
+    rows = twistulant_rows(gf3, s.lam, residue(s.g, s.m, s.lam))[:3]
     words = span_words(gf3, rows)
     weights = {sum(1 for c in w if c) for w in words if any(w)}
     assert weights == {9}
@@ -93,8 +93,7 @@ def test_cyclic_needs_coprime_t(gf4):
         simplex_cyclic(gf4, 3)  # gcd(3, 3) = 3
     s = simplex_cyclic(gf4, 2)
     assert s.params() == (5, 2, 4)
-    gvec = s.ring.reduce(s.g)
-    words = span_words(gf4, [s.ring.consta_shift(gvec, u) for u in range(2)])
+    words = span_words(gf4, twistulant_rows(gf4, s.lam, residue(s.g, s.m, s.lam))[:2])
     weights = {sum(1 for c in w if c) for w in words if any(w)}
     assert weights == {4}
 
@@ -108,24 +107,66 @@ def test_cyclic_generator_override(gf3):
         simplex_cyclic(gf3, 3, g=Poly(gf3, (1, 1)))  # does not divide x^13 - 1
 
 
+def codeword(s, i, j):
+    """The block i * x^j * g, as the gather builds it."""
+    return tuple(_words(s, [i], [j])[0].tolist())
+
+
 def test_codeword_poly(s_binary, s_ternary):
-    gvec = s_binary.ring.reduce(s_binary.g)
-    assert codeword_poly(s_binary, 1, 0) == gvec
-    assert codeword_poly(s_binary, 1, 1) == (0, 1, 1, 1, 0, 1, 0)  # x * g, no wraparound
-    assert codeword_poly(s_ternary, 2, 0) == (1, 2, 2, 0)  # 2 * (x^2 + x + 2)
-    with pytest.raises(ParameterError):
-        codeword_poly(s_ternary, 3, 0)
-    with pytest.raises(ParameterError):
-        codeword_poly(s_ternary, 1, 4)
+    assert codeword(s_binary, 1, 0) == residue(s_binary.g, s_binary.m, s_binary.lam)
+    assert codeword(s_binary, 1, 1) == (0, 1, 1, 1, 0, 1, 0)  # x * g, no wraparound
+    assert codeword(s_ternary, 2, 0) == (1, 2, 2, 0)  # 2 * (x^2 + x + 2)
+    with pytest.raises(ParameterError, match="scale index"):
+        build_two_weight(s_ternary, 2, selection=((3, 0),))
+    with pytest.raises(ParameterError, match="shift"):
+        build_two_weight(s_ternary, 2, selection=((1, 4),))
 
 
 def test_codeword_polys_enumerate_all_nonzero_codewords(s_ternary):
     # the (q-1)*m selection blocks are exactly the nonzero simplex codewords
-    all_blocks = {codeword_poly(s_ternary, i, j) for i in (1, 2) for j in range(4)}
-    gvec = s_ternary.ring.reduce(s_ternary.g)
-    rows = [s_ternary.ring.consta_shift(gvec, u) for u in range(2)]
+    all_blocks = {codeword(s_ternary, i, j) for i in (1, 2) for j in range(4)}
+    rows = twistulant_rows(s_ternary.field, s_ternary.lam,
+                           residue(s_ternary.g, s_ternary.m, s_ternary.lam))[:2]
     words = {w for w in span_words(s_ternary.field, rows) if any(w)}
     assert all_blocks == words
+
+
+@pytest.mark.parametrize("pair", ["zero scale", "scale q", "shift m", "shift -1"])
+def test_out_of_range_selection_is_rejected_before_any_gather(s_ternary, monkeypatch, pair):
+    q, m = s_ternary.q, s_ternary.m
+    i, j = {"zero scale": (0, 0), "scale q": (q, 0), "shift m": (1, m), "shift -1": (1, -1)}[pair]
+
+    def no_gather(*args):
+        raise AssertionError("gathered blocks for an invalid selection")
+
+    monkeypatch.setattr(construction, "_words", no_gather)
+    with pytest.raises(ParameterError, match="scale index" if j == 0 else "shift"):
+        build_two_weight(s_ternary, 3, selection=((1, 1), (i, j)))
+
+
+@pytest.mark.parametrize("tamper", ["zero", "repeat"])
+def test_repeated_or_zero_blocks_are_rejected(s_ternary, monkeypatch, tamper):
+    # distinct in-range pairs never collide for a primitive h, so a tampered
+    # gather stands in for a broken block: the last block zeroed, or a copy of
+    # the first one that only the sort makes a neighbour of it
+    gather = construction._words
+
+    def tampered(s, scales, shifts):
+        words = gather(s, scales, shifts).copy()
+        words[-1] = 0 if tamper == "zero" else words[0]
+        return words
+
+    monkeypatch.setattr(construction, "_words", tampered)
+    with pytest.raises(VerificationError, match="repeated or zero"):
+        build_two_weight(s_ternary, 5, selection=((1, 0), (2, 3), (1, 2), (2, 1)))
+
+
+def test_selection_entries_must_be_integers(s_ternary):
+    for bad in ((1.0, 0), (1, "2"), (1, 0.5)):
+        with pytest.raises(ParameterError, match="integers"):
+            build_two_weight(s_ternary, 2, selection=(bad,))
+    code, _ = build_two_weight(s_ternary, 2, selection=((np.int64(2), np.uint8(3)),))
+    assert code.selection == ((2, 3),) and type(code.selection[0][0]) is int
 
 
 def test_default_selection_order(s_ternary):
@@ -150,10 +191,19 @@ def test_build_two_weight_shape(s_binary):
     assert G.row_groups == (3, 3)
     assert code.selection == tuple((1, j) for j in range(7))
     # top rows repeat x^u * g across all 8 blocks, bottom rows start with a zero block
-    gvec = s_binary.ring.reduce(s_binary.g)
-    assert G.rows[0] == gvec * 8
-    assert G.rows[3][:7] == (0,) * 7
-    assert G.rows[3][7:14] == gvec
+    gvec = residue(s_binary.g, s_binary.m, s_binary.lam)
+    assert G.rows.shape == (6, 56) and G.rows.dtype == s_binary.field.tables.mul.dtype
+    assert tuple(G.rows[0].tolist()) == gvec * 8
+    assert tuple(G.rows[3, :7].tolist()) == (0,) * 7
+    assert tuple(G.rows[3, 7:14].tolist()) == gvec
+
+
+def test_generator_rows_are_read_only(s_ternary):
+    _, G = build_two_weight(s_ternary, 3)
+    assert not G.rows.flags.writeable
+    with pytest.raises(ValueError):
+        G.rows[0, 0] = 1
+    assert (G.k, G.n) == G.rows.shape == (4, 12)
 
 
 def test_two_weight_p2_weights(s_ternary):
@@ -180,10 +230,10 @@ def _reorder_blocks(monkeypatch, layout):
     """Reassemble every generator row from the width-m blocks that layout(block_count) lists."""
     assemble = construction._assemble_rows
 
-    def reordered(code, blocks, shifts):
+    def reordered(code, shifts):
         m = code.simplex.m
-        return tuple(sum((r[b * m:(b + 1) * m] for b in layout(code.block_count)), ())
-                     for r in assemble(code, blocks, shifts))
+        rows = assemble(code, shifts)
+        return np.hstack([rows[:, b * m:(b + 1) * m] for b in layout(code.block_count)])
 
     monkeypatch.setattr(construction, "_assemble_rows", reordered)
 
@@ -202,7 +252,7 @@ def test_rank_falls_back_to_all_columns(s_ternary, monkeypatch, rank_widths):
     _reorder_blocks(monkeypatch, lambda count: [0, 0, *range(2, count)])
     code, G = build_two_weight(s_ternary, 4)
     lead = 2 * s_ternary.m
-    assert naive_rank(G.field, [r[:lead] for r in G.rows]) == s_ternary.t
+    assert naive_rank(G.field, G.rows[:, :lead]) == s_ternary.t
     assert naive_rank(G.field, G.rows) == code.k
     assert rank_widths == [lead, code.n]
 
@@ -217,12 +267,11 @@ def test_rank_deficient_generator_is_rejected(s_ternary, monkeypatch, rank_width
 def test_equidistance_check_rejects_non_simplex_spans(gf3):
     # h = x^2 + 1 is irreducible over GF(3) but not primitive: x^4 = 1 mod h, and
     # g = (x^4 - 1)/h = x^2 - 1 spans a code with weights 2 and 4
-    ring = TwistRing(gf3, 4, 1)
-    g = Poly(gf3, (2, 0, 1))
+    h, g = Poly(gf3, (1, 0, 1)), Poly(gf3, (2, 0, 1))
     with pytest.raises(VerificationError, match="not equidistant"):
-        _check_equidistant(gf3, ring, g, 2)
+        _check_equidistant(SimplexSpec(gf3, 2, 4, 1, h, g, CYCLIC))
     with pytest.raises(VerificationError):  # x^2 g = -g: three shifts span only 9 words
-        _check_equidistant(gf3, ring, g, 3)
+        _check_equidistant(SimplexSpec(gf3, 3, 4, 1, h, g, CYCLIC))
 
 
 def test_qt_simplex_shape(gf2, s_ternary):
@@ -230,10 +279,10 @@ def test_qt_simplex_shape(gf2, s_ternary):
     code, G = build_qt_simplex(s)
     assert (code.n, code.k) == (15, 4)
     assert code.block_count == 5
-    gvec = s.ring.reduce(s.g)
-    assert G.rows[0] == gvec * 4 + (0, 0, 0)   # trailing zero block on top
-    assert G.rows[2][:3] == (0, 0, 0)          # leading zero block at the bottom
-    assert G.rows[2][-3:] == gvec              # trailing generator block at the bottom
+    gvec = residue(s.g, s.m, s.lam)
+    assert tuple(G.rows[0].tolist()) == gvec * 4 + (0, 0, 0)  # trailing zero block on top
+    assert tuple(G.rows[2, :3].tolist()) == (0, 0, 0)         # leading zero block at the bottom
+    assert tuple(G.rows[2, -3:].tolist()) == gvec             # trailing generator block
     code3, G3 = build_qt_simplex(s_ternary)
     assert (code3.n, code3.k) == (40, 4)
 
@@ -241,8 +290,7 @@ def test_qt_simplex_shape(gf2, s_ternary):
 def test_full_block_matrix_spans_the_same_code(s_ternary):
     code, G = build_two_weight(s_ternary, 3)
     block_rows = full_block_matrix(code)
-    assert len(block_rows) == 2 * s_ternary.m
-    assert all(len(r) == code.n for r in block_rows)
+    assert block_rows.shape == (2 * s_ternary.m, code.n)
     # every block-form row lies in the span of the reduced generator
     for row in block_rows:
         assert naive_rank(s_ternary.field, list(G.rows) + [row]) == code.k
@@ -253,8 +301,7 @@ def test_full_block_matrix_spans_the_same_code(s_ternary):
 def test_full_block_matrix_qt_simplex(s_ternary):
     code, G = build_qt_simplex(s_ternary)
     block_rows = full_block_matrix(code)
-    assert len(block_rows) == 8
-    assert all(len(r) == 40 for r in block_rows)
+    assert block_rows.shape == (8, 40)
     for row in block_rows:
         assert naive_rank(s_ternary.field, list(G.rows) + [row]) == code.k
 
@@ -262,12 +309,11 @@ def test_full_block_matrix_qt_simplex(s_ternary):
 def test_blockwise_shift_closure(s_ternary):
     # shifting every width-m block by one position maps codewords to codewords
     code, G = build_two_weight(s_ternary, 3)
-    ring = s_ternary.ring
     words = set(span_words(s_ternary.field, G.rows))
     assert len(words) == 3**4
     m = s_ternary.m
     for w in words:
         shifted = ()
         for b in range(code.block_count):
-            shifted += ring.consta_shift(w[b * m:(b + 1) * m], 1)
+            shifted += consta_shift(s_ternary.field, s_ternary.lam, w[b * m:(b + 1) * m])
         assert shifted in words

@@ -3,6 +3,7 @@
 import random
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,8 @@ FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3))
 
 
 def generator(field, rows):
-    """A stand-in generator matrix: is_projective reads only its field and rows."""
-    return SimpleNamespace(field=field, rows=tuple(tuple(r) for r in rows))
+    """A stand-in generator matrix: is_projective reads only its field and its (k, n) rows."""
+    return SimpleNamespace(field=field, rows=np.array(list(rows), dtype=field.tables.mul.dtype))
 
 
 @st.composite

@@ -2,11 +2,13 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import field_create, field_from_order, spectrum, weight_distribution_of_rows
+from qtweave import (ParameterError, build_two_weight, field_create, field_from_order,
+                     simplex_consta, spectrum, weight_distribution_of_rows)
 from conftest import naive_weight_counts
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3))
@@ -60,3 +62,31 @@ def test_large_field_small_message_space_stays_small():
         tracemalloc.stop()
     assert W.counts == {0: 1, 3: 255}
     assert peak < 4 << 20
+
+
+# test_analysis.py covers no rows, one short second row and an entry of 3
+@pytest.mark.parametrize("rows, message", [
+    ([()], "nonempty"),
+    ([(), ()], "nonempty"),
+    (np.zeros((3, 0), dtype=np.uint8), "nonempty"),
+    ([1, 2], "nonempty"),
+    ([(), (1,)], "unequal"),
+    ([(1, 2), (1, 2, 0), (0, 1)], "unequal"),
+    ([(1, -1)], "elements of GF"),
+    (np.array([[1, 3]], dtype=np.uint8), "elements of GF"),
+    ([(1.0, 2.0)], "elements of GF"),
+], ids=["one empty row", "two empty rows", "empty array", "flat list",
+        "ragged after an empty row", "ragged middle row", "negative", "out of range array",
+        "floats"])
+def test_rows_are_validated(gf3, rows, message):
+    with pytest.raises(ParameterError, match=message):
+        weight_distribution_of_rows(gf3, rows)
+
+
+def test_generator_array_and_row_lists_agree(gf3):
+    # the read-only (k, n) generator is consumed as it is; lists of rows still work
+    _, G = build_two_weight(simplex_consta(gf3, 2), 5)
+    W = weight_distribution_of_rows(gf3, G.rows)
+    assert W.counts == weight_distribution_of_rows(gf3, G.rows.tolist()).counts
+    assert W.counts == weight_distribution_of_rows(gf3, [tuple(r) for r in G.rows.tolist()]).counts
+    assert (W.k, W.n) == G.rows.shape

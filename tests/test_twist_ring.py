@@ -1,73 +1,133 @@
+"""The twisted ring F_q[x]/(x^m - lam) and the one gather that builds every block.
+
+`construction._words` computes a x^e g mod (x^m - lam) for arrays of scales a
+and shifts e by table lookups.  The oracles in conftest reduce with Poly long
+division and shift one position at a time with scalar field operations.
+"""
+
 import random
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import ParameterError, Poly, TwistRing, field_create
-from conftest import schoolbook_vec_mat, twistulant_rows
+from qtweave import Poly, field_create, field_from_order, find_primitive, simplex_consta, simplex_cyclic
+from qtweave.construction import _words
+from conftest import consta_shift, residue, schoolbook_vec_mat, twistulant_rows
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
-
-@pytest.fixture
-def ring34(gf3):
-    return TwistRing(gf3, 4, 2)
-
-
-def test_twist_constant_must_be_nonzero(gf3):
-    with pytest.raises(ParameterError):
-        TwistRing(gf3, 4, 0)
+# (q, t) of the simplex specs the gather is checked on; m stays at most 31
+SPEC_FAMILIES = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3),
+                 (5, 2), (8, 2), (9, 2))
 
 
-def test_consta_shift_single(ring34):
-    assert ring34.consta_shift((1, 0, 2, 1), 1) == (2, 1, 0, 2)
-    w = (1, 0, 2, 1)
-    assert ring34.consta_shift(w, 0) == w
+@pytest.fixture(scope="module")
+def s_ternary(gf3):
+    return simplex_consta(gf3, 2, Poly(gf3, (2, 2, 1)))  # m = 4, lam = 2, g = x^2 + x + 2
 
 
-def test_shift_by_m_is_scalar_multiplication(ring34):
+def word(s, a, e):
+    return tuple(_words(s, [a], [e])[0].tolist())
+
+
+@lru_cache(maxsize=None)
+def spec(q, t, variant, index):
+    """A simplex spec: consta-cyclic over the index-th primitive h, or the cyclic one."""
+    field = field_from_order(q)
+    if variant == "cyclic":
+        return simplex_cyclic(field, t)
+    hs = find_primitive(field, t, limit=index + 1)
+    return simplex_consta(field, t, h=hs[min(index, len(hs) - 1)])
+
+
+@st.composite
+def specs(draw):
+    q, t = draw(st.sampled_from(SPEC_FAMILIES))
+    cyclic = gcd(t, q - 1) == 1 and draw(st.booleans())
+    return spec(q, t, "cyclic" if cyclic else "consta-cyclic", draw(st.integers(0, 2)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_gather_matches_poly_oracle(data):
+    s = data.draw(specs())
+    pair = st.tuples(st.integers(0, s.q - 1), st.integers(0, 2 * s.m - 1))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=8))
+    scales, shifts = zip(*pairs)
+    words = _words(s, scales, shifts)
+    assert words.shape == (len(pairs), s.m) and words.dtype == s.field.tables.mul.dtype
+    for (a, e), got in zip(pairs, words.tolist()):
+        product = Poly(s.field, (a,)) * Poly.monomial(s.field, e) * s.g
+        assert tuple(got) == residue(product, s.m, s.lam), (s.q, s.t, s.variant, a, e)
+
+
+def test_consta_shift_single(gf3, s_ternary):
+    assert consta_shift(gf3, 2, (1, 0, 2, 1)) == (2, 1, 0, 2)
+    # the gather at shift e + 1 is the gather at shift e shifted once
+    m = s_ternary.m
+    for a in range(3):
+        for e in range(2 * m - 1):
+            assert word(s_ternary, a, e + 1) == consta_shift(gf3, s_ternary.lam, word(s_ternary, a, e))
+
+
+def test_shift_by_m_is_scalar_multiplication(gf3, s_ternary):
     rng = random.Random(7)
     for _ in range(20):
         w = tuple(rng.randrange(3) for _ in range(4))
-        # oracle: four explicit single-position shifts
         stepped = w
         for _ in range(4):
-            stepped = ring34.consta_shift(stepped, 1)
-        assert ring34.consta_shift(w, 4) == stepped == ring34.scale(w, 2)
+            stepped = consta_shift(gf3, 2, stepped)
+        assert stepped == tuple(gf3.mul(2, v) for v in w)
+    # x^m = lam: shifting a block by m scales it by lam
+    for q, t in SPEC_FAMILIES:
+        s = spec(q, t, "consta-cyclic", 0)
+        for a in range(q):
+            for e in range(s.m):
+                assert word(s, a, e + s.m) == word(s, s.field.mul(a, s.lam), e)
 
 
-def test_reduce(gf2, gf3, ring34):
-    assert ring34.reduce(Poly.monomial(gf3, 5)) == (0, 2, 0, 0)
-    assert ring34.reduce(Poly.zero(gf3)) == (0, 0, 0, 0)
-    ring27 = TwistRing(gf2, 7, 1)
+def test_reduce(gf2, gf3, s_ternary):
+    assert residue(Poly.monomial(gf3, 5), 4, 2) == (0, 2, 0, 0)
+    assert residue(Poly.zero(gf3), 4, 2) == (0, 0, 0, 0)
     x7_plus_1 = Poly(gf2, (1,) + (0,) * 6 + (1,))
-    assert ring27.reduce(x7_plus_1) == (0,) * 7
+    assert residue(x7_plus_1, 7, 1) == (0,) * 7
+    # g = x^2 + x + 2 with x^4 = 2: x^3 g wraps once, x^6 g wraps twice
+    assert word(s_ternary, 1, 0) == (2, 1, 1, 0)
+    assert word(s_ternary, 1, 3) == (2, 2, 0, 2)
+    assert word(s_ternary, 1, 6) == (1, 0, 1, 2)
+    assert word(s_ternary, 0, 5) == (0, 0, 0, 0)
 
 
-def test_mul(gf2, gf3, ring34):
+def test_mul(gf2, gf3):
     # the ring product is the polynomial product reduced by x^m = lam
     a = Poly(gf3, (1, 2, 0, 1))
-    assert ring34.reduce(a * Poly.one(gf3)) == (1, 2, 0, 1)
-    assert ring34.reduce(Poly.monomial(gf3, 3) * Poly.x(gf3)) == (2, 0, 0, 0)
-    ring27 = TwistRing(gf2, 7, 1)
+    assert residue(a * Poly.one(gf3), 4, 2) == (1, 2, 0, 1)
+    assert residue(Poly.monomial(gf3, 3) * Poly.x(gf3), 4, 2) == (2, 0, 0, 0)
     g = Poly(gf2, (1, 1, 1, 0, 1))
-    assert ring27.reduce(g * Poly.x(gf2)) == (0, 1, 1, 1, 0, 1, 0)
+    assert residue(g * Poly.x(gf2), 7, 1) == (0, 1, 1, 1, 0, 1, 0)
+    s = simplex_consta(gf2, 3, Poly(gf2, (1, 1, 0, 1)))
+    assert s.g == g and word(s, 1, 1) == (0, 1, 1, 1, 0, 1, 0)
 
 
-def test_matrix_rows(ring34):
+def test_matrix_rows(gf3, s_ternary):
     c = (1, 0, 2, 1)
-    rows = twistulant_rows(ring34, c)
+    rows = twistulant_rows(gf3, 2, c)
     assert rows[0] == c
     assert rows[1] == (2 * 1 % 3, 1, 0, 2)
     # second-row pattern: (lam*c3, c0, c1, c2)
-    assert rows[1] == (ring34.field.mul(2, c[3]), c[0], c[1], c[2])
+    assert rows[1] == (gf3.mul(2, c[3]), c[0], c[1], c[2])
     assert len(rows) == 4
+    # the gather's shifts 0..m-1 of g are the twistulant matrix of g
+    m = s_ternary.m
+    gathered = [tuple(r) for r in _words(s_ternary, [1] * m, range(m)).tolist()]
+    assert gathered == twistulant_rows(gf3, s_ternary.lam, word(s_ternary, 1, 0))
 
 
 def test_circulant_when_twist_is_one(gf3):
-    ring = TwistRing(gf3, 4, 1)
-    rows = twistulant_rows(ring, (1, 2, 0, 1))
+    rows = twistulant_rows(gf3, 1, (1, 2, 0, 1))
     for k in range(4):
         expected = tuple((1, 2, 0, 1)[(j - k) % 4] for j in range(4))
         assert rows[k] == expected
@@ -75,13 +135,12 @@ def test_circulant_when_twist_is_one(gf3):
 
 def test_ring_product_equals_matrix_product_exhaustive_sample(gf3):
     # algebra isomorphism, checked against an explicit schoolbook product
-    ring = TwistRing(gf3, 4, 2)
     rng = random.Random(13)
     for _ in range(50):
         u = tuple(rng.randrange(3) for _ in range(4))
         c = tuple(rng.randrange(3) for _ in range(4))
-        explicit = schoolbook_vec_mat(gf3, u, twistulant_rows(ring, c))
-        assert ring.reduce(Poly(gf3, u) * Poly(gf3, c)) == explicit
+        explicit = schoolbook_vec_mat(gf3, u, twistulant_rows(gf3, 2, c))
+        assert residue(Poly(gf3, u) * Poly(gf3, c), 4, 2) == explicit
 
 
 @settings(deadline=None, max_examples=150)
@@ -90,8 +149,8 @@ def test_ring_matrix_isomorphism(data):
     field = data.draw(st.sampled_from(FIELDS))
     m = data.draw(st.integers(2, 6))
     lam = data.draw(st.integers(1, field.q - 1))
-    ring = TwistRing(field, m, lam)
     u = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
     c = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
-    product = ring.reduce(Poly(field, u) * Poly(field, c))
-    assert product == schoolbook_vec_mat(field, u, twistulant_rows(ring, c))
+    product = residue(Poly(field, u) * Poly(field, c), m, lam)
+    assert product == schoolbook_vec_mat(field, u, twistulant_rows(field, lam, c))
+
