@@ -36,7 +36,6 @@ from .polynomial import (
     find_primitive,
     is_primitive,
     minimal_polynomial,
-    pow_mod,
     x_pow_mod,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "mean_weight_identity_holds",
     "min_distance",
     "minimal_polynomial",
-    "pow_mod",
     "simplex_consta",
     "simplex_cyclic",
     "verify_two_weight",

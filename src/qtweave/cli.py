@@ -4,7 +4,8 @@ Subcommands: construct, analyze, table1, examples, search-primitive, export.
 Every command is deterministic given its flags.  Exit codes: 0 success,
 1 verification mismatch, 2 invalid input, 3 enumeration budget exceeded.
 The enumeration budget defaults to 2^24 messages and can be overridden with
---budget or the QTWEAVE_BUDGET environment variable.
+--budget or the QTWEAVE_BUDGET environment variable; `construct --block-matrix`
+also needs the 2m x n symbols of the full block form to fit in it.
 """
 
 from __future__ import annotations
@@ -156,8 +157,26 @@ def _print_code_details(code, G, W, out):
     print(f"min distance: {d} (exact, {W.total()} codewords enumerated)", file=out)
 
 
+def _check_block_form(args, q, budget):
+    """The full block form has 2m rows of n symbols: refuse 2m * n > budget before any build."""
+    qt = q**args.t
+    if args.t <= 1 or args.variant != "qt-simplex" and not 2 <= (args.p or 0) <= qt:
+        return  # _build_code rejects these parameters
+    blocks = qt + 1 if args.variant == "qt-simplex" else args.p
+    m = (qt - 1) // (q - 1)
+    cells = 2 * m * blocks * m
+    if cells > budget:
+        raise BudgetExceededError(
+            f"the full block form needs 2m x n = {cells} symbols, budget is {budget}",
+            required=cells,
+            budget=budget,
+        )
+
+
 def _cmd_construct(args) -> int:
     field, budget = _field_and_budget(args)
+    if args.block_matrix:
+        _check_block_form(args, field.q, budget)
     code, G = _build_code(args, field, budget)
     W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, G, W, sys.stdout)

@@ -102,9 +102,6 @@ class QtCodeSpec:
 @dataclass(frozen=True)
 class GeneratorMatrix:
     rows: np.ndarray  # (k, n), read-only, dtype of the field tables
-    row_groups: tuple[int, int]
-    block_count: int
-    block_width: int
     provenance: QtCodeSpec
 
     @property
@@ -294,13 +291,7 @@ def _finish(code: QtCodeSpec) -> GeneratorMatrix:
     if (_rank(code.field, rows[:, :lead]) != code.k
             and _rank(code.field, rows) != code.k):
         raise VerificationError(f"generator matrix does not have full rank {code.k}")
-    return GeneratorMatrix(
-        rows=rows,
-        row_groups=(code.simplex.t, code.simplex.t),
-        block_count=code.block_count,
-        block_width=code.simplex.m,
-        provenance=code,
-    )
+    return GeneratorMatrix(rows=rows, provenance=code)
 
 
 def build_two_weight(s: SimplexSpec, p: int, selection=None) -> tuple[QtCodeSpec, GeneratorMatrix]:

@@ -5,24 +5,23 @@ residue itself.  For an extension field the integer packs the base-p digit
 vector of the element's polynomial representation, least significant digit
 first: value = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 
-Extension fields carry discrete exp/log tables with respect to x, the residue
-of the defining variable, so multiplication and inversion are table lookups.
-Every field also has numpy lookup tables for whole-array arithmetic (the
-`tables` attribute), built vectorised on first use and shared by all callers.
-The defining modulus is the canonical one: the lexicographically smallest
-monic primitive polynomial of degree e over GF(p), coefficients compared low
-degree first.  That makes the arithmetic reproducible across runs without a
-hard-coded polynomial table.
+All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
+built vectorised on first use and shared by all callers; the scalar methods
+add, neg, mul and inv are single reads of them.  The defining modulus is the
+canonical one: the first monic primitive polynomial of degree e over GF(p)
+that find_primitive returns, coefficients compared low degree first.  That
+makes the arithmetic reproducible across runs without a hard-coded
+polynomial table.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
+from .polynomial import find_primitive
 
 DEFAULT_ORDER_LIMIT = 1024
 
@@ -58,15 +57,13 @@ class FieldTables(NamedTuple):
 class Field:
     """A finite field GF(p^e) operating on canonically encoded integers."""
 
-    __slots__ = ("p", "e", "q", "modulus", "exp_table", "log_table", "_tables")
+    __slots__ = ("p", "e", "q", "modulus", "_tables")
 
-    def __init__(self, p, e, modulus, exp_table, log_table):
+    def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.q = p**e
-        self.modulus = modulus      # ascending monic coefficients, None for e == 1
-        self.exp_table = exp_table  # exp_table[k] = x^k, None for e == 1
-        self.log_table = log_table
+        self.modulus = modulus  # ascending monic coefficients, None for e == 1
         self._tables = None
 
     @property
@@ -102,42 +99,18 @@ class Field:
         return range(1, self.q)
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % self.p) * shift
-            a //= self.p
-            b //= self.p
-            shift *= self.p
-        return out
+        return self.tables.add.item(a, b)
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += (-a % self.p) * shift
-            a //= self.p
-            shift *= self.p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.tables.neg.item(a)
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
+        return self.tables.mul.item(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        return self.exp_table[-self.log_table[a] % (self.q - 1)]
+        return self.tables.inv.item(a)
 
     def element_order(self, a: int) -> int:
         """Smallest k >= 1 with a^k = 1; divides q - 1."""
@@ -153,18 +126,30 @@ class Field:
 
 
 def _build_tables(field: Field) -> FieldTables:
-    p, q = field.p, field.q
+    p, e, q = field.p, field.e, field.q
     dtype = np.min_scalar_type(q - 1)
     a = np.arange(p)
     digit = ((a[:, None] + a[None, :]) % p).astype(dtype)
     add, low = digit, p
-    for _ in range(field.e - 1):  # encodings d * low + r: add the digits d, then the rest r
+    for _ in range(e - 1):  # encodings d * low + r: add the digits d, then the rest r
         add = (digit[:, None, :, None] * low + add[None, :, None, :]).reshape(low * p, low * p)
         low *= p
-    if field.e == 1:
+    if e == 1:
         mul = a[:, None] * a[None, :] % p
     else:
-        exp, log = np.array(field.exp_table * 2, dtype=dtype), np.array(field.log_table)
+        # x * (r + d x^(e-1)) = r x + d x^e, and x^e is minus the modulus tail; the
+        # modulus is primitive, so x^0 .. x^(q-2) are the q - 1 nonzero elements
+        top = q // p
+        tail = np.array(field.modulus[:-1])
+        carry = ((-a[:, None] * tail) % p * p ** np.arange(e)).sum(axis=1)  # carry[d] = d x^e
+        v = np.arange(q)
+        times_x = add[v % top * p, carry[v // top]].tolist()
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(times_x[exp[-1]])
+        exp = np.array(exp * 2, dtype=dtype)  # exp[k] = x^k, wrapped once for sums of logs
+        log = np.zeros(q, dtype=np.int64)
+        log[exp[:q - 1]] = np.arange(q - 1)
         mul = np.zeros((q, q), dtype=dtype)
         mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
     neg = np.argmax(add == 0, axis=1)
@@ -175,43 +160,12 @@ def _build_tables(field: Field) -> FieldTables:
     return tables
 
 
-def _mul_by_x(digits, mod_tail, p):
-    # digits: e coefficients ascending; mod_tail: low e coefficients of the monic modulus
-    carry = digits[-1]
-    out = [0] + digits[:-1]
-    if carry:
-        for i, c in enumerate(mod_tail):
-            out[i] = (out[i] - carry * c) % p
-    return out
+def field_create(p: int, e: int = 1) -> Field:
+    """Build GF(p^e) with the canonical modulus; identical inputs give identical arithmetic.
 
-
-def _try_tables(p, e, mod_tail):
-    """Exp table for x in GF(p)[x]/(modulus), or None if the modulus is not primitive.
-
-    Success certifies the modulus: if the powers x^0 .. x^(q-2) are q - 1
-    distinct elements and x^(q-1) = 1, every nonzero residue is a unit, so the
-    quotient is a field (modulus irreducible) and x generates it.
+    The order limit is DEFAULT_ORDER_LIMIT, read at call time.
     """
-    q = p**e
-    weights = [p**i for i in range(e)]
-    digits = [0] * e
-    digits[0] = 1
-    exp = []
-    seen = set()
-    for _ in range(q - 1):
-        enc = sum(d * w for d, w in zip(digits, weights))
-        if enc in seen:
-            return None
-        seen.add(enc)
-        exp.append(enc)
-        digits = _mul_by_x(digits, mod_tail, p)
-    if sum(d * w for d, w in zip(digits, weights)) != 1:
-        return None
-    return exp
-
-
-def field_create(p: int, e: int = 1, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
-    """Build GF(p^e) with the canonical modulus; identical inputs give identical arithmetic."""
+    limit = DEFAULT_ORDER_LIMIT
     # p >= 2 and e >= limit.bit_length() give p^e >= 2^e > limit; checking
     # that first keeps _is_prime and p**e away from huge inputs
     if p > limit or (p >= 2 and e >= limit.bit_length()):
@@ -223,20 +177,11 @@ def field_create(p: int, e: int = 1, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
     if p**e > limit:
         raise ParameterError(f"field order {p}^{e} exceeds the limit {limit}")
     if e == 1:
-        return Field(p, 1, None, None, None)
-    # x is no unit modulo a zero constant term, so _try_tables would reject it
-    for tail in product(range(1, p), *[range(p)] * (e - 1)):
-        exp = _try_tables(p, e, list(tail))
-        if exp is not None:
-            q = p**e
-            log = [0] * q
-            for k, enc in enumerate(exp):
-                log[enc] = k
-            return Field(p, e, tuple(tail) + (1,), tuple(exp), tuple(log))
-    raise AssertionError(f"no primitive polynomial of degree {e} over GF({p})")
+        return Field(p, 1, None)
+    return Field(p, e, find_primitive(field_create(p), e, limit=1)[0].coeffs)
 
 
-def field_from_order(q: int | str, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
+def field_from_order(q: int | str) -> Field:
     """Build GF(q) from the field order: an int, or text such as "9" or "3^2".
 
     This is the one place that factors an order q = p^e; an explicit "p^e"
@@ -249,11 +194,11 @@ def field_from_order(q: int | str, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
         except ValueError:
             raise ParameterError(f"cannot parse field order {q.strip()!r}") from None
         if e is not None:
-            return field_create(q, e, limit)
+            return field_create(q, e)
     if q < 2:
         raise ParameterError(f"field order must be >= 2, got {q}")
-    if q > limit:
-        raise ParameterError(f"field order {q} exceeds the limit {limit}")
+    if q > DEFAULT_ORDER_LIMIT:
+        raise ParameterError(f"field order {q} exceeds the limit {DEFAULT_ORDER_LIMIT}")
     p = 2
     while p * p <= q and q % p:
         p += 1
@@ -265,4 +210,4 @@ def field_from_order(q: int | str, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
         e += 1
     if rest != 1:
         raise ParameterError(f"{q} is not a prime power")
-    return field_create(p, e, limit)
+    return field_create(p, e)

@@ -4,14 +4,20 @@ Coefficients are stored in ascending degree order (least significant
 coefficient on the left) as canonical field encodings.  Polynomials are
 normalized: the highest stored coefficient is nonzero, and the zero
 polynomial stores no coefficients at all (its degree is the sentinel -1).
+Division and x^n mod h read the field's lookup tables directly.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .fields import Field
+
+if TYPE_CHECKING:  # fields imports find_primitive from here
+    from .fields import Field
 
 DEFAULT_SEARCH_BOUND = 1 << 20
 
@@ -33,10 +39,6 @@ class Poly:
     @classmethod
     def one(cls, field):
         return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
 
     @classmethod
     def monomial(cls, field, degree, coeff=1):
@@ -115,19 +117,19 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
+        add, mul, neg, inv = f.tables
+        rem = np.array(self.coeffs, dtype=add.dtype)
         db = other.degree
-        lead_inv = f.inv(other.lc)
+        lead_inv = inv.item(other.lc)
+        minus_b = mul[:, neg[list(other.coeffs)]]  # row c holds the coefficients of -c b
         quot = [0] * max(len(rem) - db, 0)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            qc = f.mul(c, lead_inv)
-            quot[k - db] = qc
-            for j, bc in enumerate(other.coeffs):
-                rem[k - db + j] = f.sub(rem[k - db + j], f.mul(qc, bc))
-        return Poly(f, quot), Poly(f, rem)
+        for k in range(len(rem) - 1, db - 1, -1):  # rem += x^(k-db) (-qc b), one row per step
+            c = rem.item(k)
+            if c:
+                qc = quot[k - db] = mul.item(c, lead_inv)
+                window = rem[k - db:k + 1]
+                window[:] = add[window, minus_b[qc]]
+        return Poly(f, quot), Poly(f, rem[:db].tolist())
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -161,25 +163,15 @@ class Poly:
         return f"Poly({self.field!r}, {self})"
 
 
-def pow_mod(base: Poly, n: int, h: Poly) -> Poly:
-    """base^n reduced modulo h, by square and multiply."""
-    if n < 0:
-        raise ParameterError("negative exponent")
-    result = Poly.one(base.field)
-    base = base % h
-    while n:
-        if n & 1:
-            result = (result * base) % h
-        base = (base * base) % h
-        n >>= 1
-    return result
-
-
 def x_pow_mod(n: int, h: Poly) -> Poly:
-    """x^n reduced modulo h."""
+    """x^n reduced modulo h, by square-and-multiply on the field's lookup tables."""
     if not h.is_monic() or h.degree < 1:
         raise ParameterError("modulus must be monic of degree >= 1")
-    return pow_mod(Poly.x(h.field), n, h)
+    if n < 0:
+        raise ParameterError("negative exponent")
+    add, mul, neg, _ = h.field.tables
+    ntail = [neg.item(c) for c in h.coeffs[:-1]]
+    return Poly(h.field, [int(c) for c in _x_pow(n, ntail, add, mul)])
 
 
 def _factor_int(n: int):
@@ -203,11 +195,12 @@ def _exponents(q: int, t: int) -> list[int]:
     return [n] + [n // r for r in _factor_int(n)]
 
 
-def _x_pow_is_one(e: int, ntail, add, mul) -> bool:
-    """x^e == 1 modulo x^t - ntail, by square-and-multiply on the tables.
+def _x_pow(e: int, ntail, add, mul) -> list:
+    """x^e modulo x^t - ntail, by square-and-multiply on the tables.
 
     ntail lists the t low coefficients of x^t mod h, that is, the negated
-    tail of h.  Residues are lists of t coefficients, ascending.
+    tail of h.  Residues are lists of t coefficients, ascending; they hold
+    numpy integers when the tables are numpy arrays.
     """
     t = len(ntail)
     taps = [(i, c) for i, c in enumerate(ntail) if c]
@@ -235,7 +228,7 @@ def _x_pow_is_one(e: int, ntail, add, mul) -> bool:
                 row = mul[c]
                 for i, d in taps:
                     acc[i] = add[acc[i]][row[d]]
-    return acc == one
+    return acc
 
 
 def _primitive_tail(tail, exponents, add, mul, neg) -> bool:
@@ -255,9 +248,10 @@ def _primitive_tail(tail, exponents, add, mul, neg) -> bool:
             if not v:
                 return False
     ntail = [neg[c] for c in tail]
+    one = [1] + [0] * (len(tail) - 1)
     n, *cofactors = exponents
-    return (_x_pow_is_one(n, ntail, add, mul)
-            and not any(_x_pow_is_one(e, ntail, add, mul) for e in cofactors))
+    return (_x_pow(n, ntail, add, mul) == one
+            and not any(_x_pow(e, ntail, add, mul) == one for e in cofactors))
 
 
 def is_primitive(h: Poly) -> bool:
@@ -278,19 +272,21 @@ def is_primitive(h: Poly) -> bool:
     return _primitive_tail(h.coeffs[:-1], _exponents(h.field.q, h.degree), add, mul, neg)
 
 
-def find_primitive(field: Field, t: int, limit: int | None = None,
-                   bound: int = DEFAULT_SEARCH_BOUND) -> list[Poly]:
+def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]:
     """All monic primitive degree-t polynomials, low-degree-first lexicographic order.
 
     With limit = N >= 1 only the first N are returned.  Each candidate runs
     the test of is_primitive (no separate irreducibility pass) on the field's
     tables, converted to lists once per search together with the exponents
-    N and N / r.  Tails with a zero constant term are never generated.
+    N and N / r.  Tails with a zero constant term are never generated.  A
+    search over more than DEFAULT_SEARCH_BOUND candidates (read at call
+    time) raises BudgetExceededError.
     """
     if t < 1:
         raise ParameterError(f"degree must be >= 1, got {t}")
     if limit is not None and limit < 1:
         raise ParameterError(f"limit must be >= 1, got {limit}")
+    bound = DEFAULT_SEARCH_BOUND
     if field.q**t > bound:
         raise BudgetExceededError(
             f"enumerating degree-{t} polynomials over {field!r} needs "
@@ -322,12 +318,10 @@ def minimal_polynomial(power: int, h: Poly) -> Poly:
         raise ParameterError(f"{h} is not primitive")
     f = h.field
     q, t = f.q, h.degree
-    beta = x_pow_mod(power, h)
-    conjugates = [beta]
-    c = pow_mod(beta, q, h)
-    while c != beta:
+    n = q**t - 1  # the order of x, so exponents reduce mod n
+    conjugates = [x_pow_mod(power % n, h)]  # b^(q^s) = x^(power q^s)
+    while (c := x_pow_mod(power * q ** len(conjugates) % n, h)) != conjugates[0]:
         conjugates.append(c)
-        c = pow_mod(c, q, h)
         if len(conjugates) > t:
             raise AssertionError("conjugate orbit exceeded the extension degree")
     # Expand the product over (y - conjugate); coefficients live in F_q[x]/(h).

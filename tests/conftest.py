@@ -1,8 +1,11 @@
 """Shared fixtures and independent oracles.
 
-The oracles here deliberately avoid the package's optimized code paths:
-weight counts are recomputed by looping over every message with scalar field
-operations, matrix products are done schoolbook-style, ring elements are
+The oracles here deliberately avoid the package's optimized code paths.
+Their field arithmetic is `scalar(field)`, written here without the
+package's lookup tables: addition digit by digit mod p, a schoolbook product
+reduced by `field.modulus`, and inversion by search.  Weight counts are
+recomputed by looping over every message with those scalar operations,
+matrix products are done schoolbook-style, ring elements are
 reduced by Poly long division and shifted one position at a time, rank is row
 reduction with scalar field operations, projectivity compares every pair of
 columns, and dual weight counts come from the MacWilliams transform of a
@@ -10,11 +13,13 @@ spectrum, so they can catch bugs in the spectrum transform, the block gather,
 the rank check and the projectivity check.  Matrices may come in as numpy
 arrays; the oracles read them as lists of Python ints.  Irreducibility is
 decided by the classic gcd test, independent of the order-of-x test that
-primitivity uses.
+primitivity uses, and the order of x is found by multiplying by x one step
+at a time.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -27,7 +32,6 @@ from qtweave import (
     field_create,
     field_from_order,
     griesmer_report,
-    pow_mod,
     simplex_consta,
     weight_distribution,
 )
@@ -83,6 +87,52 @@ def euler_phi(n: int) -> int:
     return result
 
 
+class ScalarField:
+    """GF(p^e) on the package's integer encoding, computed without Field.tables."""
+
+    def __init__(self, field):
+        self.p, self.e, self.q = field.p, field.e, field.q
+        self.tail = field.modulus[:-1] if field.modulus else ()  # x^e = -tail(x)
+
+    def digits(self, a):
+        return [a // self.p**i % self.p for i in range(self.e)]
+
+    def encode(self, digits):
+        return sum(d % self.p * self.p**i for i, d in enumerate(digits))
+
+    @cache
+    def add(self, a, b):
+        return self.encode(x + y for x, y in zip(self.digits(a), self.digits(b)))
+
+    def neg(self, a):
+        return self.encode(-x for x in self.digits(a))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    @cache
+    def mul(self, a, b):
+        e = self.e
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):  # x^k = -x^(k-e) tail(x)
+            for i, c in enumerate(self.tail):
+                prod[k - e + i] -= prod[k] * c
+        return self.encode(prod[:e])
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero")
+        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+
+
+@cache
+def scalar(field) -> ScalarField:
+    return ScalarField(field)
+
+
 def _ints(rows):
     """Rows as lists of Python ints, whatever sequence or array they came in."""
     return [[int(v) for v in r] for r in rows]
@@ -93,6 +143,7 @@ def naive_weight_counts(field, rows) -> dict:
     rows = _ints(rows)
     k = len(rows)
     n = len(rows[0])
+    f = scalar(field)
     counts = Counter()
     for msg in product(field.elements(), repeat=k):
         word = [0] * n
@@ -101,7 +152,7 @@ def naive_weight_counts(field, rows) -> dict:
                 continue
             for j, v in enumerate(row):
                 if v:
-                    word[j] = field.add(word[j], field.mul(c, v))
+                    word[j] = f.add(word[j], f.mul(c, v))
         counts[sum(1 for v in word if v)] += 1
     return dict(counts)
 
@@ -109,6 +160,7 @@ def naive_weight_counts(field, rows) -> dict:
 def naive_rank(field, rows) -> int:
     """Rank by Gauss-Jordan elimination with scalar field ops."""
     work = _ints(rows)
+    f = scalar(field)
     rank = 0
     n = len(work[0]) if work else 0
     for col in range(n):
@@ -116,12 +168,12 @@ def naive_rank(field, rows) -> int:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [field.mul(inv, v) for v in work[rank]]
+        inv = f.inv(work[rank][col])
+        work[rank] = [f.mul(inv, v) for v in work[rank]]
         for r in range(len(work)):
             if r != rank and work[r][col]:
                 c = work[r][col]
-                work[r] = [field.sub(v, field.mul(c, w)) for v, w in zip(work[r], work[rank])]
+                work[r] = [f.sub(v, f.mul(c, w)) for v, w in zip(work[r], work[rank])]
         rank += 1
         if rank == len(work):
             break
@@ -131,9 +183,10 @@ def naive_rank(field, rows) -> int:
 def naive_is_projective(field, rows) -> bool:
     """No zero column and no pair of columns with one a scalar multiple of the other."""
     cols = list(zip(*_ints(rows)))
+    f = scalar(field)
     if any(not any(c) for c in cols):
         return False
-    return not any(tuple(field.mul(a, v) for v in x) == y
+    return not any(tuple(f.mul(a, v) for v in x) == y
                    for i, x in enumerate(cols) for y in cols[i + 1:]
                    for a in field.nonzero())
 
@@ -141,17 +194,18 @@ def naive_is_projective(field, rows) -> bool:
 def schoolbook_vec_mat(field, u, matrix_rows):
     """u times a matrix given as explicit rows, entry by entry."""
     n = len(matrix_rows[0])
+    f = scalar(field)
     out = [0] * n
     for c, row in zip(u, matrix_rows):
         for j, v in enumerate(row):
-            out[j] = field.add(out[j], field.mul(c, v))
+            out[j] = f.add(out[j], f.mul(c, v))
     return tuple(out)
 
 
 def consta_shift(field, lam, w):
     """One lam-consta-cyclic shift: (w_0, ..., w_{m-1}) -> (lam w_{m-1}, w_0, ..., w_{m-2})."""
     w = tuple(w)
-    return (field.mul(lam, w[-1]),) + w[:-1]
+    return (scalar(field).mul(lam, w[-1]),) + w[:-1]
 
 
 def twistulant_rows(field, lam, c):
@@ -191,10 +245,11 @@ def span_words(field, rows):
     """All vectors spanned by the given rows, via scalar field ops."""
     rows = _ints(rows)
     n = len(rows[0])
+    f = scalar(field)
     words = [(0,) * n]
     for row in rows:
-        scaled = [tuple(field.mul(a, v) for v in row) for a in field.elements()]
-        words = [tuple(field.add(x, y) for x, y in zip(w, s)) for w in words for s in scaled]
+        scaled = [tuple(f.mul(a, v) for v in row) for a in field.elements()]
+        words = [tuple(f.add(x, y) for x, y in zip(w, s)) for w in words for s in scaled]
     return words
 
 
@@ -207,6 +262,18 @@ def poly_gcd(a, b):
     return a.monic()
 
 
+def pow_mod(base, n, h):
+    """base^n reduced modulo h, by square and multiply on Poly arithmetic."""
+    result = Poly.one(base.field)
+    base = base % h
+    while n:
+        if n & 1:
+            result = (result * base) % h
+        base = (base * base) % h
+        n >>= 1
+    return result
+
+
 def is_irreducible(h) -> bool:
     """True iff h has no nontrivial factor over its field.
 
@@ -216,10 +283,30 @@ def is_irreducible(h) -> bool:
     t = h.degree
     if t < 1:
         raise ParameterError("irreducibility is defined for degree >= 1")
-    x = Poly.x(h.field)
+    x = Poly(h.field, (0, 1))
     r = x % h
     for _ in range(t // 2):
         r = pow_mod(r, h.field.q, h)
         if poly_gcd(h, r - x).degree > 0:
             return False
     return True
+
+
+def order_of_x(h):
+    """Multiplicative order of x modulo the monic h, one multiplication by x at a time.
+
+    None when the powers of x never return to 1, that is, when x is no unit.
+    """
+    if not h.coeffs[0]:  # x divides h
+        return None
+    f, t = scalar(h.field), h.degree
+    x_t = [f.neg(c) for c in h.coeffs[:-1]]  # x^t modulo h
+    one = [1] + [0] * (t - 1)
+    acc = one
+    for k in range(1, f.q**t):
+        carry, acc = acc[-1], [0] + acc[:-1]
+        if carry:
+            acc = [f.add(a, f.mul(carry, c)) for a, c in zip(acc, x_t)]
+        if acc == one:
+            return k
+    return None

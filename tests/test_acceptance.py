@@ -16,6 +16,7 @@ from qtweave import (
     expected_counts,
     field_from_order,
     gap_fn,
+    griesmer_length,
     griesmer_report,
     min_distance,
     simplex_consta,
@@ -115,6 +116,33 @@ def test_criterion_06_best_known_distances():
         assert min_distance(W) == entry["d"], entry
     print("criterion 6: PASS (min distances 96/104/120 over GF(2) and "
           "135/144/24 over GF(3) verified by enumeration)")
+
+
+def test_criterion_06_distance_optimality_by_griesmer(sweep):
+    """No [n, k, d + 1]_q code exists when griesmer_length(k, d + 1, q) > n.
+
+    That certifies d-optimality for 34 of the 43 codes in the fixture's
+    d_optimal_ranges; 9 stay open.  Among the named codes it certifies the three
+    binary ones and [36,4,24]_3, not the ternary [208,6,135] and [221,6,144].
+    """
+    fixture = _fixture("optimal_codes.json")
+    reports = {(q, t, p): rep for q, t, p, _, _, _, rep in sweep}
+    certified, open_entries = [], []
+    for entry in fixture["d_optimal_ranges"]:
+        q, t, m = entry["q"], entry["t"], entry["m"]
+        assert (m, entry["unit"]) == ((q**t - 1) // (q - 1), q ** (t - 1))
+        for p in range(entry["p_min"], entry["p_max"] + 1):
+            rep = reports[(q, t, p)]  # n and d computed by the sweep
+            assert (rep.n, rep.d) == (p * m, (p - 1) * entry["unit"])
+            proved = griesmer_length(2 * t, rep.d + 1, q) > rep.n
+            (certified if proved else open_entries).append((q, t, p))
+    assert len(certified) + len(open_entries) == 43 and len(certified) == 34
+    assert open_entries == [(2, 3, 3), (2, 3, 4), (2, 4, 10), (3, 2, 3), (4, 2, 7),
+                            (4, 2, 8), (5, 2, 13), (5, 2, 14), (5, 2, 15)]
+    named = [(e["n"], e["k"], e["d"], e["q"]) for e in fixture["named_codes"]
+             if griesmer_length(e["k"], e["d"] + 1, e["q"]) > e["n"]]
+    assert named == [(195, 8, 96, 2), (210, 8, 104, 2), (240, 8, 120, 2), (36, 4, 24, 3)]
+    print("criterion 6: PASS (Griesmer certifies 34 of 43 range entries and 4 of 6 named codes)")
 
 
 def test_criterion_07_gap_prediction(sweep):

@@ -104,6 +104,23 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--q", "2", "--t", "3", "--p", "8", "--budget", "100"],  # 2^6 messages fit, 2m x n = 784 not
+    ["--q", "2", "--t", "12", "--p", "4096"],  # 2^24 messages fit the default, 2m x n ~ 1.4e11 not
+], ids=["t3-budget-100", "t12-default"])
+def test_block_matrix_size_is_checked_before_any_build(capsys, monkeypatch, argv):
+    if "100" in argv:  # the same code without the block form is within budget
+        assert run(capsys, "construct", *argv)[0] == 0
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build work before the block-form size check")
+    monkeypatch.setattr(construction, "simplex_consta", no_build)
+    monkeypatch.setattr(construction, "full_block_matrix", no_build)
+    rc, out, err = run(capsys, "construct", *argv, "--block-matrix")
+    assert rc == 3
+    assert out == "" and "full block form" in err
+
+
 def test_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("QTWEAVE_BUDGET", "10")
     rc, _, err = run(capsys, "analyze", "--q", "2", "--t", "3", "--p", "8")

@@ -188,7 +188,7 @@ def test_build_two_weight_shape(s_binary):
     code, G = build_two_weight(s_binary, 8)
     assert (code.n, code.k) == (56, 6)
     assert G.k == 6 and G.n == 56
-    assert G.row_groups == (3, 3)
+    assert (code.simplex.t, code.block_count, code.simplex.m) == (3, 8, 7)
     assert code.selection == tuple((1, j) for j in range(7))
     # top rows repeat x^u * g across all 8 blocks, bottom rows start with a zero block
     gvec = residue(s_binary.g, s_binary.m, s_binary.lam)

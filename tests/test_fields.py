@@ -1,9 +1,20 @@
+"""GF(p^e): constructors, order limits and the lookup tables.
+
+The tables are pinned by a golden digest and checked against the scalar
+arithmetic in conftest, which computes without them.
+"""
+
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
-from qtweave import ParameterError, field_create, field_from_order, fields, find_primitive
+from qtweave import ParameterError, Poly, field_create, field_from_order, fields
+from conftest import order_of_x, scalar
+
+EXTENSION_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                    for e in range(2, 11) if p**e <= 1024]
 
 
 def test_rejects_non_prime_characteristic():
@@ -18,10 +29,12 @@ def test_rejects_bad_extension_degree():
         field_create(2, 0)
 
 
-def test_order_limit():
+def test_order_limit(monkeypatch):
     with pytest.raises(ParameterError):
         field_create(2, 11)  # 2048 > default limit
-    assert field_create(2, 11, limit=4096).q == 2048
+    monkeypatch.setattr(fields, "DEFAULT_ORDER_LIMIT", 4096)
+    assert field_create(2, 11).q == 2048
+    assert field_from_order(2048).q == 2048
 
 
 def test_field_from_order():
@@ -72,7 +85,7 @@ def test_gf3_basics(gf3):
     assert gf3.inv(2) == 2  # 2 * 2 = 4 = 1 (mod 3)
     assert gf3.neg(1) == 2
     assert gf3.add(2, 2) == 1
-    assert gf3.sub(0, 1) == 2
+    assert gf3.mul(2, 2) == 1
 
 
 def test_gf4_modulus_is_the_unique_irreducible_quadratic(gf2, gf4):
@@ -87,18 +100,21 @@ def test_gf4_modulus_is_the_unique_irreducible_quadratic(gf2, gf4):
 
 
 def test_gf4_generator_square(gf4):
-    # x * x reduced by x^2 + x + 1 is x + 1, encoded 3
-    g = gf4.exp_table[1]
-    assert g == 2
-    assert gf4.mul(g, g) == 3
+    # x is encoded 2; x * x reduced by x^2 + x + 1 is x + 1, encoded 3
+    assert gf4.mul(2, 2) == 3
+    assert gf4.tables.mul[2, 3] == 1  # x^3 = 1
+    assert gf4.element_order(2) == 3
 
 
 def test_exp_table_invariants():
+    # x is encoded p and generates the multiplicative group: its powers cover 1 .. q - 1
     for (p, e) in [(2, 2), (2, 3), (3, 2), (5, 2)]:
         f = field_create(p, e)
-        assert len(f.exp_table) == f.q - 1
-        assert sorted(f.exp_table) == list(range(1, f.q))
-        assert f.element_order(f.exp_table[1]) == f.q - 1
+        powers = [1]
+        for _ in range(f.q - 2):
+            powers.append(f.mul(powers[-1], p))
+        assert sorted(powers) == list(range(1, f.q))
+        assert f.element_order(p) == f.q - 1
 
 
 def test_element_order_direct_powering(gf5):
@@ -129,9 +145,9 @@ def test_order_divides_group_order():
 def test_rebuild_is_deterministic():
     a = field_create(3, 2)
     b = field_create(3, 2)
-    assert a.modulus == b.modulus
-    assert a.exp_table == b.exp_table
-    assert a.log_table == b.log_table
+    assert a.modulus == b.modulus and a.tables is not b.tables
+    for x, y in zip(a.tables, b.tables):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_canonical_gf9_modulus():
@@ -140,20 +156,41 @@ def test_canonical_gf9_modulus():
     assert field_create(3, 2).modulus == (2, 1, 1)
 
 
-@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-                                 for e in range(2, 11) if p**e <= 1024])
+@pytest.mark.parametrize("p,e", EXTENSION_FIELDS)
 def test_modulus_is_the_first_primitive_polynomial(p, e):
-    # two independent searches for the same lexicographically first primitive polynomial
-    assert field_create(p, e).modulus == find_primitive(field_create(p), e, limit=1)[0].coeffs
+    # the first monic tail, low degree first, on which x has order p^e - 1, found
+    # by multiplying by x with the scalar arithmetic of conftest
+    base = field_create(p)
+    first = next(h for h in (Poly(base, tail + (1,)) for tail in product(range(p), repeat=e))
+                 if order_of_x(h) == p**e - 1)
+    assert field_create(p, e).modulus == first.coeffs
+
+
+# SHA-256 over the modulus and the add/mul/neg/inv tables (dtype and bytes) of
+# every extension field in EXTENSION_FIELDS, as the tables stood when the field
+# arithmetic still ran on exp/log lists and its own primitivity search
+TABLES_DIGEST = "17919863ba81e8dad3cf2d0eaebd167f6e9af80f78051fd349815f6f41d58043"
+
+
+def test_tables_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for p, e in EXTENSION_FIELDS:
+        f = field_create(p, e)
+        digest.update(repr(f.modulus).encode())
+        for t in f.tables:
+            digest.update(t.dtype.str.encode() + t.tobytes())
+    assert len(EXTENSION_FIELDS) == 26
+    assert digest.hexdigest() == TABLES_DIGEST
 
 
 @pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                     (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)])
 def test_field_axioms_exhaustive(pe):
     f = field_create(*pe)
+    s = scalar(f)  # digit-wise sums and schoolbook products reduced by f.modulus
     q = f.q
-    add = np.array([[f.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[f.mul(a, b) for b in range(q)] for a in range(q)])
+    add = np.array([[s.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[s.mul(a, b) for b in range(q)] for a in range(q)])
     a = np.arange(q)
     x, y, z = a[:, None, None], a[None, :, None], a[None, None, :]
     assert np.array_equal(add[add[x, y], z], add[x, add[y, z]])
@@ -162,15 +199,20 @@ def test_field_axioms_exhaustive(pe):
     assert np.array_equal(mul, mul.T)
     assert np.array_equal(mul[x, add[y, z]], add[mul[x, y], mul[x, z]])
     for v in f.nonzero():
-        assert f.mul(v, f.inv(v)) == 1
+        assert s.mul(v, s.inv(v)) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    # the numpy lookup tables agree with the scalar operations and are shared read-only
+    # the lookup tables agree with the conftest arithmetic and are shared read-only
     t = f.tables
     assert np.array_equal(t.add, add) and np.array_equal(t.mul, mul)
-    assert t.neg.tolist() == [f.neg(v) for v in range(q)]
-    assert t.inv.tolist() == [0] + [f.inv(v) for v in f.nonzero()]
+    assert t.neg.tolist() == [s.neg(v) for v in range(q)]
+    assert t.inv.tolist() == [0] + [s.inv(v) for v in f.nonzero()]
     assert f.tables is t and not any(table.flags.writeable for table in t)
+    # the scalar methods read the tables and return Python ints
+    a, b = q - 1, q // 2
+    ops = (f.add(a, b), f.mul(a, b), f.neg(a), f.inv(a))
+    assert ops == (add[a, b], mul[a, b], s.neg(a), s.inv(a))
+    assert all(type(v) is int for v in ops)
 
 
 def test_check_rejects_foreign_values(gf3):

@@ -13,11 +13,11 @@ from qtweave import (
     find_primitive,
     is_primitive,
     minimal_polynomial,
-    pow_mod,
+    polynomial,
     simplex_consta,
     x_pow_mod,
 )
-from conftest import euler_phi, is_irreducible, poly_gcd
+from conftest import euler_phi, is_irreducible, order_of_x, poly_gcd, pow_mod
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
@@ -35,7 +35,7 @@ def test_str(gf2, gf3):
     assert str(Poly(gf3, (2, 2, 1))) == "x^2 + 2x + 2"
     assert str(Poly.zero(gf3)) == "0"
     assert str(Poly.one(gf3)) == "1"
-    assert str(Poly.x(gf3)) == "x"
+    assert str(Poly(gf3, (0, 1))) == "x"
 
 
 def test_divrem_binary_factorization(gf2):
@@ -99,6 +99,14 @@ def test_x_pow_mod(gf2, gf3):
     assert x_pow_mod(0, h3) == Poly.one(gf3)
     with pytest.raises(ParameterError):
         x_pow_mod(3, Poly(gf3, (1, 2)))  # not monic
+    # square-and-multiply on the tables against square-and-multiply on Poly
+    # arithmetic, for primitive, irreducible, reducible and non-unit moduli
+    for field, tails in ((gf2, [(1, 0, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1)]),
+                         (gf3, [(1, 0, 1), (2, 2, 0, 1), (1, 2)]),
+                         (field_from_order(9), [(3, 3), (5, 0, 7), (1,)])):
+        for h in (Poly(field, tail + (1,)) for tail in tails):
+            for n in (1, 2, 7, 80, 1000, 3**9 + 5):
+                assert x_pow_mod(n, h) == pow_mod(Poly(field, (0, 1)), n, h), (h, n)
 
 
 def _oracle_irreducible(h):
@@ -126,24 +134,6 @@ def test_is_irreducible_against_trial_division(gf2, gf3):
                 assert is_irreducible(h) == _oracle_irreducible(h), str(h)
 
 
-def _order_of_x(h):
-    """Multiplicative order of x modulo h, one multiplication by x at a time.
-
-    None when the powers of x never return to 1, that is, when x is no unit.
-    """
-    f, t = h.field, h.degree
-    x_t = [f.neg(c) for c in h.coeffs[:-1]]  # x^t modulo h
-    one = [1] + [0] * (t - 1)
-    acc = one
-    for k in range(1, f.q**t):
-        carry, acc = acc[-1], [0] + acc[:-1]
-        if carry:
-            acc = [f.add(a, f.mul(carry, c)) for a, c in zip(acc, x_t)]
-        if acc == one:
-            return k
-    return None
-
-
 def test_is_primitive_known_cases(gf2, gf3):
     assert is_primitive(Poly(gf3, (2, 2, 1)))  # x^2 + 2x + 2
     assert is_primitive(Poly(gf2, (1, 1, 0, 1)))
@@ -156,17 +146,17 @@ def test_primitive_implies_irreducible_and_full_order(gf2, gf3):
             h = Poly(field, tail + (1,))
             if is_primitive(h):
                 assert is_irreducible(h)
-                assert _order_of_x(h) == field.q**t - 1
+                assert order_of_x(h) == field.q**t - 1
 
 
 @pytest.mark.parametrize("q,t", [
     (q, t) for q in (2, 3, 4, 5) for t in (1, 2, 3, 4)
 ] + [(q, t) for q in (7, 8, 9) for t in (1, 2, 3)] + [(16, 2)])
 def test_primitivity_agrees_with_the_order_of_x(q, t):
-    """Every monic h of degree t: is_primitive and find_primitive against _order_of_x."""
+    """Every monic h of degree t: is_primitive and find_primitive against order_of_x."""
     field = field_from_order(q)
     candidates = [Poly(field, tail + (1,)) for tail in product(field.elements(), repeat=t)]
-    expected = [_order_of_x(h) == q**t - 1 for h in candidates]
+    expected = [order_of_x(h) == q**t - 1 for h in candidates]
     assert [is_primitive(h) for h in candidates] == expected
     assert find_primitive(field, t) == [h for h, ok in zip(candidates, expected) if ok]
 
@@ -213,10 +203,12 @@ def test_find_primitive_known_lists(gf2, gf3):
     assert find_primitive(gf2, 1) == [Poly(gf2, (1, 1))]
 
 
-def test_find_primitive_limit_and_bound(gf2):
+def test_find_primitive_limit_and_bound(gf2, monkeypatch):
     assert len(find_primitive(gf2, 4, limit=1)) == 1
+    monkeypatch.setattr(polynomial, "DEFAULT_SEARCH_BOUND", 8)
     with pytest.raises(BudgetExceededError):
-        find_primitive(gf2, 4, bound=8)
+        find_primitive(gf2, 4)
+    assert len(find_primitive(gf2, 3)) == 2
 
 
 @pytest.mark.parametrize("limit", [0, -2])

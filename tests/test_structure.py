@@ -4,6 +4,9 @@
   package module, neither as ``module._name`` nor by ``from .module import _name``.
 * Every name in ``qtweave.__all__`` is used by code: by a package module other
   than ``__init__.py`` (outside the name's own definition) or by ``bench/``.
+* Every public method of a package class is used by code: its name is read as
+  an attribute in a package module (outside a definition of that name) or in
+  ``bench/``.
 """
 
 import ast
@@ -68,6 +71,33 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def public_methods(source: str) -> list[str]:
+    """``Class.method`` for every public method (properties included) of a module's classes."""
+    return [f"{cls.name}.{fn.name}" for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")]
+
+
+def attributes_read_outside_own_def(source: str) -> set[str]:
+    """Attribute names a module reads (``x.name``), except reads inside a def of that name.
+
+    A method is only reached as an attribute, so a plain variable that shares
+    its name does not count as a use.
+    """
+    names = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return names
+
+
 @pytest.mark.parametrize("source, expected", [
     ("from . import construction\nconstruction._rank(1)", ["construction._rank"]),
     ("from . import construction as c\nc._rank(1)", ["construction._rank"]),
@@ -87,6 +117,15 @@ def test_referenced_names_ignore_own_definition():
     assert {"h", "k", "n"} <= referenced_names(source)
 
 
+def test_method_helpers():
+    source = ("class A:\n    def f(self):\n        return self.f()\n\n"
+              "    @property\n    def g(self):\n        return self.h\n\n"
+              "    def _p(self):\n        return A().g\n\n    def __eq__(self, other):\n        return 0\n")
+    assert public_methods(source) == ["A.f", "A.g"]
+    assert {"f", "_p", "A"}.isdisjoint(attributes_read_outside_own_def(source))
+    assert {"g", "h"} <= attributes_read_outside_own_def(source)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_cross_module_reads(path):
     assert private_reads(path.read_text()) == []
@@ -97,3 +136,11 @@ def test_every_public_name_is_used_outside_tests():
     sources += (ROOT / "bench").glob("*.py")
     used = set().union(*(referenced_names(p.read_text()) for p in sources))
     assert sorted(set(qtweave.__all__) - used) == []
+
+
+def test_every_public_method_is_used_outside_tests():
+    package = [p.read_text() for p in PACKAGE.glob("*.py")]
+    bench = [p.read_text() for p in (ROOT / "bench").glob("*.py")]
+    used = set().union(*(attributes_read_outside_own_def(source) for source in package + bench))
+    methods = [name for source in package for name in public_methods(source)]
+    assert methods and sorted(m for m in methods if m.partition(".")[2] not in used) == []
