@@ -103,11 +103,13 @@ def _build_code(args, field, budget):
     """Simplex base and assembled code from the common flags."""
     if args.t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {args.t}")
-    total = field.q ** (2 * args.t)
-    if total > budget:  # checked before any construction work starts
+    k = 2 * args.t
+    # checked before any construction work starts; q >= 2 gives q^k > budget
+    # once k >= budget.bit_length(), so a huge t never builds q^k
+    if k >= budget.bit_length() or field.q**k > budget:
         raise BudgetExceededError(
-            f"enumeration needs q^k = {total} messages, budget is {budget}",
-            required=total,
+            f"enumeration needs q^k = {field.q}^{k} messages, budget is {budget}",
+            required=field.q**k if k < budget.bit_length() else None,
             budget=budget,
         )
     h = _poly_from_user(field, _parse_ints(args.h)) if args.h else None
@@ -159,8 +161,10 @@ def _print_code_details(code, G, W, out):
 
 def _check_block_form(args, q, budget):
     """The full block form has 2m rows of n symbols: refuse 2m * n > budget before any build."""
+    if args.t <= 1 or 2 * args.t >= budget.bit_length():
+        return  # _build_code rejects these, a huge t by its exponent before q^t is built
     qt = q**args.t
-    if args.t <= 1 or args.variant != "qt-simplex" and not 2 <= (args.p or 0) <= qt:
+    if args.variant != "qt-simplex" and not 2 <= (args.p or 0) <= qt:
         return  # _build_code rejects these parameters
     blocks = qt + 1 if args.variant == "qt-simplex" else args.p
     m = (qt - 1) // (q - 1)

@@ -14,24 +14,27 @@ Two assembled shapes are supported, both of dimension 2t:
 * qt-simplex: the p = q^t extreme plus one trailing block, giving the
   [(q^(2t)-1)/(q-1), 2t, q^(2t-1)]_q simplex in quasi-twisted form.
 
-Every block of either shape is a word a x^e g mod (x^m - lam), and one
-gather computes a batch of them: entry c of word(a, e) is a lam^w g_k with
-k = (c - e) mod m and w = (k + e) div m, read through the field's mul table.
-A row group is a list of (a, e) blocks, and its row u adds u to every e.  The
-shifts stay below 2m (a selected shift j < m plus a row index u < m, even in
-the full 2m-row block form), so k + e < 3m and w is 0, 1 or 2.  Scale 0
-gives the zero block.  The generator is one read-only (k, n) numpy array in
-the dtype of the field tables.
+Every block is a word a x^e g mod (x^m - lam), 0 <= e <= 2m (a shift j < m plus
+a row index u < m).  For ext = lam^2 g | lam g | g, x^e g is ext[2m - e : 3m - e],
+so one read-only sliding-window view of ext holds every shift; a block is one of
+its rows read through the mul table, scale 0 giving the zero block.  A row group
+is a list of (a, e) blocks, and its row u adds u to every e.
 
-All constructions verify their claimed invariants (exact divisibility,
-equidistance by an exact weight spectrum, distinct nonzero blocks, full rank)
-and raise VerificationError on any failure instead of returning a bad object.
+Each invariant is computed once, and a failure raises VerificationError: one
+division x^m = g h + lam gives g and lam, the exact spectrum of the t shifts of
+g equidistance, and elimination on a 2t x 2t minor rank 2t.
 
-Full rank 2t is checked exactly by elimination over GF(q).  Blocks 0 and 1
-form the block-triangular [[G_t, G_t], [0, B_1]], whose diagonal blocks are
-the t consta-shifts of nonzero simplex codewords, so for a valid code the
-leading k x 2m columns already have rank 2t and the check stops there.  Only
-if they fall short are all n columns eliminated, so the verdict stays exact.
+Distinct in-range pairs give distinct nonzero blocks without a check.  The
+base is an [m, t] code whose q^t - 1 nonzero words all have weight q^(t-1);
+the first and second moments of its weights show it has no zero column and
+no two proportional columns.  a x^j g = a' x^j' g with (a, j) != (a', j') would
+give x^d g = c g for some 0 < d < m, so column d of the base would be c^-1
+times column 0; and a x^j g != 0, since x is a unit modulo x^m - lam.
+
+The minor is columns 0..t-1 of block 0 and j_1 + v mod m, v < t, of block 1,
+with j_1 the first selected shift.  It is [[A, *], [0, C]], A and C upper
+triangular with diagonals g_0 (deg x^u g < m) and a_1 lam^w g_0; g_0 != 0 as
+g divides x^m - lam, so a valid code always has rank 2t there.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, VerificationError
 from .fields import Field
-from .polynomial import Poly, find_primitive, is_primitive, minimal_polynomial, x_pow_mod
+from .polynomial import Poly, find_primitive, is_primitive, minimal_polynomial
 from .spectrum import weight_distribution_of_rows
 
 CONSTA_CYCLIC = "consta-cyclic"
@@ -140,16 +144,19 @@ def _rank(field: Field, rows) -> int:
     return rank
 
 
-def _words(s: SimplexSpec, scales, shifts) -> np.ndarray:
-    """Coefficients of a x^e g mod (x^m - lam), one row per pair (a, e), 0 <= e < 2m."""
+def _windows(s: SimplexSpec) -> np.ndarray:
+    """Read-only (2m + 1, m) view whose row 2m - e holds x^e g mod (x^m - lam), 0 <= e <= 2m."""
     _, mul, _, _ = s.field.tables
-    m = s.m
-    g = np.zeros(m, dtype=mul.dtype)
+    g = np.zeros(s.m, dtype=mul.dtype)
     g[:len(s.g.coeffs)] = s.g.coeffs
-    lam_pow = np.array([1, s.lam, mul[s.lam, s.lam]], dtype=mul.dtype)
-    e = np.asarray(shifts)[:, None]
-    k = (np.arange(m) - e) % m
-    return mul[mul[np.asarray(scales)[:, None], lam_pow[(k + e) // m]], g[k]]
+    ext = np.concatenate([mul[mul[s.lam, s.lam], g], mul[s.lam, g], g])  # lam^2 g | lam g | g
+    return sliding_window_view(ext, s.m)
+
+
+def _words(s: SimplexSpec, scales, shifts) -> np.ndarray:
+    """Coefficients of a x^e g mod (x^m - lam), one row per pair (a, e), 0 <= e <= 2m."""
+    windows = _windows(s)[2 * s.m - np.asarray(shifts)]
+    return s.field.tables.mul[np.asarray(scales)[:, None], windows]
 
 
 def _check_equidistant(s: SimplexSpec) -> None:
@@ -167,19 +174,15 @@ def _check_equidistant(s: SimplexSpec) -> None:
 def _assemble_simplex(field: Field, t: int, h: Poly, variant: str) -> SimplexSpec:
     q = field.q
     m = (q**t - 1) // (q - 1)
-    lam_poly = x_pow_mod(m, h)
-    if lam_poly.degree > 0:
+    g, rem = divmod(Poly.monomial(field, m), h)  # x^m = g h + lam, so h divides x^m - lam
+    if rem.degree > 0:
         raise VerificationError(f"x^{m} mod h does not reduce to a constant for h = {h}")
-    lam = lam_poly.coeffs[0] if lam_poly.coeffs else 0
+    lam = rem.coeffs[0] if rem.coeffs else 0
     if variant == CYCLIC:
         if lam != 1:
             raise VerificationError(f"cyclic build produced twist constant {lam}, expected 1")
     elif field.element_order(lam) != q - 1:
         raise VerificationError(f"twist constant {lam} does not have order {q - 1}")
-    modulus = Poly.monomial(field, m) - Poly(field, (lam,))
-    g, rem = divmod(modulus, h)
-    if not rem.is_zero():
-        raise VerificationError(f"h = {h} does not divide x^{m} - {lam}")
     if g.degree != m - t:
         raise VerificationError("generator polynomial has the wrong degree")
     s = SimplexSpec(field, t, m, lam, h, g, variant)
@@ -240,8 +243,8 @@ def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]
 
 
 def _validate_selection(s: SimplexSpec, selection, expected_len: int):
-    """Distinct integer pairs (i, j), 1 <= i < q and 0 <= j < m, whose blocks i x^j g
-    are nonzero and pairwise distinct (neighbours compared after a lexsort)."""
+    """Distinct integer pairs (i, j), 1 <= i < q and 0 <= j < m; their blocks
+    i x^j g are then distinct and nonzero (module docstring), so none is built."""
     try:
         pairs = tuple((operator.index(i), operator.index(j)) for i, j in selection)
     except TypeError:
@@ -255,10 +258,6 @@ def _validate_selection(s: SimplexSpec, selection, expected_len: int):
             raise ParameterError(f"scale index must be in 1..{s.q - 1}, got {i}")
         if not 0 <= j < s.m:
             raise ParameterError(f"shift must be in 0..{s.m - 1}, got {j}")
-    blocks = _words(s, *np.array(pairs).T)
-    blocks = blocks[np.lexsort(blocks.T)]
-    if not blocks.any(axis=1).all() or (blocks[1:] == blocks[:-1]).all(axis=1).any():
-        raise VerificationError("selection induced repeated or zero codeword blocks")
     return pairs
 
 
@@ -268,28 +267,29 @@ def _assemble_rows(code: QtCodeSpec, shifts: int) -> np.ndarray:
     The top group has blocks g (and a trailing zero block for qt-simplex),
     the bottom group a zero block, the selected blocks (and a trailing g);
     row u shifts every block by x^u.  With shifts = t these are the generator
-    rows; with shifts = m every twistulant block is written out in full.  One
-    row is gathered at a time, so the index temporaries stay O(n).
+    rows; with shifts = m every twistulant block is written out in full.  The
+    window view is built once, and one row is gathered at a time, so the only
+    temporaries are O(n) indices for that row.
     """
     s = code.simplex
     trailing = code.variant == QT_SIMPLEX
     top = [(1, 0)] * code.p + [(0, 0)] * trailing
     bottom = [(0, 0), *code.selection] + [(1, 0)] * trailing
-    rows = np.empty((2 * shifts, code.n), dtype=s.field.tables.mul.dtype)
+    mul, windows = s.field.tables.mul, _windows(s)
+    rows = np.empty((2 * shifts, code.n), dtype=mul.dtype)
     for group, blocks in enumerate((top, bottom)):
         scales, base = np.array(blocks).T
         for u in range(shifts):
-            rows[group * shifts + u] = _words(s, scales, base + u).ravel()
+            rows[group * shifts + u] = mul[scales[:, None], windows[2 * s.m - base - u]].ravel()
     return rows
 
 
 def _finish(code: QtCodeSpec) -> GeneratorMatrix:
-    rows = _assemble_rows(code, code.simplex.t)
+    t, m = code.simplex.t, code.simplex.m
+    rows = _assemble_rows(code, t)
     rows.setflags(write=False)
-    # rank k on the leading two blocks implies rank k on all columns
-    lead = 2 * code.simplex.m
-    if (_rank(code.field, rows[:, :lead]) != code.k
-            and _rank(code.field, rows) != code.k):
+    j1 = code.selection[0][1]  # the minor of the module docstring
+    if _rank(code.field, rows[:, [*range(t), *(m + (j1 + v) % m for v in range(t))]]) != code.k:
         raise VerificationError(f"generator matrix does not have full rank {code.k}")
     return GeneratorMatrix(rows=rows, provenance=code)
 

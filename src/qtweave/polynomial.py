@@ -26,7 +26,11 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = [field.check(c) for c in coeffs]
+        cs = list(coeffs)
+        # one pass for the common all-int case; Field.check names the first bad coefficient
+        if cs and not (set(map(type, cs)) == {int} and 0 <= min(cs) and max(cs) < field.q):
+            for c in cs:
+                field.check(c)
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -287,11 +291,12 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
     if limit is not None and limit < 1:
         raise ParameterError(f"limit must be >= 1, got {limit}")
     bound = DEFAULT_SEARCH_BOUND
-    if field.q**t > bound:
+    # q >= 2 gives q^t > bound once t >= bound.bit_length(), so a huge t never builds q^t
+    if t >= bound.bit_length() or field.q**t > bound:
         raise BudgetExceededError(
             f"enumerating degree-{t} polynomials over {field!r} needs "
-            f"{field.q ** t} candidates, bound is {bound}",
-            required=field.q**t,
+            f"{field.q}^{t} candidates, bound is {bound}",
+            required=field.q**t if t < bound.bit_length() else None,
             budget=bound,
         )
     add, mul, neg = (table.tolist() for table in field.tables[:3])

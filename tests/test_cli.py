@@ -121,6 +121,18 @@ def test_block_matrix_size_is_checked_before_any_build(capsys, monkeypatch, argv
     assert out == "" and "full block form" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--q", "2", "--t", "8000", "--p", "2"],
+    ["construct", "--q", "2", "--t", "8000", "--p", "2", "--block-matrix"],
+    ["search-primitive", "--q", "2", "--t", "15000"],
+], ids=["analyze", "block-matrix", "search-primitive"])
+def test_huge_t_is_refused_by_its_exponent(capsys, argv):
+    # q^t has thousands of digits here, more than str(int) converts by default
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "2^" in err
+
+
 def test_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("QTWEAVE_BUDGET", "10")
     rc, _, err = run(capsys, "analyze", "--q", "2", "--t", "3", "--p", "8")

@@ -139,26 +139,9 @@ def test_out_of_range_selection_is_rejected_before_any_gather(s_ternary, monkeyp
     def no_gather(*args):
         raise AssertionError("gathered blocks for an invalid selection")
 
-    monkeypatch.setattr(construction, "_words", no_gather)
+    monkeypatch.setattr(construction, "_windows", no_gather)
     with pytest.raises(ParameterError, match="scale index" if j == 0 else "shift"):
         build_two_weight(s_ternary, 3, selection=((1, 1), (i, j)))
-
-
-@pytest.mark.parametrize("tamper", ["zero", "repeat"])
-def test_repeated_or_zero_blocks_are_rejected(s_ternary, monkeypatch, tamper):
-    # distinct in-range pairs never collide for a primitive h, so a tampered
-    # gather stands in for a broken block: the last block zeroed, or a copy of
-    # the first one that only the sort makes a neighbour of it
-    gather = construction._words
-
-    def tampered(s, scales, shifts):
-        words = gather(s, scales, shifts).copy()
-        words[-1] = 0 if tamper == "zero" else words[0]
-        return words
-
-    monkeypatch.setattr(construction, "_words", tampered)
-    with pytest.raises(VerificationError, match="repeated or zero"):
-        build_two_weight(s_ternary, 5, selection=((1, 0), (2, 3), (1, 2), (2, 1)))
 
 
 def test_selection_entries_must_be_integers(s_ternary):
@@ -243,25 +226,26 @@ def test_rank_is_full_for_samples(s_binary, s_ternary, gf3, rank_widths):
         rank_widths.clear()
         code, G = build_two_weight(s, p)
         assert naive_rank(s.field, G.rows) == code.k
-        assert rank_widths == [2 * s.m]  # the leading two blocks settle it
+        assert rank_widths == [2 * s.t]  # the 2t x 2t minor settles it
 
 
-def test_rank_falls_back_to_all_columns(s_ternary, monkeypatch, rank_widths):
-    # blocks 0, 0, 2, 3: the leading columns [[G, G], [0, 0]] have rank t only,
-    # while blocks 0 and 2 together give [[G, G], [0, B_2]] of rank 2t
-    _reorder_blocks(monkeypatch, lambda count: [0, 0, *range(2, count)])
-    code, G = build_two_weight(s_ternary, 4)
-    lead = 2 * s_ternary.m
-    assert naive_rank(G.field, G.rows[:, :lead]) == s_ternary.t
-    assert naive_rank(G.field, G.rows) == code.k
-    assert rank_widths == [lead, code.n]
+def test_rank_minor_wraps_around_block_one(s_ternary, monkeypatch):
+    # j_1 = 3 > m - t = 2: the minor reads columns 3 and then 0 of block 1
+    minors = []
+    rank = construction._rank
+    monkeypatch.setattr(construction, "_rank", lambda f, rows: minors.append(rows) or rank(f, rows))
+    code, G = build_two_weight(s_ternary, 4, selection=((2, 3), (1, 0), (1, 2)))
+    m = s_ternary.m
+    [minor] = minors
+    assert minor.tolist() == G.rows[:, [0, 1, m + 3, m]].tolist()
+    assert naive_rank(s_ternary.field, minor) == code.k
 
 
 def test_rank_deficient_generator_is_rejected(s_ternary, monkeypatch, rank_widths):
     _reorder_blocks(monkeypatch, lambda count: [0] * count)
     with pytest.raises(VerificationError, match="full rank"):
         build_two_weight(s_ternary, 4)
-    assert rank_widths == [2 * s_ternary.m, 4 * s_ternary.m]
+    assert rank_widths == [2 * s_ternary.t]  # no fallback to more columns
 
 
 def test_equidistance_check_rejects_non_simplex_spans(gf3):

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,25 @@ def test_normalization_and_degree(gf3):
     assert p.degree == 1
     assert Poly.zero(gf3).degree == -1
     assert Poly.zero(gf3).is_zero()
+
+
+class Small(int):
+    """An int subclass, which Field.check accepts like any other int."""
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, 3, -1, 2**70, np.int64(1), np.uint8(2)])
+def test_coefficients_are_validated_as_field_check_does(gf3, bad):
+    with pytest.raises(ParameterError) as expected:
+        gf3.check(bad)
+    for coeffs in ((bad,), (1, 2, bad, 0), (bad, 1) + (0,) * 50):
+        with pytest.raises(ParameterError) as got:
+            Poly(gf3, coeffs)
+        assert str(got.value) == str(expected.value)
+
+
+def test_int_subclass_coefficients_are_accepted(gf3):
+    assert Poly(gf3, (Small(2), 1, Small(0))).coeffs == (2, 1)
+    assert Poly(gf3, iter([2, 0, 1])).coeffs == (2, 0, 1)  # any iterable, read once
 
 
 def test_str(gf2, gf3):

@@ -2,11 +2,15 @@
 
 `construction._words` computes a x^e g mod (x^m - lam) for arrays of scales a
 and shifts e by table lookups.  The oracles in conftest reduce with Poly long
-division and shift one position at a time with scalar field operations.
+division and shift one position at a time with scalar field operations.  The
+blocks of every simplex base the suite builds are checked to be distinct and
+nonzero, which the construction relies on without checking it per code.
 """
 
+import json
 import random
 from functools import lru_cache
+from importlib import resources
 from math import gcd
 
 import pytest
@@ -15,13 +19,21 @@ from hypothesis import strategies as st
 
 from qtweave import Poly, field_create, field_from_order, find_primitive, simplex_consta, simplex_cyclic
 from qtweave.construction import _words
-from conftest import consta_shift, residue, schoolbook_vec_mat, twistulant_rows
+from conftest import consta_shift, naive_is_projective, residue, schoolbook_vec_mat, twistulant_rows
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
 # (q, t) of the simplex specs the gather is checked on; m stays at most 31
 SPEC_FAMILIES = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3),
                  (5, 2), (8, 2), (9, 2))
+
+EXAMPLES = json.loads(resources.files("qtweave").joinpath("fixtures", "examples.json").read_text())
+
+# (q, t, variant, index) of every base below: the specs of SPEC_FAMILIES, then
+# the examples.json bases, whose variant is the example's name
+BASES = ([(q, t, "consta-cyclic", i) for q, t in SPEC_FAMILIES for i in range(3)]
+         + [(q, t, "cyclic", 0) for q, t in SPEC_FAMILIES if gcd(t, q - 1) == 1]
+         + [(ex["q"], ex["t"], name, 0) for name, ex in EXAMPLES.items()])
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +166,21 @@ def test_ring_matrix_isomorphism(data):
     product = residue(Poly(field, u) * Poly(field, c), m, lam)
     assert product == schoolbook_vec_mat(field, u, twistulant_rows(field, lam, c))
 
+
+
+@pytest.mark.parametrize("q, t, variant, index", BASES)
+def test_distinct_pairs_give_distinct_nonzero_blocks(q, t, variant, index):
+    # the argument of the construction module: an equidistant base has no zero and no
+    # two proportional columns, so its (q - 1) m blocks a x^j g are nonzero and distinct
+    if variant in EXAMPLES:
+        ex, field = EXAMPLES[variant], field_from_order(q)
+        s = (simplex_consta(field, t, h=Poly(field, ex["h"])) if "h" in ex
+             else simplex_cyclic(field, t, g=Poly(field, ex["reference_g"])))
+    else:
+        s = spec(q, t, variant, index)
+    f, m = s.field, s.m
+    blocks = {residue(Poly(f, (a,)) * Poly.monomial(f, j) * s.g, m, s.lam)
+              for a in f.nonzero() for j in range(m)}
+    assert len(blocks) == (q - 1) * m and (0,) * m not in blocks
+    shifts = [residue(Poly.monomial(f, u) * s.g, m, s.lam) for u in range(t)]
+    assert naive_is_projective(f, shifts)
