@@ -1,18 +1,39 @@
 """Exact verification: weight spectra, Griesmer bound, gap prediction, projectivity.
 
-Weight spectra come from the column-multiplicity transform in ``spectrum``,
-which is exact over all q^k messages; everything else here is checked against
-those spectra.
+Weight spectra come from the column-multiplicity transform in ``spectrum``;
+everything else here is checked against those spectra.  For a generator of
+this package the transform runs over t + 1 rows instead of 2t, by the orbit
+reduction below; any other generator gets the full transform over all q^k
+messages, and ``WeightDistribution.method`` says which one ran.
+
+The blockwise lam-consta-shift sigma maps the word of x^u g to that of
+x^(u+1) g in every block.  When it maps top row u to row u + 1 for u < t - 1
+and row t - 1 to -sum h_u row u, and the bottom group likewise, sigma sends
+the codeword of the message pair (a, b), read as elements of F_q[x]/(h), to
+that of (x a, x b).  sigma only shifts and scales by lam != 0, so it keeps
+weights.  For a primitive h, x generates GF(q^t)^*, so every orbit of a pair
+with a != 0 has q^t - 1 members and meets exactly one pair (1, v).  The
+spectrum is therefore one transform over the rows [top row 0; bottom group]:
+the messages of leading symbol 0 are the pairs (0, v), counted once, and
+those of leading symbol 1 are the pairs (1, v), counted q^t - 1 times.  The
+slices of leading symbol 2..q-1 must repeat the histogram of slice 1, and the
+counts must total q^(2t); the engine checks both.  The three proof
+obligations are thus sigma on the rows (checked here on every call), h
+primitive and the total; if either of the first two fails, the full
+transform runs.  ``simplex_consta`` certifies h.  A cyclic h divides x^m - 1,
+so the order of x divides m < q^t - 1 unless q = 2; only then is
+``is_primitive(h)`` worth running, and it runs on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT
+from .construction import CONSTA_CYCLIC, GeneratorMatrix, QtCodeSpec, TWO_WEIGHT
 from .errors import ParameterError, VerificationError
+from .polynomial import is_primitive
 # The engine lives in its own module so that construction can verify simplex
 # codes with it without importing this one; its public names are re-exported.
 from .spectrum import DEFAULT_BUDGET, WeightDistribution, weight_distribution_of_rows
@@ -43,7 +64,38 @@ class GriesmerReport:
     length_optimal: bool
 
 
+def _shift_invariant(G: GeneratorMatrix) -> bool:
+    """Whether sigma maps each row group of G as x does (module docstring).
+
+    Rows whose shape or entries do not fit the code are refused, not raised on.
+    """
+    code = G.provenance
+    s = code.simplex
+    rows, t = np.asarray(G.rows), s.t
+    if (rows.shape != (2 * t, code.n) or rows.dtype.kind not in "iu" or not s.lam
+            or rows.min() < 0 or rows.max() >= s.q):
+        return False
+    add, mul, neg, _ = s.field.tables
+    view = rows.reshape(2, t, code.block_count, s.m)
+    shifted = np.concatenate([mul[s.lam, view[..., -1:]], view[..., :-1]], axis=-1)
+    coeffs = neg[list(s.h.coeffs[:-1])]
+    taps = np.flatnonzero(coeffs)
+    terms = mul[coeffs[taps, None, None, None], view.swapaxes(0, 1)[taps]]  # -h_u row u
+    wrap = terms[0]
+    for term in terms[1:]:
+        wrap = add[wrap, term]
+    return bool((shifted[:, :-1] == view[:, 1:]).all() and (shifted[:, -1] == wrap).all())
+
+
 def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> WeightDistribution:
+    """Exact weight counts of G: the orbit reduction when it is proven, else the full transform."""
+    s = G.provenance.simplex
+    if (s.variant == CONSTA_CYCLIC or (s.q == 2 and is_primitive(s.h))) and _shift_invariant(G):
+        q, t = s.q, s.t
+        W = weight_distribution_of_rows(G.field, np.asarray(G.rows)[[0, *range(t, 2 * t)]],
+                                        budget=budget,
+                                        multiplicity=(1, q**t - 1) + (0,) * (q - 2))
+        return replace(W, method="orbit")
     return weight_distribution_of_rows(G.field, G.rows, budget=budget)
 
 

@@ -202,6 +202,7 @@ def _cmd_analyze(args) -> int:
     _print_code_details(code, G, W, sys.stdout)
     dist = " ".join(f"{w}:{c}" for w, c in sorted(W.counts.items()))
     print(f"weight distribution: {dist}")
+    print(f"spectrum method: {W.method}")
     status = EXIT_OK
     if code.variant == construction.TWO_WEIGHT:
         verdict = analysis.verify_two_weight(W, code)

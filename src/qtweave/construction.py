@@ -246,7 +246,8 @@ def _validate_selection(s: SimplexSpec, selection, expected_len: int):
     """Distinct integer pairs (i, j), 1 <= i < q and 0 <= j < m; their blocks
     i x^j g are then distinct and nonzero (module docstring), so none is built."""
     try:
-        pairs = tuple((operator.index(i), operator.index(j)) for i, j in selection)
+        # tuple(genexpr) would resize a 10-slot tuple and strand it on a free list per build
+        pairs = tuple([(operator.index(i), operator.index(j)) for i, j in selection])
     except TypeError:
         raise ParameterError("selection entries must be pairs of integers") from None
     if len(pairs) != expected_len:

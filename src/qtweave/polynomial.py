@@ -178,25 +178,32 @@ def x_pow_mod(n: int, h: Poly) -> Poly:
     return Poly(h.field, [int(c) for c in _x_pow(n, ntail, add, mul)])
 
 
-def _factor_int(n: int):
-    """Distinct prime factors by trial division (desk-scale inputs)."""
+def _exponents(q: int, t: int) -> list[int]:
+    """N = q^t - 1 followed by N / r for every prime r dividing N.
+
+    The primes come from trial division by d <= DEFAULT_SEARCH_BOUND (read at
+    call time), which covers every N < bound^2; a cofactor above bound^2 that
+    no such d divides raises BudgetExceededError.
+    """
+    n = rest = q**t - 1
+    bound = DEFAULT_SEARCH_BOUND
     primes = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
+    while d * d <= rest:
+        if d > bound:
+            raise BudgetExceededError(
+                f"factoring q^t - 1 = {q}^{t} - 1 by trial division needs divisors above "
+                f"{bound}: a {rest.bit_length()}-bit cofactor remains",
+                budget=bound,
+            )
+        if rest % d == 0:
             primes.append(d)
-            while n % d == 0:
-                n //= d
+            while rest % d == 0:
+                rest //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-def _exponents(q: int, t: int) -> list[int]:
-    """N = q^t - 1 followed by N / r for every prime r dividing N."""
-    n = q**t - 1
-    return [n] + [n // r for r in _factor_int(n)]
+    if rest > 1:
+        primes.append(rest)
+    return [n] + [n // r for r in primes]
 
 
 def _x_pow(e: int, ntail, add, mul) -> list:

@@ -14,10 +14,21 @@ operations and q^(k+1) cells instead of an n q^k enumeration, and it is
 still exact over the whole message space.  When q^(k+1) cells exceed the
 chunk size, a message prefix of length r is fixed per chunk and seeds s with
 its inner product with the first r rows.
+
+A caller may weight the messages by their leading symbol: with multiplicities
+M[0..q-1], a message whose first coordinate is u counts M[u] times, and
+prefixes whose leading symbol has M[u] = 0 are skipped.  The counts then stand
+for q^(k-1) sum(M) messages, which must be a power q^K of q; K is the
+dimension reported.  ``analysis`` uses this for the orbit reduction of the
+quasi-twisted codes.  Whatever the weights, every computed slice of nonzero
+leading symbol must give the same weight histogram: u -> c u is a
+weight-preserving bijection between the messages with leading symbol 1 and
+those with leading symbol c, for any linear code.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -37,6 +48,7 @@ class WeightDistribution:
     k: int
     q: int
     counts: dict  # weight -> number of codewords, weight 0 included
+    method: str = "transform"  # "orbit" when analysis used the consta-shift reduction
 
     def nonzero_weights(self) -> tuple[int, ...]:
         return tuple(sorted(w for w, c in self.counts.items() if w > 0 and c > 0))
@@ -74,9 +86,13 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
     return A.reshape(q, -1)[0]
 
 
-def weight_distribution_of_rows(field: Field, rows,
-                                budget: int | None = None) -> WeightDistribution:
-    """Exact weight counts of the code spanned by the rows of a (k, n) array or list."""
+def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
+                                multiplicity=None) -> WeightDistribution:
+    """Exact weight counts of the code spanned by the rows of a (k, n) array or list.
+
+    With multiplicity M (one count per leading symbol, module docstring) the
+    messages of leading symbol u count M[u] times; by default each counts once.
+    """
     try:
         gen = np.asarray(rows)
     except ValueError:
@@ -86,7 +102,16 @@ def weight_distribution_of_rows(field: Field, rows,
     (k, n), q = gen.shape, field.q
     if n > _MAX_LENGTH:
         raise ParameterError(f"length {n} exceeds the 32-bit column counts ({_MAX_LENGTH})")
-    total = q**k
+    # a list, not tuple(map(...)), which would strand a resized tuple on a free list per call
+    mult = [1] * q if multiplicity is None else [operator.index(m) for m in multiplicity]
+    if len(mult) != q or min(mult) < 0:
+        raise ParameterError(f"need {q} nonnegative multiplicities, got {mult}")
+    total = q ** (k - 1) * sum(mult)
+    dim = k - 1
+    while q**dim < total:
+        dim += 1
+    if q**dim != total:
+        raise ParameterError(f"multiplicities {mult} do not total a power of {q}")
     limit = DEFAULT_BUDGET if budget is None else budget
     if total > limit:
         raise BudgetExceededError(
@@ -106,16 +131,25 @@ def weight_distribution_of_rows(field: Field, rows,
     index = np.zeros(n, dtype=np.int64)  # column value over rows r..k-1, row r leading
     for row in gen[r:]:
         index = index * q + row
-    counts = np.zeros(n + 1, dtype=np.int64)
+    hist = np.zeros((q, n + 1), dtype=np.int64)  # weight histogram per leading symbol
     for prefix in product(range(q), repeat=r):
+        if prefix and not mult[prefix[0]]:
+            continue
         s = np.zeros(n, dtype=add.dtype)
         for u, row in zip(prefix, gen):
             if u:
                 s = add[s, mul[u, row]]
         flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
-        counts += np.bincount(n - _zero_counts(flat, q, steps, mul, minus),
-                              minlength=n + 1)
-    result = {int(w): int(c) for w, c in enumerate(counts) if c}
+        zeros = _zero_counts(flat, q, steps, mul, minus)
+        lead = prefix[:1] or range(q)  # without a prefix, zeros is led by the first symbol
+        for u, z in zip(lead, zeros.reshape(len(lead), -1)):
+            hist[u] += np.bincount(n - z, minlength=n + 1)
+    computed = [u for u in range(1, q) if r == 0 or mult[u]]
+    if any((hist[u] != hist[computed[0]]).any() for u in computed[1:]):
+        raise AssertionError("nonzero leading symbols gave different weight histograms")
+    weights = np.flatnonzero(hist.any(axis=0))
+    counts = np.array(mult, dtype=object) @ hist[:, weights]  # Python ints, however large M is
+    result = {int(w): c for w, c in zip(weights, counts) if c}
     if sum(result.values()) != total:
         raise AssertionError("transform lost codewords")
-    return WeightDistribution(n=n, k=k, q=q, counts=result)
+    return WeightDistribution(n=n, k=dim, q=q, counts=result)

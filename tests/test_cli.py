@@ -167,6 +167,26 @@ def test_analyze_report(capsys):
     assert "projective: yes" in out
 
 
+@pytest.mark.parametrize("argv, method", [
+    (["--q", "3", "--t", "3", "--p", "17"], "orbit"),
+    (["--q", "3", "--t", "3", "--p", "4", "--cyclic"], "transform"),
+], ids=["consta-cyclic", "non-primitive-cyclic"])
+def test_analyze_reports_the_spectrum_method(capsys, argv, method):
+    rc, out, _ = run(capsys, "analyze", *argv)
+    assert rc == 0
+    assert f"\nspectrum method: {method}\n" in out
+
+
+def test_unfactorable_order_exits_3(capsys):
+    # x^61 + x + 1 with q^k = 2^122 inside the budget: the prime 2^61 - 1 would
+    # need trial division up to its square root
+    h = ",".join(["1", "1"] + ["0"] * 59 + ["1"])
+    rc, out, err = run(capsys, "analyze", "--q", "2", "--t", "61", "--p", "2", "--h", h,
+                       "--budget", str(2**122))
+    assert rc == 3 and out == ""
+    assert "q^t - 1 = 2^61 - 1" in err
+
+
 def test_analyze_smallest_binary(capsys):
     rc, out, _ = run(capsys, "analyze", "--q", "2", "--t", "2", "--p", "2")
     assert rc == 0

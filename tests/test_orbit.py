@@ -1,0 +1,159 @@
+"""The orbit-reduced spectrum against two independent exact methods, and its refusals.
+
+``analysis.weight_distribution`` runs one transform over t + 1 rows when the
+consta-shift check holds and h is primitive.  Every case here is compared
+with the full transform over all q^k messages and, while q^k <= 256, with the
+scalar oracle of ``conftest``.  A generator that breaks the shift relation,
+has the wrong shape or sits on a non-primitive h must take the full transform
+and still give the oracle's counts.
+"""
+
+import random
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtweave import (BudgetExceededError, GeneratorMatrix, build_qt_simplex, build_two_weight,
+                     expected_counts, field_from_order, simplex_consta, simplex_cyclic, spectrum,
+                     weight_distribution, weight_distribution_of_rows)
+from conftest import SWEEP_CONFIGS, consta_shift, naive_weight_counts
+
+ORACLE_MESSAGES = 256
+CYCLIC_BINARY = ((2, 2), (2, 3), (2, 4))  # q = 2: the cyclic h is primitive
+
+
+@cache
+def base(q, t, cyclic):
+    field = field_from_order(q)
+    return simplex_cyclic(field, t) if cyclic else simplex_consta(field, t)
+
+
+@st.composite
+def qt_codes(draw):
+    """A code of the sweep families or of a binary cyclic base, with a random selection."""
+    q, t, cyclic = draw(st.sampled_from([(q, t, False) for q, t in SWEEP_CONFIGS]
+                                        + [(q, t, True) for q, t in CYCLIC_BINARY]))
+    s = base(q, t, cyclic)
+    if draw(st.integers(0, 5)) == 0:
+        return build_qt_simplex(s)
+    p = draw(st.integers(2, q**t))
+    pairs = [(i, j) for i in range(1, q) for j in range(s.m)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return build_two_weight(s, p, selection=rng.sample(pairs, p - 1))
+
+
+def assert_exact(G, W):
+    """W against the full transform and, for small codes, the scalar oracle."""
+    assert W.counts == weight_distribution_of_rows(G.field, G.rows).counts
+    if G.field.q**G.k <= ORACLE_MESSAGES:
+        assert W.counts == naive_weight_counts(G.field, G.rows)
+    assert (W.n, W.k, W.total()) == (G.n, G.k, G.field.q**G.k)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "prefix-split"])
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_orbit_path_matches_full_transform_and_oracle(split, data):
+    code, G = data.draw(qt_codes())
+    q, t = code.simplex.q, code.simplex.t
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            # the orbit transform has t + 1 rows; chunks of q^j cells fix a
+            # prefix of t + 2 - j of them, and j = 1 splits down to single messages
+            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, t + 1)))
+        W = weight_distribution(G)
+    assert W.method == "orbit"  # consta-cyclic, or cyclic with q = 2
+    assert_exact(G, W)
+
+
+def test_every_sweep_code_takes_the_orbit_path(sweep):
+    # a silent fallback costs the full transform, so it must fail here
+    for q, t, p, code, G, W, _ in sweep:
+        assert W.method == "orbit", (q, t, p)
+        assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == (
+            expected_counts(code))
+
+
+@pytest.mark.parametrize("q, t, p", [(8, 4, 2), (2, 14, 3)])
+def test_heavy_points_take_the_orbit_path(q, t, p):
+    # beyond the default budget's practical reach for the full transform
+    code, G = build_two_weight(base(q, t, False), p)
+    W = weight_distribution(G, budget=q ** (2 * t))
+    assert W.method == "orbit" and W.total() == q ** (2 * t)
+    assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == expected_counts(code)
+
+
+def perturbed(G, row, col):
+    rows = G.rows.copy()
+    rows[row, col] = (rows[row, col] + 1) % G.field.q
+    return GeneratorMatrix(rows=rows, provenance=G.provenance)
+
+
+@pytest.mark.parametrize("q, t, p", [(2, 3, 5), (3, 2, 4), (4, 2, 3)])
+@pytest.mark.parametrize("where", ["top inside", "top wrap", "bottom inside", "bottom wrap"])
+def test_shift_check_refuses_a_perturbed_entry(q, t, p, where):
+    _, G = build_two_weight(base(q, t, False), p)
+    m = G.provenance.simplex.m
+    row, col = {"top inside": (1, 2), "top wrap": (0, m - 1),
+                "bottom inside": (t, m + 1), "bottom wrap": (2 * t - 1, 2 * m - 1)}[where]
+    H = perturbed(G, row, col)
+    W = weight_distribution(H)
+    assert W.method == "transform"
+    assert W.counts == naive_weight_counts(H.field, H.rows)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_shift_check_refuses_any_single_change(data):
+    code, G = data.draw(qt_codes())
+    row = data.draw(st.integers(0, G.k - 1))
+    col = data.draw(st.integers(0, G.n - 1))
+    H = perturbed(G, row, col)
+    W = weight_distribution(H)
+    assert W.method == "transform"
+    assert_exact(H, W)
+
+
+@pytest.mark.parametrize("q, t, p", [(2, 3, 5), (3, 2, 4), (4, 2, 3)])
+def test_shift_check_refuses_the_shifts_of_a_foreign_word(q, t, p):
+    # rows u = sigma^u(row 0) pass every relation but the last: top row 0 is no
+    # multiple of g, so sigma(row t - 1) != -sum h_u row u
+    _, G = build_two_weight(base(q, t, False), p)
+    s = G.provenance.simplex
+    rows = G.rows.copy()
+    rows[0, 0] = (rows[0, 0] + 1) % q
+    for u in range(1, t):
+        blocks = rows[u - 1].reshape(-1, s.m)
+        rows[u] = [v for block in blocks for v in consta_shift(s.field, s.lam, block.tolist())]
+    H = GeneratorMatrix(rows=rows, provenance=G.provenance)
+    W = weight_distribution(H)
+    assert W.method == "transform"
+    assert W.counts == naive_weight_counts(H.field, H.rows)
+
+
+def test_shift_check_refuses_an_extra_column_without_raising():
+    _, G = build_two_weight(base(3, 2, False), 3)
+    H = GeneratorMatrix(rows=np.column_stack([G.rows, G.rows[:, 0]]), provenance=G.provenance)
+    W = weight_distribution(H)
+    assert W.method == "transform"
+    assert W.counts == naive_weight_counts(H.field, H.rows)
+
+
+def test_non_primitive_cyclic_base_takes_the_full_transform():
+    # q = 3, t = 3: the cyclic h is the minimal polynomial of a^2, of order 13
+    for p in (2, 4):
+        _, G = build_two_weight(base(3, 3, True), p)
+        W = weight_distribution(G)
+        assert W.method == "transform"
+        assert W.counts == naive_weight_counts(G.field, G.rows)
+
+
+def test_orbit_path_keeps_the_budget_in_messages():
+    _, G = build_two_weight(base(2, 4, False), 5)
+    with pytest.raises(BudgetExceededError) as err:
+        weight_distribution(G, budget=2**8 - 1)
+    assert (err.value.required, err.value.budget) == (2**8, 2**8 - 1)
+    assert weight_distribution(G, budget=2**8).method == "orbit"

@@ -231,6 +231,15 @@ def test_find_primitive_limit_and_bound(gf2, monkeypatch):
     assert len(find_primitive(gf2, 3)) == 2
 
 
+def test_is_primitive_factors_q_t_minus_1_within_the_bound(gf2, monkeypatch):
+    # 2^4 - 1 = 3 * 5 needs trial divisors up to 3; the prime 2^5 - 1 needs 5
+    monkeypatch.setattr(polynomial, "DEFAULT_SEARCH_BOUND", 4)
+    assert is_primitive(Poly(gf2, (1, 1, 0, 0, 1)))
+    with pytest.raises(BudgetExceededError, match=r"2\^5 - 1") as err:
+        is_primitive(Poly(gf2, (1, 0, 1, 0, 0, 1)))
+    assert err.value.budget == 4
+
+
 @pytest.mark.parametrize("limit", [0, -2])
 def test_find_primitive_rejects_limit_below_one(gf2, limit):
     with pytest.raises(ParameterError):

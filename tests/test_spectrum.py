@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import (ParameterError, build_two_weight, field_create, field_from_order,
-                     simplex_consta, spectrum, weight_distribution_of_rows)
+from qtweave import (BudgetExceededError, ParameterError, build_two_weight, field_create,
+                     field_from_order, simplex_consta, spectrum, weight_distribution_of_rows)
 from conftest import naive_weight_counts
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3))
@@ -90,3 +90,56 @@ def test_generator_array_and_row_lists_agree(gf3):
     assert W.counts == weight_distribution_of_rows(gf3, G.rows.tolist()).counts
     assert W.counts == weight_distribution_of_rows(gf3, [tuple(r) for r in G.rows.tolist()]).counts
     assert (W.k, W.n) == G.rows.shape
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "prefix-split"])
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_leading_symbol_multiplicities_match_naive_oracle(split, data):
+    # slices 1..q-1 share one histogram, so (1, q - 1, 0, ...) gives the counts
+    # of the whole code, and (q, 0, ...) q times those of the code without row 0
+    field, rows = data.draw(generator_rows())
+    q, k = field.q, len(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        if split:
+            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, k)))
+        W = weight_distribution_of_rows(field, rows, multiplicity=(1, q - 1) + (0,) * (q - 2))
+        W0 = weight_distribution_of_rows(field, rows, multiplicity=(q,) + (0,) * (q - 1))
+    assert W.counts == naive_weight_counts(field, rows)
+    assert (W.k, W.total(), W.method) == (k, q**k, "transform")
+    if k > 1:
+        assert W0.counts == {w: q * c for w, c in naive_weight_counts(field, rows[1:]).items()}
+    assert (W0.k, W0.total()) == (k, q**k)
+
+
+@pytest.mark.parametrize("multiplicity, message", [
+    ((1, 1), "3 nonnegative"),
+    ((1, 1, 1, 1), "3 nonnegative"),
+    ((1, -1, 3), "3 nonnegative"),
+    ((1, 1, 0), "power of 3"),
+    ((0, 0, 0), "power of 3"),
+])
+def test_multiplicities_are_validated(gf3, multiplicity, message):
+    with pytest.raises(ParameterError, match=message):
+        weight_distribution_of_rows(gf3, [(1, 2)], multiplicity=multiplicity)
+
+
+def test_multiplicities_count_against_the_budget(gf3):
+    rows = [(1, 2, 0), (0, 1, 1)]
+    with pytest.raises(BudgetExceededError) as err:
+        weight_distribution_of_rows(gf3, rows, budget=26, multiplicity=(1, 8, 0))
+    assert (err.value.required, err.value.budget) == (27, 26)
+
+
+def test_unequal_leading_symbol_histograms_are_caught(monkeypatch, gf3):
+    # a transform that mixes up one message of slice 2 must not go unnoticed
+    original = spectrum._zero_counts
+
+    def corrupt(*args):
+        zeros = original(*args).copy()
+        zeros[-1] += 1
+        return zeros
+
+    monkeypatch.setattr(spectrum, "_zero_counts", corrupt)
+    with pytest.raises(AssertionError, match="leading symbols"):
+        weight_distribution_of_rows(gf3, [(1, 2, 0), (0, 1, 1)], multiplicity=(1, 2, 0))
