@@ -156,7 +156,8 @@ def _print_code_details(code, G, W, out):
     sel = " ".join(f"({i},{j})" for i, j in code.selection)
     print(f"selection: {sel}", file=out)
     d = analysis.min_distance(W)
-    print(f"min distance: {d} (exact, {W.total()} codewords enumerated)", file=out)
+    print(f"min distance: {d} (exact over {W.total()} codewords, spectrum method: {W.method})",
+          file=out)
 
 
 def _check_block_form(args, q, budget):

@@ -10,8 +10,11 @@ message coordinate u_j while s tracks the partial inner product,
 
 After k steps A[s, u] counts the columns with u.c = s, so A[0] holds the
 zero count of every message at once.  That costs O(nk + k q^(k+2)) integer
-operations and q^(k+1) cells instead of an n q^k enumeration, and it is
-still exact over the whole message space.  When q^(k+1) cells exceed the
+operations instead of an n q^k enumeration, and it is still exact over the
+whole message space.  A step gathers the q^(k+2) cells A[s' - u c, c] in one
+numpy call and sums them over c, so the number of numpy calls per step is
+O(q), not O(q^2), whatever the size of A; the q^(k+1) cells of A and the
+gather are alive at once.  When the q^(k+2) cells of the gather exceed the
 chunk size, a message prefix of length r is fixed per chunk and seeds s with
 its inner product with the first r rows.
 
@@ -65,24 +68,24 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
     step reads the leading column coordinate and writes the message coordinate
     last, so after all steps the axes are back in their original order.
     minus[w] is the permutation s' -> s' - w of the s axis, taken at w = u c.
-    Only A, the step's output and one (q, q^(steps-1)) buffer are alive at a time.
+    A step is one gather g[c, s', u] = A[s' - u c, c] over the rows (s, c) of A,
+    q - 1 in-place adds over c and q copies back into A, whatever the size of A.
+    Only A and the q^(steps+2)-cell gather are alive; A holds each step's output.
     """
     A = np.bincount(flat, minlength=q ** (steps + 1)).astype(np.int32)
-    rest = q**steps // q
-    tmp = np.empty((q, rest), dtype=np.int32)
-    for _ in range(steps):
-        src = A.reshape(q, q, rest)
-        out = np.empty((q, rest, q), dtype=np.int32)
-        for u in range(q):
-            acc = out[:, :, u]
-            acc[...] = src[:, 0]
+    if steps:  # no q^3 gather index for a plain bincount: it would be 2^24 cells at q = 256
+        rest = q ** (steps - 1)
+        cs = np.arange(q)
+        pick = minus[mul.T[:, None, :], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
+        g = np.empty((q, q, q, rest), dtype=np.int32)
+        acc, out = g[0], A.reshape(q, rest, q)
+        for _ in range(steps):
+            # pick rows are in range; "clip" skips buffering the output for bounds errors
+            np.take(A.reshape(q * q, rest), pick, axis=0, out=g, mode="clip")
             for c in range(1, q):
-                if u == 0:
-                    acc += src[:, c]
-                else:  # minus rows are permutations; "clip" skips buffering tmp for bounds errors
-                    np.take(src[:, c], minus[mul[u, c]], axis=0, out=tmp, mode="clip")
-                    acc += tmp
-        A = out
+                acc += g[c]
+            for u in range(q):  # q strided copies: one transposing copy runs a q-long inner loop
+                out[:, :, u] = acc[:, u]
     return A.reshape(q, -1)[0]
 
 
@@ -124,7 +127,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
     add, mul, neg, _ = field.tables
     minus = add[:, neg].T  # minus[w, s'] = s' - w
     r = 0
-    while r < k and q ** (k - r + 1) > _CHUNK_ENTRIES:
+    while r < k and q ** (k - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
         r += 1
     steps = k - r
     cells = q**steps
@@ -142,10 +145,11 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
         zeros = _zero_counts(flat, q, steps, mul, minus)
         lead = prefix[:1] or range(q)  # without a prefix, zeros is led by the first symbol
-        for u, z in zip(lead, zeros.reshape(len(lead), -1)):
-            hist[u] += np.bincount(n - z, minlength=n + 1)
-    computed = [u for u in range(1, q) if r == 0 or mult[u]]
-    if any((hist[u] != hist[computed[0]]).any() for u in computed[1:]):
+        key = np.array(lead)[:, None] * (n + 1) + (n - zeros.reshape(len(lead), -1))
+        hist += np.bincount(key.ravel(), minlength=q * (n + 1)).reshape(q, n + 1)
+        del zeros, key  # this chunk's A-sized arrays must not outlive it into the next chunk
+    computed = hist[[u for u in range(1, q) if r == 0 or mult[u]]]
+    if (computed != computed[:1]).any():
         raise AssertionError("nonzero leading symbols gave different weight histograms")
     weights = np.flatnonzero(hist.any(axis=0))
     counts = np.array(mult, dtype=object) @ hist[:, weights]  # Python ints, however large M is

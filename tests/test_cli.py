@@ -48,11 +48,11 @@ def test_construct_matrix_output(capsys):
 # output of tuple rows, so any change of row type or number formatting shows
 CONSTRUCT_DIGESTS = {
     "--q 3 --t 2 --p 3 --selection 1:0,2:1":
-        "aa8e14c76fa917a361665ac30712e9772e0f102a2065d6a591a1f0d4c71cf519",
+        "1be2d7855c32ee9cb2c8b457795cd07267a92354f01fe711cc3cb3dd5b3176cb",
     "--cyclic --q 3 --t 3 --p 4":
-        "f2ffab109ac0f0e3278d7687090070ff82666c042d69caa12d67d6b758df7564",
+        "82ba138a284c57218b5d3338f21717432c3e7a6e215b4d63a0f84295cd09c929",
     "--variant qt-simplex --q 2 --t 2":
-        "51db3c3440903863b3a5450a9ca47de44e1bda7acfeffb40c5d96d7206e97c2c",
+        "15599c1c736032bea54367a5bd01ca416dcee155331e3e903f4ac374c91bbbc9",
 }
 
 

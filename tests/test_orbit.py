@@ -61,9 +61,9 @@ def test_orbit_path_matches_full_transform_and_oracle(split, data):
     q, t = code.simplex.q, code.simplex.t
     with pytest.MonkeyPatch.context() as mp:
         if split:
-            # the orbit transform has t + 1 rows; chunks of q^j cells fix a
-            # prefix of t + 2 - j of them, and j = 1 splits down to single messages
-            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, t + 1)))
+            # the orbit transform has t + 1 rows; chunks of q^j cells fix a prefix
+            # of min(t + 1, t + 3 - j) of them, and j <= 2 splits down to single messages
+            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, t + 2)))
         W = weight_distribution(G)
     assert W.method == "orbit"  # consta-cyclic, or cyclic with q = 2
     assert_exact(G, W)

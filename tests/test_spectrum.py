@@ -11,7 +11,7 @@ from qtweave import (BudgetExceededError, ParameterError, build_two_weight, fiel
                      field_from_order, simplex_consta, spectrum, weight_distribution_of_rows)
 from conftest import naive_weight_counts
 
-FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3))
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4))
 ORACLE_MESSAGES = 256  # q^k bound that keeps the scalar oracle fast
 
 
@@ -41,9 +41,9 @@ def test_engine_matches_naive_oracle(split, data):
     k = len(rows)
     with pytest.MonkeyPatch.context() as mp:
         if split:
-            # chunks of q^j cells fix a message prefix of k + 1 - j coordinates;
-            # j = 1 splits the message space down to single messages
-            j = data.draw(st.integers(1, k))
+            # chunks of q^j cells fix a message prefix of min(k, k + 2 - j)
+            # coordinates; j <= 2 splits the message space down to single messages
+            j = data.draw(st.integers(1, k + 1))
             mp.setattr(spectrum, "_CHUNK_ENTRIES", field.q**j)
         W = weight_distribution_of_rows(field, rows)
     assert W.counts == naive_weight_counts(field, rows)
@@ -62,6 +62,24 @@ def test_large_field_small_message_space_stays_small():
         tracemalloc.stop()
     assert W.counts == {0: 1, 3: 255}
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("j", [5, 6])
+def test_chunked_call_peak_memory_follows_the_chunk_size(monkeypatch, j):
+    # the chunk rule counts the q^(steps+2)-cell gather, so A and the gather
+    # together stay within a small multiple of the chunk's int32 cells
+    field = field_from_order(8)
+    rows = np.random.default_rng(j).integers(0, 8, size=(6, 200), dtype=np.uint8)
+    expected = weight_distribution_of_rows(field, rows).counts
+    monkeypatch.setattr(spectrum, "_CHUNK_ENTRIES", 8**j)
+    tracemalloc.start()
+    try:
+        W = weight_distribution_of_rows(field, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.counts == expected
+    assert peak < 2 * 4 * 8**j + (64 << 10)  # 64 KiB for the per-column and histogram arrays
 
 
 # test_analysis.py covers no rows, one short second row and an entry of 3
@@ -102,7 +120,7 @@ def test_leading_symbol_multiplicities_match_naive_oracle(split, data):
     q, k = field.q, len(rows)
     with pytest.MonkeyPatch.context() as mp:
         if split:
-            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, k)))
+            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, k + 1)))
         W = weight_distribution_of_rows(field, rows, multiplicity=(1, q - 1) + (0,) * (q - 2))
         W0 = weight_distribution_of_rows(field, rows, multiplicity=(q,) + (0,) * (q - 1))
     assert W.counts == naive_weight_counts(field, rows)
