@@ -31,13 +31,7 @@ from .construction import (
 )
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .fields import Field, field_create, field_from_order
-from .polynomial import (
-    Poly,
-    find_primitive,
-    is_primitive,
-    minimal_polynomial,
-    x_pow_mod,
-)
+from .polynomial import Poly, find_primitive, is_primitive
 
 __version__ = "0.1.0"
 
@@ -70,11 +64,9 @@ __all__ = [
     "is_projective",
     "mean_weight_identity_holds",
     "min_distance",
-    "minimal_polynomial",
     "simplex_consta",
     "simplex_cyclic",
     "verify_two_weight",
     "weight_distribution",
     "weight_distribution_of_rows",
-    "x_pow_mod",
 ]

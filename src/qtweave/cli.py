@@ -203,7 +203,6 @@ def _cmd_analyze(args) -> int:
     _print_code_details(code, G, W, sys.stdout)
     dist = " ".join(f"{w}:{c}" for w, c in sorted(W.counts.items()))
     print(f"weight distribution: {dist}")
-    print(f"spectrum method: {W.method}")
     status = EXIT_OK
     if code.variant == construction.TWO_WEIGHT:
         verdict = analysis.verify_two_weight(W, code)
@@ -230,7 +229,6 @@ def _cmd_analyze(args) -> int:
             print(f"single-weight check: FAILED (expected {{{s_w}}}, observed {list(weights)})")
             status = EXIT_MISMATCH
     report = analysis.griesmer_report(code, W)
-    print(f"min distance: {report.d}")
     print(f"length: {report.n}")
     print(f"griesmer length: {report.griesmer_length}")
     print(
@@ -293,8 +291,8 @@ def _example_bases(fixture):
     """(label, header, ok, simplex, series) per simplex base in the examples fixture.
 
     An entry with h is a consta-cyclic base checked against its g and lambda;
-    one without is a cyclic base checked against its simplex parameters, once
-    derived and once from its reference g.  Bases are built one at a time.
+    one without is the derived cyclic base, checked against its reference g,
+    lambda and simplex parameters.  Bases are built one at a time.
     """
     for name, ex in fixture.items():
         field = fields.field_from_order(ex["q"])
@@ -305,11 +303,10 @@ def _example_bases(fixture):
             continue
         params = (ex["simplex"]["n"], ex["simplex"]["k"], ex["simplex"]["d"])
         s = construction.simplex_cyclic(field, ex["t"])
+        ok = (list(s.g.coeffs) == ex["reference_g"] and s.lam == ex["lambda"]
+              and s.params() == params)
         header = f"{name}: simplex [{s.m}, {s.t}, {s.weight}]_{s.q}, g = {s.g} "
-        yield name, header, s.params() == params, s, ex["series"]
-        s = construction.simplex_cyclic(field, ex["t"], g=Poly(field, ex["reference_g"]))
-        header = f"{name} (reference g): simplex [{s.m}, {s.t}, {s.weight}]_{s.q} "
-        yield f"{name}/ref-g", header, s.params() == params, s, ex["series"]
+        yield name, header, ok, s, ex["series"]
 
 
 def _cmd_examples(args) -> int:

@@ -22,7 +22,7 @@ is a list of (a, e) blocks, and its row u adds u to every e.
 
 Each invariant is computed once, and a failure raises VerificationError: one
 division x^m = g h + lam gives g and lam, the exact spectrum of the t shifts of
-g equidistance, and elimination on a 2t x 2t minor rank 2t.
+g equidistance, and a triangular 2t x 2t minor rank 2t.
 
 Distinct in-range pairs give distinct nonzero blocks without a check.  The
 base is an [m, t] code whose q^t - 1 nonzero words all have weight q^(t-1);
@@ -34,7 +34,9 @@ times column 0; and a x^j g != 0, since x is a unit modulo x^m - lam.
 The minor is columns 0..t-1 of block 0 and j_1 + v mod m, v < t, of block 1,
 with j_1 the first selected shift.  It is [[A, *], [0, C]], A and C upper
 triangular with diagonals g_0 (deg x^u g < m) and a_1 lam^w g_0; g_0 != 0 as
-g divides x^m - lam, so a valid code always has rank 2t there.
+g divides x^m - lam, so a valid code always has rank 2t there.  The build
+checks exactly that shape: a zero strict lower triangle and a nonzero
+diagonal prove rank 2t, and any other minor is rejected without elimination.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, VerificationError
 from .fields import Field
-from .polynomial import Poly, find_primitive, is_primitive, minimal_polynomial
+from .polynomial import Poly, find_primitive, is_primitive
 from .spectrum import weight_distribution_of_rows
 
 CONSTA_CYCLIC = "consta-cyclic"
@@ -121,29 +123,6 @@ class GeneratorMatrix:
         return self.rows.shape[0]
 
 
-def _rank(field: Field, rows) -> int:
-    """Rank over GF(q) by Gauss-Jordan elimination on the field's lookup tables.
-
-    Each pivot clears its column in every other row with one gather through
-    the mul table and one through the add table.
-    """
-    add, mul, neg, inv = field.tables
-    work = np.array(rows, dtype=add.dtype)
-    rank, col = 0, 0
-    while rank < len(work):
-        live = np.flatnonzero(work[rank:, col:].any(axis=0))
-        if live.size == 0:
-            break
-        col += live[0]
-        pivot = rank + np.flatnonzero(work[rank:, col])[0]
-        work[[rank, pivot]] = work[[pivot, rank]]
-        row = mul[inv[work[rank, col]], work[rank]]
-        work = add[work, mul[neg[work[:, col]][:, None], row]]
-        work[rank] = row
-        rank += 1
-    return rank
-
-
 def _windows(s: SimplexSpec) -> np.ndarray:
     """Read-only (2m + 1, m) view whose row 2m - e holds x^e g mod (x^m - lam), 0 <= e <= 2m."""
     _, mul, _, _ = s.field.tables
@@ -207,8 +186,12 @@ def simplex_consta(field: Field, t: int, h: Poly | None = None) -> SimplexSpec:
 def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
     """Cyclic simplex code; exists exactly when gcd(t, q - 1) = 1.
 
-    The defining polynomial is the minimal polynomial of b = a^(q-1) for a
-    primitive root a of GF(q^t), so the code sits inside F_q[x]/(x^m - 1).
+    The defining polynomial rescales the canonical primitive h0 of degree t.
+    With lam = x^m mod h0 = (-1)^t h0(0) and c the one element of GF(q)* with
+    c^t = lam (one, as gcd(t, q - 1) = 1), h(x) = c^(-t) h0(c x), so
+    h_j = c^(j-t) h0_j.  A root a of h0 gives the root a/c of h, and
+    (a/c)^m = lam / c^m = lam / c^t = 1 as m = t mod (q - 1): h divides
+    x^m - 1, and the code sits inside F_q[x]/(x^m - 1).  For q = 2, h = h0.
     Passing g bypasses that derivation and uses the supplied generator
     polynomial directly (it is still fully verified).
     """
@@ -230,7 +213,16 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
         h = h.monic()
     else:
         h0 = find_primitive(field, t, limit=1)[0]
-        h = minimal_polynomial(q - 1, h0)
+        _, mul, neg, inv = field.tables
+        lam = neg.item(h0.coeffs[0]) if t % 2 else h0.coeffs[0]
+        c = 1
+        for _ in range(pow(t, -1, q - 1)):  # c = lam^(1/t mod (q - 1)), so c^t = lam
+            c = mul.item(c, lam)
+        coeffs, scale = [], 1
+        for a in reversed(h0.coeffs):  # h_j = c^(j-t) h0_j, from j = t down
+            coeffs.append(mul.item(scale, a))
+            scale = mul.item(scale, inv.item(c))
+        h = Poly(field, coeffs[::-1])
     if h.degree != t:
         raise VerificationError(f"defining polynomial has degree {h.degree}, expected {t}")
     return _assemble_simplex(field, t, h, CYCLIC)
@@ -290,7 +282,8 @@ def _finish(code: QtCodeSpec) -> GeneratorMatrix:
     rows = _assemble_rows(code, t)
     rows.setflags(write=False)
     j1 = code.selection[0][1]  # the minor of the module docstring
-    if _rank(code.field, rows[:, [*range(t), *(m + (j1 + v) % m for v in range(t))]]) != code.k:
+    minor = rows[:, [*range(t), *(m + (j1 + v) % m for v in range(t))]]
+    if np.tril(minor, -1).any() or not minor.diagonal().all():
         raise VerificationError(f"generator matrix does not have full rank {code.k}")
     return GeneratorMatrix(rows=rows, provenance=code)
 

@@ -167,17 +167,6 @@ class Poly:
         return f"Poly({self.field!r}, {self})"
 
 
-def x_pow_mod(n: int, h: Poly) -> Poly:
-    """x^n reduced modulo h, by square-and-multiply on the field's lookup tables."""
-    if not h.is_monic() or h.degree < 1:
-        raise ParameterError("modulus must be monic of degree >= 1")
-    if n < 0:
-        raise ParameterError("negative exponent")
-    add, mul, neg, _ = h.field.tables
-    ntail = [neg.item(c) for c in h.coeffs[:-1]]
-    return Poly(h.field, [int(c) for c in _x_pow(n, ntail, add, mul)])
-
-
 def _exponents(q: int, t: int) -> list[int]:
     """N = q^t - 1 followed by N / r for every prime r dividing N.
 
@@ -316,41 +305,3 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
                 break
     return found
 
-
-def minimal_polynomial(power: int, h: Poly) -> Poly:
-    """Minimal polynomial over GF(q) of b = x^power in the field F_q[x]/(h).
-
-    h must be primitive, so the quotient really is a field.  The result is the
-    product of (y - b^(q^s)) over the distinct conjugates of b; its
-    coefficients are conjugation-invariant and therefore land in GF(q).
-    """
-    if power < 1:
-        raise ParameterError(f"power must be >= 1, got {power}")
-    if not is_primitive(h):
-        raise ParameterError(f"{h} is not primitive")
-    f = h.field
-    q, t = f.q, h.degree
-    n = q**t - 1  # the order of x, so exponents reduce mod n
-    conjugates = [x_pow_mod(power % n, h)]  # b^(q^s) = x^(power q^s)
-    while (c := x_pow_mod(power * q ** len(conjugates) % n, h)) != conjugates[0]:
-        conjugates.append(c)
-        if len(conjugates) > t:
-            raise AssertionError("conjugate orbit exceeded the extension degree")
-    # Expand the product over (y - conjugate); coefficients live in F_q[x]/(h).
-    acc = [Poly.one(f)]
-    for c in conjugates:
-        neg_c = -c
-        nxt = [Poly.zero(f)] * (len(acc) + 1)
-        for i, coeff in enumerate(acc):
-            nxt[i + 1] = nxt[i + 1] + coeff
-            nxt[i] = nxt[i] + (coeff * neg_c) % h
-        acc = nxt
-    out = []
-    for coeff in acc:
-        if coeff.degree > 0:
-            raise AssertionError("minimal polynomial coefficient outside the base field")
-        out.append(coeff.coeffs[0] if coeff.coeffs else 0)
-    result = Poly(f, out)
-    if not result.is_monic():
-        raise AssertionError("minimal polynomial is not monic")
-    return result

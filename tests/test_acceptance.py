@@ -71,6 +71,7 @@ def test_criterion_03_ternary_t2_reproduction(gf3):
 
 def test_criterion_04_ternary_cyclic_t3(gf3):
     reference_g = Poly(gf3, (1, 0, 1, 1, 1, 2, 2, 0, 1, 2, 1))
+    assert simplex_cyclic(gf3, 3).g == reference_g
     for s in (simplex_cyclic(gf3, 3), simplex_cyclic(gf3, 3, g=reference_g)):
         assert s.params() == (13, 3, 9)
         # equidistance over all 27 codewords
@@ -82,8 +83,8 @@ def test_criterion_04_ternary_cyclic_t3(gf3):
             assert W.total() == 729
             assert (code.n, code.k) == (13 * p, 6)
             assert W.nonzero_weights() == (9 * (p - 1), 9 * p)
-    print("criterion 4: PASS ([13, 3, 9] cyclic simplex; [13p, 6] series; "
-          "reference generator override agrees)")
+    print("criterion 4: PASS ([13, 3, 9] cyclic simplex with the reference generator; "
+          "[13p, 6] series; reference generator override agrees)")
 
 
 def test_criterion_05_reference_table(gf3):

@@ -50,7 +50,7 @@ CONSTRUCT_DIGESTS = {
     "--q 3 --t 2 --p 3 --selection 1:0,2:1":
         "1be2d7855c32ee9cb2c8b457795cd07267a92354f01fe711cc3cb3dd5b3176cb",
     "--cyclic --q 3 --t 3 --p 4":
-        "82ba138a284c57218b5d3338f21717432c3e7a6e215b4d63a0f84295cd09c929",
+        "a49f968eb892793de529304e8ef5a65489c5730dbb7453027b2278f4811c308a",
     "--variant qt-simplex --q 2 --t 2":
         "15599c1c736032bea54367a5bd01ca416dcee155331e3e903f4ac374c91bbbc9",
 }
@@ -174,7 +174,9 @@ def test_analyze_report(capsys):
 def test_analyze_reports_the_spectrum_method(capsys, argv, method):
     rc, out, _ = run(capsys, "analyze", *argv)
     assert rc == 0
-    assert f"\nspectrum method: {method}\n" in out
+    assert out.count("spectrum method") == out.count("min distance") == 1
+    [line] = [line for line in out.splitlines() if line.startswith("min distance: ")]
+    assert line.endswith(f"spectrum method: {method})")
 
 
 def test_unfactorable_order_exits_3(capsys):
@@ -283,6 +285,25 @@ def test_examples_detects_drift(capsys, monkeypatch):
     rc, out, _ = run(capsys, "examples")
     assert rc == 1
     assert "MISMATCH" in out
+
+
+def test_examples_detects_a_drifted_cyclic_generator(capsys, monkeypatch):
+    import qtweave.cli as cli_mod
+
+    original = cli_mod._load_fixture
+
+    def tampered(name):
+        data = original(name)
+        if name == "examples.json":
+            # the reciprocal of the reference g: another [13, 3, 9] cyclic simplex
+            # generator, so the parameters and every series entry still match
+            data["ternary_cyclic_t3"]["reference_g"].reverse()
+        return data
+
+    monkeypatch.setattr(cli_mod, "_load_fixture", tampered)
+    rc, out, _ = run(capsys, "examples")
+    assert rc == 1
+    assert "ternary_cyclic_t3: simplex [13, 3, 9]_3" in out and "MISMATCH" in out
 
 
 def test_search_primitive(capsys):

@@ -1,5 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtweave import (
     ParameterError,
@@ -10,13 +14,19 @@ from qtweave import (
     build_two_weight,
     construction,
     default_selection,
+    field_from_order,
+    find_primitive,
     full_block_matrix,
     simplex_consta,
     simplex_cyclic,
 )
 from qtweave.construction import CYCLIC, _check_equidistant, _words
-from conftest import (consta_shift, naive_rank, naive_weight_counts, residue, span_words,
+from conftest import (SWEEP_CONFIGS, consta_shift, is_irreducible, naive_rank,
+                      naive_weight_counts, order_of_x, residue, scalar, span_words,
                       twistulant_rows)
+
+# (q, t) with gcd(t, q - 1) = 1, so a cyclic simplex base exists
+CYCLIC_CONFIGS = ((2, 3), (2, 5), (3, 3), (3, 5), (4, 2), (5, 3), (8, 2), (9, 3))
 
 
 @pytest.fixture(scope="session")
@@ -96,6 +106,29 @@ def test_cyclic_needs_coprime_t(gf4):
     words = span_words(gf4, twistulant_rows(gf4, s.lam, residue(s.g, s.m, s.lam))[:2])
     weights = {sum(1 for c in w if c) for w in words if any(w)}
     assert weights == {4}
+
+
+@pytest.mark.parametrize("q, t", CYCLIC_CONFIGS)
+def test_cyclic_base_rescales_the_canonical_h(q, t):
+    field = field_from_order(q)
+    s = simplex_cyclic(field, t)
+    h, h0 = s.h, find_primitive(field, t, limit=1)[0]
+    assert h.is_monic() and h.degree == t
+    assert ((Poly.monomial(field, s.m) - Poly.one(field)) % h).is_zero()
+    assert is_irreducible(h) and order_of_x(h) == s.m
+    f = scalar(field)
+
+    def rescales_h0(c):  # h(x) = c^(-t) h0(c x), that is h_j c^(t-j) = h0_j, from j = t down
+        scale = 1
+        for a, b in zip(reversed(h.coeffs), reversed(h0.coeffs)):
+            if f.mul(a, scale) != b:
+                return False
+            scale = f.mul(scale, c)
+        return True
+
+    assert any(rescales_h0(c) for c in field.nonzero())
+    if q == 2:
+        assert h == h0
 
 
 def test_cyclic_generator_override(gf3):
@@ -195,20 +228,6 @@ def test_two_weight_p2_weights(s_ternary):
     assert set(counts) == {0, 3, 6}  # {q^(t-1), 2 q^(t-1)} plus the zero word
 
 
-@pytest.fixture
-def rank_widths(monkeypatch):
-    """The column count of every matrix handed to the rank check, in call order."""
-    widths = []
-    rank = construction._rank
-
-    def recording_rank(field, rows):
-        widths.append(len(rows[0]))
-        return rank(field, rows)
-
-    monkeypatch.setattr(construction, "_rank", recording_rank)
-    return widths
-
-
 def _reorder_blocks(monkeypatch, layout):
     """Reassemble every generator row from the width-m blocks that layout(block_count) lists."""
     assemble = construction._assemble_rows
@@ -221,31 +240,75 @@ def _reorder_blocks(monkeypatch, layout):
     monkeypatch.setattr(construction, "_assemble_rows", reordered)
 
 
-def test_rank_is_full_for_samples(s_binary, s_ternary, gf3, rank_widths):
+def certified_minor(code, G):
+    """The 2t x 2t minor of the module docstring: columns 0..t-1, then j_1 + v mod m of block 1."""
+    t, m = code.simplex.t, code.simplex.m
+    j1 = code.selection[0][1]
+    return G.rows[:, [*range(t), *(m + (j1 + v) % m for v in range(t))]]
+
+
+def is_certified(minor) -> bool:
+    return not np.tril(minor, -1).any() and minor.diagonal().all()
+
+
+def test_rank_is_full_for_samples(s_binary, s_ternary, gf3):
     for s, p in ((s_binary, 5), (s_ternary, 7), (simplex_consta(gf3, 3), 4)):
-        rank_widths.clear()
         code, G = build_two_weight(s, p)
-        assert naive_rank(s.field, G.rows) == code.k
-        assert rank_widths == [2 * s.t]  # the 2t x 2t minor settles it
+        minor = certified_minor(code, G)
+        assert is_certified(minor)
+        assert naive_rank(s.field, minor) == naive_rank(s.field, G.rows) == code.k
 
 
-def test_rank_minor_wraps_around_block_one(s_ternary, monkeypatch):
+def test_rank_minor_wraps_around_block_one(s_ternary):
     # j_1 = 3 > m - t = 2: the minor reads columns 3 and then 0 of block 1
-    minors = []
-    rank = construction._rank
-    monkeypatch.setattr(construction, "_rank", lambda f, rows: minors.append(rows) or rank(f, rows))
     code, G = build_two_weight(s_ternary, 4, selection=((2, 3), (1, 0), (1, 2)))
     m = s_ternary.m
-    [minor] = minors
-    assert minor.tolist() == G.rows[:, [0, 1, m + 3, m]].tolist()
+    minor = G.rows[:, [0, 1, m + 3, m]]
+    assert minor.tolist() == certified_minor(code, G).tolist()
+    assert is_certified(minor)
     assert naive_rank(s_ternary.field, minor) == code.k
 
 
-def test_rank_deficient_generator_is_rejected(s_ternary, monkeypatch, rank_widths):
+@cache
+def minor_base(q, t, cyclic):
+    return (simplex_cyclic if cyclic else simplex_consta)(field_from_order(q), t)
+
+
+MINOR_BASES = [(q, t, False) for q, t in SWEEP_CONFIGS] + [(q, t, True) for q, t in CYCLIC_CONFIGS]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_certified_minor_is_triangular_with_full_rank(data):
+    s = minor_base(*data.draw(st.sampled_from(MINOR_BASES)))
+    if data.draw(st.booleans(), label="qt-simplex"):
+        code, G = build_qt_simplex(s)
+    else:
+        p = data.draw(st.integers(2, s.q**s.t), label="p")
+        pairs = data.draw(st.permutations([(i, j) for i in range(1, s.q) for j in range(s.m)]))
+        code, G = build_two_weight(s, p, selection=pairs[:p - 1])
+    minor = certified_minor(code, G)
+    assert is_certified(minor)
+    assert naive_rank(s.field, minor) == code.k
+
+
+def test_rank_deficient_generator_is_rejected(s_ternary, monkeypatch):
     _reorder_blocks(monkeypatch, lambda count: [0] * count)
     with pytest.raises(VerificationError, match="full rank"):
         build_two_weight(s_ternary, 4)
-    assert rank_widths == [2 * s_ternary.t]  # no fallback to more columns
+
+
+def test_rank_deficient_generator_with_a_nonzero_diagonal_is_rejected(s_ternary, monkeypatch):
+    # the first selected block is g itself, so block 1 read in place of block 0
+    # makes both row groups [x^u g | x^u g]: rank t, yet every diagonal entry of
+    # the minor is g_0 != 0, and only its lower-left block shows the defect
+    code, G = build_two_weight(s_ternary, 2, selection=((1, 0),))
+    m = s_ternary.m
+    repeated = np.hstack([G.rows[:, m:], G.rows[:, m:]])
+    assert naive_rank(s_ternary.field, repeated) == s_ternary.t < code.k
+    _reorder_blocks(monkeypatch, lambda count: [1] * count)
+    with pytest.raises(VerificationError, match="full rank"):
+        build_two_weight(s_ternary, 2, selection=((1, 0),))
 
 
 def test_equidistance_check_rejects_non_simplex_spans(gf3):

@@ -143,7 +143,7 @@ def test_shift_check_refuses_an_extra_column_without_raising():
 
 
 def test_non_primitive_cyclic_base_takes_the_full_transform():
-    # q = 3, t = 3: the cyclic h is the minimal polynomial of a^2, of order 13
+    # q = 3, t = 3: the cyclic h = x^3 + x^2 + 2 is irreducible, but x has order 13 modulo it
     for p in (2, 4):
         _, G = build_two_weight(base(3, 3, True), p)
         W = weight_distribution(G)

@@ -13,10 +13,8 @@ from qtweave import (
     field_from_order,
     find_primitive,
     is_primitive,
-    minimal_polynomial,
     polynomial,
     simplex_consta,
-    x_pow_mod,
 )
 from conftest import euler_phi, is_irreducible, order_of_x, poly_gcd, pow_mod
 
@@ -111,14 +109,19 @@ def test_gcd(gf2, gf3):
         poly_gcd(Poly.zero(gf3), Poly.zero(gf3))
 
 
+def x_pow_mod(n, h):
+    """x^n modulo the monic h by polynomial._x_pow, the kernel of is_primitive, as a Poly."""
+    add, mul, neg, _ = h.field.tables
+    ntail = [neg.item(c) for c in h.coeffs[:-1]]
+    return Poly(h.field, [int(c) for c in polynomial._x_pow(n, ntail, add, mul)])
+
+
 def test_x_pow_mod(gf2, gf3):
     h3 = Poly(gf3, (2, 2, 1))  # x^2 + 2x + 2
     assert x_pow_mod(4, h3) == Poly(gf3, (2,))
     h2 = Poly(gf2, (1, 1, 0, 1))
     assert x_pow_mod(7, h2) == Poly.one(gf2)
     assert x_pow_mod(0, h3) == Poly.one(gf3)
-    with pytest.raises(ParameterError):
-        x_pow_mod(3, Poly(gf3, (1, 2)))  # not monic
     # square-and-multiply on the tables against square-and-multiply on Poly
     # arithmetic, for primitive, irreducible, reducible and non-unit moduli
     for field, tails in ((gf2, [(1, 0, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1)]),
@@ -244,33 +247,6 @@ def test_is_primitive_factors_q_t_minus_1_within_the_bound(gf2, monkeypatch):
 def test_find_primitive_rejects_limit_below_one(gf2, limit):
     with pytest.raises(ParameterError):
         find_primitive(gf2, 3, limit=limit)
-
-
-def test_minimal_polynomial_of_x_is_h(gf2, gf3):
-    for h in (Poly(gf2, (1, 1, 0, 1)), Poly(gf3, (2, 2, 1))):
-        assert minimal_polynomial(1, h) == h
-
-
-def test_minimal_polynomial_divides_and_annihilates(gf3):
-    h = find_primitive(gf3, 3, limit=1)[0]
-    n = 3**3 - 1
-    for power in (2, 4, 5):
-        mp = minimal_polynomial(power, h)
-        assert mp.is_monic()
-        # divides x^(q^t - 1) - 1
-        big = Poly.monomial(gf3, n) - Poly.one(gf3)
-        assert (big % mp).is_zero()
-        # annihilates beta = x^power in the quotient field
-        beta_image = Poly.zero(gf3)
-        for s, c in enumerate(mp.coeffs):
-            term = x_pow_mod(power * s, h).scale(c)
-            beta_image = (beta_image + term) % h
-        assert beta_image.is_zero()
-
-
-def test_minimal_polynomial_requires_primitive(gf3):
-    with pytest.raises(ParameterError):
-        minimal_polynomial(2, Poly(gf3, (1, 0, 1)))
 
 
 def test_pow_mod_matches_naive(gf3):
