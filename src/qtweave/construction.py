@@ -16,9 +16,10 @@ Two assembled shapes are supported, both of dimension 2t:
 
 Every block is a word a x^e g mod (x^m - lam), 0 <= e <= 2m (a shift j < m plus
 a row index u < m).  For ext = lam^2 g | lam g | g, x^e g is ext[2m - e : 3m - e],
-so one read-only sliding-window view of ext holds every shift; a block is one of
-its rows read through the mul table, scale 0 giving the zero block.  A row group
-is a list of (a, e) blocks, and its row u adds u to every e.
+so a read-only sliding-window view of the table a ext, one row per scale a in
+use, holds every word; a block is one window picked by (a, 2m - e), scale 0
+giving the zero block.  A row group is a list of (a, e) blocks, its row u adds
+u to every e, and all rows of both groups are one gather from that view.
 
 Each invariant is computed once, and a failure raises VerificationError: one
 division x^m = g h + lam gives g and lam, the exact spectrum of the t shifts of
@@ -123,19 +124,31 @@ class GeneratorMatrix:
         return self.rows.shape[0]
 
 
-def _windows(s: SimplexSpec) -> np.ndarray:
-    """Read-only (2m + 1, m) view whose row 2m - e holds x^e g mod (x^m - lam), 0 <= e <= 2m."""
+def _windows(s: SimplexSpec, scales) -> np.ndarray:
+    """Read-only (len(scales), 2m + 1, m) view: [i, 2m - e] is scales[i] x^e g mod (x^m - lam).
+
+    The view reads one (len(scales), 3m) table, the rows of lam^2 g | lam g | g
+    times each scale, so it covers every shift 0 <= e <= 2m in O(len(scales) m)
+    cells.
+    """
     _, mul, _, _ = s.field.tables
     g = np.zeros(s.m, dtype=mul.dtype)
     g[:len(s.g.coeffs)] = s.g.coeffs
-    ext = np.concatenate([mul[mul[s.lam, s.lam], g], mul[s.lam, g], g])  # lam^2 g | lam g | g
-    return sliding_window_view(ext, s.m)
+    ext = np.concatenate([mul[mul[s.lam, s.lam], g], mul[s.lam, g], g])
+    return sliding_window_view(mul[np.asarray(scales)[:, None], ext], s.m, axis=1)
 
 
 def _words(s: SimplexSpec, scales, shifts) -> np.ndarray:
-    """Coefficients of a x^e g mod (x^m - lam), one row per pair (a, e), 0 <= e <= 2m."""
-    windows = _windows(s)[2 * s.m - np.asarray(shifts)]
-    return s.field.tables.mul[np.asarray(scales)[:, None], windows]
+    """Coefficients of a x^e g mod (x^m - lam), 0 <= e <= 2m, in one gather.
+
+    scales and shifts are broadcastable integer arrays, and the result has
+    their broadcast shape plus one axis of length m.  The window table holds
+    only the distinct scales, found with a set (at most min(q, p + 1) of them
+    for a code's blocks).
+    """
+    scales = np.asarray(scales)
+    used = sorted(set(scales.ravel().tolist()))
+    return _windows(s, used)[np.searchsorted(used, scales), 2 * s.m - np.asarray(shifts)]
 
 
 def _check_equidistant(s: SimplexSpec) -> None:
@@ -230,8 +243,8 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
 
 def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]:
     """First `count` (scale, shift) pairs in canonical order: scale ascending, then shift."""
-    pairs = [(i, j) for i in range(1, s.q) for j in range(s.m)]
-    return tuple(pairs[:count])
+    m = s.m  # slicing the range clips count as slicing the full pair list would
+    return tuple([(1 + c // m, c % m) for c in range((s.q - 1) * m)[:count]])
 
 
 def _validate_selection(s: SimplexSpec, selection, expected_len: int):
@@ -260,21 +273,19 @@ def _assemble_rows(code: QtCodeSpec, shifts: int) -> np.ndarray:
     The top group has blocks g (and a trailing zero block for qt-simplex),
     the bottom group a zero block, the selected blocks (and a trailing g);
     row u shifts every block by x^u.  With shifts = t these are the generator
-    rows; with shifts = m every twistulant block is written out in full.  The
-    window view is built once, and one row is gathered at a time, so the only
-    temporaries are O(n) indices for that row.
+    rows; with shifts = m every twistulant block is written out in full.
+    Either is one gather from the window table of _words, indexed by a
+    (2, 1, blocks) scale array broadcast against a (2, shifts, blocks) shift
+    array.  Besides the output, the temporaries are that table, at most
+    min(q, p + 1) x 3m cells, and 2 x shifts x blocks indices: no index is
+    output-sized.
     """
-    s = code.simplex
     trailing = code.variant == QT_SIMPLEX
     top = [(1, 0)] * code.p + [(0, 0)] * trailing
     bottom = [(0, 0), *code.selection] + [(1, 0)] * trailing
-    mul, windows = s.field.tables.mul, _windows(s)
-    rows = np.empty((2 * shifts, code.n), dtype=mul.dtype)
-    for group, blocks in enumerate((top, bottom)):
-        scales, base = np.array(blocks).T
-        for u in range(shifts):
-            rows[group * shifts + u] = mul[scales[:, None], windows[2 * s.m - base - u]].ravel()
-    return rows
+    scales, base = np.array([top, bottom]).transpose(2, 0, 1)  # (2, blocks) each
+    shift = base[:, None, :] + np.arange(shifts)[:, None]  # (2, shifts, blocks)
+    return _words(code.simplex, scales[:, None, :], shift).reshape(2 * shifts, code.n)
 
 
 def _finish(code: QtCodeSpec) -> GeneratorMatrix:

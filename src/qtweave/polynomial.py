@@ -4,15 +4,16 @@ Coefficients are stored in ascending degree order (least significant
 coefficient on the left) as canonical field encodings.  Polynomials are
 normalized: the highest stored coefficient is nonzero, and the zero
 polynomial stores no coefficients at all (its degree is the sentinel -1).
-Division and x^n mod h read the field's lookup tables directly.
+Division and x^n mod h read the field's lookup tables directly.  Long
+division is a loop over Python ints that touches only the divisor's nonzero
+taps below its lead, so x^m divided by a sparse h costs O(m * taps) table
+reads: its quotient is the linear recurring sequence with h's taps.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
 
@@ -122,18 +123,24 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
         add, mul, neg, inv = f.tables
-        rem = np.array(self.coeffs, dtype=add.dtype)
         db = other.degree
-        lead_inv = inv.item(other.lc)
-        minus_b = mul[:, neg[list(other.coeffs)]]  # row c holds the coefficients of -c b
+        over_lead = mul[inv.item(other.lc)]  # c -> c / lc
+        taps = [i for i in range(db) if other.coeffs[i]]
+        # row[c] = -(c / lc) b_i: what a quotient step on a leading remainder
+        # coefficient c adds db - i places below it, for each nonzero tap i < db
+        rows = mul[over_lead[neg[[other.coeffs[i] for i in taps]]]].tolist()
+        steps = list(zip([i - db for i in taps], rows))
+        over_lead = over_lead.tolist()
+        add = add.item
+        rem = list(self.coeffs)
         quot = [0] * max(len(rem) - db, 0)
-        for k in range(len(rem) - 1, db - 1, -1):  # rem += x^(k-db) (-qc b), one row per step
-            c = rem.item(k)
+        for k in range(len(rem) - 1, db - 1, -1):  # rem[k] cancels and is not read again
+            c = rem[k]
             if c:
-                qc = quot[k - db] = mul.item(c, lead_inv)
-                window = rem[k - db:k + 1]
-                window[:] = add[window, minus_b[qc]]
-        return Poly(f, quot), Poly(f, rem[:db].tolist())
+                quot[k - db] = over_lead[c]
+                for d, row in steps:
+                    rem[k + d] = add(rem[k + d], row[c])
+        return Poly(f, quot), Poly(f, rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -364,3 +365,79 @@ def test_blockwise_shift_closure(s_ternary):
         for b in range(code.block_count):
             shifted += consta_shift(s_ternary.field, s_ternary.lam, w[b * m:(b + 1) * m])
         assert shifted in words
+
+
+# The benchmark's sweep families plus SWEEP_CONFIGS, as (q, t, cyclic base)
+SELECTION_FAMILIES = sorted({(q, t, False) for q, t in SWEEP_CONFIGS} | {
+    (2, 3, False), (2, 4, False), (2, 5, False), (3, 2, False), (3, 3, False), (3, 3, True),
+    (4, 2, False), (5, 2, False), (7, 2, False), (8, 2, False), (9, 2, False)})
+
+
+@cache
+def simplex_of(q, t, cyclic):
+    field = field_from_order(q)
+    return simplex_cyclic(field, t) if cyclic else simplex_consta(field, t)
+
+
+@pytest.mark.parametrize("q, t, cyclic", SELECTION_FAMILIES)
+def test_default_selection_is_a_prefix_of_the_full_enumeration(q, t, cyclic):
+    s = simplex_of(q, t, cyclic)
+    pairs = [(i, j) for i in range(1, q) for j in range(s.m)]
+    for count in (1, s.m, (q - 1) * s.m, (q - 1) * s.m // 2 + 1, 0, (q - 1) * s.m + 5):
+        assert default_selection(s, count) == tuple(pairs[:count])
+
+
+def oracle_rows(code, shifts):
+    """The rows of _assemble_rows from twistulant_rows alone: block (a, j) row u is a x^(j+u) g."""
+    s = code.simplex
+    f = scalar(s.field)
+    shifted = twistulant_rows(s.field, s.lam, residue(s.g, s.m, s.lam))  # row j is x^j g
+
+    @cache
+    def block(a, j):
+        return twistulant_rows(s.field, s.lam, tuple(f.mul(a, v) for v in shifted[j]))
+
+    trailing = code.variant == construction.QT_SIMPLEX
+    top = [(1, 0)] * code.p + [(0, 0)] * trailing
+    bottom = [(0, 0), *code.selection] + [(1, 0)] * trailing
+    return [sum((block(a, j)[u] for a, j in blocks), ()) for blocks in (top, bottom)
+            for u in range(shifts)]
+
+
+ASSEMBLY_BASES = ((2, 3, False), (2, 3, True), (3, 2, False), (3, 3, True), (4, 2, False),
+                  (4, 2, True), (5, 2, False), (8, 2, False), (9, 2, False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_assembled_rows_match_the_twistulant_oracle(data):
+    q, t, cyclic = data.draw(st.sampled_from(ASSEMBLY_BASES))
+    s = simplex_of(q, t, cyclic)
+    if data.draw(st.booleans(), label="qt-simplex"):
+        code, G = build_qt_simplex(s)  # its selection is every pair, so each scale repeats
+    else:
+        # a random subset of the scales, so the window table's scale slots vary
+        scales = data.draw(st.sets(st.integers(1, q - 1), min_size=1), label="scales")
+        pairs = [(i, j) for i in sorted(scales) for j in range(s.m)]
+        selection = data.draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                       max_size=min(len(pairs), 12), unique=True))
+        code, G = build_two_weight(s, len(selection) + 1, selection)
+    for shifts in (t, s.m):
+        rows = construction._assemble_rows(code, shifts)
+        assert rows.shape == (2 * shifts, code.n)
+        assert [tuple(r) for r in rows.tolist()] == oracle_rows(code, shifts)
+    assert np.array_equal(G.rows, construction._assemble_rows(code, t))
+
+
+def test_full_block_matrix_temporaries_stay_below_the_output(gf2):
+    # q=2 t=7 p=9: a 254 x 1143 output; an intp index of output size would be ~2.3 MB
+    code, _ = build_two_weight(simplex_consta(gf2, 7), 9)
+    full_block_matrix(code)
+    tracemalloc.start()
+    try:
+        rows = full_block_matrix(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (254, 1143)
+    assert peak < 2 * rows.nbytes + (64 << 10)

@@ -16,7 +16,7 @@ from qtweave import (
     polynomial,
     simplex_consta,
 )
-from conftest import euler_phi, is_irreducible, order_of_x, poly_gcd, pow_mod
+from conftest import euler_phi, is_irreducible, order_of_x, poly_gcd, pow_mod, scalar
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
@@ -88,8 +88,17 @@ def test_division_by_zero(gf3):
 @given(st.data())
 def test_divrem_round_trip(data):
     field = data.draw(st.sampled_from(FIELDS))
-    coeffs_a = data.draw(st.lists(st.integers(0, field.q - 1), max_size=8))
-    coeffs_b = data.draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=5))
+    element, nonzero = st.integers(0, field.q - 1), st.integers(1, field.q - 1)
+    coeffs_a = data.draw(st.lists(element, max_size=400))
+    kind = data.draw(st.sampled_from(["dense", "sparse", "constant"]))
+    if kind == "dense":  # any leading coefficient, so often non-monic
+        coeffs_b = data.draw(st.lists(element, min_size=1, max_size=5))
+    elif kind == "sparse":  # at most three taps below a lead of degree up to 40
+        degree = data.draw(st.integers(1, 40))
+        taps = data.draw(st.dictionaries(st.integers(0, degree - 1), nonzero, max_size=3))
+        coeffs_b = [taps.get(i, 0) for i in range(degree)] + [data.draw(nonzero)]
+    else:
+        coeffs_b = [data.draw(nonzero)]
     a = Poly(field, coeffs_a)
     b = Poly(field, coeffs_b)
     if b.is_zero():
@@ -97,6 +106,27 @@ def test_divrem_round_trip(data):
     quot, rem = divmod(a, b)
     assert quot * b + rem == a
     assert rem.degree < b.degree
+
+
+# (q, t) of every benchmark workload (sweep, deep, wide, cli), and q=2 t=14
+X_TO_THE_M_FAMILIES = ((2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (8, 2),
+                       (9, 2), (2, 9), (4, 4), (3, 4), (2, 14))
+
+
+@pytest.mark.parametrize("q, t", X_TO_THE_M_FAMILIES)
+def test_x_to_the_m_is_g_h_plus_a_twist_of_order_q_minus_1(q, t):
+    field = field_from_order(q)
+    h = find_primitive(field, t, limit=1)[0]
+    m = (q**t - 1) // (q - 1)
+    x_m = Poly.monomial(field, m)
+    quot, rem = divmod(x_m, h)
+    assert quot * h + rem == x_m
+    assert rem.degree == 0  # a nonzero constant lam
+    f, lam = scalar(field), rem.coeffs[0]
+    powers = [lam]
+    while powers[-1] != 1:
+        powers.append(f.mul(powers[-1], lam))
+    assert len(powers) == q - 1
 
 
 def test_gcd(gf2, gf3):
