@@ -77,13 +77,14 @@ def _shift_invariant(G: GeneratorMatrix) -> bool:
         return False
     add, mul, neg, _ = s.field.tables
     view = rows.reshape(2, t, code.block_count, s.m)
-    shifted = np.concatenate([mul[s.lam, view[..., -1:]], view[..., :-1]], axis=-1)
+    # np.take on 1-D table rows and on the flat add table is faster than
+    # 2-D fancy indexing; the flat index is widened first, as q (q - 1) can overflow the dtype
+    shifted = np.concatenate([np.take(mul[s.lam], view[..., -1:]), view[..., :-1]], axis=-1)
     coeffs = neg[list(s.h.coeffs[:-1])]
-    taps = np.flatnonzero(coeffs)
-    terms = mul[coeffs[taps, None, None, None], view.swapaxes(0, 1)[taps]]  # -h_u row u
+    terms = [np.take(mul[coeffs[u]], view[:, u]) for u in np.flatnonzero(coeffs)]  # -h_u row u
     wrap = terms[0]
     for term in terms[1:]:
-        wrap = add[wrap, term]
+        wrap = np.take(add, wrap.astype(np.intp) * s.q + term)  # add[wrap, term]
     return bool((shifted[:, :-1] == view[:, 1:]).all() and (shifted[:, -1] == wrap).all())
 
 
@@ -205,9 +206,12 @@ def is_projective(G: GeneratorMatrix) -> bool:
     nonzero = cols != 0
     if not nonzero.any(axis=0).all():
         return False
-    first = cols[nonzero.argmax(axis=0), np.arange(cols.shape[1])]
-    canon = mul[inv[first], cols]
-    canon = canon[:, np.lexsort(canon)]
+    n = cols.shape[1]
+    # flat gathers, as in _shift_invariant
+    first = np.take(cols, nonzero.argmax(axis=0) * n + np.arange(n))  # cols[argmax, arange]
+    row = np.take(inv, first).astype(np.intp) * G.field.q  # where row inv[first] starts
+    canon = np.take(mul, row + cols)  # mul[inv[first], cols]
+    canon = np.take(canon, np.lexsort(canon), axis=1)  # C order keeps the column test fast
     return not (canon[:, 1:] == canon[:, :-1]).all(axis=0).any()
 
 

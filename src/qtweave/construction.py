@@ -259,11 +259,12 @@ def _validate_selection(s: SimplexSpec, selection, expected_len: int):
         raise ParameterError(f"selection must list exactly {expected_len} pairs, got {len(pairs)}")
     if len(set(pairs)) != len(pairs):
         raise ParameterError("selection contains duplicate pairs")
+    q, m = s.q, s.m
     for i, j in pairs:
-        if not 1 <= i <= s.q - 1:
-            raise ParameterError(f"scale index must be in 1..{s.q - 1}, got {i}")
-        if not 0 <= j < s.m:
-            raise ParameterError(f"shift must be in 0..{s.m - 1}, got {j}")
+        if not 1 <= i <= q - 1:
+            raise ParameterError(f"scale index must be in 1..{q - 1}, got {i}")
+        if not 0 <= j < m:
+            raise ParameterError(f"shift must be in 0..{m - 1}, got {j}")
     return pairs
 
 

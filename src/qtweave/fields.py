@@ -95,9 +95,6 @@ class Field:
     def elements(self):
         return range(self.q)
 
-    def nonzero(self):
-        return range(1, self.q)
-
     def add(self, a: int, b: int) -> int:
         return self.tables.add.item(a, b)
 

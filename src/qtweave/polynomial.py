@@ -13,6 +13,7 @@ reads: its quotient is the linear recurring sequence with h's taps.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, ParameterError
@@ -238,14 +239,33 @@ def _x_pow(e: int, ntail, add, mul) -> list:
     return acc
 
 
-def _primitive_tail(tail, exponents, add, mul, neg) -> bool:
+def _norms(t: int, mul, neg) -> set[int]:
+    """The constant terms h(0) that the norm rule of is_primitive allows at degree t.
+
+    These are (-1)^t times the generators of GF(q)^*, taken as the powers g^j,
+    gcd(j, q - 1) = 1, of the first generator g: O(q) table reads for the
+    usual small g.  mul and neg are the field's tables, as numpy arrays or as
+    their nested lists.
+    """
+    q = len(neg)
+    for g in range(1, q):
+        powers = [1]  # g^0, g^1, ... up to the first 1
+        while (c := int(mul[powers[-1]][g])) != 1:
+            powers.append(c)
+        if len(powers) == q - 1:
+            sign = neg if t % 2 else range(q)
+            return {int(sign[powers[j]]) for j in range(q - 1) if gcd(j, q - 1) == 1}
+    raise AssertionError("no generator of GF(q)^*: the tables are not a field's")
+
+
+def _primitive_tail(tail, norms, exponents, add, mul, neg) -> bool:
     """Whether the monic h = x^t + tail(x) is primitive, on lookup tables.
 
-    tail holds the t low coefficients of h, ascending; exponents is
-    _exponents(q, t); add, mul and neg are the field's tables, as numpy arrays
-    or as their nested lists.
+    tail holds the t low coefficients of h, ascending; norms is _norms(t, mul,
+    neg) and exponents _exponents(q, t); add, mul and neg are the field's
+    tables, as numpy arrays or as their nested lists.
     """
-    if not tail[0]:  # x is not a unit modulo h
+    if tail[0] not in norms:  # h(0) is no generator up to sign (0 included)
         return False
     if len(tail) >= 2:  # a root r in GF(q) gives the factor x - r
         for r in range(1, len(neg)):
@@ -268,15 +288,19 @@ def is_primitive(h: Poly) -> bool:
     distinct units, so they fill all q^t - 1 nonzero residues, every nonzero
     residue is a unit and the quotient is a field.  The test is therefore
     x^N = 1 and x^(N/r) != 1 for every prime r | N, by square-and-multiply
-    modulo h on the field's lookup tables, with two cheap rejections first:
-    a zero constant term (x is then no unit) and, for t >= 2, a root in
-    GF(q).  The tables are indexed as numpy arrays, so one call converts
-    nothing of size q x q.
+    modulo h on the field's lookup tables, with two cheap rejections first.
+    The norm rule: h(0) = (-1)^t a^m for a root a of a primitive h, with m =
+    (q^t - 1)/(q - 1), and a^m has order q - 1 since a has order q^t - 1; so
+    (-1)^t h(0) must generate GF(q)^* (which also rules out h(0) = 0).  Then,
+    for t >= 2, h must have no root in GF(q).  The tables are indexed as numpy
+    arrays, so one call converts nothing of size q x q.
     """
     if not h.is_monic() or h.degree < 1:
         raise ParameterError("primitivity is defined for monic polynomials of degree >= 1")
     add, mul, neg, _ = h.field.tables
-    return _primitive_tail(h.coeffs[:-1], _exponents(h.field.q, h.degree), add, mul, neg)
+    t = h.degree
+    return _primitive_tail(h.coeffs[:-1], _norms(t, mul, neg), _exponents(h.field.q, t),
+                           add, mul, neg)
 
 
 def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]:
@@ -285,9 +309,12 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
     With limit = N >= 1 only the first N are returned.  Each candidate runs
     the test of is_primitive (no separate irreducibility pass) on the field's
     tables, converted to lists once per search together with the exponents
-    N and N / r.  Tails with a zero constant term are never generated.  A
-    search over more than DEFAULT_SEARCH_BOUND candidates (read at call
-    time) raises BudgetExceededError.
+    N and N / r.  Only tails whose constant term c0 passes the norm rule of
+    is_primitive are generated: (-1)^t c0 must generate GF(q)^*, since it is
+    the norm alpha^m of a root alpha of order q^t - 1.  The rule is necessary,
+    so it drops no primitive h and keeps the order.  A search over more than
+    DEFAULT_SEARCH_BOUND candidates (read at call time) raises
+    BudgetExceededError.
     """
     if t < 1:
         raise ParameterError(f"degree must be >= 1, got {t}")
@@ -303,12 +330,12 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
             budget=bound,
         )
     add, mul, neg = (table.tolist() for table in field.tables[:3])
+    norms = _norms(t, mul, neg)
     exponents = _exponents(field.q, t)
     found = []
-    for tail in product(field.nonzero(), *[field.elements()] * (t - 1)):
-        if _primitive_tail(tail, exponents, add, mul, neg):
+    for tail in product(sorted(norms), *[field.elements()] * (t - 1)):
+        if _primitive_tail(tail, norms, exponents, add, mul, neg):
             found.append(Poly(field, tail + (1,)))
             if limit is not None and len(found) >= limit:
                 break
     return found
-

@@ -188,7 +188,7 @@ def naive_is_projective(field, rows) -> bool:
         return False
     return not any(tuple(f.mul(a, v) for v in x) == y
                    for i, x in enumerate(cols) for y in cols[i + 1:]
-                   for a in field.nonzero())
+                   for a in range(1, field.q))
 
 
 def schoolbook_vec_mat(field, u, matrix_rows):

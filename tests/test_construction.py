@@ -127,7 +127,7 @@ def test_cyclic_base_rescales_the_canonical_h(q, t):
             scale = f.mul(scale, c)
         return True
 
-    assert any(rescales_h0(c) for c in field.nonzero())
+    assert any(rescales_h0(c) for c in range(1, q))
     if q == 2:
         assert h == h0
 

@@ -138,7 +138,7 @@ def test_element_order_small_cases(gf2, gf3):
 def test_order_divides_group_order():
     for pe in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4)]:
         f = field_create(*pe)
-        for a in f.nonzero():
+        for a in range(1, f.q):
             assert (f.q - 1) % f.element_order(a) == 0
 
 
@@ -198,7 +198,7 @@ def test_field_axioms_exhaustive(pe):
     assert np.array_equal(add, add.T)
     assert np.array_equal(mul, mul.T)
     assert np.array_equal(mul[x, add[y, z]], add[mul[x, y], mul[x, z]])
-    for v in f.nonzero():
+    for v in range(1, q):
         assert s.mul(v, s.inv(v)) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
@@ -206,7 +206,7 @@ def test_field_axioms_exhaustive(pe):
     t = f.tables
     assert np.array_equal(t.add, add) and np.array_equal(t.mul, mul)
     assert t.neg.tolist() == [s.neg(v) for v in range(q)]
-    assert t.inv.tolist() == [0] + [s.inv(v) for v in f.nonzero()]
+    assert t.inv.tolist() == [0] + [s.inv(v) for v in range(1, q)]
     assert f.tables is t and not any(table.flags.writeable for table in t)
     # the scalar methods read the tables and return Python ints
     a, b = q - 1, q // 2

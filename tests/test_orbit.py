@@ -69,6 +69,17 @@ def test_orbit_path_matches_full_transform_and_oracle(split, data):
     assert_exact(G, W)
 
 
+@pytest.mark.parametrize("p", [2, 3, 17**2])
+def test_orbit_path_over_gf17_matches_full_transform(p):
+    # q (q - 1) = 272 exceeds the uint8 symbols, so the sigma check's flat add
+    # index must be widened before it multiplies; h = x^2 + x + 3 has two taps
+    s = base(17, 2, False)
+    code, G = build_qt_simplex(s) if p == 17**2 else build_two_weight(s, p)
+    W = weight_distribution(G)
+    assert W.method == "orbit"
+    assert_exact(G, W)
+
+
 def test_every_sweep_code_takes_the_orbit_path(sweep):
     # a silent fallback costs the full transform, so it must fail here
     for q, t, p, code, G, W, _ in sweep:

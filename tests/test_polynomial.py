@@ -202,9 +202,12 @@ def test_primitive_implies_irreducible_and_full_order(gf2, gf3):
                 assert order_of_x(h) == field.q**t - 1
 
 
-@pytest.mark.parametrize("q,t", [
+PRIMITIVITY_CASES = [
     (q, t) for q in (2, 3, 4, 5) for t in (1, 2, 3, 4)
-] + [(q, t) for q in (7, 8, 9) for t in (1, 2, 3)] + [(16, 2)])
+] + [(q, t) for q in (7, 8, 9) for t in (1, 2, 3)] + [(16, 2)]
+
+
+@pytest.mark.parametrize("q,t", PRIMITIVITY_CASES)
 def test_primitivity_agrees_with_the_order_of_x(q, t):
     """Every monic h of degree t: is_primitive and find_primitive against order_of_x."""
     field = field_from_order(q)
@@ -212,6 +215,21 @@ def test_primitivity_agrees_with_the_order_of_x(q, t):
     expected = [order_of_x(h) == q**t - 1 for h in candidates]
     assert [is_primitive(h) for h in candidates] == expected
     assert find_primitive(field, t) == [h for h, ok in zip(candidates, expected) if ok]
+
+
+@pytest.mark.parametrize("q,t", PRIMITIVITY_CASES)
+def test_norm_rule_holds_and_admits_every_generator(q, t):
+    """(-1)^t h(0) has order q - 1 for every h of order_of_x q^t - 1, and the
+    search admits exactly the constants (-1)^t g, g a generator of GF(q)^*."""
+    field = field_from_order(q)
+    sign = field.neg if t % 2 else (lambda c: c)
+    primitive = [h for h in (Poly(field, tail + (1,)) for tail in product(range(q), repeat=t))
+                 if order_of_x(h) == q**t - 1]
+    assert primitive and all(field.element_order(sign(h.coeffs[0])) == q - 1 for h in primitive)
+    generators = {g for g in range(1, q) if field.element_order(g) == q - 1}
+    _, mul, neg, _ = field.tables
+    assert polynomial._norms(t, mul, neg) == {sign(g) for g in generators}
+    assert polynomial._norms(t, mul.tolist(), neg.tolist()) == {sign(g) for g in generators}
 
 
 @pytest.mark.parametrize("q,t,coeffs", [
@@ -228,6 +246,7 @@ def test_primitivity_agrees_with_the_order_of_x(q, t):
     (7, 2, (3, 1, 1)),
     (8, 2, (2, 1, 1)),
     (9, 2, (3, 3, 1)),
+    (4, 7, (2, 0, 0, 0, 0, 1, 1, 1)),
 ])
 def test_canonical_h_is_pinned(q, t, coeffs):
     field = field_from_order(q)
@@ -238,6 +257,8 @@ def test_canonical_h_is_pinned(q, t, coeffs):
 @pytest.mark.parametrize("pe,t", [
     ((2, 1), 1), ((2, 1), 3), ((2, 1), 4), ((2, 1), 6),
     ((3, 1), 2), ((3, 1), 3), ((2, 2), 2), ((5, 1), 2), ((7, 1), 2),
+    # the norm rule drops candidates here: q > 2, and the sign (-1)^t matters for odd q
+    ((2, 2), 4), ((3, 2), 2), ((2, 3), 2), ((5, 1), 3),
 ])
 def test_find_primitive_count_matches_totient(pe, t):
     field = field_create(*pe)

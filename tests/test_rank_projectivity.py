@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qtweave import field_create, is_projective
 from conftest import naive_is_projective
 
-FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3))
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 8))  # GF(256): q (q - 1) > 255
 
 
 def generator(field, rows):
