@@ -10,19 +10,16 @@ The blockwise lam-consta-shift sigma maps the word of x^u g to that of
 x^(u+1) g in every block.  When it maps top row u to row u + 1 for u < t - 1
 and row t - 1 to -sum h_u row u, and the bottom group likewise, sigma sends
 the codeword of the message pair (a, b), read as elements of F_q[x]/(h), to
-that of (x a, x b).  sigma only shifts and scales by lam != 0, so it keeps
-weights.  For a primitive h, x generates GF(q^t)^*, so every orbit of a pair
-with a != 0 has q^t - 1 members and meets exactly one pair (1, v).  The
-spectrum is therefore one transform over the rows [top row 0; bottom group]:
-the messages of leading symbol 0 are the pairs (0, v), counted once, and
-those of leading symbol 1 are the pairs (1, v), counted q^t - 1 times.  The
-slices of leading symbol 2..q-1 must repeat the histogram of slice 1, and the
-counts must total q^(2t); the engine checks both.  The three proof
-obligations are thus sigma on the rows (checked here on every call), h
-primitive and the total; if either of the first two fails, the full
-transform runs.  ``simplex_consta`` certifies h.  A cyclic h divides x^m - 1,
-so the order of x divides m < q^t - 1 unless q = 2; only then is
-``is_primitive(h)`` worth running, and it runs on every call.
+that of (x a, x b), and keeps its weight, as it only shifts and scales by
+lam != 0.  By the simplex check (the corollary in the ``construction``
+module docstring), x and the nonzero scalars move each pair with a != 0 to
+exactly one pair (1, v).  The spectrum is therefore one transform over the
+rows [top row 0; bottom group]: the pairs (0, v), counted once, and (1, v),
+counted q^t - 1 times.  The three proof obligations are sigma on the rows,
+checked here on every call (the full transform runs if it fails); the
+simplex check, certified once per base; and the total q^(2t), which the
+engine checks on every call, along with the slices of leading symbol
+2..q-1 repeating the histogram of slice 1.
 """
 
 from __future__ import annotations
@@ -31,9 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .construction import CONSTA_CYCLIC, GeneratorMatrix, QtCodeSpec, TWO_WEIGHT
+from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT
 from .errors import ParameterError, VerificationError
-from .polynomial import is_primitive
 # The engine lives in its own module so that construction can verify simplex
 # codes with it without importing this one; its public names are re-exported.
 from .spectrum import DEFAULT_BUDGET, WeightDistribution, weight_distribution_of_rows
@@ -89,10 +85,9 @@ def _shift_invariant(G: GeneratorMatrix) -> bool:
 
 
 def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> WeightDistribution:
-    """Exact weight counts of G: the orbit reduction when it is proven, else the full transform."""
-    s = G.provenance.simplex
-    if (s.variant == CONSTA_CYCLIC or (s.q == 2 and is_primitive(s.h))) and _shift_invariant(G):
-        q, t = s.q, s.t
+    """Exact weight counts of G: the orbit reduction when sigma holds, else the full transform."""
+    if _shift_invariant(G):
+        q, t = G.field.q, G.provenance.simplex.t
         W = weight_distribution_of_rows(G.field, np.asarray(G.rows)[[0, *range(t, 2 * t)]],
                                         budget=budget,
                                         multiplicity=(1, q**t - 1) + (0,) * (q - 2))
@@ -168,7 +163,7 @@ def decompose_block_count(p: int, t: int, q: int) -> tuple[int, int]:
 def griesmer_report(code: QtCodeSpec, W: WeightDistribution) -> GriesmerReport:
     """Compare the code's length with the Griesmer bound and the predicted gap."""
     t, q = code.simplex.t, code.simplex.q
-    p_eff = code.p if code.variant == TWO_WEIGHT else code.p + 1
+    p_eff = code.block_count
     d = min_distance(W)
     if d != (p_eff - 1) * code.simplex.weight:
         raise VerificationError(

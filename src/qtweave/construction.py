@@ -1,10 +1,10 @@
 """Consta-cyclic simplex codes and the 2-generator quasi-twisted codes built on them.
 
 A simplex code here is the [(q^t-1)/(q-1), t, q^(t-1)]_q equidistant code cut
-out of F_q[x]/(x^m - lam) by the generator polynomial g = (x^m - lam)/h for a
-primitive h of degree t; lam is forced to x^m mod h, which is always a base
-field element of multiplicative order q - 1.  Every nonzero codeword is
-a_i * x^j * g for a nonzero scalar a_i and a shift j.
+out of F_q[x]/(x^m - lam) by the generator polynomial g = (x^m - lam)/h.  h is
+primitive of degree t and lam = x^m mod h has multiplicative order q - 1, or,
+for the cyclic variant, h divides x^m - 1 and lam = 1.  Every nonzero codeword
+is a_i * x^j * g for a nonzero scalar a_i and a shift j.
 
 Two assembled shapes are supported, both of dimension 2t:
 
@@ -31,6 +31,14 @@ the first and second moments of its weights show it has no zero column and
 no two proportional columns.  a x^j g = a' x^j' g with (a, j) != (a', j') would
 give x^d g = c g for some 0 < d < m, so column d of the base would be c^-1
 times column 0; and a x^j g != 0, since x is a unit modulo x^m - lam.
+
+Corollary, the orbit property behind the reduced spectrum of ``analysis``
+(lam = 1 included): as x^m - lam = g h, a x^j g = a' x^j' g exactly when h
+divides a x^j - a' x^j'.  So the q^t - 1 residues c x^j mod h (c in GF(q)^*,
+j < m) are distinct and nonzero, hence all nonzero residues (deg h = t), and
+units, as x is one: h(0) g(0) = -lam != 0.  F_q[x]/(h) is thus a field, and
+<x> x GF(q)^* moves each message pair (a, b) with a != 0 to exactly one pair
+(1, v), keeping its weight: the multiplicities are (1, q^t - 1, 0, ...).
 
 The minor is columns 0..t-1 of block 0 and j_1 + v mod m, v < t, of block 1,
 with j_1 the first selected shift.  It is [[A, *], [0, C]], A and C upper
@@ -175,8 +183,6 @@ def _assemble_simplex(field: Field, t: int, h: Poly, variant: str) -> SimplexSpe
             raise VerificationError(f"cyclic build produced twist constant {lam}, expected 1")
     elif field.element_order(lam) != q - 1:
         raise VerificationError(f"twist constant {lam} does not have order {q - 1}")
-    if g.degree != m - t:
-        raise VerificationError("generator polynomial has the wrong degree")
     s = SimplexSpec(field, t, m, lam, h, g, variant)
     _check_equidistant(s)
     return s
@@ -205,8 +211,7 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
     h_j = c^(j-t) h0_j.  A root a of h0 gives the root a/c of h, and
     (a/c)^m = lam / c^m = lam / c^t = 1 as m = t mod (q - 1): h divides
     x^m - 1, and the code sits inside F_q[x]/(x^m - 1).  For q = 2, h = h0.
-    Passing g bypasses that derivation and uses the supplied generator
-    polynomial directly (it is still fully verified).
+    A supplied g of degree m - t dividing x^m - 1 replaces that derivation.
     """
     q = field.q
     if t <= 1:
@@ -219,8 +224,9 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
     if g is not None:
         if g.field != field:
             raise ParameterError("g belongs to a different field")
-        modulus = Poly.monomial(field, m) - Poly.one(field)
-        h, rem = divmod(modulus, g)
+        if g.degree != m - t:
+            raise ParameterError(f"g = {g} must have degree m - t = {m - t}")
+        h, rem = divmod(Poly.monomial(field, m) - Poly.one(field), g)
         if not rem.is_zero():
             raise ParameterError(f"g = {g} does not divide x^{m} - 1")
         h = h.monic()
@@ -236,8 +242,6 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
             coeffs.append(mul.item(scale, a))
             scale = mul.item(scale, inv.item(c))
         h = Poly(field, coeffs[::-1])
-    if h.degree != t:
-        raise VerificationError(f"defining polynomial has degree {h.degree}, expected {t}")
     return _assemble_simplex(field, t, h, CYCLIC)
 
 

@@ -50,7 +50,7 @@ CONSTRUCT_DIGESTS = {
     "--q 3 --t 2 --p 3 --selection 1:0,2:1":
         "1be2d7855c32ee9cb2c8b457795cd07267a92354f01fe711cc3cb3dd5b3176cb",
     "--cyclic --q 3 --t 3 --p 4":
-        "a49f968eb892793de529304e8ef5a65489c5730dbb7453027b2278f4811c308a",
+        "5ff58c07c13f37182b16b8af41b696ce2fafd8f7eb808a97145d21f6751c9b05",
     "--variant qt-simplex --q 2 --t 2":
         "15599c1c736032bea54367a5bd01ca416dcee155331e3e903f4ac374c91bbbc9",
 }
@@ -169,7 +169,7 @@ def test_analyze_report(capsys):
 
 @pytest.mark.parametrize("argv, method", [
     (["--q", "3", "--t", "3", "--p", "17"], "orbit"),
-    (["--q", "3", "--t", "3", "--p", "4", "--cyclic"], "transform"),
+    (["--q", "3", "--t", "3", "--p", "4", "--cyclic"], "orbit"),
 ], ids=["consta-cyclic", "non-primitive-cyclic"])
 def test_analyze_reports_the_spectrum_method(capsys, argv, method):
     rc, out, _ = run(capsys, "analyze", *argv)
@@ -448,6 +448,15 @@ def test_g_override_implies_cyclic(capsys):
     assert rc == 0
     assert "[26, 6; 9, 18]_3" in out
     assert "simplex base: cyclic [13, 3, 9]_3" in out
+
+
+@pytest.mark.parametrize("g", ["0", "1", "2,1"])
+def test_g_of_the_wrong_degree_is_a_usage_error(capsys, g):
+    # rejected before any division: g = 0 would divide by zero
+    rc, out, err = run(capsys, "construct", "--q", "3", "--t", "3", "--p", "2", "--g", g)
+    assert rc == 2 and out == ""
+    [line] = err.splitlines()  # one error line, no traceback
+    assert line.startswith("error: g = ") and line.endswith("must have degree m - t = 10")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

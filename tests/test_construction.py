@@ -137,8 +137,11 @@ def test_cyclic_generator_override(gf3):
     s = simplex_cyclic(gf3, 3, g=ref_g)
     assert s.g == ref_g
     assert s.params() == (13, 3, 9)
-    with pytest.raises(ParameterError):
-        simplex_cyclic(gf3, 3, g=Poly(gf3, (1, 1)))  # does not divide x^13 - 1
+    # the degree is checked before dividing, so g = 0 raises no ZeroDivisionError
+    for g, match in [(Poly.zero(gf3), "degree"), (Poly(gf3, (1, 1)), "degree"),
+                     (Poly.monomial(gf3, 10), "does not divide x\\^13 - 1")]:
+        with pytest.raises(ParameterError, match=match):
+            simplex_cyclic(gf3, 3, g=g)
 
 
 def codeword(s, i, j):

@@ -1,11 +1,12 @@
 """The orbit-reduced spectrum against two independent exact methods, and its refusals.
 
 ``analysis.weight_distribution`` runs one transform over t + 1 rows when the
-consta-shift check holds and h is primitive.  Every case here is compared
-with the full transform over all q^k messages and, while q^k <= 256, with the
-scalar oracle of ``conftest``.  A generator that breaks the shift relation,
-has the wrong shape or sits on a non-primitive h must take the full transform
-and still give the oracle's counts.
+consta-shift check holds; the simplex check of the construction proves the
+orbit counts for every base, consta-cyclic or cyclic (lam = 1, where h is
+not primitive once q > 2).  Every case here is compared with the full
+transform over all q^k messages and, while q^k <= 256, with the scalar oracle
+of ``conftest``.  A generator that breaks the shift relation or has the wrong
+shape must take the full transform and still give the oracle's counts.
 """
 
 import random
@@ -16,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import (BudgetExceededError, GeneratorMatrix, build_qt_simplex, build_two_weight,
-                     expected_counts, field_from_order, simplex_consta, simplex_cyclic, spectrum,
-                     weight_distribution, weight_distribution_of_rows)
+from qtweave import (BudgetExceededError, GeneratorMatrix, Poly, build_qt_simplex,
+                     build_two_weight, expected_counts, field_from_order, simplex_consta,
+                     simplex_cyclic, spectrum, weight_distribution, weight_distribution_of_rows)
 from conftest import SWEEP_CONFIGS, consta_shift, naive_weight_counts
 
 ORACLE_MESSAGES = 256
-CYCLIC_BINARY = ((2, 2), (2, 3), (2, 4))  # q = 2: the cyclic h is primitive
+# (q, t) of the cyclic bases drawn; h is primitive for q = 2 only
+CYCLIC = ((2, 2), (2, 3), (2, 4), (3, 3), (4, 2), (5, 3), (8, 2))
 
 
 @cache
@@ -33,9 +35,9 @@ def base(q, t, cyclic):
 
 @st.composite
 def qt_codes(draw):
-    """A code of the sweep families or of a binary cyclic base, with a random selection."""
+    """A code of the sweep families or of a cyclic base, with a random selection."""
     q, t, cyclic = draw(st.sampled_from([(q, t, False) for q, t in SWEEP_CONFIGS]
-                                        + [(q, t, True) for q, t in CYCLIC_BINARY]))
+                                        + [(q, t, True) for q, t in CYCLIC]))
     s = base(q, t, cyclic)
     if draw(st.integers(0, 5)) == 0:
         return build_qt_simplex(s)
@@ -65,7 +67,7 @@ def test_orbit_path_matches_full_transform_and_oracle(split, data):
             # of min(t + 1, t + 3 - j) of them, and j <= 2 splits down to single messages
             mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, t + 2)))
         W = weight_distribution(G)
-    assert W.method == "orbit"  # consta-cyclic, or cyclic with q = 2
+    assert W.method == "orbit"  # consta-cyclic or cyclic, whatever q
     assert_exact(G, W)
 
 
@@ -88,10 +90,12 @@ def test_every_sweep_code_takes_the_orbit_path(sweep):
             expected_counts(code))
 
 
-@pytest.mark.parametrize("q, t, p", [(8, 4, 2), (2, 14, 3)])
-def test_heavy_points_take_the_orbit_path(q, t, p):
+@pytest.mark.parametrize("q, t, p, cyclic", [
+    (8, 4, 2, False), (2, 14, 3, False), (8, 4, 2, True),
+], ids=["8-4-2", "2-14-3", "cyclic-8-4-2"])
+def test_heavy_points_take_the_orbit_path(q, t, p, cyclic):
     # beyond the default budget's practical reach for the full transform
-    code, G = build_two_weight(base(q, t, False), p)
+    code, G = build_two_weight(base(q, t, cyclic), p)
     W = weight_distribution(G, budget=q ** (2 * t))
     assert W.method == "orbit" and W.total() == q ** (2 * t)
     assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == expected_counts(code)
@@ -153,13 +157,20 @@ def test_shift_check_refuses_an_extra_column_without_raising():
     assert W.counts == naive_weight_counts(H.field, H.rows)
 
 
-def test_non_primitive_cyclic_base_takes_the_full_transform():
-    # q = 3, t = 3: the cyclic h = x^3 + x^2 + 2 is irreducible, but x has order 13 modulo it
-    for p in (2, 4):
-        _, G = build_two_weight(base(3, 3, True), p)
-        W = weight_distribution(G)
-        assert W.method == "transform"
-        assert W.counts == naive_weight_counts(G.field, G.rows)
+def test_non_primitive_cyclic_bases_take_the_orbit_path():
+    # q = 3, t = 3: the cyclic h = x^3 + x^2 + 2 is irreducible, but x has order 13
+    # modulo it; x and the scalars -1, 1 still give all 26 units.  The reversed g
+    # divides x^13 - 1 too, and gives a supplied base over the reciprocal h.
+    derived = base(3, 3, True)
+    supplied = simplex_cyclic(derived.field, 3, g=Poly(derived.field, derived.g.coeffs[::-1]))
+    assert supplied.h != derived.h
+    for s in (derived, supplied):
+        for p in (2, 4):
+            _, G = build_two_weight(s, p)
+            W = weight_distribution(G)
+            assert W.method == "orbit"
+            assert_exact(G, W)
+            assert W.counts == naive_weight_counts(G.field, G.rows)
 
 
 def test_orbit_path_keeps_the_budget_in_messages():

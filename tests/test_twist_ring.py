@@ -182,5 +182,8 @@ def test_distinct_pairs_give_distinct_nonzero_blocks(q, t, variant, index):
     blocks = {residue(Poly(f, (a,)) * Poly.monomial(f, j) * s.g, m, s.lam)
               for a in range(1, q) for j in range(m)}
     assert len(blocks) == (q - 1) * m and (0,) * m not in blocks
+    # the corollary behind the orbit spectrum: the c x^j mod h are every nonzero residue
+    residues = {Poly(f, (a,)) * Poly.monomial(f, j) % s.h for a in range(1, q) for j in range(m)}
+    assert len(residues) == q**t - 1 and Poly.zero(f) not in residues
     shifts = [residue(Poly.monomial(f, u) * s.g, m, s.lam) for u in range(t)]
     assert naive_is_projective(f, shifts)
