@@ -11,7 +11,6 @@ from .analysis import (
     gap_fn,
     griesmer_length,
     griesmer_report,
-    is_projective,
     mean_weight_identity_holds,
     min_distance,
     verify_two_weight,
@@ -26,6 +25,7 @@ from .construction import (
     build_two_weight,
     default_selection,
     full_block_matrix,
+    is_projective,
     simplex_consta,
     simplex_cyclic,
 )

@@ -22,15 +22,21 @@ giving the zero block.  A row group is a list of (a, e) blocks, its row u adds
 u to every e, and all rows of both groups are one gather from that view.
 
 Each invariant is computed once, and a failure raises VerificationError: one
-division x^m = g h + lam gives g and lam, the exact spectrum of the t shifts of
-g equidistance, and a triangular 2t x 2t minor rank 2t.
+division x^m = g h + lam gives g and lam, the columns of the t shifts of g
+equidistance, and a triangular 2t x 2t minor rank 2t.
 
-Distinct in-range pairs give distinct nonzero blocks without a check.  The
-base is an [m, t] code whose q^t - 1 nonzero words all have weight q^(t-1);
-the first and second moments of its weights show it has no zero column and
-no two proportional columns.  a x^j g = a' x^j' g with (a, j) != (a', j') would
-give x^d g = c g for some 0 < d < m, so column d of the base would be c^-1
-times column 0; and a x^j g != 0, since x is a unit modulo x^m - lam.
+The simplex check is the test of ``is_projective`` on the t x m matrix of the
+shifts x^u g, u < t.  Nonzero, pairwise non-proportional, its m columns are
+all m = (q^t - 1)/(q - 1) points of PG(t - 1, q), each once; a nonzero
+message is orthogonal to the (q^(t-1) - 1)/(q - 1) of them in its
+hyperplane, so its word has weight q^(t-1).  Conversely the columns of an
+equidistant [m, t, q^(t-1)] code are these points (MacWilliams & Sloane,
+ch. 1).
+
+Distinct in-range pairs give distinct nonzero blocks without a check.
+a x^j g = a' x^j' g with (a, j) != (a', j') would give x^d g = c g for some
+0 < d < m, so column d of the base would be c^-1 times column 0; and
+a x^j g != 0, since x is a unit modulo x^m - lam.
 
 Corollary, the orbit property behind the reduced spectrum of ``analysis``
 (lam = 1 included): as x^m - lam = g h, a x^j g = a' x^j' g exactly when h
@@ -60,7 +66,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError, VerificationError
 from .fields import Field
 from .polynomial import Poly, find_primitive, is_primitive
-from .spectrum import weight_distribution_of_rows
 
 CONSTA_CYCLIC = "consta-cyclic"
 CYCLIC = "cyclic"
@@ -159,15 +164,34 @@ def _words(s: SimplexSpec, scales, shifts) -> np.ndarray:
     return _windows(s, used)[np.searchsorted(used, scales), 2 * s.m - np.asarray(shifts)]
 
 
+def _distinct_points(field: Field, cols: np.ndarray) -> bool:
+    """No zero column and no two proportional columns in the (k, n) array: each
+    column is scaled by the inverse of its first nonzero entry, then sorted."""
+    _, mul, _, inv = field.tables
+    nonzero = cols != 0
+    if not nonzero.any(axis=0).all():
+        return False
+    n = cols.shape[1]
+    # flat gathers: np.take on the flat arrays is faster than 2-D fancy indexing
+    first = np.take(cols, nonzero.argmax(axis=0) * n + np.arange(n))  # cols[argmax, arange]
+    row = np.take(inv, first).astype(np.intp) * field.q  # where row inv[first] starts
+    canon = np.take(mul, row + cols)  # mul[inv[first], cols]
+    canon = np.take(canon, np.lexsort(canon), axis=1)  # C order keeps the column test fast
+    return not (canon[:, 1:] == canon[:, :-1]).all(axis=0).any()
+
+
+def is_projective(G: GeneratorMatrix) -> bool:
+    """True iff no column of G is zero and no two columns are scalar multiples."""
+    return _distinct_points(G.field, G.rows)
+
+
 def _check_equidistant(s: SimplexSpec) -> None:
-    """The t shifts of g span q^t distinct words, each nonzero one of weight q^(t-1)."""
-    rows = _words(s, [1] * s.t, range(s.t))
-    counts = weight_distribution_of_rows(s.field, rows).counts
-    expected = {0: 1, s.weight: s.q**s.t - 1}
-    if counts != expected:
+    """The t shifts of g span the simplex code: their columns are the points of PG(t - 1, q)."""
+    points = (s.q**s.t - 1) // (s.q - 1)
+    if s.m != points or not _distinct_points(s.field, _words(s, [1] * s.t, range(s.t))):
         raise VerificationError(
-            f"simplex code is degenerate or not equidistant: weight counts {counts}, "
-            f"expected {expected}"
+            f"simplex code is degenerate or not equidistant: the columns of the {s.t} "
+            f"shifts of g are not the {points} points of PG({s.t - 1}, {s.q})"
         )
 
 

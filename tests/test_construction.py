@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -20,6 +21,7 @@ from qtweave import (
     full_block_matrix,
     simplex_consta,
     simplex_cyclic,
+    weight_distribution_of_rows,
 )
 from qtweave.construction import CYCLIC, _check_equidistant, _words
 from conftest import (SWEEP_CONFIGS, consta_shift, is_irreducible, naive_rank,
@@ -323,6 +325,67 @@ def test_equidistance_check_rejects_non_simplex_spans(gf3):
         _check_equidistant(SimplexSpec(gf3, 2, 4, 1, h, g, CYCLIC))
     with pytest.raises(VerificationError):  # x^2 g = -g: three shifts span only 9 words
         _check_equidistant(SimplexSpec(gf3, 3, 4, 1, h, g, CYCLIC))
+
+
+# small (q, t) for the differential test of the simplex check
+EQUIDISTANCE_CONFIGS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (9, 2))
+
+
+@st.composite
+def simplex_spans(draw):
+    """A SimplexSpec of consistent (q, t, m) with an arbitrary g and lam in {1, a generator}.
+
+    g is the quotient of x^m - lam by a primitive h, by a monic h of degree
+    t - 1, t or t + 1 (dividing or not), or m - 1 or fewer random coefficients.
+    The check does not read h, so h is x^t throughout.
+    """
+    q, t = draw(st.sampled_from(EQUIDISTANCE_CONFIGS))
+    field = field_from_order(q)
+    m = (q**t - 1) // (q - 1)
+    generator = next(a for a in range(1, q) if field.element_order(a) == q - 1)
+    lam = draw(st.sampled_from([1, generator]))
+    symbol = st.integers(0, q - 1)
+    kind = draw(st.sampled_from(["primitive", "monic", "random"]))
+    if kind == "random":
+        g = Poly(field, draw(st.lists(symbol, max_size=m)))
+    else:
+        if kind == "primitive":
+            h = draw(st.sampled_from(find_primitive(field, t)))
+        else:
+            h = Poly(field, draw(st.lists(symbol, min_size=t - 1, max_size=t + 1)) + [1])
+        g = (Poly.monomial(field, m) - Poly(field, (lam,))) // h
+    return SimplexSpec(field, t, m, lam, Poly.monomial(field, t), g, CYCLIC)
+
+
+@settings(deadline=None, max_examples=300)
+@given(simplex_spans())
+def test_equidistance_check_agrees_with_the_spectrum(s):
+    # the check sorts the columns of the t shifts of g; the engine counts their weights
+    rows = _words(s, [1] * s.t, range(s.t))
+    counts = weight_distribution_of_rows(s.field, rows).counts
+    equidistant = counts == {0: 1, s.weight: s.q**s.t - 1}
+    try:
+        _check_equidistant(s)
+    except VerificationError:
+        assert not equidistant, counts
+    else:
+        assert equidistant, counts
+
+
+@pytest.mark.parametrize("q, cyclic", [(256, False), (1024, False), (256, True)],
+                         ids=["consta-256", "consta-1024", "cyclic-256"])
+def test_large_field_bases_pass_the_simplex_check(q, cyclic):
+    field = field_from_order(q)
+    s = simplex_cyclic(field, 2) if cyclic else simplex_consta(field, 2)
+    assert s.params() == (q + 1, 2, q)
+    _check_equidistant(s)
+
+
+def test_large_field_simplex_check_rejects_a_perturbed_g():
+    s = simplex_consta(field_from_order(256), 2)
+    g = Poly(s.field, (s.field.add(s.g.coeffs[0], 1), *s.g.coeffs[1:]))
+    with pytest.raises(VerificationError, match="not equidistant"):
+        _check_equidistant(replace(s, g=g))
 
 
 def test_qt_simplex_shape(gf2, s_ternary):

@@ -10,6 +10,7 @@ shape must take the full transform and still give the oracle's counts.
 """
 
 import random
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import (BudgetExceededError, GeneratorMatrix, Poly, build_qt_simplex,
+from qtweave import (BudgetExceededError, GeneratorMatrix, Poly, analysis, build_qt_simplex,
                      build_two_weight, expected_counts, field_from_order, simplex_consta,
-                     simplex_cyclic, spectrum, weight_distribution, weight_distribution_of_rows)
+                     simplex_cyclic, weight_distribution, weight_distribution_of_rows)
 from conftest import SWEEP_CONFIGS, consta_shift, naive_weight_counts
 
 ORACLE_MESSAGES = 256
@@ -65,7 +66,7 @@ def test_orbit_path_matches_full_transform_and_oracle(split, data):
         if split:
             # the orbit transform has t + 1 rows; chunks of q^j cells fix a prefix
             # of min(t + 1, t + 3 - j) of them, and j <= 2 splits down to single messages
-            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, t + 2)))
+            mp.setattr(analysis, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, t + 2)))
         W = weight_distribution(G)
     assert W.method == "orbit"  # consta-cyclic or cyclic, whatever q
     assert_exact(G, W)
@@ -156,6 +157,16 @@ def test_shift_check_refuses_an_extra_column_without_raising():
     assert W.method == "transform"
     assert W.counts == naive_weight_counts(H.field, H.rows)
 
+
+@pytest.mark.parametrize("h", ["x^t", "zero"])
+def test_shift_check_refuses_an_h_without_low_terms_without_raising(h):
+    # a hand-made base whose h is x^t or 0 gives sigma no relation to check
+    s = base(3, 2, False)
+    poly = Poly.monomial(s.field, 2) if h == "x^t" else Poly.zero(s.field)
+    _, G = build_two_weight(replace(s, h=poly), 3)
+    W = weight_distribution(G)
+    assert W.method == "transform"
+    assert W.counts == naive_weight_counts(G.field, G.rows)
 
 def test_non_primitive_cyclic_bases_take_the_orbit_path():
     # q = 3, t = 3: the cyclic h = x^3 + x^2 + 2 is irreducible, but x has order 13

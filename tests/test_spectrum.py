@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import (BudgetExceededError, ParameterError, build_two_weight, field_create,
-                     field_from_order, simplex_consta, spectrum, weight_distribution_of_rows)
+from qtweave import (BudgetExceededError, ParameterError, analysis, build_two_weight,
+                     field_create, field_from_order, simplex_consta,
+                     weight_distribution_of_rows)
 from conftest import naive_weight_counts
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4))
@@ -44,7 +45,7 @@ def test_engine_matches_naive_oracle(split, data):
             # chunks of q^j cells fix a message prefix of min(k, k + 2 - j)
             # coordinates; j <= 2 splits the message space down to single messages
             j = data.draw(st.integers(1, k + 1))
-            mp.setattr(spectrum, "_CHUNK_ENTRIES", field.q**j)
+            mp.setattr(analysis, "_CHUNK_ENTRIES", field.q**j)
         W = weight_distribution_of_rows(field, rows)
     assert W.counts == naive_weight_counts(field, rows)
     assert (W.n, W.k, W.q, W.total()) == (len(rows[0]), k, field.q, field.q**k)
@@ -71,7 +72,7 @@ def test_chunked_call_peak_memory_follows_the_chunk_size(monkeypatch, j):
     field = field_from_order(8)
     rows = np.random.default_rng(j).integers(0, 8, size=(6, 200), dtype=np.uint8)
     expected = weight_distribution_of_rows(field, rows).counts
-    monkeypatch.setattr(spectrum, "_CHUNK_ENTRIES", 8**j)
+    monkeypatch.setattr(analysis, "_CHUNK_ENTRIES", 8**j)
     tracemalloc.start()
     try:
         W = weight_distribution_of_rows(field, rows)
@@ -120,7 +121,7 @@ def test_leading_symbol_multiplicities_match_naive_oracle(split, data):
     q, k = field.q, len(rows)
     with pytest.MonkeyPatch.context() as mp:
         if split:
-            mp.setattr(spectrum, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, k + 1)))
+            mp.setattr(analysis, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, k + 1)))
         W = weight_distribution_of_rows(field, rows, multiplicity=(1, q - 1) + (0,) * (q - 2))
         W0 = weight_distribution_of_rows(field, rows, multiplicity=(q,) + (0,) * (q - 1))
     assert W.counts == naive_weight_counts(field, rows)
@@ -151,13 +152,13 @@ def test_multiplicities_count_against_the_budget(gf3):
 
 def test_unequal_leading_symbol_histograms_are_caught(monkeypatch, gf3):
     # a transform that mixes up one message of slice 2 must not go unnoticed
-    original = spectrum._zero_counts
+    original = analysis._zero_counts
 
     def corrupt(*args):
         zeros = original(*args).copy()
         zeros[-1] += 1
         return zeros
 
-    monkeypatch.setattr(spectrum, "_zero_counts", corrupt)
+    monkeypatch.setattr(analysis, "_zero_counts", corrupt)
     with pytest.raises(AssertionError, match="leading symbols"):
         weight_distribution_of_rows(gf3, [(1, 2, 0), (0, 1, 1)], multiplicity=(1, 2, 0))

@@ -102,7 +102,7 @@ def attributes_read_outside_own_def(source: str) -> set[str]:
     ("from . import construction\nconstruction._rank(1)", ["construction._rank"]),
     ("from . import construction as c\nc._rank(1)", ["construction._rank"]),
     ("from .construction import _rank, build_two_weight", ["construction._rank"]),
-    ("from qtweave.spectrum import _CHUNK_ENTRIES", ["spectrum._CHUNK_ENTRIES"]),
+    ("from qtweave.analysis import _CHUNK_ENTRIES", ["analysis._CHUNK_ENTRIES"]),
     ("import qtweave.cli as cli\ncli._load_fixture('x')", ["cli._load_fixture"]),
     ("from . import construction\nconstruction.build_two_weight(s, 2)", []),
     ("def f(self):\n    return self._cache", []),
