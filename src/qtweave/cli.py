@@ -11,16 +11,20 @@ also needs the 2m x n symbols of the full block form to fit in it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from importlib import resources
+
+import numpy as np
 
 from . import analysis, construction, fields
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .polynomial import Poly, find_primitive
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGIT_BYTES = np.frombuffer(_DIGITS.encode(), np.uint8)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -90,7 +94,13 @@ def _require_digits(q: int) -> None:
 
 def _digit_string(word, q: int) -> str:
     _require_digits(q)
-    return "".join(_DIGITS[c] for c in word.tolist())
+    return _DIGIT_BYTES[word].tobytes().decode("ascii")
+
+
+def _row_lines(rows, q: int) -> list[str]:
+    """One line per row: its symbols as decimal integers, space-separated."""
+    labels = [str(v) for v in range(q)]
+    return [" ".join(map(labels.__getitem__, row.tolist())) for row in rows]
 
 
 def _field_and_budget(args):
@@ -186,13 +196,10 @@ def _cmd_construct(args) -> int:
     W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, G, W, sys.stdout)
     if args.matrix:
-        print("generator matrix (reduced):")
-        for row in G.rows:
-            print(" ".join(str(c) for c in row.tolist()))
+        print("generator matrix (reduced):", *_row_lines(G.rows, field.q), sep="\n")
     if args.block_matrix:
-        print("generator matrix (full block form):")
-        for row in construction.full_block_matrix(code):
-            print(" ".join(str(c) for c in row.tolist()))
+        rows = construction.full_block_matrix(code)
+        print("generator matrix (full block form):", *_row_lines(rows, field.q), sep="\n")
     return EXIT_OK
 
 
@@ -330,6 +337,10 @@ def _cmd_search_primitive(args) -> int:
     return EXIT_OK
 
 
+_JSON_KEYS = frozenset("q_characteristic q_degree field_modulus t simplex_variant p lambda h g "
+                       "selection variant generator_rows weight_counts".split())
+
+
 def _export_payload(code, G, W) -> dict:
     s = code.simplex
     return {
@@ -351,15 +362,19 @@ def _export_payload(code, G, W) -> dict:
 
 def _write_text_export(path, code, G):
     s = code.simplex
-    lines = [f"{code.n} {code.k} {s.q} {s.t} {code.p} {s.lam}"]
-    lines += [" ".join(str(c) for c in row.tolist()) for row in G.rows]
+    lines = [f"{code.n} {code.k} {s.q} {s.t} {code.p} {s.lam}", *_row_lines(G.rows, s.q)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _roundtrip_json(path, W, budget) -> bool:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError:  # empty, undecodable or not JSON
+        return False
+    if not isinstance(data, dict) or data.keys() != _JSON_KEYS:
+        return False
     field = fields.field_create(data["q_characteristic"], data["q_degree"])
     if (list(field.modulus) if field.modulus else None) != data["field_modulus"]:
         raise VerificationError("re-imported field modulus does not match the canonical one")
@@ -385,11 +400,18 @@ def _roundtrip_json(path, W, budget) -> bool:
 
 
 def _roundtrip_text(path, field, W, budget) -> bool:
-    with open(path) as fh:
-        header, *row_lines = [line for line in fh.read().splitlines() if line]
-    n, k, q, _t, _p, _lam = (int(v) for v in header.split())
-    rows = [tuple(int(tok) for tok in line.split()) for line in row_lines]
-    if len(rows) != k or any(len(r) != n for r in rows) or q != field.q:
+    """Re-import a header of six integers, then exactly k rows of n integers."""
+    try:
+        with open(path) as fh:
+            header, _, body = fh.read().lstrip().partition("\n")
+        n, k, q, _t, _p, _lam = map(int, header.split())
+        if q != field.q or not body.strip():  # loadtxt would only warn on an empty body
+            return False
+        # comments=None: a '#' token is not an integer, so it fails the parse
+        rows = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:  # undecodable text, a malformed header, a non-integer or ragged row
+        return False
+    if rows.shape != (k, n):
         return False
     W2 = analysis.weight_distribution_of_rows(field, rows, budget=budget)
     return W2.counts == W.counts
@@ -421,7 +443,9 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtweave",
         description="Construct and verify 2-generator quasi-twisted two-weight codes.",

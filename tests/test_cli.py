@@ -1,9 +1,10 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
-from qtweave import analysis, construction, fields
+from qtweave import analysis, cli, construction, fields
 from qtweave.cli import main
 
 
@@ -70,6 +71,115 @@ def test_export_text_is_byte_identical(tmp_path, capsys):
     assert rc == 0 and "round trip: ok" in out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "6abca0c13c740414a2d931d83cade70353cfb6e2a2a37f18a4eaa696260455db")
+
+
+# SHA-256 of export files at q=16, frozen from the output of per-symbol writers:
+# digits a-f in the JSON rows and two-digit decimals in the text rows
+EXPORT_DIGESTS = {
+    "json": "e8d2a7680267ae409b9c81dd45ef3f262a80cd61cfe8441cb73a68081042ee1a",
+    "text": "1cf9f9eeaa8dd54f34f8df2cc605738154f9f4c5f519b25543db8462f9ae1cd1",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXPORT_DIGESTS))
+def test_export_q16_is_byte_identical(tmp_path, capsys, fmt):
+    path = tmp_path / f"gf16.{fmt}"
+    rc, out, _ = run(capsys, "export", "--q", "16", "--t", "2", "--p", "3",
+                     "--format", fmt, "--output", str(path), "--roundtrip")
+    assert rc == 0 and "round trip: ok" in out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_export_roundtrip_of_an_unreadable_file_is_a_mismatch(capsys, fmt):
+    # /dev/null takes the export and reads back empty
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3",
+                       "--format", fmt, "--output", "/dev/null", "--roundtrip")
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
+def _first_row(edit):
+    return lambda lines: [lines[0], edit(lines[1]), *lines[2:]]
+
+
+# each edit of the lines of a q=3 export (a header, then k = 4 rows of n = 12)
+# leaves a file that does not read back
+TEXT_EDITS = {
+    "token too many": _first_row(lambda row: row + " 0"),
+    "token too few": _first_row(lambda row: row.rsplit(" ", 1)[0]),
+    "float token": _first_row(lambda row: "1.0" + row[1:]),
+    "letter token": _first_row(lambda row: "x" + row[1:]),
+    "comment line": lambda lines: [*lines, "# exported by qtweave"],
+    "trailing comment": _first_row(lambda row: row + " # first row"),
+    "extra row": lambda lines: [*lines, lines[-1]],
+    "missing row": lambda lines: lines[:-1],
+    "empty body": lambda lines: lines[:1],
+    "malformed header": lambda lines: ["12 4 3", *lines[1:]],
+    "header n off by one": lambda lines: ["13 4" + lines[0][4:], *lines[1:]],
+    "header k off by one": lambda lines: ["12 5" + lines[0][4:], *lines[1:]],
+    "empty file": lambda lines: [],
+}
+
+
+def _export_edited_text(tmp_path, capsys, monkeypatch, edit):
+    write = cli._write_text_export
+
+    def write_then_edit(path, code, G):
+        write(path, code, G)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in edit(lines)))
+
+    monkeypatch.setattr(cli, "_write_text_export", write_then_edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+        return run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "text",
+                   "--output", str(tmp_path / "code.txt"), "--roundtrip")
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_EDITS))
+def test_text_reimport_is_strict(tmp_path, capsys, monkeypatch, name):
+    rc, out, err = _export_edited_text(tmp_path, capsys, monkeypatch, TEXT_EDITS[name])
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
+def test_text_reimport_accepts_extra_whitespace(tmp_path, capsys, monkeypatch):
+    def spread(lines):  # a blank line first, tabs between and spaces after the tokens
+        return ["", *("  \t".join(line.split()) + " " for line in lines), ""]
+
+    rc, out, _ = _export_edited_text(tmp_path, capsys, monkeypatch, spread)
+    assert rc == 0 and "round trip: ok" in out
+
+
+def test_text_reimport_of_a_symbol_out_of_range_is_invalid_input(tmp_path, capsys, monkeypatch):
+    rc, out, err = _export_edited_text(tmp_path, capsys, monkeypatch,
+                                        _first_row(lambda row: "3" + row[1:]))
+    assert rc == 2
+    assert "round trip" not in out
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("payload", [{}, [], {"generator_rows": []}], ids=["empty", "list", "partial"])
+def test_json_reimport_of_a_malformed_payload_is_a_mismatch(tmp_path, capsys, monkeypatch, payload):
+    monkeypatch.setattr(cli, "_export_payload", lambda code, G, W: payload)
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
+                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    rc, out, _ = run(capsys, "construct", "--q", "3", "--t", "2", "--p", "2", "--matrix")
+    assert rc == 0 and "generator matrix (reduced):" in out
+    rc, out, _ = run(capsys, "construct", "--q", "3", "--t", "2", "--p", "2")
+    assert rc == 0 and "generator matrix" not in out
 
 
 @pytest.mark.parametrize("pair, message", [
