@@ -45,13 +45,8 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _poly_from_user(field: fields.Field, ints) -> Poly:
-    coeffs = []
-    for v in ints:
-        if v < 0:
-            coeffs.append(field.neg(field.check(-v)))
-        else:
-            coeffs.append(field.check(v))
-    return Poly(field, coeffs)
+    neg = field.tables.neg
+    return Poly(field, [neg.item(field.check(-v)) if v < 0 else field.check(v) for v in ints])
 
 
 def _parse_selection(text: str):
@@ -367,13 +362,28 @@ def _write_text_export(path, code, G):
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_types_ok(data: dict) -> bool:
+    """The exported types: plain ints (bool is not one), int lists, int pairs and strings."""
+    def ints(v):
+        return isinstance(v, list) and all(type(c) is int for c in v)
+
+    scalars = ("q_characteristic", "q_degree", "t", "p", "lambda")
+    return (all(type(data[key]) is int for key in scalars)
+            and (data["field_modulus"] is None or ints(data["field_modulus"]))
+            and ints(data["h"]) and ints(data["g"])
+            and isinstance(data["selection"], list)
+            and all(ints(pair) and len(pair) == 2 for pair in data["selection"])
+            and isinstance(data["generator_rows"], list)
+            and all(isinstance(row, str) for row in data["generator_rows"]))
+
+
 def _roundtrip_json(path, W, budget) -> bool:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except ValueError:  # empty, undecodable or not JSON
         return False
-    if not isinstance(data, dict) or data.keys() != _JSON_KEYS:
+    if not isinstance(data, dict) or data.keys() != _JSON_KEYS or not _json_types_ok(data):
         return False
     field = fields.field_create(data["q_characteristic"], data["q_degree"])
     if (list(field.modulus) if field.modulus else None) != data["field_modulus"]:

@@ -245,18 +245,18 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
             f"no cyclic simplex code for q = {q}, t = {t}: gcd(t, q - 1) = {gcd(t, q - 1)} != 1"
         )
     m = (q**t - 1) // (q - 1)
+    _, mul, neg, inv = field.tables
     if g is not None:
         if g.field != field:
             raise ParameterError("g belongs to a different field")
         if g.degree != m - t:
             raise ParameterError(f"g = {g} must have degree m - t = {m - t}")
-        h, rem = divmod(Poly.monomial(field, m) - Poly.one(field), g)
+        h, rem = divmod(Poly(field, (neg.item(1),) + (0,) * (m - 1) + (1,)), g)  # x^m - 1
         if not rem.is_zero():
             raise ParameterError(f"g = {g} does not divide x^{m} - 1")
-        h = h.monic()
+        h = Poly(field, mul[inv[h.lc], h.coeffs].tolist())  # h / lc, monic
     else:
         h0 = find_primitive(field, t, limit=1)[0]
-        _, mul, neg, inv = field.tables
         lam = neg.item(h0.coeffs[0]) if t % 2 else h0.coeffs[0]
         c = 1
         for _ in range(pow(t, -1, q - 1)):  # c = lam^(1/t mod (q - 1)), so c^t = lam

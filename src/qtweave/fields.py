@@ -6,12 +6,11 @@ vector of the element's polynomial representation, least significant digit
 first: value = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 
 All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
-built vectorised on first use and shared by all callers; the scalar methods
-add, neg, mul and inv are single reads of them.  The defining modulus is the
-canonical one: the first monic primitive polynomial of degree e over GF(p)
-that find_primitive returns, coefficients compared low degree first.  That
-makes the arithmetic reproducible across runs without a hard-coded
-polynomial table.
+built vectorised on first use and shared by all callers; a Field has no other
+arithmetic interface.  The defining modulus is the canonical one: the first
+monic primitive polynomial of degree e over GF(p) that find_primitive
+returns, coefficients compared low degree first.  That makes the arithmetic
+reproducible across runs without a hard-coded polynomial table.
 """
 
 from __future__ import annotations
@@ -95,27 +94,14 @@ class Field:
     def elements(self):
         return range(self.q)
 
-    def add(self, a: int, b: int) -> int:
-        return self.tables.add.item(a, b)
-
-    def neg(self, a: int) -> int:
-        return self.tables.neg.item(a)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.tables.mul.item(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero")
-        return self.tables.inv.item(a)
-
     def element_order(self, a: int) -> int:
         """Smallest k >= 1 with a^k = 1; divides q - 1."""
         if a == 0:
             raise ParameterError("the zero element has no multiplicative order")
+        row = self.tables.mul[a].tolist()  # row[b] = a b
         acc, k = a, 1
         while acc != 1:
-            acc = self.mul(acc, a)
+            acc = row[acc]
             k += 1
             if k > self.q:  # cannot happen in a field; guards a broken table
                 raise AssertionError("order search did not terminate")

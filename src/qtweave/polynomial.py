@@ -4,10 +4,11 @@ Coefficients are stored in ascending degree order (least significant
 coefficient on the left) as canonical field encodings.  Polynomials are
 normalized: the highest stored coefficient is nonzero, and the zero
 polynomial stores no coefficients at all (its degree is the sentinel -1).
-Division and x^n mod h read the field's lookup tables directly.  Long
-division is a loop over Python ints that touches only the divisor's nonzero
-taps below its lead, so x^m divided by a sparse h costs O(m * taps) table
-reads: its quotient is the linear recurring sequence with h's taps.
+The one arithmetic operator is divmod, the division the simplex bases run;
+it and x^n mod h read the field's lookup tables directly.  Long division is
+a loop over Python ints that touches only the divisor's nonzero taps below
+its lead, so x^m divided by a sparse h costs O(m * taps) table reads: its
+quotient is the linear recurring sequence with h's taps.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (1,))
-
-    @classmethod
     def monomial(cls, field, degree, coeff=1):
         return cls(field, (0,) * degree + (coeff,))
 
@@ -76,50 +69,9 @@ class Poly:
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
-    def _same_field(self, other):
+    def __divmod__(self, other):
         if not isinstance(other, Poly) or other.field != self.field:
             raise ParameterError("operands belong to different fields")
-        return other
-
-    def __add__(self, other):
-        self._same_field(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
-
-    def __neg__(self):
-        f = self.field
-        return Poly(f, tuple(f.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._same_field(other)
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
-
-    def scale(self, c: int):
-        f = self.field
-        f.check(c)
-        return Poly(f, tuple(f.mul(c, a) for a in self.coeffs))
-
-    def __divmod__(self, other):
-        self._same_field(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
@@ -142,19 +94,6 @@ class Poly:
                 for d, row in steps:
                     rem[k + d] = add(rem[k + d], row[c])
         return Poly(f, quot), Poly(f, rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self):
-        if self.is_zero():
-            raise ParameterError("cannot normalize the zero polynomial")
-        if self.coeffs[-1] == 1:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
 
     def __str__(self):
         if not self.coeffs:

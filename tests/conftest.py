@@ -3,10 +3,14 @@
 The oracles here deliberately avoid the package's optimized code paths.
 Their field arithmetic is `scalar(field)`, written here without the
 package's lookup tables: addition digit by digit mod p, a schoolbook product
-reduced by `field.modulus`, and inversion by search.  Weight counts are
-recomputed by looping over every message with those scalar operations,
-matrix products are done schoolbook-style, ring elements are
-reduced by Poly long division and shifted one position at a time, rank is row
+reduced by `field.modulus`, and inversion by search.  Polynomial arithmetic
+is written here on that scalar arithmetic too, over coefficient sequences
+(ascending, returned as tuples without trailing zeros): a term-by-term
+product `poly_mul` and a schoolbook long division `poly_divmod`, so no
+oracle runs `Poly.__divmod__`, the one operator of the package's `Poly`.
+Weight counts are recomputed by looping over every message with those scalar
+operations, matrix products are done schoolbook-style, ring elements are
+reduced by `poly_divmod` and shifted one position at a time, rank is row
 reduction with scalar field operations, projectivity compares every pair of
 columns, and dual weight counts come from the MacWilliams transform of a
 spectrum, so they can catch bugs in the spectrum transform, the block gather,
@@ -14,7 +18,7 @@ the rank check and the projectivity check.  Matrices may come in as numpy
 arrays; the oracles read them as lists of Python ints.  Irreducibility is
 decided by the classic gcd test, independent of the order-of-x test that
 primitivity uses, and the order of x is found by multiplying by x one step
-at a time.
+at a time; both read a `Poly` only for its field and coefficients.
 """
 
 from collections import Counter
@@ -27,7 +31,6 @@ import pytest
 
 from qtweave import (
     ParameterError,
-    Poly,
     build_two_weight,
     field_create,
     field_from_order,
@@ -216,13 +219,6 @@ def twistulant_rows(field, lam, c):
     return rows
 
 
-def residue(poly, m, lam):
-    """Coefficients of poly mod (x^m - lam), ascending and padded to m, by Poly division."""
-    field = poly.field
-    r = poly % (Poly.monomial(field, m) - Poly(field, (lam,)))
-    return tuple(r.coeffs) + (0,) * (m - len(r.coeffs))
-
-
 def krawtchouk(j, i, n, q):
     """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s)."""
     return sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
@@ -253,41 +249,99 @@ def span_words(field, rows):
     return words
 
 
-def poly_gcd(a, b):
-    """Monic greatest common divisor of two polynomials, by Euclid."""
-    if a.is_zero() and b.is_zero():
+def _trim(coeffs):
+    """Coefficients as a tuple of Python ints without trailing zeros: the oracles' normal form."""
+    cs = [int(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_mul(field, a, b):
+    """Product of two coefficient sequences (ascending), term by term with scalar field ops."""
+    f = scalar(field)
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return _trim(out)
+
+
+def poly_divmod(field, a, b):
+    """Quotient and remainder of a by a nonzero b, by schoolbook long division.
+
+    Each step subtracts c x^k b with every coefficient of b, zero taps
+    included, and the lead of b is inverted by search.
+    """
+    f = scalar(field)
+    b = _trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, db = list(_trim(a)), len(b) - 1
+    over_lead = f.inv(b[-1])
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = f.mul(rem[k + db], over_lead)
+        for i, v in enumerate(b):
+            rem[k + i] = f.sub(rem[k + i], f.mul(c, v))
+    return _trim(quot), _trim(rem)
+
+
+def twist_modulus(field, m, lam):
+    """The coefficients of x^m - lam."""
+    return (scalar(field).neg(lam),) + (0,) * (m - 1) + (1,)
+
+
+def residue(field, coeffs, m, lam):
+    """Coefficients mod (x^m - lam), ascending and padded to m, by poly_divmod."""
+    r = poly_divmod(field, coeffs, twist_modulus(field, m, lam))[1]
+    return r + (0,) * (m - len(r))
+
+
+def base_word(s):
+    """The word g mod (x^m - lam) of a simplex spec s, ascending and padded to m, by residue."""
+    return residue(s.field, s.g.coeffs, s.m, s.lam)
+
+
+def poly_gcd(field, a, b):
+    """Monic greatest common divisor of two coefficient sequences, by Euclid."""
+    a, b = _trim(a), _trim(b)
+    if not a and not b:
         raise ParameterError("gcd of two zero polynomials is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    f = scalar(field)
+    return tuple(f.mul(f.inv(a[-1]), v) for v in a)
 
 
-def pow_mod(base, n, h):
-    """base^n reduced modulo h, by square and multiply on Poly arithmetic."""
-    result = Poly.one(base.field)
-    base = base % h
+def pow_mod(field, base, n, h):
+    """base^n reduced modulo h, by square and multiply on poly_mul and poly_divmod."""
+    result = (1,)
+    base = poly_divmod(field, base, h)[1]
     while n:
         if n & 1:
-            result = (result * base) % h
-        base = (base * base) % h
+            result = poly_divmod(field, poly_mul(field, result, base), h)[1]
+        base = poly_divmod(field, poly_mul(field, base, base), h)[1]
         n >>= 1
     return result
 
 
 def is_irreducible(h) -> bool:
-    """True iff h has no nontrivial factor over its field.
+    """True iff the Poly h has no nontrivial factor over its field.
 
     Any factor of degree i divides x^(q^i) - x, so h of degree t is
     irreducible iff gcd(h, x^(q^i) - x) is constant for i = 1 .. t // 2.
     """
-    t = h.degree
+    field, t = h.field, h.degree
     if t < 1:
         raise ParameterError("irreducibility is defined for degree >= 1")
-    x = Poly(h.field, (0, 1))
-    r = x % h
+    f = scalar(field)
+    r = poly_divmod(field, (0, 1), h.coeffs)[1]  # x^(q^i) mod h, from i = 0
     for _ in range(t // 2):
-        r = pow_mod(r, h.field.q, h)
-        if poly_gcd(h, r - x).degree > 0:
+        r = pow_mod(field, r, field.q, h.coeffs)
+        r_minus_x = list(r) + [0] * (2 - len(r))
+        r_minus_x[1] = f.sub(r_minus_x[1], 1)
+        if len(poly_gcd(field, h.coeffs, r_minus_x)) > 1:
             return False
     return True
 

@@ -25,8 +25,8 @@ from qtweave import (
     weight_distribution,
     weight_distribution_of_rows,
 )
-from conftest import (SWEEP_CONFIGS, consta_shift, residue, schoolbook_vec_mat, span_words,
-                      twistulant_rows)
+from conftest import (SWEEP_CONFIGS, base_word, consta_shift, poly_mul, residue,
+                      schoolbook_vec_mat, span_words, twistulant_rows)
 
 
 def _fixture(name):
@@ -75,7 +75,7 @@ def test_criterion_04_ternary_cyclic_t3(gf3):
     for s in (simplex_cyclic(gf3, 3), simplex_cyclic(gf3, 3, g=reference_g)):
         assert s.params() == (13, 3, 9)
         # equidistance over all 27 codewords
-        words = span_words(gf3, twistulant_rows(gf3, s.lam, residue(s.g, s.m, s.lam))[:3])
+        words = span_words(gf3, twistulant_rows(gf3, s.lam, base_word(s))[:3])
         assert {sum(1 for c in w if c) for w in words if any(w)} == {9}
         for p in (2, 16, 17, 27):
             code, G = build_two_weight(s, p)
@@ -186,7 +186,7 @@ def test_criterion_10_property_suite(sweep):
             lam = rng.randrange(1, q)
             u = tuple(rng.randrange(q) for _ in range(m))
             c = tuple(rng.randrange(q) for _ in range(m))
-            product = residue(Poly(field, u) * Poly(field, c), m, lam)
+            product = residue(field, poly_mul(field, u, c), m, lam)
             assert product == schoolbook_vec_mat(field, u, twistulant_rows(field, lam, c))
 
     # (b) blockwise consta-shift closure, all codewords, codes with q^(2t) <= 2^16

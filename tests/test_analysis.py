@@ -25,7 +25,7 @@ from qtweave import (
     weight_distribution,
     weight_distribution_of_rows,
 )
-from conftest import dual_counts, naive_weight_counts
+from conftest import dual_counts, naive_weight_counts, scalar
 
 
 @pytest.fixture(scope="session")
@@ -224,7 +224,7 @@ def test_macwilliams_dual_counts_agree_with_is_projective(sweep, gf3, gf4):
         extras = {
             "zero column": ((0,) * G.k, (field.q - 1, 0)),
             "repeated column": (c0, (0, field.q - 1)),
-            "scalar multiple": (tuple(field.mul(2, c) for c in c0), (0, field.q - 1)),
+            "scalar multiple": (tuple(scalar(field).mul(2, c) for c in c0), (0, field.q - 1)),
         }
         for label, (col, b12) in extras.items():
             H = with_column(G, col)

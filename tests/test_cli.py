@@ -174,6 +174,31 @@ def test_json_reimport_of_a_malformed_payload_is_a_mismatch(tmp_path, capsys, mo
     assert err == ""
 
 
+# one exported field re-read with the wrong type: each escaped main as a
+# TypeError or ValueError, or exited 2, before the types were checked
+JSON_EDITS = {
+    "t as text": ("t", "2"),
+    "t as bool": ("t", True),
+    "p as text": ("p", "3"),
+    "characteristic as text": ("q_characteristic", "3"),
+    "degree null": ("q_degree", None),
+    "selection pair too short": ("selection", [[1]]),
+    "h as text": ("h", "2,2,1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_EDITS))
+def test_json_reimport_of_a_mistyped_field_is_a_mismatch(tmp_path, capsys, monkeypatch, name):
+    key, value = JSON_EDITS[name]
+    export = cli._export_payload
+    monkeypatch.setattr(cli, "_export_payload", lambda code, G, W: {**export(code, G, W), key: value})
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
+                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     rc, out, _ = run(capsys, "construct", "--q", "3", "--t", "2", "--p", "2", "--matrix")

@@ -24,9 +24,9 @@ from qtweave import (
     weight_distribution_of_rows,
 )
 from qtweave.construction import CYCLIC, _check_equidistant, _words
-from conftest import (SWEEP_CONFIGS, consta_shift, is_irreducible, naive_rank,
-                      naive_weight_counts, order_of_x, residue, scalar, span_words,
-                      twistulant_rows)
+from conftest import (SWEEP_CONFIGS, base_word, consta_shift, is_irreducible, naive_rank,
+                      naive_weight_counts, order_of_x, poly_divmod, poly_mul, scalar, span_words,
+                      twist_modulus, twistulant_rows)
 
 # (q, t) with gcd(t, q - 1) = 1, so a cyclic simplex base exists
 CYCLIC_CONFIGS = ((2, 3), (2, 5), (3, 3), (3, 5), (4, 2), (5, 3), (8, 2), (9, 3))
@@ -65,8 +65,7 @@ def test_tiny_binary_simplex(gf2):
 
 def test_h_times_g_reconstructs_the_ring_modulus(s_binary, s_ternary, gf3):
     for s in (s_binary, s_ternary, simplex_consta(gf3, 3)):
-        modulus = Poly.monomial(s.field, s.m) - Poly(s.field, (s.lam,))
-        assert s.h * s.g == modulus
+        assert poly_mul(s.field, s.h.coeffs, s.g.coeffs) == twist_modulus(s.field, s.m, s.lam)
 
 
 def test_default_h_is_canonical(gf3):
@@ -90,7 +89,7 @@ def test_cyclic_simplex_parameters(gf3):
     assert s.lam == 1
     assert s.params() == (13, 3, 9)
     # explicit equidistance oracle over all 27 codewords
-    rows = twistulant_rows(gf3, s.lam, residue(s.g, s.m, s.lam))[:3]
+    rows = twistulant_rows(gf3, s.lam, base_word(s))[:3]
     words = span_words(gf3, rows)
     weights = {sum(1 for c in w if c) for w in words if any(w)}
     assert weights == {9}
@@ -106,7 +105,7 @@ def test_cyclic_needs_coprime_t(gf4):
         simplex_cyclic(gf4, 3)  # gcd(3, 3) = 3
     s = simplex_cyclic(gf4, 2)
     assert s.params() == (5, 2, 4)
-    words = span_words(gf4, twistulant_rows(gf4, s.lam, residue(s.g, s.m, s.lam))[:2])
+    words = span_words(gf4, twistulant_rows(gf4, s.lam, base_word(s))[:2])
     weights = {sum(1 for c in w if c) for w in words if any(w)}
     assert weights == {4}
 
@@ -117,7 +116,7 @@ def test_cyclic_base_rescales_the_canonical_h(q, t):
     s = simplex_cyclic(field, t)
     h, h0 = s.h, find_primitive(field, t, limit=1)[0]
     assert h.is_monic() and h.degree == t
-    assert ((Poly.monomial(field, s.m) - Poly.one(field)) % h).is_zero()
+    assert poly_divmod(field, twist_modulus(field, s.m, 1), h.coeffs)[1] == ()
     assert is_irreducible(h) and order_of_x(h) == s.m
     f = scalar(field)
 
@@ -140,10 +139,21 @@ def test_cyclic_generator_override(gf3):
     assert s.g == ref_g
     assert s.params() == (13, 3, 9)
     # the degree is checked before dividing, so g = 0 raises no ZeroDivisionError
-    for g, match in [(Poly.zero(gf3), "degree"), (Poly(gf3, (1, 1)), "degree"),
+    for g, match in [(Poly(gf3), "degree"), (Poly(gf3, (1, 1)), "degree"),
                      (Poly.monomial(gf3, 10), "does not divide x\\^13 - 1")]:
         with pytest.raises(ParameterError, match=match):
             simplex_cyclic(gf3, 3, g=g)
+
+
+@pytest.mark.parametrize("q, t", [(3, 3), (4, 2)])
+def test_a_supplied_non_monic_g_gives_the_base_of_g(q, t):
+    # (x^m - 1) / (c g) = h / c, rescaled to monic; over GF(4) c^-1 is not always c
+    field = field_from_order(q)
+    base, f = simplex_cyclic(field, t), scalar(field)
+    assert base.g.is_monic()
+    for c in range(1, q):
+        s = simplex_cyclic(field, t, g=Poly(field, [f.mul(c, v) for v in base.g.coeffs]))
+        assert (s.h, s.g, s.lam) == (base.h, base.g, base.lam), c
 
 
 def codeword(s, i, j):
@@ -152,7 +162,7 @@ def codeword(s, i, j):
 
 
 def test_codeword_poly(s_binary, s_ternary):
-    assert codeword(s_binary, 1, 0) == residue(s_binary.g, s_binary.m, s_binary.lam)
+    assert codeword(s_binary, 1, 0) == base_word(s_binary)
     assert codeword(s_binary, 1, 1) == (0, 1, 1, 1, 0, 1, 0)  # x * g, no wraparound
     assert codeword(s_ternary, 2, 0) == (1, 2, 2, 0)  # 2 * (x^2 + x + 2)
     with pytest.raises(ParameterError, match="scale index"):
@@ -165,7 +175,7 @@ def test_codeword_polys_enumerate_all_nonzero_codewords(s_ternary):
     # the (q-1)*m selection blocks are exactly the nonzero simplex codewords
     all_blocks = {codeword(s_ternary, i, j) for i in (1, 2) for j in range(4)}
     rows = twistulant_rows(s_ternary.field, s_ternary.lam,
-                           residue(s_ternary.g, s_ternary.m, s_ternary.lam))[:2]
+                           base_word(s_ternary))[:2]
     words = {w for w in span_words(s_ternary.field, rows) if any(w)}
     assert all_blocks == words
 
@@ -213,7 +223,7 @@ def test_build_two_weight_shape(s_binary):
     assert (code.simplex.t, code.block_count, code.simplex.m) == (3, 8, 7)
     assert code.selection == tuple((1, j) for j in range(7))
     # top rows repeat x^u * g across all 8 blocks, bottom rows start with a zero block
-    gvec = residue(s_binary.g, s_binary.m, s_binary.lam)
+    gvec = base_word(s_binary)
     assert G.rows.shape == (6, 56) and G.rows.dtype == s_binary.field.tables.mul.dtype
     assert tuple(G.rows[0].tolist()) == gvec * 8
     assert tuple(G.rows[3, :7].tolist()) == (0,) * 7
@@ -353,7 +363,7 @@ def simplex_spans(draw):
             h = draw(st.sampled_from(find_primitive(field, t)))
         else:
             h = Poly(field, draw(st.lists(symbol, min_size=t - 1, max_size=t + 1)) + [1])
-        g = (Poly.monomial(field, m) - Poly(field, (lam,))) // h
+        g = Poly(field, poly_divmod(field, twist_modulus(field, m, lam), h.coeffs)[0])
     return SimplexSpec(field, t, m, lam, Poly.monomial(field, t), g, CYCLIC)
 
 
@@ -383,7 +393,7 @@ def test_large_field_bases_pass_the_simplex_check(q, cyclic):
 
 def test_large_field_simplex_check_rejects_a_perturbed_g():
     s = simplex_consta(field_from_order(256), 2)
-    g = Poly(s.field, (s.field.add(s.g.coeffs[0], 1), *s.g.coeffs[1:]))
+    g = Poly(s.field, (scalar(s.field).add(s.g.coeffs[0], 1), *s.g.coeffs[1:]))
     with pytest.raises(VerificationError, match="not equidistant"):
         _check_equidistant(replace(s, g=g))
 
@@ -393,7 +403,7 @@ def test_qt_simplex_shape(gf2, s_ternary):
     code, G = build_qt_simplex(s)
     assert (code.n, code.k) == (15, 4)
     assert code.block_count == 5
-    gvec = residue(s.g, s.m, s.lam)
+    gvec = base_word(s)
     assert tuple(G.rows[0].tolist()) == gvec * 4 + (0, 0, 0)  # trailing zero block on top
     assert tuple(G.rows[2, :3].tolist()) == (0, 0, 0)         # leading zero block at the bottom
     assert tuple(G.rows[2, -3:].tolist()) == gvec             # trailing generator block
@@ -457,7 +467,7 @@ def oracle_rows(code, shifts):
     """The rows of _assemble_rows from twistulant_rows alone: block (a, j) row u is a x^(j+u) g."""
     s = code.simplex
     f = scalar(s.field)
-    shifted = twistulant_rows(s.field, s.lam, residue(s.g, s.m, s.lam))  # row j is x^j g
+    shifted = twistulant_rows(s.field, s.lam, base_word(s))  # row j is x^j g
 
     @cache
     def block(a, j):

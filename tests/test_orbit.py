@@ -162,7 +162,7 @@ def test_shift_check_refuses_an_extra_column_without_raising():
 def test_shift_check_refuses_an_h_without_low_terms_without_raising(h):
     # a hand-made base whose h is x^t or 0 gives sigma no relation to check
     s = base(3, 2, False)
-    poly = Poly.monomial(s.field, 2) if h == "x^t" else Poly.zero(s.field)
+    poly = Poly.monomial(s.field, 2) if h == "x^t" else Poly(s.field)
     _, G = build_two_weight(replace(s, h=poly), 3)
     W = weight_distribution(G)
     assert W.method == "transform"

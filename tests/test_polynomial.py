@@ -16,17 +16,18 @@ from qtweave import (
     polynomial,
     simplex_consta,
 )
-from conftest import euler_phi, is_irreducible, order_of_x, poly_gcd, pow_mod, scalar
+from conftest import (euler_phi, is_irreducible, order_of_x, poly_divmod, poly_gcd, poly_mul, pow_mod,
+                      scalar)
 
-FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
+FIELDS = [field_from_order(q) for q in (2, 3, 4, 5, 8, 9)]
 
 
 def test_normalization_and_degree(gf3):
     p = Poly(gf3, (1, 2, 0, 0))
     assert p.coeffs == (1, 2)
     assert p.degree == 1
-    assert Poly.zero(gf3).degree == -1
-    assert Poly.zero(gf3).is_zero()
+    assert Poly(gf3).degree == -1
+    assert Poly(gf3).is_zero()
 
 
 class Small(int):
@@ -51,8 +52,8 @@ def test_int_subclass_coefficients_are_accepted(gf3):
 def test_str(gf2, gf3):
     assert str(Poly(gf2, (1, 1, 1, 0, 1))) == "x^4 + x^2 + x + 1"
     assert str(Poly(gf3, (2, 2, 1))) == "x^2 + 2x + 2"
-    assert str(Poly.zero(gf3)) == "0"
-    assert str(Poly.one(gf3)) == "1"
+    assert str(Poly(gf3)) == "0"
+    assert str(Poly(gf3, (1,))) == "1"
     assert str(Poly(gf3, (0, 1))) == "x"
 
 
@@ -76,17 +77,18 @@ def test_divrem_ternary_quadratic(gf3):
 
 def test_self_division(gf3):
     a = Poly(gf3, (1, 0, 2, 1))
-    assert divmod(a, a) == (Poly.one(gf3), Poly.zero(gf3))
+    assert divmod(a, a) == (Poly(gf3, (1,)), Poly(gf3))
 
 
 def test_division_by_zero(gf3):
     with pytest.raises(ZeroDivisionError):
-        divmod(Poly.one(gf3), Poly.zero(gf3))
+        divmod(Poly(gf3, (1,)), Poly(gf3))
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.data())
-def test_divrem_round_trip(data):
+def test_divmod_matches_the_schoolbook_oracle(data):
+    """divmod against conftest.poly_divmod, which shares no arithmetic with it."""
     field = data.draw(st.sampled_from(FIELDS))
     element, nonzero = st.integers(0, field.q - 1), st.integers(1, field.q - 1)
     coeffs_a = data.draw(st.lists(element, max_size=400))
@@ -99,12 +101,11 @@ def test_divrem_round_trip(data):
         coeffs_b = [taps.get(i, 0) for i in range(degree)] + [data.draw(nonzero)]
     else:
         coeffs_b = [data.draw(nonzero)]
-    a = Poly(field, coeffs_a)
     b = Poly(field, coeffs_b)
     if b.is_zero():
         return
-    quot, rem = divmod(a, b)
-    assert quot * b + rem == a
+    quot, rem = divmod(Poly(field, coeffs_a), b)
+    assert (quot.coeffs, rem.coeffs) == poly_divmod(field, coeffs_a, coeffs_b)
     assert rem.degree < b.degree
 
 
@@ -118,9 +119,8 @@ def test_x_to_the_m_is_g_h_plus_a_twist_of_order_q_minus_1(q, t):
     field = field_from_order(q)
     h = find_primitive(field, t, limit=1)[0]
     m = (q**t - 1) // (q - 1)
-    x_m = Poly.monomial(field, m)
-    quot, rem = divmod(x_m, h)
-    assert quot * h + rem == x_m
+    quot, rem = divmod(Poly.monomial(field, m), h)
+    assert (quot.coeffs, rem.coeffs) == poly_divmod(field, (0,) * m + (1,), h.coeffs)
     assert rem.degree == 0  # a nonzero constant lam
     f, lam = scalar(field), rem.coeffs[0]
     powers = [lam]
@@ -130,36 +130,37 @@ def test_x_to_the_m_is_g_h_plus_a_twist_of_order_q_minus_1(q, t):
 
 
 def test_gcd(gf2, gf3):
-    a = Poly(gf3, (2, 0, 1))
-    assert poly_gcd(a, Poly.zero(gf3)) == a.monic()
-    assert poly_gcd(a, a) == a.monic()
+    a = (2, 0, 2)  # 2(x^2 + 1)
+    assert poly_gcd(gf3, a, ()) == (1, 0, 1)
+    assert poly_gcd(gf3, a, a) == (1, 0, 1)
+    assert poly_gcd(gf3, a, poly_mul(gf3, (1, 1), (1, 0, 1))) == (1, 0, 1)
     # the two irreducible cubics dividing x^7 + 1 are coprime
-    assert poly_gcd(Poly(gf2, (1, 1, 0, 1)), Poly(gf2, (1, 0, 1, 1))) == Poly.one(gf2)
+    assert poly_gcd(gf2, (1, 1, 0, 1), (1, 0, 1, 1)) == (1,)
     with pytest.raises(ParameterError):
-        poly_gcd(Poly.zero(gf3), Poly.zero(gf3))
+        poly_gcd(gf3, (), (0,))
 
 
 def x_pow_mod(n, h):
-    """x^n modulo the monic h by polynomial._x_pow, the kernel of is_primitive, as a Poly."""
+    """x^n modulo the monic h by polynomial._x_pow, the kernel of is_primitive, as coefficients."""
     add, mul, neg, _ = h.field.tables
     ntail = [neg.item(c) for c in h.coeffs[:-1]]
-    return Poly(h.field, [int(c) for c in polynomial._x_pow(n, ntail, add, mul)])
+    return Poly(h.field, [int(c) for c in polynomial._x_pow(n, ntail, add, mul)]).coeffs
 
 
 def test_x_pow_mod(gf2, gf3):
     h3 = Poly(gf3, (2, 2, 1))  # x^2 + 2x + 2
-    assert x_pow_mod(4, h3) == Poly(gf3, (2,))
+    assert x_pow_mod(4, h3) == (2,)
     h2 = Poly(gf2, (1, 1, 0, 1))
-    assert x_pow_mod(7, h2) == Poly.one(gf2)
-    assert x_pow_mod(0, h3) == Poly.one(gf3)
-    # square-and-multiply on the tables against square-and-multiply on Poly
+    assert x_pow_mod(7, h2) == (1,)
+    assert x_pow_mod(0, h3) == (1,)
+    # square-and-multiply on the tables against square-and-multiply on the conftest
     # arithmetic, for primitive, irreducible, reducible and non-unit moduli
     for field, tails in ((gf2, [(1, 0, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1)]),
                          (gf3, [(1, 0, 1), (2, 2, 0, 1), (1, 2)]),
                          (field_from_order(9), [(3, 3), (5, 0, 7), (1,)])):
         for h in (Poly(field, tail + (1,)) for tail in tails):
             for n in (1, 2, 7, 80, 1000, 3**9 + 5):
-                assert x_pow_mod(n, h) == pow_mod(Poly(field, (0, 1)), n, h), (h, n)
+                assert x_pow_mod(n, h) == pow_mod(field, (0, 1), n, h.coeffs), (h, n)
 
 
 def _oracle_irreducible(h):
@@ -167,8 +168,7 @@ def _oracle_irreducible(h):
     field = h.field
     for d in range(1, h.degree // 2 + 1):
         for tail in product(field.elements(), repeat=d):
-            f = Poly(field, tail + (1,))
-            if (h % f).is_zero():
+            if not poly_divmod(field, h.coeffs, tail + (1,))[1]:
                 return False
     return True
 
@@ -222,7 +222,7 @@ def test_norm_rule_holds_and_admits_every_generator(q, t):
     """(-1)^t h(0) has order q - 1 for every h of order_of_x q^t - 1, and the
     search admits exactly the constants (-1)^t g, g a generator of GF(q)^*."""
     field = field_from_order(q)
-    sign = field.neg if t % 2 else (lambda c: c)
+    sign = scalar(field).neg if t % 2 else (lambda c: c)
     primitive = [h for h in (Poly(field, tail + (1,)) for tail in product(range(q), repeat=t))
                  if order_of_x(h) == q**t - 1]
     assert primitive and all(field.element_order(sign(h.coeffs[0])) == q - 1 for h in primitive)
@@ -301,9 +301,7 @@ def test_find_primitive_rejects_limit_below_one(gf2, limit):
 
 
 def test_pow_mod_matches_naive(gf3):
-    h = Poly(gf3, (2, 2, 1))
-    base = Poly(gf3, (1, 1))
-    naive = Poly.one(gf3)
+    h, base, naive = (2, 2, 1), (1, 1), (1,)
     for k in range(8):
-        assert pow_mod(base, k, h) == naive
-        naive = (naive * base) % h
+        assert pow_mod(gf3, base, k, h) == naive
+        naive = poly_divmod(gf3, poly_mul(gf3, naive, base), h)[1]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtweave import field_create, is_projective
-from conftest import naive_is_projective
+from conftest import naive_is_projective, scalar
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 8))  # GF(256): q (q - 1) > 255
 
@@ -23,14 +23,14 @@ def matrices(draw):
     """A random k x n matrix with zero, repeated and scalar-multiple columns and
     repeated or dependent rows mixed in."""
     field = field_create(*draw(st.sampled_from(FIELDS)))
-    q = field.q
+    f, q = scalar(field), field.q
     k, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     symbol = st.integers(0, q - 1)
     cols = draw(st.lists(st.lists(symbol, min_size=k, max_size=k), min_size=n, max_size=n))
     for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "scale"]), max_size=3)):
         col = cols[draw(st.integers(0, len(cols) - 1))]
         a = {"zero": 0, "repeat": 1, "scale": draw(st.integers(1, q - 1))}[kind]
-        cols.insert(draw(st.integers(0, len(cols))), [field.mul(a, v) for v in col])
+        cols.insert(draw(st.integers(0, len(cols))), [f.mul(a, v) for v in col])
     rows = [list(r) for r in zip(*cols)]
     for kind in draw(st.lists(st.sampled_from(["repeat", "combination"]), max_size=2)):
         if kind == "repeat":
@@ -39,7 +39,7 @@ def matrices(draw):
             new = [0] * len(cols)
             for row in rows:
                 c = draw(symbol)
-                new = [field.add(x, field.mul(c, y)) for x, y in zip(new, row)]
+                new = [f.add(x, f.mul(c, y)) for x, y in zip(new, row)]
         rows.insert(draw(st.integers(0, len(rows))), list(new))
     return field, rows
 
@@ -54,15 +54,15 @@ def test_is_projective_matches_naive_oracle(case):
 def test_is_projective_beyond_64_bit_column_keys():
     # q^k = 2^70, so a column packed into one base-q integer would overflow int64
     field, k = field_create(2, 10), 7
-    q = field.q
+    f, q = scalar(field), field.q
     rng = random.Random(2)
     canon = {(1, *(rng.randrange(q) for _ in range(k - 1))) for _ in range(60)}
     # these two keys agree mod 2^64: their top digits differ by 16 and 16 q^6 = 2^64
     canon |= {(1, 0, 0, 0, 0, 0, 5), (1, 0, 0, 0, 0, 0, 21)}
     # distinct projective points, each column scaled by its own nonzero scalar
-    cols = [tuple(field.mul(a, v) for v in c)
+    cols = [tuple(f.mul(a, v) for v in c)
             for c, a in zip(sorted(canon), (rng.randrange(1, q) for _ in canon))]
     assert is_projective(generator(field, zip(*cols)))
     # the first column again, scaled, as the last one
-    cols.append(tuple(field.mul(777, v) for v in cols[0]))
+    cols.append(tuple(f.mul(777, v) for v in cols[0]))
     assert not is_projective(generator(field, zip(*cols)))

@@ -7,6 +7,10 @@
 * Every public method of a package class is used by code: its name is read as
   an attribute in a package module (outside a definition of that name) or in
   ``bench/``.
+* Package classes define no arithmetic operator (``__add__``, ``__mul__``, ...)
+  outside ``ALLOWED_OPERATORS``, and each allowed one is run by a package
+  module.  The rule above skips dunders, so this one keeps test-only operators
+  out.  ``Field`` has no method that duplicates one of its tables.
 """
 
 import ast
@@ -15,10 +19,17 @@ from pathlib import Path
 import pytest
 
 import qtweave
+from qtweave.fields import FieldTables
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qtweave"
 MODULE_NAMES = {path.stem for path in PACKAGE.glob("*.py")}
+
+_BINARY_OPERATORS = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow")
+ARITHMETIC_DUNDERS = ({f"__{prefix}{op}__" for op in _BINARY_OPERATORS for prefix in ("", "r", "i")}
+                      - {"__idivmod__"}) | {"__neg__"}
+# each operator a package class may define, with the builtin call that runs it
+ALLOWED_OPERATORS = {"Poly.__divmod__": "divmod"}
 
 
 def _is_private(name: str) -> bool:
@@ -71,11 +82,26 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def class_methods(source: str) -> list[str]:
+    """``Class.method`` for every method (properties and dunders included) of a module's classes."""
+    return [f"{cls.name}.{fn.name}" for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def public_methods(source: str) -> list[str]:
     """``Class.method`` for every public method (properties included) of a module's classes."""
-    return [f"{cls.name}.{fn.name}" for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
-            for fn in cls.body
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")]
+    return [name for name in class_methods(source) if not name.partition(".")[2].startswith("_")]
+
+
+def arithmetic_dunders(source: str) -> list[str]:
+    """``Class.__op__`` for every arithmetic operator defined by a module's classes."""
+    return [name for name in class_methods(source) if name.partition(".")[2] in ARITHMETIC_DUNDERS]
+
+
+def builtin_calls(source: str) -> set[str]:
+    """Names called as plain functions in a module, such as ``divmod`` in ``divmod(a, b)``."""
+    return {node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
 def attributes_read_outside_own_def(source: str) -> set[str]:
@@ -126,6 +152,14 @@ def test_method_helpers():
     assert {"g", "h"} <= attributes_read_outside_own_def(source)
 
 
+def test_operator_helpers():
+    source = ("class A:\n    def __add__(self, o):\n        return divmod(self, o)\n\n"
+              "    def __rmul__(self, o):\n        return self\n\n    def __neg__(self):\n        return self\n\n"
+              "    def __eq__(self, o):\n        return 0\n\n    def __divmod__(self, o):\n        return 0\n")
+    assert arithmetic_dunders(source) == ["A.__add__", "A.__rmul__", "A.__neg__", "A.__divmod__"]
+    assert builtin_calls(source) == {"divmod"}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_cross_module_reads(path):
     assert private_reads(path.read_text()) == []
@@ -144,3 +178,17 @@ def test_every_public_method_is_used_outside_tests():
     used = set().union(*(attributes_read_outside_own_def(source) for source in package + bench))
     methods = [name for source in package for name in public_methods(source)]
     assert methods and sorted(m for m in methods if m.partition(".")[2] not in used) == []
+
+
+def test_only_allowed_arithmetic_operators_are_defined_and_each_is_run():
+    sources = [p.read_text() for p in PACKAGE.glob("*.py")]
+    defined = sorted(name for source in sources for name in arithmetic_dunders(source))
+    assert defined == sorted(ALLOWED_OPERATORS)
+    calls = set().union(*(builtin_calls(source) for source in sources))
+    assert set(ALLOWED_OPERATORS.values()) <= calls
+
+
+def test_field_arithmetic_is_its_tables():
+    methods = {name.partition(".")[2] for name in class_methods((PACKAGE / "fields.py").read_text())
+               if name.startswith("Field.")}
+    assert "tables" in methods and methods.isdisjoint(FieldTables._fields)

@@ -1,8 +1,9 @@
 """The twisted ring F_q[x]/(x^m - lam) and the one gather that builds every block.
 
 `construction._words` computes a x^e g mod (x^m - lam) for arrays of scales a
-and shifts e by table lookups.  The oracles in conftest reduce with Poly long
-division and shift one position at a time with scalar field operations.  The
+and shifts e by table lookups.  The oracles in conftest multiply and reduce
+with their own schoolbook polynomial arithmetic (`poly_mul`, `poly_divmod`)
+and shift one position at a time, all on scalar field operations.  The
 blocks of every simplex base the suite builds are checked to be distinct and
 nonzero, which the construction relies on without checking it per code.
 """
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from qtweave import Poly, field_create, field_from_order, find_primitive, simplex_consta, simplex_cyclic
 from qtweave.construction import _words
-from conftest import consta_shift, naive_is_projective, residue, schoolbook_vec_mat, twistulant_rows
+from conftest import (consta_shift, naive_is_projective, poly_divmod, poly_mul, residue, scalar,
+                      schoolbook_vec_mat, twistulant_rows)
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
@@ -72,8 +74,8 @@ def test_gather_matches_poly_oracle(data):
     words = _words(s, scales, shifts)
     assert words.shape == (len(pairs), s.m) and words.dtype == s.field.tables.mul.dtype
     for (a, e), got in zip(pairs, words.tolist()):
-        product = Poly(s.field, (a,)) * Poly.monomial(s.field, e) * s.g
-        assert tuple(got) == residue(product, s.m, s.lam), (s.q, s.t, s.variant, a, e)
+        product = poly_mul(s.field, (0,) * e + (a,), s.g.coeffs)
+        assert tuple(got) == residue(s.field, product, s.m, s.lam), (s.q, s.t, s.variant, a, e)
 
 
 def test_consta_shift_single(gf3, s_ternary):
@@ -92,20 +94,20 @@ def test_shift_by_m_is_scalar_multiplication(gf3, s_ternary):
         stepped = w
         for _ in range(4):
             stepped = consta_shift(gf3, 2, stepped)
-        assert stepped == tuple(gf3.mul(2, v) for v in w)
+        assert stepped == tuple(scalar(gf3).mul(2, v) for v in w)
     # x^m = lam: shifting a block by m scales it by lam
     for q, t in SPEC_FAMILIES:
         s = spec(q, t, "consta-cyclic", 0)
         for a in range(q):
             for e in range(s.m):
-                assert word(s, a, e + s.m) == word(s, s.field.mul(a, s.lam), e)
+                assert word(s, a, e + s.m) == word(s, scalar(s.field).mul(a, s.lam), e)
 
 
 def test_reduce(gf2, gf3, s_ternary):
-    assert residue(Poly.monomial(gf3, 5), 4, 2) == (0, 2, 0, 0)
-    assert residue(Poly.zero(gf3), 4, 2) == (0, 0, 0, 0)
-    x7_plus_1 = Poly(gf2, (1,) + (0,) * 6 + (1,))
-    assert residue(x7_plus_1, 7, 1) == (0,) * 7
+    assert residue(gf3, (0,) * 5 + (1,), 4, 2) == (0, 2, 0, 0)
+    assert residue(gf3, (), 4, 2) == (0, 0, 0, 0)
+    x7_plus_1 = (1,) + (0,) * 6 + (1,)
+    assert residue(gf2, x7_plus_1, 7, 1) == (0,) * 7
     # g = x^2 + x + 2 with x^4 = 2: x^3 g wraps once, x^6 g wraps twice
     assert word(s_ternary, 1, 0) == (2, 1, 1, 0)
     assert word(s_ternary, 1, 3) == (2, 2, 0, 2)
@@ -115,13 +117,13 @@ def test_reduce(gf2, gf3, s_ternary):
 
 def test_mul(gf2, gf3):
     # the ring product is the polynomial product reduced by x^m = lam
-    a = Poly(gf3, (1, 2, 0, 1))
-    assert residue(a * Poly.one(gf3), 4, 2) == (1, 2, 0, 1)
-    assert residue(Poly.monomial(gf3, 3) * Poly(gf3, (0, 1)), 4, 2) == (2, 0, 0, 0)
-    g = Poly(gf2, (1, 1, 1, 0, 1))
-    assert residue(g * Poly(gf2, (0, 1)), 7, 1) == (0, 1, 1, 1, 0, 1, 0)
+    a = (1, 2, 0, 1)
+    assert residue(gf3, poly_mul(gf3, a, (1,)), 4, 2) == (1, 2, 0, 1)
+    assert residue(gf3, poly_mul(gf3, (0, 0, 0, 1), (0, 1)), 4, 2) == (2, 0, 0, 0)
+    g = (1, 1, 1, 0, 1)
+    assert residue(gf2, poly_mul(gf2, g, (0, 1)), 7, 1) == (0, 1, 1, 1, 0, 1, 0)
     s = simplex_consta(gf2, 3, Poly(gf2, (1, 1, 0, 1)))
-    assert s.g == g and word(s, 1, 1) == (0, 1, 1, 1, 0, 1, 0)
+    assert s.g.coeffs == g and word(s, 1, 1) == (0, 1, 1, 1, 0, 1, 0)
 
 
 def test_matrix_rows(gf3, s_ternary):
@@ -130,7 +132,7 @@ def test_matrix_rows(gf3, s_ternary):
     assert rows[0] == c
     assert rows[1] == (2 * 1 % 3, 1, 0, 2)
     # second-row pattern: (lam*c3, c0, c1, c2)
-    assert rows[1] == (gf3.mul(2, c[3]), c[0], c[1], c[2])
+    assert rows[1] == (scalar(gf3).mul(2, c[3]), c[0], c[1], c[2])
     assert len(rows) == 4
     # the gather's shifts 0..m-1 of g are the twistulant matrix of g
     m = s_ternary.m
@@ -152,7 +154,7 @@ def test_ring_product_equals_matrix_product_exhaustive_sample(gf3):
         u = tuple(rng.randrange(3) for _ in range(4))
         c = tuple(rng.randrange(3) for _ in range(4))
         explicit = schoolbook_vec_mat(gf3, u, twistulant_rows(gf3, 2, c))
-        assert residue(Poly(gf3, u) * Poly(gf3, c), 4, 2) == explicit
+        assert residue(gf3, poly_mul(gf3, u, c), 4, 2) == explicit
 
 
 @settings(deadline=None, max_examples=150)
@@ -163,7 +165,7 @@ def test_ring_matrix_isomorphism(data):
     lam = data.draw(st.integers(1, field.q - 1))
     u = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
     c = tuple(data.draw(st.integers(0, field.q - 1)) for _ in range(m))
-    product = residue(Poly(field, u) * Poly(field, c), m, lam)
+    product = residue(field, poly_mul(field, u, c), m, lam)
     assert product == schoolbook_vec_mat(field, u, twistulant_rows(field, lam, c))
 
 
@@ -179,11 +181,11 @@ def test_distinct_pairs_give_distinct_nonzero_blocks(q, t, variant, index):
     else:
         s = spec(q, t, variant, index)
     f, m = s.field, s.m
-    blocks = {residue(Poly(f, (a,)) * Poly.monomial(f, j) * s.g, m, s.lam)
+    blocks = {residue(f, poly_mul(f, (0,) * j + (a,), s.g.coeffs), m, s.lam)
               for a in range(1, q) for j in range(m)}
     assert len(blocks) == (q - 1) * m and (0,) * m not in blocks
     # the corollary behind the orbit spectrum: the c x^j mod h are every nonzero residue
-    residues = {Poly(f, (a,)) * Poly.monomial(f, j) % s.h for a in range(1, q) for j in range(m)}
-    assert len(residues) == q**t - 1 and Poly.zero(f) not in residues
-    shifts = [residue(Poly.monomial(f, u) * s.g, m, s.lam) for u in range(t)]
+    residues = {poly_divmod(f, (0,) * j + (a,), s.h.coeffs)[1] for a in range(1, q) for j in range(m)}
+    assert len(residues) == q**t - 1 and () not in residues
+    shifts = [residue(f, poly_mul(f, (0,) * u + (1,), s.g.coeffs), m, s.lam) for u in range(t)]
     assert naive_is_projective(f, shifts)
