@@ -7,12 +7,14 @@ from .analysis import (
     TwoWeightVerdict,
     WeightDistribution,
     decompose_block_count,
+    dual_low_counts,
     expected_counts,
     gap_fn,
     griesmer_length,
     griesmer_report,
     mean_weight_identity_holds,
     min_distance,
+    srg_parameters,
     verify_two_weight,
     weight_distribution,
     weight_distribution_of_rows,
@@ -52,6 +54,7 @@ __all__ = [
     "build_two_weight",
     "decompose_block_count",
     "default_selection",
+    "dual_low_counts",
     "expected_counts",
     "field_create",
     "field_from_order",
@@ -66,6 +69,7 @@ __all__ = [
     "min_distance",
     "simplex_consta",
     "simplex_cyclic",
+    "srg_parameters",
     "verify_two_weight",
     "weight_distribution",
     "weight_distribution_of_rows",

@@ -48,6 +48,14 @@ checked here on every call (the full transform runs if it fails); the
 simplex check, certified once per base; and the total q^(2t), which the
 engine checks on every call, along with the slices of leading symbol
 2..q-1 repeating the histogram of slice 1.
+
+Projectivity follows from the exact spectrum without another pass over the
+columns.  The first two Pless power moments (MacWilliams & Sloane, ch. 5)
+give the dual counts B_1 and B_2 in O(#weights) Python-int operations, and
+the generator is projective exactly when both vanish (``dual_low_counts``).
+A projective two-weight code then names a strongly regular graph
+(``srg_parameters``).  The column sort of ``is_projective`` stays as the
+independent check the tests compare it with.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ import numpy as np
 # is_projective lives next to the simplex check, which runs its test; it is re-exported
 from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT, is_projective
 from .errors import BudgetExceededError, ParameterError, VerificationError
-from .fields import Field
+from .fields import Field, column_keys
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ENTRIES = 1 << 22
@@ -154,9 +162,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         r += 1
     steps = k - r
     cells = q**steps
-    index = np.zeros(n, dtype=np.int64)  # column value over rows r..k-1, row r leading
-    for row in gen[r:]:
-        index = index * q + row
+    index = column_keys(gen[r:], q)[0]  # column value over rows r..k-1; q^steps < 2^63
     hist = np.zeros((q, n + 1), dtype=np.int64)  # weight histogram per leading symbol
     for prefix in product(range(q), repeat=r):
         if prefix and not mult[prefix[0]]:
@@ -340,7 +346,61 @@ def griesmer_report(code: QtCodeSpec, W: WeightDistribution) -> GriesmerReport:
     )
 
 
+def _moment(W: WeightDistribution, power: int) -> int:
+    """sum of w^power A_w over q^(k - power), exact; a remainder raises VerificationError."""
+    moment = sum(w**power * c for w, c in W.counts.items()) * W.q**power
+    scale = W.q**W.k
+    if moment % scale:
+        raise VerificationError(f"power moment {power} of the spectrum is not a multiple of "
+                                f"q^(k - {power}) = {W.q}^{W.k - power}")
+    return moment // scale
+
+
+def dual_low_counts(W: WeightDistribution) -> tuple[int, int]:
+    """(B_1, B_2), the dual words of weight 1 and 2, from the first two Pless power moments.
+
+    With M = (q - 1) n (MacWilliams & Sloane, ch. 5):
+        sum w A_w = q^(k-1) (M - B_1),
+        sum w^2 A_w = q^(k-2) (M (M + 1) - (2M - q + 2) B_1 + 2 B_2).
+    B_1 is q - 1 per zero column, B_2 q - 1 per pair of proportional nonzero
+    columns and (q - 1)^2 per pair of zero columns, so the generator is
+    projective exactly when both are 0.  Python ints keep every step exact; a
+    spectrum whose moments do not give nonnegative integers raises
+    VerificationError.
+    """
+    q, M = W.q, (W.q - 1) * W.n
+    b1 = M - _moment(W, 1)
+    twice_b2 = _moment(W, 2) - M * (M + 1) + (2 * M - q + 2) * b1
+    if b1 < 0 or twice_b2 < 0 or twice_b2 % 2:
+        raise VerificationError(f"Pless moments give B_1 = {b1}, 2 B_2 = {twice_b2}: "
+                                "not the counts of a dual code")
+    return b1, twice_b2 // 2
+
+
 def mean_weight_identity_holds(W: WeightDistribution) -> bool:
-    """Sum of all codeword weights equals n(q-1)q^(k-1); holds when no coordinate is identically zero."""
-    lhs = sum(w * c for w, c in W.counts.items())
-    return lhs == W.n * (W.q - 1) * W.q ** (W.k - 1)
+    """Sum of all codeword weights equals n(q-1)q^(k-1): B_1 = 0, no coordinate is always zero."""
+    return dual_low_counts(W)[0] == 0
+
+
+def srg_parameters(W: WeightDistribution) -> tuple[int, int, int, int]:
+    """(v, K, lambda, mu) of the strongly regular graph of a projective two-weight code.
+
+    The Cayley graph on GF(q)^k whose connection set is the (q - 1) n nonzero
+    multiples of the columns has v = q^k, degree K = (q - 1) n and
+    eigenvalues r = K - q w1 and s = K - q w2 of multiplicities A_w1 and A_w2,
+    so lambda = K + r + s + r s and mu = K + r s (Delsarte 1972; Calderbank &
+    Kantor 1986).  Both SRG identities are checked in exact integers:
+    K (K - lambda - 1) = (v - K - 1) mu, and the multiplicity of r from
+    (v, K, r, s) equals A_w1; a failure raises VerificationError.
+    """
+    weights = W.nonzero_weights()
+    if len(weights) != 2 or dual_low_counts(W) != (0, 0):
+        raise ParameterError("SRG parameters need a projective two-weight code")
+    w1, w2 = weights
+    v, K = W.q**W.k, (W.q - 1) * W.n
+    r, s = K - W.q * w1, K - W.q * w2
+    lam, mu = K + r + s + r * s, K + r * s
+    if K * (K - lam - 1) != (v - K - 1) * mu or (-s * (v - 1) - K) != W.counts[w1] * (r - s):
+        raise VerificationError(f"(v, K, lambda, mu) = {(v, K, lam, mu)} with eigenvalues "
+                                f"{r}, {s} is not a strongly regular graph of this spectrum")
+    return v, K, lam, mu

@@ -104,19 +104,26 @@ def _field_and_budget(args):
     return fields.field_from_order(args.q), budget
 
 
+def _check_message_budget(q: int, t: int, budget: int) -> None:
+    """Refuse q^(2t) messages over the budget before any construction work starts.
+
+    q >= 2 gives q^k > budget once k >= budget.bit_length(), so a huge t
+    never builds q^k.
+    """
+    k = 2 * t
+    if k >= budget.bit_length() or q**k > budget:
+        raise BudgetExceededError(
+            f"enumeration needs q^k = {q}^{k} messages, budget is {budget}",
+            required=q**k if k < budget.bit_length() else None,
+            budget=budget,
+        )
+
+
 def _build_code(args, field, budget):
     """Simplex base and assembled code from the common flags."""
     if args.t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {args.t}")
-    k = 2 * args.t
-    # checked before any construction work starts; q >= 2 gives q^k > budget
-    # once k >= budget.bit_length(), so a huge t never builds q^k
-    if k >= budget.bit_length() or field.q**k > budget:
-        raise BudgetExceededError(
-            f"enumeration needs q^k = {field.q}^{k} messages, budget is {budget}",
-            required=field.q**k if k < budget.bit_length() else None,
-            budget=budget,
-        )
+    _check_message_budget(field.q, args.t, budget)
     h = _poly_from_user(field, _parse_ints(args.h)) if args.h else None
     g = _poly_from_user(field, _parse_ints(args.g)) if args.g else None
     if g is not None or args.cyclic:
@@ -241,7 +248,10 @@ def _cmd_analyze(args) -> int:
         print("gap prediction: FAILED")
         status = EXIT_MISMATCH
     print(f"length-optimal: {'yes' if report.length_optimal else 'no'}")
-    print(f"projective: {'yes' if analysis.is_projective(G) else 'no'}")
+    projective = analysis.dual_low_counts(W) == (0, 0)  # by the Pless moments, no pass over G
+    print(f"projective: {'yes' if projective else 'no'}")
+    if projective and len(W.nonzero_weights()) == 2:
+        print(f"srg: {analysis.srg_parameters(W)}")
     return status
 
 
@@ -377,6 +387,30 @@ def _json_types_ok(data: dict) -> bool:
             and all(isinstance(row, str) for row in data["generator_rows"]))
 
 
+def _rebuild_json(data: dict, budget: int):
+    """The generator a well-typed JSON export describes, or None if the rebuilt code differs.
+
+    Out-of-range fields raise ParameterError, and a t whose messages exceed
+    the budget BudgetExceededError, before any construction work.
+    """
+    field = fields.field_create(data["q_characteristic"], data["q_degree"])
+    if (list(field.modulus) if field.modulus else None) != data["field_modulus"]:
+        raise VerificationError("re-imported field modulus does not match the canonical one")
+    _require_digits(field.q)  # a larger field cannot have written these digit strings
+    _check_message_budget(field.q, data["t"], budget)
+    if data["simplex_variant"] == construction.CYCLIC:
+        s = construction.simplex_cyclic(field, data["t"], g=Poly(field, data["g"]))
+    else:
+        s = construction.simplex_consta(field, data["t"], h=Poly(field, data["h"]))
+    if (s.variant, s.lam, list(s.h.coeffs)) != (data["simplex_variant"], data["lambda"], data["h"]):
+        return None
+    selection = tuple((i, j) for i, j in data["selection"])
+    if data["variant"] == construction.QT_SIMPLEX:
+        code, G = construction.build_qt_simplex(s)
+        return G if code.selection == selection else None
+    return construction.build_two_weight(s, data["p"], selection=selection)[1]
+
+
 def _roundtrip_json(path, W, budget) -> bool:
     try:
         with open(path) as fh:
@@ -385,23 +419,11 @@ def _roundtrip_json(path, W, budget) -> bool:
         return False
     if not isinstance(data, dict) or data.keys() != _JSON_KEYS or not _json_types_ok(data):
         return False
-    field = fields.field_create(data["q_characteristic"], data["q_degree"])
-    if (list(field.modulus) if field.modulus else None) != data["field_modulus"]:
-        raise VerificationError("re-imported field modulus does not match the canonical one")
-    if data["simplex_variant"] == construction.CYCLIC:
-        s = construction.simplex_cyclic(field, data["t"], g=Poly(field, data["g"]))
-    else:
-        s = construction.simplex_consta(field, data["t"], h=Poly(field, data["h"]))
-    if (s.variant, s.lam, list(s.h.coeffs)) != (data["simplex_variant"], data["lambda"], data["h"]):
+    try:
+        G = _rebuild_json(data, budget)
+    except ParameterError:  # well-typed but out of range: the file describes no code
         return False
-    selection = tuple((i, j) for i, j in data["selection"])
-    if data["variant"] == construction.QT_SIMPLEX:
-        code, G = construction.build_qt_simplex(s)
-        if code.selection != selection:
-            return False
-    else:
-        code, G = construction.build_two_weight(s, data["p"], selection=selection)
-    if [_digit_string(row, field.q) for row in G.rows] != data["generator_rows"]:
+    if G is None or [_digit_string(row, G.field.q) for row in G.rows] != data["generator_rows"]:
         return False
     W2 = analysis.weight_distribution(G, budget=budget)
     return {str(w): c for w, c in sorted(W2.counts.items())} == data["weight_counts"] and (

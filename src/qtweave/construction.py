@@ -26,9 +26,11 @@ division x^m = g h + lam gives g and lam, the columns of the t shifts of g
 equidistance, and a triangular 2t x 2t minor rank 2t.
 
 The simplex check is the test of ``is_projective`` on the t x m matrix of the
-shifts x^u g, u < t.  Nonzero, pairwise non-proportional, its m columns are
-all m = (q^t - 1)/(q - 1) points of PG(t - 1, q), each once; a nonzero
-message is orthogonal to the (q^(t-1) - 1)/(q - 1) of them in its
+shifts x^u g, u < t: each column is scaled to lead with 1 and packed into a
+base-q integer key (``fields.column_keys``), and one sort of the m keys
+finds a zero or a repeated one.  Nonzero, pairwise non-proportional, its m
+columns are all m = (q^t - 1)/(q - 1) points of PG(t - 1, q), each once; a
+nonzero message is orthogonal to the (q^(t-1) - 1)/(q - 1) of them in its
 hyperplane, so its word has weight q^(t-1).  Conversely the columns of an
 equidistant [m, t, q^(t-1)] code are these points (MacWilliams & Sloane,
 ch. 1).
@@ -64,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, VerificationError
-from .fields import Field
+from .fields import Field, column_keys
 from .polynomial import Poly, find_primitive, is_primitive
 
 CONSTA_CYCLIC = "consta-cyclic"
@@ -165,19 +167,29 @@ def _words(s: SimplexSpec, scales, shifts) -> np.ndarray:
 
 
 def _distinct_points(field: Field, cols: np.ndarray) -> bool:
-    """No zero column and no two proportional columns in the (k, n) array: each
-    column is scaled by the inverse of its first nonzero entry, then sorted."""
-    _, mul, _, inv = field.tables
-    nonzero = cols != 0
-    if not nonzero.any(axis=0).all():
-        return False
-    n = cols.shape[1]
-    # flat gathers: np.take on the flat arrays is faster than 2-D fancy indexing
-    first = np.take(cols, nonzero.argmax(axis=0) * n + np.arange(n))  # cols[argmax, arange]
-    row = np.take(inv, first).astype(np.intp) * field.q  # where row inv[first] starts
-    canon = np.take(mul, row + cols)  # mul[inv[first], cols]
-    canon = np.take(canon, np.lexsort(canon), axis=1)  # C order keeps the column test fast
-    return not (canon[:, 1:] == canon[:, :-1]).all(axis=0).any()
+    """No zero column and no two proportional columns in the (k, n) array.
+
+    Each column is scaled by the inverse of its first nonzero entry (q = 2
+    needs no scaling), packed into base-q keys and sorted: the zero column
+    has key 0 and sorts first, and proportional columns have equal keys and
+    sort next to each other.  One 1-D sort serves whenever q^k <= 2^63; a
+    longer column is split into several keys, sorted together by lexsort.
+    """
+    q = field.q
+    if q > 2:
+        _, mul, _, inv = field.tables
+        n = cols.shape[1]
+        # flat gathers: np.take on the flat arrays is faster than 2-D fancy indexing
+        first = np.take(cols, (cols != 0).argmax(axis=0) * n + np.arange(n))  # cols[argmax, arange]
+        cols = np.take(mul, np.take(inv, first).astype(np.intp) * q + cols)  # mul[inv[first], cols]
+    keys = column_keys(cols, q)
+    if len(keys) == 1:  # 1-D compares: the 2-D ones cost more than the sort on short rows
+        keys = np.sort(keys[0])
+        same = keys[1:] == keys[:-1]
+    else:
+        keys = keys[:, np.lexsort(keys)]
+        same = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+    return bool(keys[..., 0].any()) and not same.any()  # the smallest column is not zero
 
 
 def is_projective(G: GeneratorMatrix) -> bool:

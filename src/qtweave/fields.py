@@ -3,7 +3,9 @@
 Elements are plain integers in [0, q).  For a prime field the value is the
 residue itself.  For an extension field the integer packs the base-p digit
 vector of the element's polynomial representation, least significant digit
-first: value = c0 + c1*p + ... + c_{e-1}*p^(e-1).
+first: value = c0 + c1*p + ... + c_{e-1}*p^(e-1).  A column of elements packs
+the same way into base-q int64 keys (`column_keys`), which projectivity sorts
+and the spectrum transform indexes by.
 
 All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
 built vectorised on first use and shared by all callers; a Field has no other
@@ -106,6 +108,30 @@ class Field:
             if k > self.q:  # cannot happen in a field; guards a broken table
                 raise AssertionError("order search did not terminate")
         return k
+
+
+def column_keys(cols: np.ndarray, q: int) -> np.ndarray:
+    """Base-q int64 keys of the columns of a (k, n) array of elements, first row leading.
+
+    The keys form a (ceil(k / c), n) array: row i packs rows i c .. i c + c - 1,
+    where c is the largest count with q^c <= 2^63, so a key is the column's
+    base-q value, below 2^63.  Mostly q^k fits and one row of keys packs the
+    whole column.  Equal columns are exactly equal key columns, and the zero
+    column is the only all-zero one; no rows give one row of zero keys.  Each
+    row is one einsum, which buffers the widening cast instead of copying the
+    array to int64.
+    """
+    k = len(cols)
+    per_key = max(k, 1)
+    while q**per_key > 1 << 63:
+        per_key -= 1
+    starts = range(0, max(k, 1), per_key)
+    keys = np.empty((len(starts), cols.shape[1]), dtype=np.int64)
+    for key, start in zip(keys, starts):
+        digits = cols[start:start + per_key]
+        powers = q ** np.arange(len(digits) - 1, -1, -1, dtype=np.int64)
+        np.einsum("j,jn->n", powers, digits, out=key)
+    return keys
 
 
 def _build_tables(field: Field) -> FieldTables:

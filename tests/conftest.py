@@ -13,8 +13,9 @@ operations, matrix products are done schoolbook-style, ring elements are
 reduced by `poly_divmod` and shifted one position at a time, rank is row
 reduction with scalar field operations, projectivity compares every pair of
 columns, and dual weight counts come from the MacWilliams transform of a
-spectrum, so they can catch bugs in the spectrum transform, the block gather,
-the rank check and the projectivity check.  Matrices may come in as numpy
+spectrum or from counting zero columns and proportional pairs one by one,
+so they can catch bugs in the spectrum transform, the block gather, the
+rank check, the projectivity check and the Pless moments.  Matrices may come in as numpy
 arrays; the oracles read them as lists of Python ints.  Irreducibility is
 decided by the classic gcd test, independent of the order-of-x test that
 primitivity uses, and the order of x is found by multiplying by x one step
@@ -192,6 +193,30 @@ def naive_is_projective(field, rows) -> bool:
     return not any(tuple(f.mul(a, v) for v in x) == y
                    for i, x in enumerate(cols) for y in cols[i + 1:]
                    for a in range(1, field.q))
+
+
+def dual_pair_counts(field, rows):
+    """(B_1, B_2) by counting columns and pairs of columns one pair at a time.
+
+    A zero column carries q - 1 dual words of weight 1, a pair of zero columns
+    (q - 1)^2 of weight 2, and a pair of proportional nonzero columns q - 1.
+    Columns are compared after scaling each by the inverse of its first
+    nonzero entry, with scalar field ops.
+    """
+    f, q = scalar(field), field.q
+    canon = []
+    for col in zip(*_ints(rows)):
+        lead = next((v for v in col if v), 0)
+        canon.append(tuple(f.mul(f.inv(lead), v) for v in col) if lead else None)
+    b1 = (q - 1) * canon.count(None)
+    b2 = 0
+    for i, x in enumerate(canon):
+        for y in canon[i + 1:]:
+            if x is None and y is None:
+                b2 += (q - 1) ** 2
+            elif x == y:
+                b2 += q - 1
+    return b1, b2
 
 
 def schoolbook_vec_mat(field, u, matrix_rows):

@@ -4,6 +4,8 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtweave import (
     BudgetExceededError,
@@ -13,7 +15,9 @@ from qtweave import (
     build_qt_simplex,
     build_two_weight,
     decompose_block_count,
+    dual_low_counts,
     expected_counts,
+    field_from_order,
     gap_fn,
     griesmer_length,
     griesmer_report,
@@ -21,11 +25,13 @@ from qtweave import (
     mean_weight_identity_holds,
     min_distance,
     simplex_consta,
+    srg_parameters,
     verify_two_weight,
     weight_distribution,
     weight_distribution_of_rows,
 )
-from conftest import dual_counts, naive_weight_counts, scalar
+from qtweave.analysis import WeightDistribution
+from conftest import dual_counts, dual_pair_counts, naive_weight_counts, scalar
 
 
 @pytest.fixture(scope="session")
@@ -237,6 +243,67 @@ def test_macwilliams_dual_counts_agree_with_is_projective(sweep, gf3, gf4):
         assert B[0] == 1
         assert all(b.denominator == 1 and b >= 0 for b in B)
         assert (B[1] == B[2] == 0) == is_projective(G)
+        assert dual_low_counts(W) == tuple(B[1:])  # the Pless moments give the same counts
+
+
+@st.composite
+def mutations(draw):
+    """Append zero columns and scalar multiples of existing columns to a sweep code."""
+    return draw(st.lists(st.tuples(st.sampled_from(["zero", "multiple"]),
+                                   st.integers(0, 1 << 16), st.integers(1, 1 << 16)),
+                         max_size=3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(index=st.integers(0, 1 << 16), edits=mutations())
+def test_pless_moments_of_mutated_codes(sweep, index, edits):
+    *_, G, _, _ = sweep[index % len(sweep)]
+    q = G.field.q
+    f = scalar(G.field)
+    for kind, column, a in edits:
+        col = G.rows[:, column % G.n].tolist()
+        scaled = [f.mul(1 + a % (q - 1), v) for v in col]
+        G = with_column(G, [0] * G.k if kind == "zero" else scaled)
+    W = weight_distribution(G)
+    counts = dual_low_counts(W)
+    assert counts == tuple(dual_counts(W)[1:]) == dual_pair_counts(G.field, G.rows)
+    assert (counts == (0, 0)) == is_projective(G) == (not edits)
+    assert mean_weight_identity_holds(W) == (counts[0] == 0)
+
+
+def test_pless_moments_of_one_zero_column():
+    # B_2 = 0 for a single zero column: the ROADMAP's "+ q - 2" coefficient gave (q - 1)(q - 2)
+    for q in (3, 4, 5, 7, 8, 9):
+        _, G = build_two_weight(simplex_consta(field_from_order(q), 2), 2)
+        H = with_column(G, [0] * G.k)
+        counts = dual_low_counts(weight_distribution(H))
+        assert counts == (q - 1, 0) == dual_pair_counts(H.field, H.rows)
+
+
+@pytest.mark.parametrize("n, k, counts", [
+    (3, 2, {0: 1, 1: 3}),  # sum w A_w = 3 is no multiple of q^(k-1) = 2
+    (1, 1, {0: 1, 2: 1}),  # B_1 = M - 2 = -1
+    (3, 3, {0: 1, 1: 2, 2: 5}),  # B_1 = 0, but the second moment leaves 2 B_2 = -1
+], ids=["first moment", "negative B_1", "negative B_2"])
+def test_pless_moments_reject_a_spectrum_of_no_code(n, k, counts):
+    with pytest.raises(VerificationError):
+        dual_low_counts(WeightDistribution(n=n, k=k, q=2, counts=counts))
+
+
+@pytest.mark.parametrize("p, srg", [(13, (256, 195, 146, 156)), (14, (256, 210, 170, 182)),
+                                    (16, (256, 240, 224, 240))])
+def test_srg_parameters_of_the_binary_named_codes(gf2, p, srg):
+    _, G = build_two_weight(simplex_consta(gf2, 4), p)
+    assert srg_parameters(weight_distribution(G)) == srg
+
+
+def test_srg_parameters_need_a_projective_two_weight_code(code56, gf2):
+    code, G = code56
+    with pytest.raises(ParameterError):
+        srg_parameters(weight_distribution(with_column(G, [0] * G.k)))
+    _, G1 = build_qt_simplex(simplex_consta(gf2, 2))
+    with pytest.raises(ParameterError):
+        srg_parameters(weight_distribution(G1))
 
 
 def test_expected_counts(code56, s_ternary2, gf2):

@@ -199,6 +199,44 @@ def test_json_reimport_of_a_mistyped_field_is_a_mismatch(tmp_path, capsys, monke
     assert err == ""
 
 
+# one exported field re-read well typed but out of range: each exited 2 from
+# the rebuild ("invalid input") although the command's own flags were valid
+JSON_RANGE_EDITS = {
+    "t below 2": ("t", 1),
+    "characteristic not prime": ("q_characteristic", 4),
+    "p below 2": ("p", 1),
+    "h coefficient outside GF(3)": ("h", [5, 1, 1]),
+    "selection shift 99": ("selection", [[1, 99], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_RANGE_EDITS))
+def test_json_reimport_of_an_out_of_range_field_is_a_mismatch(tmp_path, capsys, monkeypatch, name):
+    key, value = JSON_RANGE_EDITS[name]
+    export = cli._export_payload
+    monkeypatch.setattr(cli, "_export_payload",
+                        lambda code, G, W: {**export(code, G, W), key: value})
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
+                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
+def test_json_reimport_beyond_the_budget_exits_3_before_building(tmp_path, capsys, monkeypatch):
+    export, build = cli._export_payload, construction.simplex_consta
+    builds = []
+    monkeypatch.setattr(cli, "_export_payload", lambda code, G, W: {**export(code, G, W), "t": 40})
+    monkeypatch.setattr(construction, "simplex_consta",
+                        lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
+                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    assert rc == 3
+    assert "round trip" not in out
+    assert err.startswith("error: enumeration needs q^k = 3^80 messages")
+    assert len(builds) == 1  # the export's own code, not the re-read one
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     rc, out, _ = run(capsys, "construct", "--q", "3", "--t", "2", "--p", "2", "--matrix")
@@ -300,6 +338,30 @@ def test_analyze_report(capsys):
     assert "gap: observed 4, predicted 4 (i = 4, r = 1)" in out
     assert "length-optimal: no" in out
     assert "projective: yes" in out
+
+
+@pytest.mark.parametrize("p, srg", [(13, "(256, 195, 146, 156)"), (14, "(256, 210, 170, 182)"),
+                                    (16, "(256, 240, 224, 240)")], ids=["195", "210", "240"])
+def test_analyze_names_the_strongly_regular_graph(capsys, p, srg):
+    rc, out, _ = run(capsys, "analyze", "--q", "2", "--t", "4", "--p", str(p))
+    assert rc == 0
+    assert out.splitlines()[-2:] == ["projective: yes", f"srg: {srg}"]
+
+
+def test_analyze_decides_projectivity_without_a_pass_over_the_columns(capsys, monkeypatch):
+    # the simplex check sorts the m columns of the base; nothing sorts the n columns of G
+    def refuse(G):
+        raise AssertionError("is_projective ran")
+
+    widths, kernel = [], construction._distinct_points
+    monkeypatch.setattr(construction, "is_projective", refuse)
+    monkeypatch.setattr(analysis, "is_projective", refuse)
+    monkeypatch.setattr(construction, "_distinct_points",
+                        lambda field, cols: widths.append(cols.shape[1]) or kernel(field, cols))
+    rc, out, _ = run(capsys, "analyze", "--q", "2", "--t", "10", "--p", "1024")
+    assert rc == 0
+    assert "projective: yes" in out.splitlines()
+    assert widths == [1023]
 
 
 @pytest.mark.parametrize("argv, method", [
