@@ -6,6 +6,13 @@ Every command is deterministic given its flags.  Exit codes: 0 success,
 The enumeration budget defaults to 2^24 messages and can be overridden with
 --budget or the QTWEAVE_BUDGET environment variable; `construct --block-matrix`
 also needs the 2m x n symbols of the full block form to fit in it.
+
+The flags and the JSON re-import build a code through one path, _build,
+which checks in this order before any simplex base is built: t > 1; the
+q^(2t) messages against the budget, by the exponent first; the variant, p,
+selection and h consistency; with --block-matrix, the 2m x n symbols
+against the budget.  The flags --h, --g and --selection are parsed before
+all of these.
 """
 
 from __future__ import annotations
@@ -119,32 +126,52 @@ def _check_message_budget(q: int, t: int, budget: int) -> None:
         )
 
 
-def _build_code(args, field, budget):
-    """Simplex base and assembled code from the common flags."""
-    if args.t <= 1:
-        raise ParameterError(f"dimension t must be > 1, got {args.t}")
-    _check_message_budget(field.q, args.t, budget)
-    h = _poly_from_user(field, _parse_ints(args.h)) if args.h else None
-    g = _poly_from_user(field, _parse_ints(args.g)) if args.g else None
-    if g is not None or args.cyclic:
-        if h is not None:
-            raise ParameterError("--h applies to the consta-cyclic base; use --g with --cyclic")
-        s = construction.simplex_cyclic(field, args.t, g=g)
-    else:
-        s = construction.simplex_consta(field, args.t, h=h)
-    selection = _parse_selection(args.selection) if args.selection else None
-    qt = field.q**args.t
-    if args.variant == "qt-simplex":
-        if args.p is not None and args.p != qt:
-            raise ParameterError(f"the qt-simplex variant forces p = q^t = {qt}, got {args.p}")
+def _build(field, t, budget, variant, p, selection, h, g, cyclic, block_form=False):
+    """Check the parsed parameters, then build the simplex base and the code.
+
+    The one path from parameters to a code, for the flags and the JSON
+    re-import alike; the order of the checks is in the module docstring.
+    """
+    if t <= 1:
+        raise ParameterError(f"dimension t must be > 1, got {t}")
+    _check_message_budget(field.q, t, budget)
+    qt = field.q**t
+    if h is not None and (g is not None or cyclic):
+        raise ParameterError("--h applies to the consta-cyclic base; use --g with --cyclic")
+    if variant == construction.QT_SIMPLEX:
+        if p is not None and p != qt:
+            raise ParameterError(f"the qt-simplex variant forces p = q^t = {qt}, got {p}")
         if selection is not None:
             raise ParameterError("the qt-simplex variant uses the full canonical selection")
-        code, G = construction.build_qt_simplex(s)
+    elif p is None:
+        raise ParameterError("--p is required for the two-weight variant")
+    elif not 2 <= p <= qt:
+        raise ParameterError(f"block count p must be in 2..{qt}, got {p}")
+    if block_form:  # 2m rows of n symbols
+        m = (qt - 1) // (field.q - 1)
+        cells = 2 * m * m * (qt + 1 if variant == construction.QT_SIMPLEX else p)
+        if cells > budget:
+            raise BudgetExceededError(
+                f"the full block form needs 2m x n = {cells} symbols, budget is {budget}",
+                required=cells,
+                budget=budget,
+            )
+    if g is not None or cyclic:
+        s = construction.simplex_cyclic(field, t, g=g)
     else:
-        if args.p is None:
-            raise ParameterError("--p is required for the two-weight variant")
-        code, G = construction.build_two_weight(s, args.p, selection=selection)
-    return code, G
+        s = construction.simplex_consta(field, t, h=h)
+    if variant == construction.QT_SIMPLEX:
+        return construction.build_qt_simplex(s)
+    return construction.build_two_weight(s, p, selection=selection)
+
+
+def _build_code(args, field, budget, block_form=False):
+    """Parse --h, --g and --selection, then build the code of the common flags."""
+    h = _poly_from_user(field, _parse_ints(args.h)) if args.h else None
+    g = _poly_from_user(field, _parse_ints(args.g)) if args.g else None
+    selection = _parse_selection(args.selection) if args.selection else None
+    return _build(field, args.t, budget, args.variant, args.p, selection, h, g, args.cyclic,
+                  block_form)
 
 
 def _summary_line(code, W) -> str:
@@ -172,29 +199,9 @@ def _print_code_details(code, G, W, out):
           file=out)
 
 
-def _check_block_form(args, q, budget):
-    """The full block form has 2m rows of n symbols: refuse 2m * n > budget before any build."""
-    if args.t <= 1 or 2 * args.t >= budget.bit_length():
-        return  # _build_code rejects these, a huge t by its exponent before q^t is built
-    qt = q**args.t
-    if args.variant != "qt-simplex" and not 2 <= (args.p or 0) <= qt:
-        return  # _build_code rejects these parameters
-    blocks = qt + 1 if args.variant == "qt-simplex" else args.p
-    m = (qt - 1) // (q - 1)
-    cells = 2 * m * blocks * m
-    if cells > budget:
-        raise BudgetExceededError(
-            f"the full block form needs 2m x n = {cells} symbols, budget is {budget}",
-            required=cells,
-            budget=budget,
-        )
-
-
 def _cmd_construct(args) -> int:
     field, budget = _field_and_budget(args)
-    if args.block_matrix:
-        _check_block_form(args, field.q, budget)
-    code, G = _build_code(args, field, budget)
+    code, G = _build_code(args, field, budget, args.block_matrix)
     W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, G, W, sys.stdout)
     if args.matrix:
@@ -365,9 +372,13 @@ def _export_payload(code, G, W) -> dict:
     }
 
 
-def _write_text_export(path, code, G):
+def _text_header(code) -> list[int]:
     s = code.simplex
-    lines = [f"{code.n} {code.k} {s.q} {s.t} {code.p} {s.lam}", *_row_lines(G.rows, s.q)]
+    return [code.n, code.k, s.q, s.t, code.p, s.lam]
+
+
+def _write_text_export(path, code, G):
+    lines = [" ".join(map(str, _text_header(code))), *_row_lines(G.rows, code.field.q)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -387,31 +398,8 @@ def _json_types_ok(data: dict) -> bool:
             and all(isinstance(row, str) for row in data["generator_rows"]))
 
 
-def _rebuild_json(data: dict, budget: int):
-    """The generator a well-typed JSON export describes, or None if the rebuilt code differs.
-
-    Out-of-range fields raise ParameterError, and a t whose messages exceed
-    the budget BudgetExceededError, before any construction work.
-    """
-    field = fields.field_create(data["q_characteristic"], data["q_degree"])
-    if (list(field.modulus) if field.modulus else None) != data["field_modulus"]:
-        raise VerificationError("re-imported field modulus does not match the canonical one")
-    _require_digits(field.q)  # a larger field cannot have written these digit strings
-    _check_message_budget(field.q, data["t"], budget)
-    if data["simplex_variant"] == construction.CYCLIC:
-        s = construction.simplex_cyclic(field, data["t"], g=Poly(field, data["g"]))
-    else:
-        s = construction.simplex_consta(field, data["t"], h=Poly(field, data["h"]))
-    if (s.variant, s.lam, list(s.h.coeffs)) != (data["simplex_variant"], data["lambda"], data["h"]):
-        return None
-    selection = tuple((i, j) for i, j in data["selection"])
-    if data["variant"] == construction.QT_SIMPLEX:
-        code, G = construction.build_qt_simplex(s)
-        return G if code.selection == selection else None
-    return construction.build_two_weight(s, data["p"], selection=selection)[1]
-
-
 def _roundtrip_json(path, W, budget) -> bool:
+    """Rebuild the code the file describes through _build; it must re-export to the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -419,33 +407,34 @@ def _roundtrip_json(path, W, budget) -> bool:
         return False
     if not isinstance(data, dict) or data.keys() != _JSON_KEYS or not _json_types_ok(data):
         return False
-    try:
-        G = _rebuild_json(data, budget)
-    except ParameterError:  # well-typed but out of range: the file describes no code
-        return False
-    if G is None or [_digit_string(row, G.field.q) for row in G.rows] != data["generator_rows"]:
+    try:  # a well-typed value out of range raises ParameterError: the file describes no code
+        field = fields.field_create(data["q_characteristic"], data["q_degree"])
+        _require_digits(field.q)  # a larger field cannot have written these digit strings
+        cyclic = data["simplex_variant"] == construction.CYCLIC
+        h, g = (None, Poly(field, data["g"])) if cyclic else (Poly(field, data["h"]), None)
+        qt_simplex = data["variant"] == construction.QT_SIMPLEX
+        code, G = _build(field, data["t"], budget, data["variant"], data["p"],
+                         None if qt_simplex else data["selection"], h, g, cyclic)
+    except ParameterError:
         return False
     W2 = analysis.weight_distribution(G, budget=budget)
-    return {str(w): c for w, c in sorted(W2.counts.items())} == data["weight_counts"] and (
-        W2.counts == W.counts
-    )
+    return _export_payload(code, G, W2) == data and W2.counts == W.counts
 
 
-def _roundtrip_text(path, field, W, budget) -> bool:
-    """Re-import a header of six integers, then exactly k rows of n integers."""
+def _roundtrip_text(path, code, W, budget) -> bool:
+    """Re-import the six header integers as written, then exactly k rows of n integers."""
     try:
         with open(path) as fh:
             header, _, body = fh.read().lstrip().partition("\n")
-        n, k, q, _t, _p, _lam = map(int, header.split())
-        if q != field.q or not body.strip():  # loadtxt would only warn on an empty body
-            return False
+        if list(map(int, header.split())) != _text_header(code) or not body.strip():
+            return False  # loadtxt would only warn on an empty body
         # comments=None: a '#' token is not an integer, so it fails the parse
         rows = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:  # undecodable text, a malformed header, a non-integer or ragged row
+    except ValueError:  # undecodable text, a non-integer header or row, a ragged row
         return False
-    if rows.shape != (k, n):
+    if rows.shape != (code.k, code.n):
         return False
-    W2 = analysis.weight_distribution_of_rows(field, rows, budget=budget)
+    W2 = analysis.weight_distribution_of_rows(code.field, rows, budget=budget)
     return W2.counts == W.counts
 
 
@@ -467,7 +456,7 @@ def _cmd_export(args) -> int:
         ok = (
             _roundtrip_json(args.output, W, budget)
             if args.format == "json"
-            else _roundtrip_text(args.output, code.field, W, budget)
+            else _roundtrip_text(args.output, code, W, budget)
         )
         print("round trip: " + ("ok" if ok else "MISMATCH"))
         if not ok:

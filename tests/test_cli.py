@@ -104,6 +104,14 @@ def _first_row(edit):
     return lambda lines: [lines[0], edit(lines[1]), *lines[2:]]
 
 
+def _header_token_plus_one(index):
+    def edit(lines):
+        tokens = lines[0].split()
+        tokens[index] = str(int(tokens[index]) + 1)
+        return [" ".join(tokens), *lines[1:]]
+    return edit
+
+
 # each edit of the lines of a q=3 export (a header, then k = 4 rows of n = 12)
 # leaves a file that does not read back
 TEXT_EDITS = {
@@ -119,6 +127,9 @@ TEXT_EDITS = {
     "malformed header": lambda lines: ["12 4 3", *lines[1:]],
     "header n off by one": lambda lines: ["13 4" + lines[0][4:], *lines[1:]],
     "header k off by one": lambda lines: ["12 5" + lines[0][4:], *lines[1:]],
+    "header t off by one": _header_token_plus_one(3),
+    "header p off by one": _header_token_plus_one(4),
+    "header lambda off by one": _header_token_plus_one(5),
     "empty file": lambda lines: [],
 }
 
@@ -164,11 +175,30 @@ def test_text_reimport_of_a_symbol_out_of_range_is_invalid_input(tmp_path, capsy
     assert err.startswith("error: ")
 
 
+def _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 --p 3"):
+    """Export with --roundtrip, the written file replaced by edit(its content) before the re-read."""
+    roundtrip = cli._roundtrip_json
+
+    def edit_then_roundtrip(path, W, budget):
+        with open(path) as fh:
+            data = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump(edit(data), fh, indent=1)
+        return roundtrip(path, W, budget)
+
+    monkeypatch.setattr(cli, "_roundtrip_json", edit_then_roundtrip)
+    return run(capsys, "export", *flags.split(), "--format", "json",
+               "--output", str(tmp_path / "code.json"), "--roundtrip")
+
+
+def test_json_reimport_of_the_file_as_written_is_ok(tmp_path, capsys, monkeypatch):
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, lambda data: data)
+    assert rc == 0 and "round trip: ok" in out and err == ""
+
+
 @pytest.mark.parametrize("payload", [{}, [], {"generator_rows": []}], ids=["empty", "list", "partial"])
 def test_json_reimport_of_a_malformed_payload_is_a_mismatch(tmp_path, capsys, monkeypatch, payload):
-    monkeypatch.setattr(cli, "_export_payload", lambda code, G, W: payload)
-    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
-                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, lambda data: payload)
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -190,10 +220,8 @@ JSON_EDITS = {
 @pytest.mark.parametrize("name", sorted(JSON_EDITS))
 def test_json_reimport_of_a_mistyped_field_is_a_mismatch(tmp_path, capsys, monkeypatch, name):
     key, value = JSON_EDITS[name]
-    export = cli._export_payload
-    monkeypatch.setattr(cli, "_export_payload", lambda code, G, W: {**export(code, G, W), key: value})
-    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
-                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
+                                       lambda data: {**data, key: value})
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -213,24 +241,40 @@ JSON_RANGE_EDITS = {
 @pytest.mark.parametrize("name", sorted(JSON_RANGE_EDITS))
 def test_json_reimport_of_an_out_of_range_field_is_a_mismatch(tmp_path, capsys, monkeypatch, name):
     key, value = JSON_RANGE_EDITS[name]
-    export = cli._export_payload
-    monkeypatch.setattr(cli, "_export_payload",
-                        lambda code, G, W: {**export(code, G, W), key: value})
-    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
-                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
+                                       lambda data: {**data, key: value})
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
+# one exported field re-read well typed and in range but not what the rebuilt
+# code exports: each read back as ok, or (the modulus) as "verification failed"
+JSON_MISMATCH_EDITS = {
+    "variant bogus": ("--q 3 --t 2 --p 3", "variant", "bogus"),
+    "g of another base": ("--q 4 --t 2 --p 3", "g", [1, 2]),
+    "qt-simplex p 99": ("--q 2 --t 2 --variant qt-simplex", "p", 99),
+    "modulus not canonical": ("--q 4 --t 2 --p 3", "field_modulus", [1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_MISMATCH_EDITS))
+def test_json_reimport_must_re_export_to_the_file(tmp_path, capsys, monkeypatch, name):
+    flags, key, value = JSON_MISMATCH_EDITS[name]
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
+                                       lambda data: {**data, key: value}, flags)
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
 
 
 def test_json_reimport_beyond_the_budget_exits_3_before_building(tmp_path, capsys, monkeypatch):
-    export, build = cli._export_payload, construction.simplex_consta
+    build = construction.simplex_consta
     builds = []
-    monkeypatch.setattr(cli, "_export_payload", lambda code, G, W: {**export(code, G, W), "t": 40})
     monkeypatch.setattr(construction, "simplex_consta",
                         lambda *a, **kw: builds.append(a) or build(*a, **kw))
-    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
-                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
+                                       lambda data: {**data, "t": 40})
     assert rc == 3
     assert "round trip" not in out
     assert err.startswith("error: enumeration needs q^k = 3^80 messages")
@@ -257,6 +301,25 @@ def test_out_of_range_selection_exits_2(capsys, pair, message):
     assert rc == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--q 2 --t 18 --budget 1099511627776", "--p is required for the two-weight variant"),
+    ("--q 2 --t 2 --variant qt-simplex --p 5", "the qt-simplex variant forces p = q^t = 4, got 5"),
+    ("--q 2 --t 2 --variant qt-simplex --selection 1:0",
+     "the qt-simplex variant uses the full canonical selection"),
+    ("--q 3 --t 2 --p 2 --selection 1:x", "cannot parse selection entry '1:x'"),
+    ("--q 3 --t 3 --p 2 --cyclic --h 1,0,2,1",
+     "--h applies to the consta-cyclic base; use --g with --cyclic"),
+], ids=["no-p", "qt-simplex-p", "qt-simplex-selection", "unparsable-selection", "cyclic-h"])
+def test_bad_parameters_exit_2_before_any_build(capsys, monkeypatch, argv, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("simplex base built before the parameters were checked")
+    monkeypatch.setattr(construction, "simplex_consta", no_build)
+    monkeypatch.setattr(construction, "simplex_cyclic", no_build)
+    rc, out, err = run(capsys, "construct", *argv.split())
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_construct_invalid_p(capsys):
