@@ -15,11 +15,16 @@ Two assembled shapes are supported, both of dimension 2t:
   [(q^(2t)-1)/(q-1), 2t, q^(2t-1)]_q simplex in quasi-twisted form.
 
 Every block is a word a x^e g mod (x^m - lam), 0 <= e <= 2m (a shift j < m plus
-a row index u < m).  For ext = lam^2 g | lam g | g, x^e g is ext[2m - e : 3m - e],
-so a read-only sliding-window view of the table a ext, one row per scale a in
-use, holds every word; a block is one window picked by (a, 2m - e), scale 0
-giving the zero block.  A row group is a list of (a, e) blocks, its row u adds
-u to every e, and all rows of both groups are one gather from that view.
+a row index u < m).  For ext = lam^2 g | lam g | g, x^e g is ext[2m - e : 3m - e].
+Each base holds one read-only word table, built on its first build: the q
+rows a ext, a in GF(q), laid end to end (q x 3m cells, 3q/(q - 1) per
+nonzero simplex codeword; 3.1 M at q = 1024, t = 2), and the sliding-window
+view of width m over them, whose row (3a + 2) m - e is the block a x^e g;
+scale 0 gives the zero block.  A row group is a list of (a, e) blocks, its
+row u adds u to every e, and all rows of both groups are one gather from
+that view, so every build over a base reads the same table.  The simplex
+check reads only ext, built once from the division's quotient, so a base
+that is never built on never makes the table.
 
 Each invariant is computed once, and a failure raises VerificationError: one
 division x^m = g h + lam gives g and lam, the columns of the t shifts of g
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -95,6 +101,37 @@ class SimplexSpec:
 
     def params(self) -> tuple[int, int, int]:
         return (self.m, self.t, self.weight)
+
+    def __getstate__(self):
+        """The fields alone: pickled, the window view would copy m cells per window."""
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+    @cached_property
+    def _ext(self) -> np.ndarray:
+        """lam^2 g | lam g | g, read-only: x^e g mod (x^m - lam) is [2m - e : 3m - e]."""
+        mul = self.field.tables.mul
+        g = np.zeros(self.m, dtype=mul.dtype)
+        g[:len(self.g.coeffs)] = np.fromiter(self.g.coeffs, mul.dtype, len(self.g.coeffs))
+        lam = mul[self.lam]
+        ext = np.concatenate([lam[lam[g]], lam[g], g])
+        ext.setflags(write=False)
+        return ext
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The word table (module docstring): row (3a + 2) m - e is a x^e g mod (x^m - lam).
+
+        A read-only (3qm - m + 1, m) sliding-window view of the q rows a ext,
+        a in GF(q), laid end to end; windows across two rows are never read.
+        """
+        table = np.take(self.field.tables.mul, self._ext, axis=1)  # row a is a ext, C-ordered
+        table.setflags(write=False)
+        return sliding_window_view(table.reshape(-1), self.m)
+
+    @cached_property
+    def _lower(self) -> np.ndarray:
+        """The strict lower triangle of the 2t x 2t rank minor, as a boolean mask."""
+        return np.tri(2 * self.t, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -139,33 +176,6 @@ class GeneratorMatrix:
         return self.rows.shape[0]
 
 
-def _windows(s: SimplexSpec, scales) -> np.ndarray:
-    """Read-only (len(scales), 2m + 1, m) view: [i, 2m - e] is scales[i] x^e g mod (x^m - lam).
-
-    The view reads one (len(scales), 3m) table, the rows of lam^2 g | lam g | g
-    times each scale, so it covers every shift 0 <= e <= 2m in O(len(scales) m)
-    cells.
-    """
-    _, mul, _, _ = s.field.tables
-    g = np.zeros(s.m, dtype=mul.dtype)
-    g[:len(s.g.coeffs)] = s.g.coeffs
-    ext = np.concatenate([mul[mul[s.lam, s.lam], g], mul[s.lam, g], g])
-    return sliding_window_view(mul[np.asarray(scales)[:, None], ext], s.m, axis=1)
-
-
-def _words(s: SimplexSpec, scales, shifts) -> np.ndarray:
-    """Coefficients of a x^e g mod (x^m - lam), 0 <= e <= 2m, in one gather.
-
-    scales and shifts are broadcastable integer arrays, and the result has
-    their broadcast shape plus one axis of length m.  The window table holds
-    only the distinct scales, found with a set (at most min(q, p + 1) of them
-    for a code's blocks).
-    """
-    scales = np.asarray(scales)
-    used = sorted(set(scales.ravel().tolist()))
-    return _windows(s, used)[np.searchsorted(used, scales), 2 * s.m - np.asarray(shifts)]
-
-
 def _distinct_points(field: Field, cols: np.ndarray) -> bool:
     """No zero column and no two proportional columns in the (k, n) array.
 
@@ -200,11 +210,14 @@ def is_projective(G: GeneratorMatrix) -> bool:
 def _check_equidistant(s: SimplexSpec) -> None:
     """The t shifts of g span the simplex code: their columns are the points of PG(t - 1, q)."""
     points = (s.q**s.t - 1) // (s.q - 1)
-    if s.m != points or not _distinct_points(s.field, _words(s, [1] * s.t, range(s.t))):
-        raise VerificationError(
-            f"simplex code is degenerate or not equidistant: the columns of the {s.t} "
-            f"shifts of g are not the {points} points of PG({s.t - 1}, {s.q})"
-        )
+    if s.m == points:
+        windows = sliding_window_view(s._ext, s.m)  # row 2m - u is x^u g
+        if _distinct_points(s.field, windows[2 * s.m - np.arange(s.t)]):
+            return
+    raise VerificationError(
+        f"simplex code is degenerate or not equidistant: the columns of the {s.t} "
+        f"shifts of g are not the {points} points of PG({s.t - 1}, {s.q})"
+    )
 
 
 def _assemble_simplex(field: Field, t: int, h: Poly, variant: str) -> SimplexSpec:
@@ -315,27 +328,29 @@ def _assemble_rows(code: QtCodeSpec, shifts: int) -> np.ndarray:
     the bottom group a zero block, the selected blocks (and a trailing g);
     row u shifts every block by x^u.  With shifts = t these are the generator
     rows; with shifts = m every twistulant block is written out in full.
-    Either is one gather from the window table of _words, indexed by a
-    (2, 1, blocks) scale array broadcast against a (2, shifts, blocks) shift
-    array.  Besides the output, the temporaries are that table, at most
-    min(q, p + 1) x 3m cells, and 2 x shifts x blocks indices: no index is
-    output-sized.
+    Block (a, e) is row (3a + 2) m - e of the base's word table, so both
+    groups are one (2, blocks) list of table rows, row u subtracts u from
+    each, and all rows are one gather.  Besides the output, the only
+    temporary is that 2 x shifts x blocks index: none is output-sized, and
+    the table (q x 3m cells) is built on the base's first build and shared
+    by every later one.
     """
-    trailing = code.variant == QT_SIMPLEX
-    top = [(1, 0)] * code.p + [(0, 0)] * trailing
-    bottom = [(0, 0), *code.selection] + [(1, 0)] * trailing
-    scales, base = np.array([top, bottom]).transpose(2, 0, 1)  # (2, blocks) each
-    shift = base[:, None, :] + np.arange(shifts)[:, None]  # (2, shifts, blocks)
-    return _words(code.simplex, scales[:, None, :], shift).reshape(2 * shifts, code.n)
+    s, trailing = code.simplex, code.variant == QT_SIMPLEX
+    stride, g, zero = 3 * s.m, 5 * s.m, 2 * s.m  # a x^j g is row a * stride + zero - j
+    top = [g] * code.p + [zero] * trailing
+    bottom = [zero, *[a * stride + zero - j for a, j in code.selection]] + [g] * trailing
+    rows = np.array([top, bottom])[:, None, :] - np.arange(shifts)[:, None]  # (2, shifts, blocks)
+    return s._table[rows].reshape(2 * shifts, code.n)
 
 
 def _finish(code: QtCodeSpec) -> GeneratorMatrix:
-    t, m = code.simplex.t, code.simplex.m
+    s = code.simplex
+    t, m = s.t, s.m
     rows = _assemble_rows(code, t)
     rows.setflags(write=False)
     j1 = code.selection[0][1]  # the minor of the module docstring
     minor = rows[:, [*range(t), *(m + (j1 + v) % m for v in range(t))]]
-    if np.tril(minor, -1).any() or not minor.diagonal().all():
+    if minor[s._lower].any() or not minor.diagonal().all():
         raise VerificationError(f"generator matrix does not have full rank {code.k}")
     return GeneratorMatrix(rows=rows, provenance=code)
 

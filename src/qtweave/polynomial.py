@@ -41,7 +41,16 @@ class Poly:
 
     @classmethod
     def monomial(cls, field, degree, coeff=1):
-        return cls(field, (0,) * degree + (coeff,))
+        return cls._normalized(field, [0] * degree + [field.check(coeff)])
+
+    @classmethod
+    def _normalized(cls, field, cs: list):
+        """A Poly of the list cs, whose entries are already elements: trimmed, not re-checked."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        poly = cls.__new__(cls)
+        poly.field, poly.coeffs = field, tuple(cs)
+        return poly
 
     @property
     def degree(self) -> int:
@@ -93,7 +102,7 @@ class Poly:
                 quot[k - db] = over_lead[c]
                 for d, row in steps:
                     rem[k + d] = add(rem[k + d], row[c])
-        return Poly(f, quot), Poly(f, rem[:db])
+        return Poly._normalized(f, quot), Poly._normalized(f, rem[:db])  # table entries
 
     def __str__(self):
         if not self.coeffs:
@@ -147,20 +156,26 @@ def _x_pow(e: int, ntail, add, mul) -> list:
 
     ntail lists the t low coefficients of x^t mod h, that is, the negated
     tail of h.  Residues are lists of t coefficients, ascending; they hold
-    numpy integers when the tables are numpy arrays.
+    numpy integers when the tables are numpy arrays.  In characteristic 2 a
+    square is a Frobenius image, (sum a_i x^i)^2 = sum a_i^2 x^(2i), as the
+    doubled cross terms vanish: t table reads instead of t^2 products.
     """
     t = len(ntail)
     taps = [(i, c) for i, c in enumerate(ntail) if c]
     one = [1] + [0] * (t - 1)
     acc = one
+    frobenius = add[1][1] == 0  # 1 + 1 = 0
     for bit in bin(e)[2:]:
         prod = [0] * (2 * t - 1)
-        for i, a in enumerate(acc):
-            if a:
-                row = mul[a]
-                for j, b in enumerate(acc, i):
-                    if b:
-                        prod[j] = add[prod[j]][row[b]]
+        if frobenius:
+            prod[::2] = [mul[a][a] for a in acc]
+        else:
+            for i, a in enumerate(acc):
+                if a:
+                    row = mul[a]
+                    for j, b in enumerate(acc, i):
+                        if b:
+                            prod[j] = add[prod[j]][row[b]]
         for k in range(2 * t - 2, t - 1, -1):  # x^k = x^(k-t) * ntail
             c = prod[k]
             if c:

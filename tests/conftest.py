@@ -28,6 +28,7 @@ from functools import cache
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from qtweave import (
@@ -326,6 +327,16 @@ def residue(field, coeffs, m, lam):
 def base_word(s):
     """The word g mod (x^m - lam) of a simplex spec s, ascending and padded to m, by residue."""
     return residue(s.field, s.g.coeffs, s.m, s.lam)
+
+
+def table_words(s, scales, shifts):
+    """a x^e g as the word table of a simplex spec s holds it: the object under test, no oracle.
+
+    Row (3a + 2) m - e of the table is a x^e g mod (x^m - lam), 0 <= a < q and
+    0 <= e <= 2m.  scales and shifts are broadcastable integer arrays, and
+    the result has their broadcast shape plus one axis of length m.
+    """
+    return s._table[np.multiply(scales, 3 * s.m) + (2 * s.m - np.asarray(shifts))]
 
 
 def poly_gcd(field, a, b):

@@ -23,10 +23,10 @@ from qtweave import (
     simplex_cyclic,
     weight_distribution_of_rows,
 )
-from qtweave.construction import CYCLIC, _check_equidistant, _words
+from qtweave.construction import CYCLIC, _check_equidistant
 from conftest import (SWEEP_CONFIGS, base_word, consta_shift, is_irreducible, naive_rank,
                       naive_weight_counts, order_of_x, poly_divmod, poly_mul, scalar, span_words,
-                      twist_modulus, twistulant_rows)
+                      table_words, twist_modulus, twistulant_rows)
 
 # (q, t) with gcd(t, q - 1) = 1, so a cyclic simplex base exists
 CYCLIC_CONFIGS = ((2, 3), (2, 5), (3, 3), (3, 5), (4, 2), (5, 3), (8, 2), (9, 3))
@@ -157,8 +157,8 @@ def test_a_supplied_non_monic_g_gives_the_base_of_g(q, t):
 
 
 def codeword(s, i, j):
-    """The block i * x^j * g, as the gather builds it."""
-    return tuple(_words(s, [i], [j])[0].tolist())
+    """The block i * x^j * g, as the word table holds it."""
+    return tuple(table_words(s, i, j).tolist())
 
 
 def test_codeword_poly(s_binary, s_ternary):
@@ -185,10 +185,10 @@ def test_out_of_range_selection_is_rejected_before_any_gather(s_ternary, monkeyp
     q, m = s_ternary.q, s_ternary.m
     i, j = {"zero scale": (0, 0), "scale q": (q, 0), "shift m": (1, m), "shift -1": (1, -1)}[pair]
 
-    def no_gather(*args):
-        raise AssertionError("gathered blocks for an invalid selection")
+    def no_gather(s):
+        raise AssertionError("read the word table for an invalid selection")
 
-    monkeypatch.setattr(construction, "_windows", no_gather)
+    monkeypatch.setattr(SimplexSpec, "_table", property(no_gather))  # every build gathers from it
     with pytest.raises(ParameterError, match="scale index" if j == 0 else "shift"):
         build_two_weight(s_ternary, 3, selection=((1, 1), (i, j)))
 
@@ -371,7 +371,7 @@ def simplex_spans(draw):
 @given(simplex_spans())
 def test_equidistance_check_agrees_with_the_spectrum(s):
     # the check sorts the columns of the t shifts of g; the engine counts their weights
-    rows = _words(s, [1] * s.t, range(s.t))
+    rows = table_words(s, 1, range(s.t))
     counts = weight_distribution_of_rows(s.field, rows).counts
     equidistant = counts == {0: 1, s.weight: s.q**s.t - 1}
     try:

@@ -141,10 +141,16 @@ def test_gcd(gf2, gf3):
 
 
 def x_pow_mod(n, h):
-    """x^n modulo the monic h by polynomial._x_pow, the kernel of is_primitive, as coefficients."""
+    """x^n modulo the monic h by polynomial._x_pow, the kernel of is_primitive, as coefficients.
+
+    The kernel runs on the numpy tables, as is_primitive calls it, and on
+    their lists, as find_primitive does; the two must agree.
+    """
     add, mul, neg, _ = h.field.tables
     ntail = [neg.item(c) for c in h.coeffs[:-1]]
-    return Poly(h.field, [int(c) for c in polynomial._x_pow(n, ntail, add, mul)]).coeffs
+    on_arrays = [int(c) for c in polynomial._x_pow(n, ntail, add, mul)]
+    assert polynomial._x_pow(n, ntail, add.tolist(), mul.tolist()) == on_arrays
+    return Poly(h.field, on_arrays).coeffs
 
 
 def test_x_pow_mod(gf2, gf3):
@@ -154,10 +160,14 @@ def test_x_pow_mod(gf2, gf3):
     assert x_pow_mod(7, h2) == (1,)
     assert x_pow_mod(0, h3) == (1,)
     # square-and-multiply on the tables against square-and-multiply on the conftest
-    # arithmetic, for primitive, irreducible, reducible and non-unit moduli
+    # arithmetic, for primitive, irreducible, reducible and non-unit moduli; GF(4),
+    # GF(8) and GF(256) square by the Frobenius map with a^2 != a for some a
     for field, tails in ((gf2, [(1, 0, 1, 0, 0), (1, 1, 1, 1), (0, 1, 1)]),
                          (gf3, [(1, 0, 1), (2, 2, 0, 1), (1, 2)]),
-                         (field_from_order(9), [(3, 3), (5, 0, 7), (1,)])):
+                         (field_from_order(9), [(3, 3), (5, 0, 7), (1,)]),
+                         (field_from_order(4), [(2, 1), (3, 0, 2, 1), (0, 3), (1,)]),
+                         (field_from_order(8), [(5, 1), (3, 7, 0, 6), (0, 0, 4)]),
+                         (field_from_order(256), [(2, 1), (87, 0, 255), (0, 19), (200,)])):
         for h in (Poly(field, tail + (1,)) for tail in tails):
             for n in (1, 2, 7, 80, 1000, 3**9 + 5):
                 assert x_pow_mod(n, h) == pow_mod(field, (0, 1), n, h.coeffs), (h, n)

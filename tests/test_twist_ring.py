@@ -1,14 +1,17 @@
 """The twisted ring F_q[x]/(x^m - lam) and the one gather that builds every block.
 
-`construction._words` computes a x^e g mod (x^m - lam) for arrays of scales a
-and shifts e by table lookups.  The oracles in conftest multiply and reduce
-with their own schoolbook polynomial arithmetic (`poly_mul`, `poly_divmod`)
-and shift one position at a time, all on scalar field operations.  The
-blocks of every simplex base the suite builds are checked to be distinct and
-nonzero, which the construction relies on without checking it per code.
+Every simplex base holds one word table whose row (3a + 2) m - e is
+a x^e g mod (x^m - lam), and every build gathers its blocks from it;
+`conftest.table_words` reads it for arrays of scales a and shifts e.  The
+oracles in conftest multiply and reduce with their own schoolbook polynomial
+arithmetic (`poly_mul`, `poly_divmod`) and shift one position at a time, all
+on scalar field operations.  The blocks of every simplex base the suite
+builds are checked to be distinct and nonzero, which the construction relies
+on without checking it per code.
 """
 
 import json
+import pickle
 import random
 from functools import lru_cache
 from importlib import resources
@@ -18,10 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import Poly, field_create, field_from_order, find_primitive, simplex_consta, simplex_cyclic
-from qtweave.construction import _words
+from qtweave import (Poly, build_qt_simplex, build_two_weight, field_create, field_from_order,
+                     find_primitive, simplex_consta, simplex_cyclic)
 from conftest import (consta_shift, naive_is_projective, poly_divmod, poly_mul, residue, scalar,
-                      schoolbook_vec_mat, twistulant_rows)
+                      schoolbook_vec_mat, table_words, twistulant_rows)
 
 FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(5)]
 
@@ -44,7 +47,7 @@ def s_ternary(gf3):
 
 
 def word(s, a, e):
-    return tuple(_words(s, [a], [e])[0].tolist())
+    return tuple(table_words(s, a, e).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -71,11 +74,35 @@ def test_gather_matches_poly_oracle(data):
     pair = st.tuples(st.integers(0, s.q - 1), st.integers(0, 2 * s.m - 1))
     pairs = data.draw(st.lists(pair, min_size=1, max_size=8))
     scales, shifts = zip(*pairs)
-    words = _words(s, scales, shifts)
+    words = table_words(s, scales, shifts)
     assert words.shape == (len(pairs), s.m) and words.dtype == s.field.tables.mul.dtype
     for (a, e), got in zip(pairs, words.tolist()):
         product = poly_mul(s.field, (0,) * e + (a,), s.g.coeffs)
         assert tuple(got) == residue(s.field, product, s.m, s.lam), (s.q, s.t, s.variant, a, e)
+
+
+# GF(3) has no cyclic simplex base at t = 2 (gcd(t, q - 1) = 2), so its cyclic one is t = 3
+@pytest.mark.parametrize("q, t, variant", [(2, 3, "consta-cyclic"), (3, 2, "consta-cyclic"),
+                                            (3, 3, "cyclic"), (4, 2, "consta-cyclic"),
+                                            (9, 2, "consta-cyclic")])
+def test_word_table_is_built_once_per_base_and_holds_every_word(q, t, variant):
+    field = field_from_order(q)
+    s = (simplex_cyclic if variant == "cyclic" else simplex_consta)(field, t)
+    assert "_table" not in vars(s)  # the base and its simplex check make no table
+    build_two_weight(s, 2)
+    table = vars(s)["_table"]
+    build_qt_simplex(s)
+    build_two_weight(s, 3, selection=((q - 1, s.m - 1), (1, 1)))
+    assert vars(s)["_table"] is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    copy = pickle.loads(pickle.dumps(s))  # the cached arrays stay behind
+    assert copy == s and not {"_ext", "_table", "_lower"} & vars(copy).keys()
+    m = s.m
+    for a in range(q):
+        for e in range(2 * m + 1):
+            expected = residue(field, poly_mul(field, (0,) * e + (a,), s.g.coeffs), m, s.lam)
+            assert tuple(table_words(s, a, e).tolist()) == expected, (a, e)
 
 
 def test_consta_shift_single(gf3, s_ternary):
@@ -136,7 +163,7 @@ def test_matrix_rows(gf3, s_ternary):
     assert len(rows) == 4
     # the gather's shifts 0..m-1 of g are the twistulant matrix of g
     m = s_ternary.m
-    gathered = [tuple(r) for r in _words(s_ternary, [1] * m, range(m)).tolist()]
+    gathered = [tuple(r) for r in table_words(s_ternary, 1, range(m)).tolist()]
     assert gathered == twistulant_rows(gf3, s_ternary.lam, word(s_ternary, 1, 0))
 
 
