@@ -120,6 +120,22 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
     return A.reshape(q, -1)[0]
 
 
+def check_budget(q: int, k: int, budget: int | None = None) -> None:
+    """Refuse an enumeration of q^k messages over the budget, DEFAULT_BUDGET if None.
+
+    The exponent decides first: q >= 2 gives q^k > budget once k >=
+    budget.bit_length(), so a huge k never builds q^k.  The error's required
+    is q^k for k <= 64 and None beyond.
+    """
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if k >= limit.bit_length() or q**k > limit:
+        raise BudgetExceededError(
+            f"enumeration needs q^k = {q}^{k} messages, budget is {limit}",
+            required=q**k if k <= 64 else None,
+            budget=limit,
+        )
+
+
 def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
                                 multiplicity=None) -> WeightDistribution:
     """Exact weight counts of the code spanned by the rows of a (k, n) array or list.
@@ -146,13 +162,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         dim += 1
     if q**dim != total:
         raise ParameterError(f"multiplicities {mult} do not total a power of {q}")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(
-            f"enumeration needs q^k = {total} messages, budget is {limit}",
-            required=total,
-            budget=limit,
-        )
+    check_budget(q, dim, budget)
     if gen.dtype.kind not in "iu" or gen.min() < 0 or gen.max() >= q:
         raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
     add, mul, neg, _ = field.tables
@@ -179,12 +189,14 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         del zeros, key  # this chunk's A-sized arrays must not outlive it into the next chunk
     computed = hist[[u for u in range(1, q) if r == 0 or mult[u]]]
     if (computed != computed[:1]).any():
-        raise AssertionError("nonzero leading symbols gave different weight histograms")
+        raise VerificationError("spectrum: nonzero leading symbols gave different weight "
+                                "histograms")
     weights = np.flatnonzero(hist.any(axis=0))
     counts = np.array(mult, dtype=object) @ hist[:, weights]  # Python ints, however large M is
     result = {int(w): c for w, c in zip(weights, counts) if c}
     if sum(result.values()) != total:
-        raise AssertionError("transform lost codewords")
+        raise VerificationError(f"spectrum: the transform counted {sum(result.values())} "
+                                f"codewords, not {total}")
     return WeightDistribution(n=n, k=dim, q=q, counts=result)
 
 

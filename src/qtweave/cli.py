@@ -89,16 +89,6 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-def _require_digits(q: int) -> None:
-    if q > len(_DIGITS):
-        raise ParameterError(f"digit strings support fields up to order {len(_DIGITS)}")
-
-
-def _digit_string(word, q: int) -> str:
-    _require_digits(q)
-    return _DIGIT_BYTES[word].tobytes().decode("ascii")
-
-
 def _row_lines(rows, q: int) -> list[str]:
     """One line per row: its symbols as decimal integers, space-separated."""
     labels = [str(v) for v in range(q)]
@@ -111,21 +101,6 @@ def _field_and_budget(args):
     return fields.field_from_order(args.q), budget
 
 
-def _check_message_budget(q: int, t: int, budget: int) -> None:
-    """Refuse q^(2t) messages over the budget before any construction work starts.
-
-    q >= 2 gives q^k > budget once k >= budget.bit_length(), so a huge t
-    never builds q^k.
-    """
-    k = 2 * t
-    if k >= budget.bit_length() or q**k > budget:
-        raise BudgetExceededError(
-            f"enumeration needs q^k = {q}^{k} messages, budget is {budget}",
-            required=q**k if k < budget.bit_length() else None,
-            budget=budget,
-        )
-
-
 def _build(field, t, budget, variant, p, selection, h, g, cyclic, block_form=False):
     """Check the parsed parameters, then build the simplex base and the code.
 
@@ -134,7 +109,7 @@ def _build(field, t, budget, variant, p, selection, h, g, cyclic, block_form=Fal
     """
     if t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {t}")
-    _check_message_budget(field.q, t, budget)
+    analysis.check_budget(field.q, 2 * t, budget)
     qt = field.q**t
     if h is not None and (g is not None or cyclic):
         raise ParameterError("--h applies to the consta-cyclic base; use --g with --cyclic")
@@ -183,27 +158,26 @@ def _summary_line(code, W) -> str:
     return f"[{code.n}, {code.k}; {w_txt}]_{q} quasi-twisted simplex code"
 
 
-def _print_code_details(code, G, W, out):
+def _print_code_details(code, W):
     s = code.simplex
-    print(_summary_line(code, W), file=out)
-    print(f"blocks: {code.block_count} x {s.m} columns", file=out)
-    print(f"field: GF({s.q})", file=out)
-    print(f"simplex base: {s.variant} [{s.m}, {s.t}, {s.weight}]_{s.q}", file=out)
-    print(f"h: {s.h}", file=out)
-    print(f"lambda: {s.lam}", file=out)
-    print(f"g: {s.g}", file=out)
+    print(_summary_line(code, W))
+    print(f"blocks: {code.block_count} x {s.m} columns")
+    print(f"field: GF({s.q})")
+    print(f"simplex base: {s.variant} [{s.m}, {s.t}, {s.weight}]_{s.q}")
+    print(f"h: {s.h}")
+    print(f"lambda: {s.lam}")
+    print(f"g: {s.g}")
     sel = " ".join(f"({i},{j})" for i, j in code.selection)
-    print(f"selection: {sel}", file=out)
+    print(f"selection: {sel}")
     d = analysis.min_distance(W)
-    print(f"min distance: {d} (exact over {W.total()} codewords, spectrum method: {W.method})",
-          file=out)
+    print(f"min distance: {d} (exact over {W.total()} codewords, spectrum method: {W.method})")
 
 
 def _cmd_construct(args) -> int:
     field, budget = _field_and_budget(args)
     code, G = _build_code(args, field, budget, args.block_matrix)
     W = analysis.weight_distribution(G, budget=budget)
-    _print_code_details(code, G, W, sys.stdout)
+    _print_code_details(code, W)
     if args.matrix:
         print("generator matrix (reduced):", *_row_lines(G.rows, field.q), sep="\n")
     if args.block_matrix:
@@ -216,7 +190,7 @@ def _cmd_analyze(args) -> int:
     field, budget = _field_and_budget(args)
     code, G = _build_code(args, field, budget)
     W = analysis.weight_distribution(G, budget=budget)
-    _print_code_details(code, G, W, sys.stdout)
+    _print_code_details(code, W)
     dist = " ".join(f"{w}:{c}" for w, c in sorted(W.counts.items()))
     print(f"weight distribution: {dist}")
     status = EXIT_OK
@@ -349,10 +323,6 @@ def _cmd_search_primitive(args) -> int:
     return EXIT_OK
 
 
-_JSON_KEYS = frozenset("q_characteristic q_degree field_modulus t simplex_variant p lambda h g "
-                       "selection variant generator_rows weight_counts".split())
-
-
 def _export_payload(code, G, W) -> dict:
     s = code.simplex
     return {
@@ -367,7 +337,7 @@ def _export_payload(code, G, W) -> dict:
         "g": list(s.g.coeffs),
         "selection": [[i, j] for i, j in code.selection],
         "variant": code.variant,
-        "generator_rows": [_digit_string(row, s.q) for row in G.rows],
+        "generator_rows": [_DIGIT_BYTES[row].tobytes().decode("ascii") for row in G.rows],
         "weight_counts": {str(w): c for w, c in sorted(W.counts.items())},
     }
 
@@ -383,33 +353,33 @@ def _write_text_export(path, code, G):
         fh.write("\n".join(lines) + "\n")
 
 
-def _json_types_ok(data: dict) -> bool:
-    """The exported types: plain ints (bool is not one), int lists, int pairs and strings."""
-    def ints(v):
-        return isinstance(v, list) and all(type(c) is int for c in v)
+def _json_types_ok(value) -> bool:
+    """Whether a loaded JSON value holds no bool and no float, at any depth.
 
-    scalars = ("q_characteristic", "q_degree", "t", "p", "lambda")
-    return (all(type(data[key]) is int for key in scalars)
-            and (data["field_modulus"] is None or ints(data["field_modulus"]))
-            and ints(data["h"]) and ints(data["g"])
-            and isinstance(data["selection"], list)
-            and all(ints(pair) and len(pair) == 2 for pair in data["selection"])
-            and isinstance(data["generator_rows"], list)
-            and all(isinstance(row, str) for row in data["generator_rows"]))
+    Once the value equals the exported payload, this leaves only its types:
+    2.0 == 2 and True == 1 compare equal.
+    """
+    if isinstance(value, (dict, list)):
+        return all(map(_json_types_ok, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, (bool, float))
 
 
-def _roundtrip_json(path, W, budget) -> bool:
-    """Rebuild the code the file describes through _build; it must re-export to the file."""
+def _roundtrip_json(path, payload, W, budget) -> bool:
+    """The file must load to the payload written, then rebuild through _build to it.
+
+    The types are checked after the comparison.  The rebuild proves that the
+    exported fields describe the exported code; W is the export's own
+    spectrum, so no second one runs.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
     except ValueError:  # empty, undecodable or not JSON
         return False
-    if not isinstance(data, dict) or data.keys() != _JSON_KEYS or not _json_types_ok(data):
+    if data != payload or not _json_types_ok(data):
         return False
     try:  # a well-typed value out of range raises ParameterError: the file describes no code
         field = fields.field_create(data["q_characteristic"], data["q_degree"])
-        _require_digits(field.q)  # a larger field cannot have written these digit strings
         cyclic = data["simplex_variant"] == construction.CYCLIC
         h, g = (None, Poly(field, data["g"])) if cyclic else (Poly(field, data["h"]), None)
         qt_simplex = data["variant"] == construction.QT_SIMPLEX
@@ -417,12 +387,14 @@ def _roundtrip_json(path, W, budget) -> bool:
                          None if qt_simplex else data["selection"], h, g, cyclic)
     except ParameterError:
         return False
-    W2 = analysis.weight_distribution(G, budget=budget)
-    return _export_payload(code, G, W2) == data and W2.counts == W.counts
+    return _export_payload(code, G, W) == payload
 
 
-def _roundtrip_text(path, code, W, budget) -> bool:
-    """Re-import the six header integers as written, then exactly k rows of n integers."""
+def _roundtrip_text(path, code, G) -> bool:
+    """The six header integers as written, then exactly the rows of G, as integers.
+
+    Equal rows have equal spectra, so no second one runs.
+    """
     try:
         with open(path) as fh:
             header, _, body = fh.read().lstrip().partition("\n")
@@ -432,16 +404,13 @@ def _roundtrip_text(path, code, W, budget) -> bool:
         rows = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
     except ValueError:  # undecodable text, a non-integer header or row, a ragged row
         return False
-    if rows.shape != (code.k, code.n):
-        return False
-    W2 = analysis.weight_distribution_of_rows(code.field, rows, budget=budget)
-    return W2.counts == W.counts
+    return rows.shape == G.rows.shape and bool((rows == G.rows).all())
 
 
 def _cmd_export(args) -> int:
     field, budget = _field_and_budget(args)
-    if args.format == "json":  # rows are written as digit strings
-        _require_digits(field.q)
+    if args.format == "json" and field.q > len(_DIGITS):  # rows are written as digit strings
+        raise ParameterError(f"digit strings support fields up to order {len(_DIGITS)}")
     code, G = _build_code(args, field, budget)
     W = analysis.weight_distribution(G, budget=budget)
     if args.format == "json":
@@ -454,9 +423,9 @@ def _cmd_export(args) -> int:
     print(f"wrote {args.format} export to {args.output}")
     if args.roundtrip:
         ok = (
-            _roundtrip_json(args.output, W, budget)
+            _roundtrip_json(args.output, payload, W, budget)
             if args.format == "json"
-            else _roundtrip_text(args.output, code, W, budget)
+            else _roundtrip_text(args.output, code, G)
         )
         print("round trip: " + ("ok" if ok else "MISMATCH"))
         if not ok:
@@ -517,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--format", choices=["text", "json"], required=True)
     p_export.add_argument("--output", required=True)
     p_export.add_argument("--roundtrip", action="store_true",
-                          help="re-import the file and check the analysis is reproduced")
+                          help="re-read the file: it must hold exactly what was written, "
+                               "and a JSON export must rebuild to it")
     p_export.set_defaults(func=_cmd_export)
     return parser
 

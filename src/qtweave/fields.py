@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, VerificationError
 from .polynomial import find_primitive
 
 DEFAULT_ORDER_LIMIT = 1024
@@ -106,7 +106,8 @@ class Field:
             acc = row[acc]
             k += 1
             if k > self.q:  # cannot happen in a field; guards a broken table
-                raise AssertionError("order search did not terminate")
+                raise VerificationError(f"field tables: {a} has no multiplicative order "
+                                        f"below {self.q}; the tables are not a field's")
         return k
 
 

@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, ParameterError, VerificationError
 
 if TYPE_CHECKING:  # fields imports find_primitive from here
     from .fields import Field
@@ -209,7 +209,8 @@ def _norms(t: int, mul, neg) -> set[int]:
         if len(powers) == q - 1:
             sign = neg if t % 2 else range(q)
             return {int(sign[powers[j]]) for j in range(q - 1) if gcd(j, q - 1) == 1}
-    raise AssertionError("no generator of GF(q)^*: the tables are not a field's")
+    raise VerificationError(f"primitive search: GF({q})^* has no generator; "
+                            "the tables are not a field's")
 
 
 def _primitive_tail(tail, norms, exponents, add, mul, neg) -> bool:

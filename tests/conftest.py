@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from qtweave import (
+    Field,
     ParameterError,
     build_two_weight,
     field_create,
@@ -136,6 +137,20 @@ class ScalarField:
 @cache
 def scalar(field) -> ScalarField:
     return ScalarField(field)
+
+
+def field_with_products(q, products):
+    """A fresh prime field GF(q) whose mul table has the {(a, b): c} entries changed.
+
+    Such tables are no field's; they reach the guards against broken tables.
+    """
+    true = field_from_order(q).tables
+    mul = np.array(true.mul)
+    for (a, b), c in products.items():
+        mul[a, b] = c
+    field = Field(q, 1, None)
+    field._tables = true._replace(mul=mul)
+    return field
 
 
 def _ints(rows):

@@ -131,6 +131,8 @@ TEXT_EDITS = {
     "header p off by one": _header_token_plus_one(4),
     "header lambda off by one": _header_token_plus_one(5),
     "empty file": lambda lines: [],
+    "symbol out of range": _first_row(lambda row: "3" + row[1:]),
+    "rows swapped": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
 }
 
 
@@ -167,24 +169,16 @@ def test_text_reimport_accepts_extra_whitespace(tmp_path, capsys, monkeypatch):
     assert rc == 0 and "round trip: ok" in out
 
 
-def test_text_reimport_of_a_symbol_out_of_range_is_invalid_input(tmp_path, capsys, monkeypatch):
-    rc, out, err = _export_edited_text(tmp_path, capsys, monkeypatch,
-                                        _first_row(lambda row: "3" + row[1:]))
-    assert rc == 2
-    assert "round trip" not in out
-    assert err.startswith("error: ")
-
-
 def _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 --p 3"):
     """Export with --roundtrip, the written file replaced by edit(its content) before the re-read."""
     roundtrip = cli._roundtrip_json
 
-    def edit_then_roundtrip(path, W, budget):
+    def edit_then_roundtrip(path, payload, W, budget):
         with open(path) as fh:
             data = json.load(fh)
         with open(path, "w") as fh:
             json.dump(edit(data), fh, indent=1)
-        return roundtrip(path, W, budget)
+        return roundtrip(path, payload, W, budget)
 
     monkeypatch.setattr(cli, "_roundtrip_json", edit_then_roundtrip)
     return run(capsys, "export", *flags.split(), "--format", "json",
@@ -204,8 +198,11 @@ def test_json_reimport_of_a_malformed_payload_is_a_mismatch(tmp_path, capsys, mo
     assert err == ""
 
 
-# one exported field re-read with the wrong type: each escaped main as a
-# TypeError or ValueError, or exited 2, before the types were checked
+# one exported field re-read with the wrong type: each of the first seven
+# escaped main as a TypeError or ValueError, or exited 2, before the types were
+# checked.  The last three compare equal to the export (2.0 == 2, True == 1),
+# so only the type check after the comparison refuses them; the float weight
+# count read back ok while the check covered only the code's fields
 JSON_EDITS = {
     "t as text": ("t", "2"),
     "t as bool": ("t", True),
@@ -214,6 +211,9 @@ JSON_EDITS = {
     "degree null": ("q_degree", None),
     "selection pair too short": ("selection", [[1]]),
     "h as text": ("h", "2,2,1"),
+    "t as float": ("t", 2.0),
+    "degree as bool": ("q_degree", True),
+    "weight count as float": ("weight_counts", {"0": 1, "6": 24, "9": 56.0}),
 }
 
 
@@ -248,37 +248,69 @@ def test_json_reimport_of_an_out_of_range_field_is_a_mismatch(tmp_path, capsys, 
     assert err == ""
 
 
-# one exported field re-read well typed and in range but not what the rebuilt
-# code exports: each read back as ok, or (the modulus) as "verification failed"
+def _field_edit(key, value):
+    return lambda data: {**data, key: value}
+
+
+def _another_selection(data):
+    """The export of the same q=3 t=2 p=3 code family with another selection, in full."""
+    s = construction.simplex_consta(fields.field_from_order(3), 2)
+    code, G = construction.build_two_weight(s, 3, selection=((2, 0), (1, 3)))
+    other = cli._export_payload(code, G, analysis.weight_distribution(G))
+    assert other["selection"] != data["selection"]
+    assert other["weight_counts"] == data["weight_counts"]
+    return other
+
+
+# a file well typed and in range that is not the export.  Each once read back
+# as ok (the modulus as "verification failed"); the export of another
+# selection still did while the round trip compared spectra, as the codes of
+# one p share theirs
 JSON_MISMATCH_EDITS = {
-    "variant bogus": ("--q 3 --t 2 --p 3", "variant", "bogus"),
-    "g of another base": ("--q 4 --t 2 --p 3", "g", [1, 2]),
-    "qt-simplex p 99": ("--q 2 --t 2 --variant qt-simplex", "p", 99),
-    "modulus not canonical": ("--q 4 --t 2 --p 3", "field_modulus", [1, 0, 1]),
+    "variant bogus": ("--q 3 --t 2 --p 3", _field_edit("variant", "bogus")),
+    "g of another base": ("--q 4 --t 2 --p 3", _field_edit("g", [1, 2])),
+    "qt-simplex p 99": ("--q 2 --t 2 --variant qt-simplex", _field_edit("p", 99)),
+    "modulus not canonical": ("--q 4 --t 2 --p 3", _field_edit("field_modulus", [1, 0, 1])),
+    "another selection of p = 3": ("--q 3 --t 2 --p 3", _another_selection),
 }
 
 
 @pytest.mark.parametrize("name", sorted(JSON_MISMATCH_EDITS))
 def test_json_reimport_must_re_export_to_the_file(tmp_path, capsys, monkeypatch, name):
-    flags, key, value = JSON_MISMATCH_EDITS[name]
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
-                                       lambda data: {**data, key: value}, flags)
+    flags, edit = JSON_MISMATCH_EDITS[name]
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags)
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
 
 
-def test_json_reimport_beyond_the_budget_exits_3_before_building(tmp_path, capsys, monkeypatch):
+def test_json_reimport_beyond_the_budget_is_a_mismatch_before_building(tmp_path, capsys,
+                                                                       monkeypatch):
     build = construction.simplex_consta
     builds = []
     monkeypatch.setattr(construction, "simplex_consta",
                         lambda *a, **kw: builds.append(a) or build(*a, **kw))
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
-                                       lambda data: {**data, "t": 40})
-    assert rc == 3
-    assert "round trip" not in out
-    assert err.startswith("error: enumeration needs q^k = 3^80 messages")
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, _field_edit("t", 40))
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
     assert len(builds) == 1  # the export's own code, not the re-read one
+
+
+def test_a_spectrum_that_fails_its_own_check_is_a_verification_failure(capsys, monkeypatch):
+    # one miscounted cell once escaped main as an AssertionError
+    original = analysis._zero_counts
+
+    def corrupt(*args):
+        zeros = original(*args).copy()
+        zeros[-1] += 1
+        return zeros
+
+    monkeypatch.setattr(analysis, "_zero_counts", corrupt)
+    rc, out, err = run(capsys, "analyze", "--q", "3", "--t", "2", "--p", "4")
+    assert rc == 1 and out == ""
+    assert err.startswith("verification failed: spectrum: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
@@ -721,7 +753,8 @@ def test_g_of_the_wrong_degree_is_a_usage_error(capsys, g):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_export_roundtrip_honours_budget(tmp_path, capsys, monkeypatch, fmt):
-    # a spectrum call that omits the budget gets a default of 100 < 2^8 messages
+    # a spectrum call that omits the budget gets a default of 100 < 2^8 messages;
+    # the round trip compares the file with the export and runs no spectrum of its own
     engine = analysis.weight_distribution_of_rows
     budgets = []
 
@@ -734,7 +767,7 @@ def test_export_roundtrip_honours_budget(tmp_path, capsys, monkeypatch, fmt):
                      "--format", fmt, "--output", str(tmp_path / f"code.{fmt}"), "--roundtrip")
     assert rc == 0
     assert "round trip: ok" in out
-    assert budgets == [1000, 1000]
+    assert budgets == [1000]
 
 
 def test_export_json_rejects_large_fields_before_work(tmp_path, capsys, monkeypatch):

@@ -10,8 +10,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qtweave import ParameterError, Poly, field_create, field_from_order, fields
-from conftest import order_of_x, scalar
+from qtweave import (ParameterError, Poly, VerificationError, field_create, field_from_order,
+                     fields)
+from conftest import field_with_products, order_of_x, scalar
 
 EXTENSION_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
                     for e in range(2, 11) if p**e <= 1024]
@@ -134,6 +135,12 @@ def test_element_order_small_cases(gf2, gf3):
     assert gf2.element_order(1) == 1
     with pytest.raises(ParameterError):
         gf3.element_order(0)
+
+
+def test_element_order_of_a_broken_table_is_a_verification_error():
+    field = field_with_products(3, {(2, 2): 2})  # 2 is idempotent: its powers never reach 1
+    with pytest.raises(VerificationError, match="^field tables: 2 has no multiplicative order"):
+        field.element_order(2)
 
 
 def test_order_divides_group_order():

@@ -9,6 +9,7 @@ from qtweave import (
     BudgetExceededError,
     ParameterError,
     Poly,
+    VerificationError,
     field_create,
     field_from_order,
     find_primitive,
@@ -16,8 +17,8 @@ from qtweave import (
     polynomial,
     simplex_consta,
 )
-from conftest import (euler_phi, is_irreducible, order_of_x, poly_divmod, poly_gcd, poly_mul, pow_mod,
-                      scalar)
+from conftest import (euler_phi, field_with_products, is_irreducible, order_of_x, poly_divmod,
+                      poly_gcd, poly_mul, pow_mod, scalar)
 
 FIELDS = [field_from_order(q) for q in (2, 3, 4, 5, 8, 9)]
 
@@ -240,6 +241,13 @@ def test_norm_rule_holds_and_admits_every_generator(q, t):
     _, mul, neg, _ = field.tables
     assert polynomial._norms(t, mul, neg) == {sign(g) for g in generators}
     assert polynomial._norms(t, mul.tolist(), neg.tolist()) == {sign(g) for g in generators}
+
+
+def test_search_over_tables_with_no_generator_is_a_verification_error():
+    # every nonzero element squares to 1, so no element has the order 4 of a generator
+    field = field_with_products(5, {(a, a): 1 for a in range(1, 5)})
+    with pytest.raises(VerificationError, match=r"^primitive search: GF\(5\)\^\* has no generator"):
+        find_primitive(field, 2)
 
 
 @pytest.mark.parametrize("q,t,coeffs", [

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import (BudgetExceededError, ParameterError, analysis, build_two_weight,
-                     field_create, field_from_order, simplex_consta,
+from qtweave import (BudgetExceededError, ParameterError, VerificationError, analysis,
+                     build_two_weight, field_create, field_from_order, simplex_consta,
                      weight_distribution_of_rows)
 from conftest import naive_weight_counts
 
@@ -160,5 +160,21 @@ def test_unequal_leading_symbol_histograms_are_caught(monkeypatch, gf3):
         return zeros
 
     monkeypatch.setattr(analysis, "_zero_counts", corrupt)
-    with pytest.raises(AssertionError, match="leading symbols"):
+    with pytest.raises(VerificationError, match="^spectrum: nonzero leading symbols"):
         weight_distribution_of_rows(gf3, [(1, 2, 0), (0, 1, 1)], multiplicity=(1, 2, 0))
+
+
+def test_lost_codewords_are_caught(monkeypatch):
+    # a message of slice 1 counted n + 1 times orthogonal lands in slice 0 at
+    # weight n; over GF(2) slice 1 is the only one compared, so only the total shows it
+    original = analysis._zero_counts
+
+    def corrupt(flat, *args):
+        zeros = original(flat, *args).copy()
+        zeros[-1] = len(flat) + 1
+        return zeros
+
+    monkeypatch.setattr(analysis, "_zero_counts", corrupt)
+    with pytest.raises(VerificationError, match="^spectrum: the transform counted 6 codewords"):
+        weight_distribution_of_rows(field_from_order(2), [(1, 0, 1), (0, 1, 1)],
+                                    multiplicity=(1, 3))
