@@ -33,7 +33,7 @@ from .construction import (
 )
 from .errors import BudgetExceededError, ParameterError, VerificationError
 from .fields import Field, field_create, field_from_order
-from .polynomial import Poly, find_primitive, is_primitive
+from .polynomial import Poly, find_primitive
 
 __version__ = "0.1.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "gap_fn",
     "griesmer_length",
     "griesmer_report",
-    "is_primitive",
     "is_projective",
     "mean_weight_identity_holds",
     "min_distance",

@@ -68,7 +68,7 @@ import numpy as np
 
 # is_projective lives next to the simplex check, which runs its test; it is re-exported
 from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT, is_projective
-from .errors import BudgetExceededError, ParameterError, VerificationError
+from .errors import ParameterError, VerificationError, check_budget
 from .fields import Field, column_keys
 
 DEFAULT_BUDGET = 1 << 24
@@ -120,22 +120,6 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
     return A.reshape(q, -1)[0]
 
 
-def check_budget(q: int, k: int, budget: int | None = None) -> None:
-    """Refuse an enumeration of q^k messages over the budget, DEFAULT_BUDGET if None.
-
-    The exponent decides first: q >= 2 gives q^k > budget once k >=
-    budget.bit_length(), so a huge k never builds q^k.  The error's required
-    is q^k for k <= 64 and None beyond.
-    """
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if k >= limit.bit_length() or q**k > limit:
-        raise BudgetExceededError(
-            f"enumeration needs q^k = {q}^{k} messages, budget is {limit}",
-            required=q**k if k <= 64 else None,
-            budget=limit,
-        )
-
-
 def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
                                 multiplicity=None) -> WeightDistribution:
     """Exact weight counts of the code spanned by the rows of a (k, n) array or list.
@@ -162,7 +146,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         dim += 1
     if q**dim != total:
         raise ParameterError(f"multiplicities {mult} do not total a power of {q}")
-    check_budget(q, dim, budget)
+    check_budget(q, dim, DEFAULT_BUDGET if budget is None else budget)
     if gen.dtype.kind not in "iu" or gen.min() < 0 or gen.max() >= q:
         raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
     add, mul, neg, _ = field.tables

@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from . import analysis, construction, fields
-from .errors import BudgetExceededError, ParameterError, VerificationError
+from .errors import BudgetExceededError, ParameterError, VerificationError, check_budget
 from .polynomial import Poly, find_primitive
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -109,7 +109,7 @@ def _build(field, t, budget, variant, p, selection, h, g, cyclic, block_form=Fal
     """
     if t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {t}")
-    analysis.check_budget(field.q, 2 * t, budget)
+    check_budget(field.q, 2 * t, budget)
     qt = field.q**t
     if h is not None and (g is not None or cyclic):
         raise ParameterError("--h applies to the consta-cyclic base; use --g with --cyclic")

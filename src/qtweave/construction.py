@@ -26,9 +26,11 @@ that view, so every build over a base reads the same table.  The simplex
 check reads only ext, built once from the division's quotient, so a base
 that is never built on never makes the table.
 
-Each invariant is computed once, and a failure raises VerificationError: one
-division x^m = g h + lam gives g and lam, the columns of the t shifts of g
-equidistance, and a triangular 2t x 2t minor rank 2t.
+Each invariant is computed once, and a failure raises VerificationError led
+by its stage: one division x^m = g h + lam gives g and lam
+(``simplex division``), lam has order q - 1, or is 1 if cyclic
+(``twist constant``), the columns of the t shifts of g prove equidistance
+(``simplex check``), and a triangular 2t x 2t minor rank 2t (``rank minor``).
 
 The simplex check is the test of ``is_projective`` on the t x m matrix of the
 shifts x^u g, u < t: each column is scaled to lead with 1 and packed into a
@@ -53,6 +55,15 @@ units, as x is one: h(0) g(0) = -lam != 0.  F_q[x]/(h) is thus a field, and
 <x> x GF(q)^* moves each message pair (a, b) with a != 0 to exactly one pair
 (1, v), keeping its weight: the multiplicities are (1, q^t - 1, 0, ...).
 
+The same checks certify that the h of a consta-cyclic base is primitive, so
+a supplied h or g gets no other test: one that fails them is a
+ParameterError, as is one with q^t above the bound of the primitive search,
+checked before the division.  With lam = x^m of order q - 1, the powers
+x^(im + j) = lam^i x^j modulo h, i < q - 1 and j < m, are the q^t - 1
+distinct residues c x^j above, so x has order q^t - 1.  Conversely, a
+primitive h gives x^m of order q - 1, so in GF(q)^*, and the simplex code
+(Lidl & Niederreiter, *Finite Fields*, ch. 3; MacWilliams & Sloane, ch. 1).
+
 The minor is columns 0..t-1 of block 0 and j_1 + v mod m, v < t, of block 1,
 with j_1 the first selected shift.  It is [[A, *], [0, C]], A and C upper
 triangular with diagonals g_0 (deg x^u g < m) and a_1 lam^w g_0; g_0 != 0 as
@@ -71,9 +82,10 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, VerificationError
+from . import polynomial
+from .errors import ParameterError, VerificationError, check_budget
 from .fields import Field, column_keys
-from .polynomial import Poly, find_primitive, is_primitive
+from .polynomial import Poly, find_primitive
 
 CONSTA_CYCLIC = "consta-cyclic"
 CYCLIC = "cyclic"
@@ -215,8 +227,8 @@ def _check_equidistant(s: SimplexSpec) -> None:
         if _distinct_points(s.field, windows[2 * s.m - np.arange(s.t)]):
             return
     raise VerificationError(
-        f"simplex code is degenerate or not equidistant: the columns of the {s.t} "
-        f"shifts of g are not the {points} points of PG({s.t - 1}, {s.q})"
+        f"simplex check: the base is degenerate or not equidistant: the columns of the "
+        f"{s.t} shifts of g are not the {points} points of PG({s.t - 1}, {s.q})"
     )
 
 
@@ -225,13 +237,14 @@ def _assemble_simplex(field: Field, t: int, h: Poly, variant: str) -> SimplexSpe
     m = (q**t - 1) // (q - 1)
     g, rem = divmod(Poly.monomial(field, m), h)  # x^m = g h + lam, so h divides x^m - lam
     if rem.degree > 0:
-        raise VerificationError(f"x^{m} mod h does not reduce to a constant for h = {h}")
-    lam = rem.coeffs[0] if rem.coeffs else 0
+        raise VerificationError(f"simplex division: x^{m} mod h = {rem} is no constant "
+                                f"for h = {h}")
+    lam = rem.coeffs[0] if rem.coeffs else 0  # h = x^t leaves the zero remainder
     if variant == CYCLIC:
         if lam != 1:
-            raise VerificationError(f"cyclic build produced twist constant {lam}, expected 1")
-    elif field.element_order(lam) != q - 1:
-        raise VerificationError(f"twist constant {lam} does not have order {q - 1}")
+            raise VerificationError(f"twist constant: the cyclic build gave {lam}, expected 1")
+    elif not lam or field.element_order(lam) != q - 1:
+        raise VerificationError(f"twist constant: {lam} does not have order {q - 1}")
     s = SimplexSpec(field, t, m, lam, h, g, variant)
     _check_equidistant(s)
     return s
@@ -242,13 +255,18 @@ def simplex_consta(field: Field, t: int, h: Poly | None = None) -> SimplexSpec:
     if t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {t}")
     if h is None:
-        h = find_primitive(field, t, limit=1)[0]
-    else:
-        if h.field != field:
-            raise ParameterError("h belongs to a different field")
-        if h.degree != t or not h.is_monic() or not is_primitive(h):
-            raise ParameterError(f"h = {h} is not a monic primitive polynomial of degree {t}")
-    return _assemble_simplex(field, t, h, CONSTA_CYCLIC)
+        return _assemble_simplex(field, t, find_primitive(field, t, limit=1)[0], CONSTA_CYCLIC)
+    if h.field != field:
+        raise ParameterError("h belongs to a different field")
+    bad_h = f"h = {h} is not a monic primitive polynomial of degree {t}"
+    if h.degree != t or not h.is_monic():
+        raise ParameterError(bad_h)
+    check_budget(field.q, t, polynomial.DEFAULT_SEARCH_BOUND,
+                 "the simplex base of a supplied h", "residues")
+    try:
+        return _assemble_simplex(field, t, h, CONSTA_CYCLIC)
+    except VerificationError:
+        raise ParameterError(bad_h) from None
 
 
 def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
@@ -276,22 +294,27 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
             raise ParameterError("g belongs to a different field")
         if g.degree != m - t:
             raise ParameterError(f"g = {g} must have degree m - t = {m - t}")
+        check_budget(field.q, t, polynomial.DEFAULT_SEARCH_BOUND,
+                     "the simplex base of a supplied g", "residues")
         h, rem = divmod(Poly(field, (neg.item(1),) + (0,) * (m - 1) + (1,)), g)  # x^m - 1
         if not rem.is_zero():
             raise ParameterError(f"g = {g} does not divide x^{m} - 1")
         h = Poly(field, mul[inv[h.lc], h.coeffs].tolist())  # h / lc, monic
-    else:
-        h0 = find_primitive(field, t, limit=1)[0]
-        lam = neg.item(h0.coeffs[0]) if t % 2 else h0.coeffs[0]
-        c = 1
-        for _ in range(pow(t, -1, q - 1)):  # c = lam^(1/t mod (q - 1)), so c^t = lam
-            c = mul.item(c, lam)
-        coeffs, scale = [], 1
-        for a in reversed(h0.coeffs):  # h_j = c^(j-t) h0_j, from j = t down
-            coeffs.append(mul.item(scale, a))
-            scale = mul.item(scale, inv.item(c))
-        h = Poly(field, coeffs[::-1])
-    return _assemble_simplex(field, t, h, CYCLIC)
+        try:
+            return _assemble_simplex(field, t, h, CYCLIC)
+        except VerificationError:
+            raise ParameterError(f"g = {g} does not generate a cyclic simplex code "
+                                 f"of dimension {t}") from None
+    h0 = find_primitive(field, t, limit=1)[0]
+    lam = neg.item(h0.coeffs[0]) if t % 2 else h0.coeffs[0]
+    c = 1
+    for _ in range(pow(t, -1, q - 1)):  # c = lam^(1/t mod (q - 1)), so c^t = lam
+        c = mul.item(c, lam)
+    coeffs, scale = [], 1
+    for a in reversed(h0.coeffs):  # h_j = c^(j-t) h0_j, from j = t down
+        coeffs.append(mul.item(scale, a))
+        scale = mul.item(scale, inv.item(c))
+    return _assemble_simplex(field, t, Poly(field, coeffs[::-1]), CYCLIC)
 
 
 def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]:
@@ -351,7 +374,7 @@ def _finish(code: QtCodeSpec) -> GeneratorMatrix:
     j1 = code.selection[0][1]  # the minor of the module docstring
     minor = rows[:, [*range(t), *(m + (j1 + v) % m for v in range(t))]]
     if minor[s._lower].any() or not minor.diagonal().all():
-        raise VerificationError(f"generator matrix does not have full rank {code.k}")
+        raise VerificationError(f"rank minor: generator matrix does not have full rank {code.k}")
     return GeneratorMatrix(rows=rows, provenance=code)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one budget rule.
 
 The CLI maps these onto exit codes: VerificationError -> 1,
 ParameterError -> 2, BudgetExceededError -> 3.
@@ -20,3 +20,19 @@ class BudgetExceededError(RuntimeError):
 
 class VerificationError(RuntimeError):
     """A computed object fails a property it is required to satisfy."""
+
+
+def check_budget(q: int, k: int, budget: int, job: str = "enumeration",
+                 unit: str = "messages") -> None:
+    """Refuse a job of q^k units over the budget: the spectrum's messages, a search's candidates.
+
+    The exponent decides first: q >= 2 gives q^k > budget once k >=
+    budget.bit_length(), so a huge k never builds q^k.  The error's required
+    is q^k for k <= 64 and None beyond.
+    """
+    if k >= budget.bit_length() or q**k > budget:
+        raise BudgetExceededError(
+            f"{job} needs {q}^{k} {unit}, budget is {budget}",
+            required=q**k if k <= 64 else None,
+            budget=budget,
+        )

@@ -5,10 +5,11 @@ coefficient on the left) as canonical field encodings.  Polynomials are
 normalized: the highest stored coefficient is nonzero, and the zero
 polynomial stores no coefficients at all (its degree is the sentinel -1).
 The one arithmetic operator is divmod, the division the simplex bases run;
-it and x^n mod h read the field's lookup tables directly.  Long division is
-a loop over Python ints that touches only the divisor's nonzero taps below
-its lead, so x^m divided by a sparse h costs O(m * taps) table reads: its
-quotient is the linear recurring sequence with h's taps.
+it reads the field's lookup tables directly, and the primitive search their
+list copies.  Long division is a loop over Python ints that touches only the
+divisor's nonzero taps below its lead, so x^m divided by a sparse h costs
+O(m * taps) table reads: its quotient is the linear recurring sequence with
+h's taps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceededError, ParameterError, VerificationError
+from .errors import ParameterError, VerificationError, check_budget
 
 if TYPE_CHECKING:  # fields imports find_primitive from here
     from .fields import Field
@@ -126,21 +127,13 @@ class Poly:
 def _exponents(q: int, t: int) -> list[int]:
     """N = q^t - 1 followed by N / r for every prime r dividing N.
 
-    The primes come from trial division by d <= DEFAULT_SEARCH_BOUND (read at
-    call time), which covers every N < bound^2; a cofactor above bound^2 that
-    no such d divides raises BudgetExceededError.
+    Its one caller, find_primitive, refuses q^t > DEFAULT_SEARCH_BOUND first,
+    so trial division runs over d <= sqrt(N) < 2^10 at the default bound.
     """
     n = rest = q**t - 1
-    bound = DEFAULT_SEARCH_BOUND
     primes = []
     d = 2
     while d * d <= rest:
-        if d > bound:
-            raise BudgetExceededError(
-                f"factoring q^t - 1 = {q}^{t} - 1 by trial division needs divisors above "
-                f"{bound}: a {rest.bit_length()}-bit cofactor remains",
-                budget=bound,
-            )
         if rest % d == 0:
             primes.append(d)
             while rest % d == 0:
@@ -155,8 +148,8 @@ def _x_pow(e: int, ntail, add, mul) -> list:
     """x^e modulo x^t - ntail, by square-and-multiply on the tables.
 
     ntail lists the t low coefficients of x^t mod h, that is, the negated
-    tail of h.  Residues are lists of t coefficients, ascending; they hold
-    numpy integers when the tables are numpy arrays.  In characteristic 2 a
+    tail of h.  Residues are lists of t coefficients, ascending, and add and
+    mul are the field's tables as nested lists.  In characteristic 2 a
     square is a Frobenius image, (sum a_i x^i)^2 = sum a_i^2 x^(2i), as the
     doubled cross terms vanish: t table reads instead of t^2 products.
     """
@@ -194,21 +187,20 @@ def _x_pow(e: int, ntail, add, mul) -> list:
 
 
 def _norms(t: int, mul, neg) -> set[int]:
-    """The constant terms h(0) that the norm rule of is_primitive allows at degree t.
+    """The constant terms h(0) that the norm rule of find_primitive allows at degree t.
 
     These are (-1)^t times the generators of GF(q)^*, taken as the powers g^j,
     gcd(j, q - 1) = 1, of the first generator g: O(q) table reads for the
-    usual small g.  mul and neg are the field's tables, as numpy arrays or as
-    their nested lists.
+    usual small g.  mul and neg are the field's tables as nested lists.
     """
     q = len(neg)
     for g in range(1, q):
         powers = [1]  # g^0, g^1, ... up to the first 1
-        while (c := int(mul[powers[-1]][g])) != 1:
+        while (c := mul[powers[-1]][g]) != 1:
             powers.append(c)
         if len(powers) == q - 1:
             sign = neg if t % 2 else range(q)
-            return {int(sign[powers[j]]) for j in range(q - 1) if gcd(j, q - 1) == 1}
+            return {sign[powers[j]] for j in range(q - 1) if gcd(j, q - 1) == 1}
     raise VerificationError(f"primitive search: GF({q})^* has no generator; "
                             "the tables are not a field's")
 
@@ -218,7 +210,7 @@ def _primitive_tail(tail, norms, exponents, add, mul, neg) -> bool:
 
     tail holds the t low coefficients of h, ascending; norms is _norms(t, mul,
     neg) and exponents _exponents(q, t); add, mul and neg are the field's
-    tables, as numpy arrays or as their nested lists.
+    tables as nested lists.
     """
     if tail[0] not in norms:  # h(0) is no generator up to sign (0 included)
         return False
@@ -236,38 +228,20 @@ def _primitive_tail(tail, norms, exponents, add, mul, neg) -> bool:
             and not any(_x_pow(e, ntail, add, mul) == one for e in cofactors))
 
 
-def is_primitive(h: Poly) -> bool:
-    """True iff x has order exactly N = q^t - 1 in F_q[x]/(h).
-
-    That order also certifies that h is irreducible: the N powers of x are
-    distinct units, so they fill all q^t - 1 nonzero residues, every nonzero
-    residue is a unit and the quotient is a field.  The test is therefore
-    x^N = 1 and x^(N/r) != 1 for every prime r | N, by square-and-multiply
-    modulo h on the field's lookup tables, with two cheap rejections first.
-    The norm rule: h(0) = (-1)^t a^m for a root a of a primitive h, with m =
-    (q^t - 1)/(q - 1), and a^m has order q - 1 since a has order q^t - 1; so
-    (-1)^t h(0) must generate GF(q)^* (which also rules out h(0) = 0).  Then,
-    for t >= 2, h must have no root in GF(q).  The tables are indexed as numpy
-    arrays, so one call converts nothing of size q x q.
-    """
-    if not h.is_monic() or h.degree < 1:
-        raise ParameterError("primitivity is defined for monic polynomials of degree >= 1")
-    add, mul, neg, _ = h.field.tables
-    t = h.degree
-    return _primitive_tail(h.coeffs[:-1], _norms(t, mul, neg), _exponents(h.field.q, t),
-                           add, mul, neg)
-
-
 def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]:
     """All monic primitive degree-t polynomials, low-degree-first lexicographic order.
 
-    With limit = N >= 1 only the first N are returned.  Each candidate runs
-    the test of is_primitive (no separate irreducibility pass) on the field's
-    tables, converted to lists once per search together with the exponents
-    N and N / r.  Only tails whose constant term c0 passes the norm rule of
-    is_primitive are generated: (-1)^t c0 must generate GF(q)^*, since it is
-    the norm alpha^m of a root alpha of order q^t - 1.  The rule is necessary,
-    so it drops no primitive h and keeps the order.  A search over more than
+    With limit = N >= 1 only the first N are returned.  A monic h is
+    primitive when x has order exactly N = q^t - 1 modulo h: x^N = 1 and
+    x^(N/r) != 1 for every prime r | N, by square-and-multiply on the field's
+    tables, converted to lists once per search together with the exponents.
+    That order also proves h irreducible (the N powers of x are distinct
+    units, so every nonzero residue is a unit), so there is no separate
+    irreducibility pass.  Two cheap rules reject a candidate first.  The norm
+    rule: h(0) = (-1)^t a^m for a root a, m = (q^t - 1)/(q - 1), and a^m has
+    order q - 1, so (-1)^t h(0) must generate GF(q)^*; only such constant
+    terms are generated, which drops no primitive h and keeps the order.
+    Then, for t >= 2, h must have no root in GF(q).  A search over more than
     DEFAULT_SEARCH_BOUND candidates (read at call time) raises
     BudgetExceededError.
     """
@@ -275,15 +249,8 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
         raise ParameterError(f"degree must be >= 1, got {t}")
     if limit is not None and limit < 1:
         raise ParameterError(f"limit must be >= 1, got {limit}")
-    bound = DEFAULT_SEARCH_BOUND
-    # q >= 2 gives q^t > bound once t >= bound.bit_length(), so a huge t never builds q^t
-    if t >= bound.bit_length() or field.q**t > bound:
-        raise BudgetExceededError(
-            f"enumerating degree-{t} polynomials over {field!r} needs "
-            f"{field.q}^{t} candidates, bound is {bound}",
-            required=field.q**t if t < bound.bit_length() else None,
-            budget=bound,
-        )
+    check_budget(field.q, t, DEFAULT_SEARCH_BOUND,
+                 f"enumerating degree-{t} polynomials over {field!r}", "candidates")
     add, mul, neg = (table.tolist() for table in field.tables[:3])
     norms = _norms(t, mul, neg)
     exponents = _exponents(field.q, t)

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from qtweave import analysis, cli, construction, fields
+from qtweave import Poly, analysis, cli, construction, fields
 from qtweave.cli import main
 
 
@@ -471,14 +471,30 @@ def test_analyze_reports_the_spectrum_method(capsys, argv, method):
     assert line.endswith(f"spectrum method: {method})")
 
 
-def test_unfactorable_order_exits_3(capsys):
-    # x^61 + x + 1 with q^k = 2^122 inside the budget: the prime 2^61 - 1 would
-    # need trial division up to its square root
+def test_unfactorable_order_exits_3(capsys, monkeypatch):
+    # x^61 + x + 1 with q^k = 2^122 inside the budget: its base would divide
+    # x^(2^61 - 1) by h, so the size rule of the primitive search refuses it first
+    def no_division(*args):
+        raise AssertionError("a polynomial division ran before the size rule")
+    monkeypatch.setattr(Poly, "__divmod__", no_division)
     h = ",".join(["1", "1"] + ["0"] * 59 + ["1"])
     rc, out, err = run(capsys, "analyze", "--q", "2", "--t", "61", "--p", "2", "--h", h,
                        "--budget", str(2**122))
     assert rc == 3 and out == ""
-    assert "q^t - 1 = 2^61 - 1" in err
+    assert err == "error: the simplex base of a supplied h needs 2^61 residues, budget is 1048576\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--h 1,1,1,1,1", "h = x^4 + x^3 + x^2 + x + 1 is not a monic primitive polynomial of degree 4"),
+    ("--h 0,0,0,0,1", "h = x^4 is not a monic primitive polynomial of degree 4"),
+    # (x^15 - 1)/(x^4 + x^3 + x^2 + x + 1) divides x^15 - 1, but x has order 5 modulo h
+    ("--g 1,1,0,0,0,1,1,0,0,0,1,1", "g = x^11 + x^10 + x^6 + x^5 + x + 1 does not generate "
+                                    "a cyclic simplex code of dimension 4"),
+], ids=["h-of-order-5", "h-is-x^4", "g-of-order-5"])
+def test_a_supplied_polynomial_that_builds_no_simplex_code_exits_2(capsys, argv, message):
+    rc, out, err = run(capsys, "analyze", "--q", "2", "--t", "4", "--p", "2", *argv.split())
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_analyze_smallest_binary(capsys):

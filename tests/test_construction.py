@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtweave import (
+    BudgetExceededError,
     ParameterError,
     Poly,
     SimplexSpec,
@@ -19,6 +20,7 @@ from qtweave import (
     field_from_order,
     find_primitive,
     full_block_matrix,
+    polynomial,
     simplex_consta,
     simplex_cyclic,
     weight_distribution_of_rows,
@@ -154,6 +156,20 @@ def test_a_supplied_non_monic_g_gives_the_base_of_g(q, t):
     for c in range(1, q):
         s = simplex_cyclic(field, t, g=Poly(field, [f.mul(c, v) for v in base.g.coeffs]))
         assert (s.h, s.g, s.lam) == (base.h, base.g, base.lam), c
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["h", "g"])
+def test_a_supplied_polynomial_over_the_search_bound_is_refused_before_any_division(
+        gf2, monkeypatch, cyclic):
+    s = simplex_cyclic(gf2, 4) if cyclic else simplex_consta(gf2, 4)
+
+    def no_division(*args):
+        raise AssertionError("a polynomial division ran before the size rule")
+    monkeypatch.setattr(polynomial, "DEFAULT_SEARCH_BOUND", 8)
+    monkeypatch.setattr(Poly, "__divmod__", no_division)
+    with pytest.raises(BudgetExceededError, match=r"needs 2\^4 residues, budget is 8$") as err:
+        simplex_cyclic(gf2, 4, g=s.g) if cyclic else simplex_consta(gf2, 4, h=s.h)
+    assert (err.value.required, err.value.budget) == (16, 8)
 
 
 def codeword(s, i, j):

@@ -13,7 +13,6 @@ from qtweave import (
     field_create,
     field_from_order,
     find_primitive,
-    is_primitive,
     polynomial,
     simplex_consta,
 )
@@ -142,16 +141,12 @@ def test_gcd(gf2, gf3):
 
 
 def x_pow_mod(n, h):
-    """x^n modulo the monic h by polynomial._x_pow, the kernel of is_primitive, as coefficients.
+    """x^n modulo the monic h by polynomial._x_pow, the kernel of find_primitive, as coefficients.
 
-    The kernel runs on the numpy tables, as is_primitive calls it, and on
-    their lists, as find_primitive does; the two must agree.
+    The kernel runs on the list tables, as find_primitive converts them.
     """
-    add, mul, neg, _ = h.field.tables
-    ntail = [neg.item(c) for c in h.coeffs[:-1]]
-    on_arrays = [int(c) for c in polynomial._x_pow(n, ntail, add, mul)]
-    assert polynomial._x_pow(n, ntail, add.tolist(), mul.tolist()) == on_arrays
-    return Poly(h.field, on_arrays).coeffs
+    add, mul, neg = (table.tolist() for table in h.field.tables[:3])
+    return Poly(h.field, polynomial._x_pow(n, [neg[c] for c in h.coeffs[:-1]], add, mul)).coeffs
 
 
 def test_x_pow_mod(gf2, gf3):
@@ -198,19 +193,11 @@ def test_is_irreducible_against_trial_division(gf2, gf3):
                 assert is_irreducible(h) == _oracle_irreducible(h), str(h)
 
 
-def test_is_primitive_known_cases(gf2, gf3):
-    assert is_primitive(Poly(gf3, (2, 2, 1)))  # x^2 + 2x + 2
-    assert is_primitive(Poly(gf2, (1, 1, 0, 1)))
-    assert not is_primitive(Poly(gf3, (1, 0, 1)))  # x has order 4, not 8
-
-
 def test_primitive_implies_irreducible_and_full_order(gf2, gf3):
     for field, t in ((gf2, 3), (gf3, 2)):
-        for tail in product(field.elements(), repeat=t):
-            h = Poly(field, tail + (1,))
-            if is_primitive(h):
-                assert is_irreducible(h)
-                assert order_of_x(h) == field.q**t - 1
+        for h in find_primitive(field, t):
+            assert is_irreducible(h)
+            assert order_of_x(h) == field.q**t - 1
 
 
 PRIMITIVITY_CASES = [
@@ -220,12 +207,21 @@ PRIMITIVITY_CASES = [
 
 @pytest.mark.parametrize("q,t", PRIMITIVITY_CASES)
 def test_primitivity_agrees_with_the_order_of_x(q, t):
-    """Every monic h of degree t: is_primitive and find_primitive against order_of_x."""
+    """Every monic h of degree t: find_primitive and, for t > 1, the checks of the
+    simplex base against order_of_x; a supplied h that fails them is invalid input."""
     field = field_from_order(q)
     candidates = [Poly(field, tail + (1,)) for tail in product(field.elements(), repeat=t)]
     expected = [order_of_x(h) == q**t - 1 for h in candidates]
-    assert [is_primitive(h) for h in candidates] == expected
     assert find_primitive(field, t) == [h for h, ok in zip(candidates, expected) if ok]
+    if t == 1:  # a simplex base needs t > 1
+        return
+    for h, primitive in zip(candidates, expected):
+        if primitive:
+            assert simplex_consta(field, t, h).h == h
+        else:
+            with pytest.raises(ParameterError) as err:
+                simplex_consta(field, t, h)
+            assert str(err.value) == f"h = {h} is not a monic primitive polynomial of degree {t}"
 
 
 @pytest.mark.parametrize("q,t", PRIMITIVITY_CASES)
@@ -239,7 +235,6 @@ def test_norm_rule_holds_and_admits_every_generator(q, t):
     assert primitive and all(field.element_order(sign(h.coeffs[0])) == q - 1 for h in primitive)
     generators = {g for g in range(1, q) if field.element_order(g) == q - 1}
     _, mul, neg, _ = field.tables
-    assert polynomial._norms(t, mul, neg) == {sign(g) for g in generators}
     assert polynomial._norms(t, mul.tolist(), neg.tolist()) == {sign(g) for g in generators}
 
 
@@ -298,18 +293,10 @@ def test_find_primitive_known_lists(gf2, gf3):
 def test_find_primitive_limit_and_bound(gf2, monkeypatch):
     assert len(find_primitive(gf2, 4, limit=1)) == 1
     monkeypatch.setattr(polynomial, "DEFAULT_SEARCH_BOUND", 8)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"needs 2\^4 candidates, budget is 8$") as err:
         find_primitive(gf2, 4)
+    assert (err.value.required, err.value.budget) == (16, 8)
     assert len(find_primitive(gf2, 3)) == 2
-
-
-def test_is_primitive_factors_q_t_minus_1_within_the_bound(gf2, monkeypatch):
-    # 2^4 - 1 = 3 * 5 needs trial divisors up to 3; the prime 2^5 - 1 needs 5
-    monkeypatch.setattr(polynomial, "DEFAULT_SEARCH_BOUND", 4)
-    assert is_primitive(Poly(gf2, (1, 1, 0, 0, 1)))
-    with pytest.raises(BudgetExceededError, match=r"2\^5 - 1") as err:
-        is_primitive(Poly(gf2, (1, 0, 1, 0, 0, 1)))
-    assert err.value.budget == 4
 
 
 @pytest.mark.parametrize("limit", [0, -2])
