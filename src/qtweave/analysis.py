@@ -319,7 +319,7 @@ def griesmer_report(code: QtCodeSpec, W: WeightDistribution) -> GriesmerReport:
     d = min_distance(W)
     if d != (p_eff - 1) * code.simplex.weight:
         raise VerificationError(
-            f"minimum distance {d} does not match (p-1)q^(t-1) = "
+            f"griesmer: minimum distance {d} does not match (p-1)q^(t-1) = "
             f"{(p_eff - 1) * code.simplex.weight}; construction bug"
         )
     k = code.k
@@ -347,8 +347,8 @@ def _moment(W: WeightDistribution, power: int) -> int:
     moment = sum(w**power * c for w, c in W.counts.items()) * W.q**power
     scale = W.q**W.k
     if moment % scale:
-        raise VerificationError(f"power moment {power} of the spectrum is not a multiple of "
-                                f"q^(k - {power}) = {W.q}^{W.k - power}")
+        raise VerificationError(f"pless moments: power moment {power} of the spectrum is not "
+                                f"a multiple of q^(k - {power}) = {W.q}^{W.k - power}")
     return moment // scale
 
 
@@ -368,7 +368,7 @@ def dual_low_counts(W: WeightDistribution) -> tuple[int, int]:
     b1 = M - _moment(W, 1)
     twice_b2 = _moment(W, 2) - M * (M + 1) + (2 * M - q + 2) * b1
     if b1 < 0 or twice_b2 < 0 or twice_b2 % 2:
-        raise VerificationError(f"Pless moments give B_1 = {b1}, 2 B_2 = {twice_b2}: "
+        raise VerificationError(f"pless moments: B_1 = {b1}, 2 B_2 = {twice_b2} are "
                                 "not the counts of a dual code")
     return b1, twice_b2 // 2
 
@@ -397,6 +397,6 @@ def srg_parameters(W: WeightDistribution) -> tuple[int, int, int, int]:
     r, s = K - W.q * w1, K - W.q * w2
     lam, mu = K + r + s + r * s, K + r * s
     if K * (K - lam - 1) != (v - K - 1) * mu or (-s * (v - 1) - K) != W.counts[w1] * (r - s):
-        raise VerificationError(f"(v, K, lambda, mu) = {(v, K, lam, mu)} with eigenvalues "
+        raise VerificationError(f"srg: (v, K, lambda, mu) = {(v, K, lam, mu)} with eigenvalues "
                                 f"{r}, {s} is not a strongly regular graph of this spectrum")
     return v, K, lam, mu

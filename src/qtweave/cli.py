@@ -10,9 +10,10 @@ also needs the 2m x n symbols of the full block form to fit in it.
 The flags and the JSON re-import build a code through one path, _build,
 which checks in this order before any simplex base is built: t > 1; the
 q^(2t) messages against the budget, by the exponent first; the variant, p,
-selection and h consistency; with --block-matrix, the 2m x n symbols
-against the budget.  The flags --h, --g and --selection are parsed before
-all of these.
+selection and h consistency; p's range and the selection's pairs, from
+(q, t) alone by construction.check_two_weight; with --block-matrix, the
+2m x n symbols against the budget.  The flags --h, --g and --selection are
+parsed before all of these.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def _build(field, t, budget, variant, p, selection, h, g, cyclic, block_form=Fal
             raise ParameterError("the qt-simplex variant uses the full canonical selection")
     elif p is None:
         raise ParameterError("--p is required for the two-weight variant")
-    elif not 2 <= p <= qt:
-        raise ParameterError(f"block count p must be in 2..{qt}, got {p}")
+    else:
+        construction.check_two_weight(field.q, t, p, selection)
     if block_form:  # 2m rows of n symbols
         m = (qt - 1) // (field.q - 1)
         cells = 2 * m * m * (qt + 1 if variant == construction.QT_SIMPLEX else p)

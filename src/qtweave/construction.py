@@ -323,19 +323,29 @@ def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]
     return tuple([(1 + c // m, c % m) for c in range((s.q - 1) * m)[:count]])
 
 
-def _validate_selection(s: SimplexSpec, selection, expected_len: int):
-    """Distinct integer pairs (i, j), 1 <= i < q and 0 <= j < m; their blocks
-    i x^j g are then distinct and nonzero (module docstring), so none is built."""
+def check_two_weight(q: int, t: int, p: int, selection=None):
+    """Check p and a supplied selection from (q, t) alone, before any base is built.
+
+    p must be in 2..q^t, and a selection must list p - 1 distinct integer
+    pairs (i, j), 1 <= i < q and 0 <= j < m; their blocks i x^j g are then
+    distinct and nonzero (module docstring), so none is built.  Returns the
+    pairs as a tuple, or None when no selection is supplied.
+    """
+    qt = q**t
+    if not 2 <= p <= qt:
+        raise ParameterError(f"block count p must be in 2..{qt}, got {p}")
+    if selection is None:
+        return None
     try:
         # tuple(genexpr) would resize a 10-slot tuple and strand it on a free list per build
         pairs = tuple([(operator.index(i), operator.index(j)) for i, j in selection])
     except TypeError:
         raise ParameterError("selection entries must be pairs of integers") from None
-    if len(pairs) != expected_len:
-        raise ParameterError(f"selection must list exactly {expected_len} pairs, got {len(pairs)}")
+    if len(pairs) != p - 1:
+        raise ParameterError(f"selection must list exactly {p - 1} pairs, got {len(pairs)}")
     if len(set(pairs)) != len(pairs):
         raise ParameterError("selection contains duplicate pairs")
-    q, m = s.q, s.m
+    m = (qt - 1) // (q - 1)
     for i, j in pairs:
         if not 1 <= i <= q - 1:
             raise ParameterError(f"scale index must be in 1..{q - 1}, got {i}")
@@ -380,12 +390,7 @@ def _finish(code: QtCodeSpec) -> GeneratorMatrix:
 
 def build_two_weight(s: SimplexSpec, p: int, selection=None) -> tuple[QtCodeSpec, GeneratorMatrix]:
     """Assemble the two-weight code with p blocks over the given simplex code."""
-    qt = s.q**s.t
-    if not 2 <= p <= qt:
-        raise ParameterError(f"block count p must be in 2..{qt}, got {p}")
-    if selection is None:
-        selection = default_selection(s, p - 1)
-    pairs = _validate_selection(s, selection, p - 1)
+    pairs = check_two_weight(s.q, s.t, p, selection) or default_selection(s, p - 1)
     code = QtCodeSpec(simplex=s, p=p, selection=pairs, variant=TWO_WEIGHT)
     return code, _finish(code)
 
@@ -393,8 +398,7 @@ def build_two_weight(s: SimplexSpec, p: int, selection=None) -> tuple[QtCodeSpec
 def build_qt_simplex(s: SimplexSpec) -> tuple[QtCodeSpec, GeneratorMatrix]:
     """Assemble the dimension-2t simplex code in quasi-twisted form (p forced to q^t)."""
     p = s.q**s.t
-    pairs = _validate_selection(s, default_selection(s, p - 1), p - 1)
-    code = QtCodeSpec(simplex=s, p=p, selection=pairs, variant=QT_SIMPLEX)
+    code = QtCodeSpec(simplex=s, p=p, selection=default_selection(s, p - 1), variant=QT_SIMPLEX)
     return code, _finish(code)
 
 

@@ -22,24 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, VerificationError
-from .polynomial import find_primitive
+from .polynomial import find_primitive, prime_factors
 
 DEFAULT_ORDER_LIMIT = 1024
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 class FieldTables(NamedTuple):
@@ -177,10 +162,10 @@ def field_create(p: int, e: int = 1) -> Field:
     """
     limit = DEFAULT_ORDER_LIMIT
     # p >= 2 and e >= limit.bit_length() give p^e >= 2^e > limit; checking
-    # that first keeps _is_prime and p**e away from huge inputs
+    # that first keeps prime_factors and p**e away from huge inputs
     if p > limit or (p >= 2 and e >= limit.bit_length()):
         raise ParameterError(f"field order {p}^{e} exceeds the limit {limit}")
-    if not _is_prime(p):
+    if p < 2 or prime_factors(p) != [p]:
         raise ParameterError(f"characteristic {p} is not prime")
     if e < 1:
         raise ParameterError(f"extension degree must be >= 1, got {e}")
@@ -194,8 +179,8 @@ def field_create(p: int, e: int = 1) -> Field:
 def field_from_order(q: int | str) -> Field:
     """Build GF(q) from the field order: an int, or text such as "9" or "3^2".
 
-    This is the one place that factors an order q = p^e; an explicit "p^e"
-    is passed to field_create as written.
+    This is the one place that splits an order q = p^e, by prime_factors(q);
+    an explicit "p^e" is passed to field_create as written.
     """
     if isinstance(q, str):
         p_text, caret, e_text = q.strip().partition("^")
@@ -209,15 +194,10 @@ def field_from_order(q: int | str) -> Field:
         raise ParameterError(f"field order must be >= 2, got {q}")
     if q > DEFAULT_ORDER_LIMIT:
         raise ParameterError(f"field order {q} exceeds the limit {DEFAULT_ORDER_LIMIT}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    e, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise ParameterError(f"{q} is not a prime power")
+    p, e = primes[0], 1
+    while p**e < q:  # q is a power of p
+        e += 1
     return field_create(p, e)

@@ -10,6 +10,10 @@ list copies.  Long division is a loop over Python ints that touches only the
 divisor's nonzero taps below its lead, so x^m divided by a sparse h costs
 O(m * taps) table reads: its quotient is the linear recurring sequence with
 h's taps.
+
+prime_factors is the package's one trial division: it splits a field order
+into its prime for fields.field_from_order, tests a characteristic for
+fields.field_create and gives the primes r | q^t - 1 of the primitive search.
 """
 
 from __future__ import annotations
@@ -124,24 +128,19 @@ class Poly:
         return f"Poly({self.field!r}, {self})"
 
 
-def _exponents(q: int, t: int) -> list[int]:
-    """N = q^t - 1 followed by N / r for every prime r dividing N.
-
-    Its one caller, find_primitive, refuses q^t > DEFAULT_SEARCH_BOUND first,
-    so trial division runs over d <= sqrt(N) < 2^10 at the default bound.
-    """
-    n = rest = q**t - 1
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division over d <= sqrt(n)."""
     primes = []
     d = 2
-    while d * d <= rest:
-        if rest % d == 0:
+    while d * d <= n:
+        if n % d == 0:
             primes.append(d)
-            while rest % d == 0:
-                rest //= d
+            while n % d == 0:
+                n //= d
         d += 1 if d == 2 else 2
-    if rest > 1:
-        primes.append(rest)
-    return [n] + [n // r for r in primes]
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def _x_pow(e: int, ntail, add, mul) -> list:
@@ -186,34 +185,34 @@ def _x_pow(e: int, ntail, add, mul) -> list:
     return acc
 
 
-def _norms(t: int, mul, neg) -> set[int]:
+def _norms(field: Field, t: int, mul, neg) -> set[int]:
     """The constant terms h(0) that the norm rule of find_primitive allows at degree t.
 
     These are (-1)^t times the generators of GF(q)^*, taken as the powers g^j,
-    gcd(j, q - 1) = 1, of the first generator g: O(q) table reads for the
-    usual small g.  mul and neg are the field's tables as nested lists.
+    gcd(j, q - 1) = 1, of the first generator g.  Field.element_order finds g
+    by walks of at most q steps, and then exactly q - 2 more powers of g are
+    read, so no walk's length depends on the tables.  mul and neg are the
+    field's tables as nested lists.
     """
-    q = len(neg)
-    for g in range(1, q):
-        powers = [1]  # g^0, g^1, ... up to the first 1
-        while (c := mul[powers[-1]][g]) != 1:
-            powers.append(c)
-        if len(powers) == q - 1:
-            sign = neg if t % 2 else range(q)
-            return {sign[powers[j]] for j in range(q - 1) if gcd(j, q - 1) == 1}
-    raise VerificationError(f"primitive search: GF({q})^* has no generator; "
-                            "the tables are not a field's")
+    q = field.q
+    g = next((a for a in range(1, q) if field.element_order(a) == q - 1), None)
+    if g is None:
+        raise VerificationError(f"primitive search: GF({q})^* has no generator; "
+                                "the tables are not a field's")
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(mul[powers[-1]][g])
+    sign = neg if t % 2 else range(q)
+    return {sign[powers[j]] for j in range(q - 1) if gcd(j, q - 1) == 1}
 
 
-def _primitive_tail(tail, norms, exponents, add, mul, neg) -> bool:
-    """Whether the monic h = x^t + tail(x) is primitive, on lookup tables.
+def _primitive_tail(tail, exponents, add, mul, neg) -> bool:
+    """Whether the monic h = x^t + tail(x), h(0) allowed by the norm rule, is primitive.
 
-    tail holds the t low coefficients of h, ascending; norms is _norms(t, mul,
-    neg) and exponents _exponents(q, t); add, mul and neg are the field's
-    tables as nested lists.
+    tail holds the t low coefficients of h, ascending; exponents are
+    N = q^t - 1 and N / r for each prime r | N; add, mul and neg are the
+    field's tables as nested lists.
     """
-    if tail[0] not in norms:  # h(0) is no generator up to sign (0 included)
-        return False
     if len(tail) >= 2:  # a root r in GF(q) gives the factor x - r
         for r in range(1, len(neg)):
             row, v = mul[r], 1
@@ -233,11 +232,11 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
 
     With limit = N >= 1 only the first N are returned.  A monic h is
     primitive when x has order exactly N = q^t - 1 modulo h: x^N = 1 and
-    x^(N/r) != 1 for every prime r | N, by square-and-multiply on the field's
-    tables, converted to lists once per search together with the exponents.
+    x^(N/r) != 1 for every prime r | N (r from prime_factors), by
+    square-and-multiply on the field's tables, converted to lists once per search.
     That order also proves h irreducible (the N powers of x are distinct
     units, so every nonzero residue is a unit), so there is no separate
-    irreducibility pass.  Two cheap rules reject a candidate first.  The norm
+    irreducibility pass.  Two cheap rules cut the candidates first.  The norm
     rule: h(0) = (-1)^t a^m for a root a, m = (q^t - 1)/(q - 1), and a^m has
     order q - 1, so (-1)^t h(0) must generate GF(q)^*; only such constant
     terms are generated, which drops no primitive h and keeps the order.
@@ -252,11 +251,11 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
     check_budget(field.q, t, DEFAULT_SEARCH_BOUND,
                  f"enumerating degree-{t} polynomials over {field!r}", "candidates")
     add, mul, neg = (table.tolist() for table in field.tables[:3])
-    norms = _norms(t, mul, neg)
-    exponents = _exponents(field.q, t)
+    n = field.q**t - 1
+    exponents = [n] + [n // r for r in prime_factors(n)]
     found = []
-    for tail in product(sorted(norms), *[field.elements()] * (t - 1)):
-        if _primitive_tail(tail, norms, exponents, add, mul, neg):
+    for tail in product(sorted(_norms(field, t, mul, neg)), *[field.elements()] * (t - 1)):
+        if _primitive_tail(tail, exponents, add, mul, neg):
             found.append(Poly(field, tail + (1,)))
             if limit is not None and len(found) >= limit:
                 break

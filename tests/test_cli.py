@@ -343,7 +343,14 @@ def test_out_of_range_selection_exits_2(capsys, pair, message):
     ("--q 3 --t 2 --p 2 --selection 1:x", "cannot parse selection entry '1:x'"),
     ("--q 3 --t 3 --p 2 --cyclic --h 1,0,2,1",
      "--h applies to the consta-cyclic base; use --g with --cyclic"),
-], ids=["no-p", "qt-simplex-p", "qt-simplex-selection", "unparsable-selection", "cyclic-h"])
+    ("--q 2 --t 18 --p 3 --budget 1099511627776 --selection 1:0,1:999999",
+     "shift must be in 0..262142, got 999999"),
+    ("--q 2 --t 18 --p 3 --budget 1099511627776 --selection 1:0",
+     "selection must list exactly 2 pairs, got 1"),
+    ("--q 2 --t 18 --p 3 --budget 1099511627776 --selection 1:0,1:0",
+     "selection contains duplicate pairs"),
+], ids=["no-p", "qt-simplex-p", "qt-simplex-selection", "unparsable-selection", "cyclic-h",
+        "selection-shift", "selection-length", "selection-duplicate"])
 def test_bad_parameters_exit_2_before_any_build(capsys, monkeypatch, argv, message):
     def no_build(*args, **kwargs):
         raise AssertionError("simplex base built before the parameters were checked")

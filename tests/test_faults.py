@@ -1,14 +1,20 @@
-"""Each proof obligation of the construction, broken on purpose, fails `analyze` by its stage.
+"""Each proof obligation of the construction and the analysis, broken on purpose, fails
+`analyze` by its stage.
 
 The primitive search is patched to hand the consta-cyclic base a polynomial
 that fails one check; a searched h is trusted input, so the failure is a
 verification failure (exit 1), not invalid input.  The rank fault zeroes
-one generator row as it is assembled.
+one generator row as it is assembled.  The analysis faults edit the counts
+of the exact spectrum of analyze --q 3 --t 2 --p 4, {0: 1, 9: 32, 12: 48},
+before the checks read it, or make the transform miscount.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from qtweave import Poly, construction, field_from_order
+from qtweave import Poly, analysis, construction, field_from_order
 from qtweave.cli import main
 
 SEARCHED_FAULTS = [
@@ -23,14 +29,15 @@ SEARCHED_FAULTS = [
 ]
 
 
-def analyze(capsys, q, t):
-    rc = main(["analyze", "--q", str(q), "--t", str(t), "--p", "2"])
+def analyze(capsys, q, t, p=2):
+    rc = main(["analyze", "--q", str(q), "--t", str(t), "--p", str(p)])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
 
-def assert_stage_failure(rc, out, err, stage):
-    assert rc == 1 and out == ""
+def assert_stage_failure(rc, out, err, stage, quiet=True):
+    """Exit 1 with one stderr line naming the stage; a construction fault prints nothing."""
+    assert rc == 1 and (out == "" or not quiet)
     assert err.startswith(f"verification failed: {stage}") and err.count("\n") == 1
     assert "Traceback" not in err
 
@@ -54,3 +61,48 @@ def test_a_rank_fault_names_the_stage(capsys, monkeypatch):
         return rows
     monkeypatch.setattr(construction, "_assemble_rows", zero_first_row)
     assert_stage_failure(*analyze(capsys, 3, 2), "rank minor: ")
+
+
+ANALYSIS_FAULTS = [
+    ({0: 1, 8: 32, 12: 48}, "griesmer: "),  # minimum distance 8, not (p - 1) q^(t-1) = 9
+    ({0: 1, 9: 32, 11: 1, 12: 47}, "pless moments: power moment 1 "),  # 3 * 863 / 81
+    ({0: 1, 9: 23, 12: 57}, "pless moments: B_1 = -1, "),  # integral moments, B_1 < 0
+]
+
+
+@pytest.mark.parametrize("counts, stage", ANALYSIS_FAULTS, ids=["griesmer", "moment", "dual"])
+def test_an_analysis_check_that_fails_names_the_stage(capsys, monkeypatch, counts, stage):
+    original = analysis.weight_distribution
+    monkeypatch.setattr(analysis, "weight_distribution",
+                        lambda *args, **kwargs: replace(original(*args, **kwargs), counts=counts))
+    assert_stage_failure(*analyze(capsys, 3, 2, p=4), stage, quiet=False)
+
+
+def test_an_srg_identity_that_fails_names_the_stage(capsys, monkeypatch):
+    # a consistent projective two-weight spectrum satisfies both identities, so the
+    # Pless moments, which would reject these counts first, are patched to pass
+    original = analysis.weight_distribution
+    monkeypatch.setattr(analysis, "weight_distribution", lambda *args, **kwargs: replace(
+        original(*args, **kwargs), counts={0: 1, 9: 31, 12: 49}))
+    monkeypatch.setattr(analysis, "dual_low_counts", lambda W: (0, 0))
+    assert_stage_failure(*analyze(capsys, 3, 2, p=4), "srg: ", quiet=False)
+
+
+def test_a_transform_that_miscounts_every_slice_alike_fails_its_total(capsys, monkeypatch):
+    # one extra weight-0 word per leading symbol: the slices still agree, the total does not
+    original = analysis._zero_counts
+
+    def extra_word(flat, q, *args):
+        zeros = original(flat, q, *args).reshape(q, -1)
+        return np.hstack([zeros, np.full((q, 1), len(flat), zeros.dtype)]).ravel()
+    monkeypatch.setattr(analysis, "_zero_counts", extra_word)
+    assert_stage_failure(*analyze(capsys, 3, 2, p=4), "spectrum: the transform counted ")
+
+
+def test_a_failed_shift_check_runs_the_full_transform_to_the_same_report(capsys, monkeypatch):
+    rc, orbit, _ = analyze(capsys, 3, 2, p=4)
+    assert rc == 0 and "spectrum method: orbit" in orbit
+    monkeypatch.setattr(analysis, "_shift_invariant", lambda G: False)
+    rc, transform, err = analyze(capsys, 3, 2, p=4)
+    assert rc == 0 and err == ""
+    assert transform == orbit.replace("spectrum method: orbit", "spectrum method: transform")

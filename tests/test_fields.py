@@ -65,11 +65,11 @@ def test_field_from_order_rejects_bad_text(text):
 @pytest.mark.parametrize("order", [1000000000000000003, "1000000000000000003",
                                    "99999999999999999989^2", "2^10000000000"])
 def test_oversized_order_is_rejected_before_any_factoring(monkeypatch, order):
-    # trial division of 10^18 + 3, a primality test of a 20-digit p, or 2**(10^10)
-    # (about 1.25 GB) would each come before the limit check if it came last
-    def no_primality_test(n):
-        raise AssertionError(f"primality test of {n} before the limit check")
-    monkeypatch.setattr(fields, "_is_prime", no_primality_test)
+    # trial division of 10^18 + 3 or of a 20-digit p, or 2**(10^10) (about
+    # 1.25 GB), would each come before the limit check if it came last
+    def no_factoring(n):
+        raise AssertionError(f"factoring of {n} before the limit check")
+    monkeypatch.setattr(fields, "prime_factors", no_factoring)
     with pytest.raises(ParameterError, match="exceeds the limit"):
         field_from_order(order)
 

@@ -1,3 +1,4 @@
+import signal
 from itertools import product
 
 import numpy as np
@@ -235,7 +236,29 @@ def test_norm_rule_holds_and_admits_every_generator(q, t):
     assert primitive and all(field.element_order(sign(h.coeffs[0])) == q - 1 for h in primitive)
     generators = {g for g in range(1, q) if field.element_order(g) == q - 1}
     _, mul, neg, _ = field.tables
-    assert polynomial._norms(t, mul.tolist(), neg.tolist()) == {sign(g) for g in generators}
+    assert (polynomial._norms(field, t, mul.tolist(), neg.tolist())
+            == {sign(g) for g in generators})
+
+
+def test_prime_factors_match_brute_force():
+    primes = [d for d in range(2, 5001) if all(d % e for e in range(2, d))]
+    for n in range(1, 5001):
+        assert polynomial.prime_factors(n) == [r for r in primes if n % r == 0], n
+
+
+def test_search_over_tables_whose_powers_never_reach_1_raises_in_bounded_time():
+    field = field_with_products(3, {(2, 2): 2})  # 2 is idempotent: its powers never reach 1
+
+    def too_slow(signum, frame):
+        raise AssertionError("find_primitive did not return within 5 s")
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        with pytest.raises(VerificationError, match=r"^field tables: "):
+            find_primitive(field, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_search_over_tables_with_no_generator_is_a_verification_error():
