@@ -29,6 +29,12 @@ leading symbol must give the same weight histogram: u -> c u is a
 weight-preserving bijection between the messages with leading symbol 1 and
 those with leading symbol c, for any linear code.
 
+The histograms are tallied over the zero counts that occur, not over q (n + 1)
+cells: each chunk's zero counts z, keyed z q + u by their leading symbol u,
+are sorted once and counted run by run into exact Python ints.  A zero count
+outside 0..n would be read as a weight of no codeword, so the sorted keys'
+ends are checked first and such a count raises VerificationError.
+
 For a generator of this package the transform runs over t + 1 rows instead
 of 2t, by the orbit reduction below, weighted (1, q^t - 1, 0, ...); any other
 generator gets the full transform over all q^k messages, and
@@ -157,7 +163,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
     steps = k - r
     cells = q**steps
     index = column_keys(gen[r:], q)[0]  # column value over rows r..k-1; q^steps < 2^63
-    hist = np.zeros((q, n + 1), dtype=np.int64)  # weight histogram per leading symbol
+    hists = [{} for _ in range(q)]  # weight -> messages per leading symbol, as they occur
     for prefix in product(range(q), repeat=r):
         if prefix and not mult[prefix[0]]:
             continue
@@ -168,16 +174,28 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
         zeros = _zero_counts(flat, q, steps, mul, minus)
         lead = prefix[:1] or range(q)  # without a prefix, zeros is led by the first symbol
-        key = np.array(lead)[:, None] * (n + 1) + (n - zeros.reshape(len(lead), -1))
-        hist += np.bincount(key.ravel(), minlength=q * (n + 1)).reshape(q, n + 1)
+        key = np.multiply(zeros.reshape(len(lead), -1), q, dtype=np.int64)
+        key += np.array(lead)[:, None]
+        key = np.sort(key, axis=None)  # zero count * q + leading symbol, ascending
+        if key[0] < 0 or key[-1] >= (n + 1) * q:
+            raise VerificationError(f"spectrum: the transform gave a zero count outside 0..{n}")
+        ends = np.flatnonzero(key[1:] != key[:-1]).tolist()  # the last index of each run
+        ends.append(key.size - 1)
+        start = -1
+        for end, run in zip(ends, key[ends].tolist()):
+            z, u = divmod(run, q)
+            hists[u][n - z] = hists[u].get(n - z, 0) + end - start
+            start = end
         del zeros, key  # this chunk's A-sized arrays must not outlive it into the next chunk
-    computed = hist[[u for u in range(1, q) if r == 0 or mult[u]]]
-    if (computed != computed[:1]).any():
+    computed = [hists[u] for u in range(1, q) if r == 0 or mult[u]]
+    if any(hist != computed[0] for hist in computed[1:]):
         raise VerificationError("spectrum: nonzero leading symbols gave different weight "
                                 "histograms")
-    weights = np.flatnonzero(hist.any(axis=0))
-    counts = np.array(mult, dtype=object) @ hist[:, weights]  # Python ints, however large M is
-    result = {int(w): c for w, c in zip(weights, counts) if c}
+    result = {}
+    for m, hist in zip(mult, hists):
+        for w, c in hist.items():
+            result[w] = result.get(w, 0) + m * c  # Python ints, however large M is
+    result = {w: c for w, c in sorted(result.items()) if c}
     if sum(result.values()) != total:
         raise VerificationError(f"spectrum: the transform counted {sum(result.values())} "
                                 f"codewords, not {total}")

@@ -90,10 +90,36 @@ def _resolve_budget(args) -> int:
     return budget
 
 
-def _row_lines(rows, q: int) -> list[str]:
-    """One line per row: its symbols as decimal integers, space-separated."""
-    labels = [str(v) for v in range(q)]
-    return [" ".join(map(labels.__getitem__, row.tolist())) for row in rows]
+@functools.cache
+def _labels(q: int) -> np.ndarray:
+    """str(v) and a space for each symbol v, as ASCII bytes zero-padded to one unsigned int.
+
+    The padded width is a power of two, so a gather copies integers, not strings.
+    """
+    width = 1 << len(str(q - 1)).bit_length()  # len(str(q - 1)) + 1, up to a power of two
+    return np.frombuffer(b"".join(f"{v} ".encode().ljust(width, b"\0") for v in range(q)),
+                         f"u{width}")
+
+
+def _row_text(rows, q: int) -> np.ndarray:
+    """ASCII of one line per row, flat: the row's symbols as decimal integers, space-separated.
+
+    One gather from the label table writes every symbol; the space after each
+    row's last symbol becomes its newline.  Labels narrower than the padded
+    width leave zero bytes, which one compress drops.
+    """
+    labels = _labels(q)
+    cells = labels[rows].view(np.uint8)  # (k, n * width)
+    last = cells[:, -labels.itemsize:]
+    last[last == ord(" ")] = ord("\n")
+    return cells[cells != 0] if q > 10 else cells.ravel()
+
+
+def _print_rows(title: str, rows, q: int):
+    """The title, then the rows' text a row at a time, so it is never held twice."""
+    print(title)
+    for row in rows:
+        sys.stdout.write(_row_text(row[None], q).tobytes().decode("ascii"))
 
 
 def _field_and_budget(args):
@@ -180,10 +206,10 @@ def _cmd_construct(args) -> int:
     W = analysis.weight_distribution(G, budget=budget)
     _print_code_details(code, W)
     if args.matrix:
-        print("generator matrix (reduced):", *_row_lines(G.rows, field.q), sep="\n")
+        _print_rows("generator matrix (reduced):", G.rows, field.q)
     if args.block_matrix:
-        rows = construction.full_block_matrix(code)
-        print("generator matrix (full block form):", *_row_lines(rows, field.q), sep="\n")
+        _print_rows("generator matrix (full block form):", construction.full_block_matrix(code),
+                    field.q)
     return EXIT_OK
 
 
@@ -349,9 +375,9 @@ def _text_header(code) -> list[int]:
 
 
 def _write_text_export(path, code, G):
-    lines = [" ".join(map(str, _text_header(code))), *_row_lines(G.rows, code.field.q)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(" ".join(map(str, _text_header(code))).encode() + b"\n")
+        fh.write(_row_text(G.rows, code.field.q))
 
 
 def _json_types_ok(value) -> bool:
@@ -399,10 +425,12 @@ def _roundtrip_text(path, code, G) -> bool:
     try:
         with open(path) as fh:
             header, _, body = fh.read().lstrip().partition("\n")
-        if list(map(int, header.split())) != _text_header(code) or not body.strip():
+        if list(map(int, header.split())) != _text_header(code) or not body or body.isspace():
             return False  # loadtxt would only warn on an empty body
+        lines = body.splitlines()
+        del body  # the lines hold the same text; loadtxt's arrays need the room
         # comments=None: a '#' token is not an integer, so it fails the parse
-        rows = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
+        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
     except ValueError:  # undecodable text, a non-integer header or row, a ragged row
         return False
     return rows.shape == G.rows.shape and bool((rows == G.rows).all())
@@ -416,9 +444,8 @@ def _cmd_export(args) -> int:
     W = analysis.weight_distribution(G, budget=budget)
     if args.format == "json":
         payload = _export_payload(code, G, W)
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        with open(args.output, "w") as fh:  # json.dump would write chunk by chunk
+            fh.write(json.dumps(payload, indent=1) + "\n")
     else:
         _write_text_export(args.output, code, G)
     print(f"wrote {args.format} export to {args.output}")

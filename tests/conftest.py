@@ -15,7 +15,8 @@ reduction with scalar field operations, projectivity compares every pair of
 columns, and dual weight counts come from the MacWilliams transform of a
 spectrum or from counting zero columns and proportional pairs one by one,
 so they can catch bugs in the spectrum transform, the block gather, the
-rank check, the projectivity check and the Pless moments.  Matrices may come in as numpy
+rank check, the projectivity check and the Pless moments.  Row text is one
+str.join per row over str() of each symbol.  Matrices may come in as numpy
 arrays; the oracles read them as lists of Python ints.  Irreducibility is
 decided by the classic gcd test, independent of the order-of-x test that
 primitivity uses, and the order of x is found by multiplying by x one step
@@ -156,6 +157,11 @@ def field_with_products(q, products):
 def _ints(rows):
     """Rows as lists of Python ints, whatever sequence or array they came in."""
     return [[int(v) for v in r] for r in rows]
+
+
+def text_rows(rows) -> str:
+    """The rows as text: per row its symbols by str(), joined by spaces, then a newline."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in _ints(rows))
 
 
 def naive_weight_counts(field, rows) -> dict:

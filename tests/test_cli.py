@@ -2,10 +2,13 @@ import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from qtweave import Poly, analysis, cli, construction, fields
 from qtweave.cli import main
+
+from conftest import text_rows
 
 
 def run(capsys, *argv):
@@ -88,6 +91,21 @@ def test_export_q16_is_byte_identical(tmp_path, capsys, fmt):
                      "--format", fmt, "--output", str(path), "--roundtrip")
     assert rc == 0 and "round trip: ok" in out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("q", [2, 11, 101, 1024], ids=["width-1", "width-2", "width-3",
+                                                      "width-4"])
+def test_row_text_equals_a_str_join_per_row(capsys, q):
+    # rows that end in the widest label and in the narrowest, and one row with every
+    # label width of the field; the export writes _row_text, construct _print_rows
+    rng = np.random.default_rng(q)
+    rows = rng.integers(0, q, size=(4, 9)).astype(np.min_scalar_type(q - 1))
+    rows[0, -1], rows[1, -1] = q - 1, 0
+    rows[2] = np.resize([v for v in (0, 9, 10, 99, 100, 999, 1000) if v < q] + [q - 1], 9)
+    expected = text_rows(rows)
+    assert cli._row_text(rows, q).tobytes().decode("ascii") == expected
+    cli._print_rows("rows:", rows, q)
+    assert capsys.readouterr().out == "rows:\n" + expected
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

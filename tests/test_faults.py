@@ -6,7 +6,9 @@ that fails one check; a searched h is trusted input, so the failure is a
 verification failure (exit 1), not invalid input.  The rank fault zeroes
 one generator row as it is assembled.  The analysis faults edit the counts
 of the exact spectrum of analyze --q 3 --t 2 --p 4, {0: 1, 9: 32, 12: 48},
-before the checks read it, or make the transform miscount.
+before the checks read it, or make the transform miscount.  The cyclic base
+is reached through analyze --cyclic with a searched h0 that the derivation
+cannot rescale to a divisor of x^m - 1.
 """
 
 from dataclasses import replace
@@ -29,8 +31,8 @@ SEARCHED_FAULTS = [
 ]
 
 
-def analyze(capsys, q, t, p=2):
-    rc = main(["analyze", "--q", str(q), "--t", str(t), "--p", str(p)])
+def analyze(capsys, q, t, p=2, *flags):
+    rc = main(["analyze", "--q", str(q), "--t", str(t), "--p", str(p), *flags])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -50,6 +52,14 @@ def test_a_searched_h_that_fails_a_base_check_names_the_stage(capsys, monkeypatc
     h = Poly(field, coeffs)
     monkeypatch.setattr(construction, "find_primitive", lambda *args, **kwargs: [h])
     assert_stage_failure(*analyze(capsys, q, h.degree), stage)
+
+
+def test_a_cyclic_derivation_that_misses_lambda_1_names_the_stage(capsys, monkeypatch):
+    # the derivation rescales the searched h0 = x^3 to h = x^3, and x^7 mod x^3 = 0, not 1
+    h0 = Poly(field_from_order(2), (0, 0, 0, 1))
+    monkeypatch.setattr(construction, "find_primitive", lambda *args, **kwargs: [h0])
+    assert_stage_failure(*analyze(capsys, 2, 3, 2, "--cyclic"),
+                         "twist constant: the cyclic build gave 0, expected 1")
 
 
 def test_a_rank_fault_names_the_stage(capsys, monkeypatch):
@@ -97,6 +107,19 @@ def test_a_transform_that_miscounts_every_slice_alike_fails_its_total(capsys, mo
         return np.hstack([zeros, np.full((q, 1), len(flat), zeros.dtype)]).ravel()
     monkeypatch.setattr(analysis, "_zero_counts", extra_word)
     assert_stage_failure(*analyze(capsys, 3, 2, p=4), "spectrum: the transform counted ")
+
+
+def test_a_zero_count_outside_0_to_n_names_the_stage(capsys, monkeypatch):
+    # n + 1 columns orthogonal to one message: no weight of a codeword, so no tally key
+    original = analysis._zero_counts
+
+    def too_many(flat, *args):
+        zeros = original(flat, *args).copy()
+        zeros[0] = len(flat) + 1
+        return zeros
+    monkeypatch.setattr(analysis, "_zero_counts", too_many)
+    assert_stage_failure(*analyze(capsys, 3, 2, p=4),
+                         "spectrum: the transform gave a zero count outside 0..16")
 
 
 def test_a_failed_shift_check_runs_the_full_transform_to_the_same_report(capsys, monkeypatch):

@@ -165,8 +165,8 @@ def test_unequal_leading_symbol_histograms_are_caught(monkeypatch, gf3):
 
 
 def test_lost_codewords_are_caught(monkeypatch):
-    # a message of slice 1 counted n + 1 times orthogonal lands in slice 0 at
-    # weight n; over GF(2) slice 1 is the only one compared, so only the total shows it
+    # n + 1 columns orthogonal to one message of slice 1 give no weight of a codeword;
+    # over GF(2) slice 1 is the only one compared, so only the range check shows it
     original = analysis._zero_counts
 
     def corrupt(flat, *args):
@@ -175,6 +175,7 @@ def test_lost_codewords_are_caught(monkeypatch):
         return zeros
 
     monkeypatch.setattr(analysis, "_zero_counts", corrupt)
-    with pytest.raises(VerificationError, match="^spectrum: the transform counted 6 codewords"):
+    with pytest.raises(VerificationError,
+                       match="^spectrum: the transform gave a zero count outside 0..3$"):
         weight_distribution_of_rows(field_from_order(2), [(1, 0, 1), (0, 1, 1)],
                                     multiplicity=(1, 3))
