@@ -55,6 +55,29 @@ simplex check, certified once per base; and the total q^(2t), which the
 engine checks on every call, along with the slices of leading symbol
 2..q-1 repeating the histogram of slice 1.
 
+sigma is checked one key per column.  In a row group, let r_u[j] be entry j
+of row u within one block of width m, and c_j = (r_0[j], ..., r_(t-1)[j]) its
+column.  sigma maps row u to row u + 1 and row t - 1 to -sum h_u row u
+exactly when, cell by cell,
+
+    r_(u+1)[j] = r_u[j-1] (u < t - 1)  and  r_(t-1)[j-1] = -sum h_u r_u[j],  0 < j < m,
+    r_(u+1)[0] = lam r_u[m-1] (u < t - 1)  and  lam r_(t-1)[m-1] = -sum h_u r_u[0].
+
+Let P move the digits of a column up one row and put -sum h_u c_u last.  The
+t equalities of the first line at j are the t digits of c_(j-1) = P(c_j);
+those of the second line, each times 1/lam, are the t digits of
+c_(m-1) = P(c_0) / lam.  So each cell condition is one digit of one column
+equality and each digit one condition: the two sets of conditions are the
+same.  Only lam != 0 is inverted, never h_0; a column's successor would
+need 1/h_0 for its new first digit.  Base-q keys are one-to-one on columns
+of elements, so the column equalities read key(c_(j-1)) = pred[key(c_j)]
+and key(c_(m-1)) = wrap[key(c_0)], with pred and wrap the base's tables of
+P and P / lam over all q^t keys (``construction``).  The check keys both
+row groups once, gathers n keys from a table per group, and compares.
+Then the keys of the orbit rows are top row 0's entry times q^t plus the
+bottom group's key, and the transform indexes by them: the orbit rows are
+neither copied nor keyed again.
+
 Projectivity follows from the exact spectrum without another pass over the
 columns.  The first two Pless power moments (MacWilliams & Sloane, ch. 5)
 give the dual counts B_1 and B_2 in O(#weights) Python-int operations, and
@@ -126,20 +149,33 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
     return A.reshape(q, -1)[0]
 
 
+def _in_field(a: np.ndarray, q: int) -> bool:
+    """Whether an integer array holds elements of GF(q), encoded in 0..q-1."""
+    return a.dtype.kind in "iu" and (a.dtype.kind == "u" or a.min() >= 0) and a.max() < q
+
+
 def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
-                                multiplicity=None) -> WeightDistribution:
+                                multiplicity=None, *, keys=None) -> WeightDistribution:
     """Exact weight counts of the code spanned by the rows of a (k, n) array or list.
 
     With multiplicity M (one count per leading symbol, module docstring) the
     messages of leading symbol u count M[u] times; by default each counts once.
+    keys, when given, are the rows' column keys (``fields.column_keys``, one
+    int64 row of n), which a caller that has proved them passes instead of
+    having them computed: the rows then give k alone, and their entries are
+    not read.
     """
-    try:
-        gen = np.asarray(rows)
-    except ValueError:
-        raise ParameterError("rows have unequal lengths") from None
-    if gen.ndim != 2 or not gen.size:
-        raise ParameterError("need at least one nonempty row")
-    (k, n), q = gen.shape, field.q
+    q = field.q
+    if keys is None:
+        try:
+            gen = np.asarray(rows)
+        except ValueError:
+            raise ParameterError("rows have unequal lengths") from None
+        if gen.ndim != 2 or not gen.size:
+            raise ParameterError("need at least one nonempty row")
+        k, n = gen.shape
+    else:
+        k, n = len(rows), len(keys)
     if n > _MAX_LENGTH:
         raise ParameterError(f"length {n} exceeds the 32-bit column counts ({_MAX_LENGTH})")
     # a list, not tuple(map(...)), which would strand a resized tuple on a free list per call
@@ -153,8 +189,12 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
     if q**dim != total:
         raise ParameterError(f"multiplicities {mult} do not total a power of {q}")
     check_budget(q, dim, DEFAULT_BUDGET if budget is None else budget)
-    if gen.dtype.kind not in "iu" or gen.min() < 0 or gen.max() >= q:
-        raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
+    if keys is None:
+        if not _in_field(gen, q):
+            raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
+        if q**k > 1 << 63:
+            raise ParameterError(f"{k} rows over GF({q}) exceed the 64-bit column keys")
+        keys = column_keys(gen, q)[0]
     add, mul, neg, _ = field.tables
     minus = add[:, neg].T  # minus[w, s'] = s' - w
     r = 0
@@ -162,16 +202,21 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         r += 1
     steps = k - r
     cells = q**steps
-    index = column_keys(gen[r:], q)[0]  # column value over rows r..k-1; q^steps < 2^63
+    index, fixed = keys, []
+    if r:  # a prefix of r rows is fixed per chunk: their entries are the keys' leading digits
+        head, index = np.divmod(keys, cells)
+        fixed = [(head // q ** (r - 1 - u) % q).astype(add.dtype) for u in range(r)]
     hists = [{} for _ in range(q)]  # weight -> messages per leading symbol, as they occur
     for prefix in product(range(q), repeat=r):
         if prefix and not mult[prefix[0]]:
             continue
-        s = np.zeros(n, dtype=add.dtype)
-        for u, row in zip(prefix, gen):
-            if u:
-                s = add[s, mul[u, row]]
-        flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
+        flat = index
+        if r:
+            s = np.zeros(n, dtype=add.dtype)
+            for u, row in zip(prefix, fixed):
+                if u:
+                    s = add[s, mul[u, row]]
+            flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
         zeros = _zero_counts(flat, q, steps, mul, minus)
         lead = prefix[:1] or range(q)  # without a prefix, zeros is led by the first symbol
         key = np.multiply(zeros.reshape(len(lead), -1), q, dtype=np.int64)
@@ -227,42 +272,44 @@ class GriesmerReport:
     length_optimal: bool
 
 
-def _shift_invariant(G: GeneratorMatrix) -> bool:
-    """Whether sigma maps each row group of G as x does (module docstring).
+def _orbit_keys(G: GeneratorMatrix) -> np.ndarray | None:
+    """The column keys of the rows [top row 0; bottom group] when sigma holds, else None.
 
-    Rows whose shape or entries do not fit the code, and an h of degree other
-    than t or with no nonzero coefficient below its lead, are refused, not
-    raised on.
+    Each row group's columns are keyed once (one einsum) and checked against
+    the base's predecessor tables (module docstring); the bottom keys are
+    then the last t digits of the keys returned.  Rows whose shape or entries
+    do not fit the code, and an h of degree other than t or with no nonzero
+    coefficient below its lead, are refused, not raised on.
     """
     code = G.provenance
     s = code.simplex
-    rows, t = np.asarray(G.rows), s.t
-    if (rows.shape != (2 * t, code.n) or rows.dtype.kind not in "iu" or not s.lam
-            or s.h.degree != t or not any(s.h.coeffs[:-1])
-            or rows.min() < 0 or rows.max() >= s.q):
-        return False
-    add, mul, neg, _ = s.field.tables
-    view = rows.reshape(2, t, code.block_count, s.m)
-    # np.take on 1-D table rows and on the flat add table is faster than
-    # 2-D fancy indexing; the flat index is widened first, as q (q - 1) can overflow the dtype
-    shifted = np.concatenate([np.take(mul[s.lam], view[..., -1:]), view[..., :-1]], axis=-1)
-    coeffs = neg[list(s.h.coeffs[:-1])]
-    terms = [np.take(mul[coeffs[u]], view[:, u]) for u in np.flatnonzero(coeffs)]  # -h_u row u
-    wrap = terms[0]
-    for term in terms[1:]:
-        wrap = np.take(add, wrap.astype(np.intp) * s.q + term)  # add[wrap, term]
-    return bool((shifted[:, :-1] == view[:, 1:]).all() and (shifted[:, -1] == wrap).all())
+    rows, t, q = np.asarray(G.rows), s.t, s.q
+    if (rows.shape != (2 * t, code.n) or not s.lam or s.h.degree != t
+            or not any(s.h.coeffs[:-1]) or not _in_field(rows, q)):
+        return None
+    pred, wrap = s._pred
+    # powers of the tables' dtype: q^t - 1 fits it, and a narrow sum is the cheap one
+    powers = q ** np.arange(t - 1, -1, -1, dtype=pred.dtype)
+    keys = np.einsum("u,gun->gn", powers, rows.reshape(2, t, code.n))
+    blocks = keys.reshape(2, code.block_count, s.m)
+    if not ((np.take(pred, blocks[..., 1:]) == blocks[..., :-1]).all()
+            and (np.take(wrap, blocks[..., 0]) == blocks[..., -1]).all()):
+        return None
+    index = np.multiply(rows[0], q**t, dtype=np.int64)
+    index += keys[1]
+    return index
 
 
 def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> WeightDistribution:
     """Exact weight counts of G: the orbit reduction when sigma holds, else the full transform."""
-    if _shift_invariant(G):
-        q, t = G.field.q, G.provenance.simplex.t
-        W = weight_distribution_of_rows(G.field, np.asarray(G.rows)[[0, *range(t, 2 * t)]],
-                                        budget=budget,
-                                        multiplicity=(1, q**t - 1) + (0,) * (q - 2))
-        return replace(W, method="orbit")
-    return weight_distribution_of_rows(G.field, G.rows, budget=budget)
+    keys = _orbit_keys(G)
+    if keys is None:
+        return weight_distribution_of_rows(G.field, G.rows, budget=budget)
+    q, t = G.field.q, G.provenance.simplex.t
+    # the rows give k alone; views, as the keys stand for their entries
+    W = weight_distribution_of_rows(G.field, [G.rows[0], *G.rows[t:]], budget=budget,
+                                    multiplicity=(1, q**t - 1) + (0,) * (q - 2), keys=keys)
+    return replace(W, method="orbit")
 
 
 def min_distance(W: WeightDistribution) -> int:

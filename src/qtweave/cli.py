@@ -350,7 +350,8 @@ def _cmd_search_primitive(args) -> int:
     return EXIT_OK
 
 
-def _export_payload(code, G, W) -> dict:
+def _code_fields(code) -> dict:
+    """The exported fields that name the code: everything but its rows and weight counts."""
     s = code.simplex
     return {
         "q_characteristic": s.field.p,
@@ -364,6 +365,12 @@ def _export_payload(code, G, W) -> dict:
         "g": list(s.g.coeffs),
         "selection": [[i, j] for i, j in code.selection],
         "variant": code.variant,
+    }
+
+
+def _export_payload(code, G, W) -> dict:
+    return {
+        **_code_fields(code),
         "generator_rows": [_DIGIT_BYTES[row].tobytes().decode("ascii") for row in G.rows],
         "weight_counts": {str(w): c for w, c in sorted(W.counts.items())},
     }
@@ -391,12 +398,14 @@ def _json_types_ok(value) -> bool:
     return not isinstance(value, (bool, float))
 
 
-def _roundtrip_json(path, payload, W, budget) -> bool:
+def _roundtrip_json(path, payload, G, budget) -> bool:
     """The file must load to the payload written, then rebuild through _build to it.
 
     The types are checked after the comparison.  The rebuild proves that the
-    exported fields describe the exported code; W is the export's own
-    spectrum, so no second one runs.
+    exported fields describe the exported code: it must have the rows of G,
+    which the payload's rows encode, and the payload's other code fields.
+    The weight counts are the export's own spectrum, so no second one runs,
+    and the rows are compared as arrays, not encoded again.
     """
     try:
         with open(path) as fh:
@@ -410,11 +419,12 @@ def _roundtrip_json(path, payload, W, budget) -> bool:
         cyclic = data["simplex_variant"] == construction.CYCLIC
         h, g = (None, Poly(field, data["g"])) if cyclic else (Poly(field, data["h"]), None)
         qt_simplex = data["variant"] == construction.QT_SIMPLEX
-        code, G = _build(field, data["t"], budget, data["variant"], data["p"],
-                         None if qt_simplex else data["selection"], h, g, cyclic)
+        code, rebuilt = _build(field, data["t"], budget, data["variant"], data["p"],
+                               None if qt_simplex else data["selection"], h, g, cyclic)
     except ParameterError:
         return False
-    return _export_payload(code, G, W) == payload
+    return (np.array_equal(rebuilt.rows, G.rows)
+            and all(payload[key] == value for key, value in _code_fields(code).items()))
 
 
 def _roundtrip_text(path, code, G) -> bool:
@@ -451,7 +461,7 @@ def _cmd_export(args) -> int:
     print(f"wrote {args.format} export to {args.output}")
     if args.roundtrip:
         ok = (
-            _roundtrip_json(args.output, payload, W, budget)
+            _roundtrip_json(args.output, payload, G, budget)
             if args.format == "json"
             else _roundtrip_text(args.output, code, G)
         )

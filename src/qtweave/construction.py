@@ -26,6 +26,16 @@ that view, so every build over a base reads the same table.  The simplex
 check reads only ext, built once from the division's quotient, so a base
 that is never built on never makes the table.
 
+The consta-shift check of ``analysis`` reads a second per-base table, built
+on the base's first check.  In a row group whose rows are x^u w, u < t, the
+column after (c_0, ..., c_(t-1)) is a state of the linear recurrence of h
+one step on, so its predecessor is fixed by h: pred[K] is the base-q key of
+the column before a column of key K, and wrap[K], 1/lam times pred[K], that
+of the last column of a block before its first.  Each has q^t entries of the
+smallest unsigned dtype that holds q^t - 1: at most 2^20 entries (4 MiB of
+uint32), as the primitive search bounds q^t.  wrap is built only when
+lam != 1, never for q = 2.
+
 Each invariant is computed once, and a failure raises VerificationError led
 by its stage: one division x^m = g h + lam gives g and lam
 (``simplex division``), lam has order q - 1, or is 1 if cyclic
@@ -139,6 +149,36 @@ class SimplexSpec:
         table = np.take(self.field.tables.mul, self._ext, axis=1)  # row a is a ext, C-ordered
         table.setflags(write=False)
         return sliding_window_view(table.reshape(-1), self.m)
+
+    @cached_property
+    def _pred(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pred, wrap), read-only and indexed by the base-q key of a column of a row group.
+
+        pred[K] is the key of the column before a column of key K: the digits
+        move up one row, and the last row gets -sum h_u row u (module
+        docstring).  At a block start the column before is 1/lam times that,
+        wrap[K]; wrap is pred when lam = 1.  The last digit is one broadcast
+        add per nonzero tap of h, so no entry is built in Python.
+        """
+        q, t = self.q, self.t
+        add, mul, neg, inv = self.field.tables
+        last = np.zeros((1,) * t, dtype=add.dtype)  # axis u is the digit of row u
+        for u, c in enumerate(self.h.coeffs[:t]):
+            if c:
+                last = add[last, mul[neg[c]].reshape((q,) + (1,) * (t - 1 - u))]
+        dtype = np.min_scalar_type(q**t - 1)
+        low = np.arange(0, q**t, q, dtype=dtype).reshape((1,) + (q,) * (t - 1))  # (K mod q^(t-1)) q
+        pred = np.add(low, last, out=np.empty((q,) * t, dtype=dtype)).reshape(-1)
+        wrap = pred
+        if self.lam != 1:
+            scale = mul[inv[self.lam]].astype(dtype)  # one digit times 1/lam
+            scaled = scale
+            for _ in range(t - 1):  # the key of K / lam, one more digit per step
+                scaled = np.add.outer(scaled * q, scale).reshape(-1)
+            wrap = scaled[pred]
+            wrap.setflags(write=False)
+        pred.setflags(write=False)
+        return pred, wrap
 
     @cached_property
     def _lower(self) -> np.ndarray:

@@ -10,12 +10,13 @@ product `poly_mul` and a schoolbook long division `poly_divmod`, so no
 oracle runs `Poly.__divmod__`, the one operator of the package's `Poly`.
 Weight counts are recomputed by looping over every message with those scalar
 operations, matrix products are done schoolbook-style, ring elements are
-reduced by `poly_divmod` and shifted one position at a time, rank is row
-reduction with scalar field operations, projectivity compares every pair of
-columns, and dual weight counts come from the MacWilliams transform of a
-spectrum or from counting zero columns and proportional pairs one by one,
-so they can catch bugs in the spectrum transform, the block gather, the
-rank check, the projectivity check and the Pless moments.  Row text is one
+reduced by `poly_divmod` and shifted one position at a time, a column's
+predecessor under h is one digit step, rank is row reduction with scalar
+field operations, projectivity compares every pair of columns, and dual
+weight counts come from the MacWilliams transform of a spectrum or from
+counting zero columns and proportional pairs one by one, so they can catch
+bugs in the spectrum transform, the block gather, the consta-shift tables,
+the rank check, the projectivity check and the Pless moments.  Row text is one
 str.join per row over str() of each symbol.  Matrices may come in as numpy
 arrays; the oracles read them as lists of Python ints.  Irreducibility is
 decided by the classic gcd test, independent of the order-of-x test that
@@ -256,6 +257,24 @@ def consta_shift(field, lam, w):
     """One lam-consta-cyclic shift: (w_0, ..., w_{m-1}) -> (lam w_{m-1}, w_0, ..., w_{m-2})."""
     w = tuple(w)
     return (scalar(field).mul(lam, w[-1]),) + w[:-1]
+
+
+def column_predecessor(s, key, at_block_start=False):
+    """The key of the column before a column of base-q key `key` in a row group of base s.
+
+    The column's t digits, row 0 leading, move up one row, and the last row
+    gets -sum h_u c_u; at a block start the column before is that times
+    1/lam.  Scalar field ops on the digits, no table of the package.
+    """
+    f, q, t = scalar(s.field), s.q, s.t
+    digits = [key // q ** (t - 1 - u) % q for u in range(t)]
+    last = 0
+    for h_u, c in zip(s.h.coeffs, digits):
+        last = f.sub(last, f.mul(h_u, c))
+    before = digits[1:] + [last]
+    if at_block_start:
+        before = [f.mul(f.inv(s.lam), c) for c in before]
+    return sum(c * q ** (t - 1 - u) for u, c in enumerate(before))
 
 
 def twistulant_rows(field, lam, c):

@@ -191,12 +191,12 @@ def _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 
     """Export with --roundtrip, the written file replaced by edit(its content) before the re-read."""
     roundtrip = cli._roundtrip_json
 
-    def edit_then_roundtrip(path, payload, W, budget):
+    def edit_then_roundtrip(path, payload, G, budget):
         with open(path) as fh:
             data = json.load(fh)
         with open(path, "w") as fh:
             json.dump(edit(data), fh, indent=1)
-        return roundtrip(path, payload, W, budget)
+        return roundtrip(path, payload, G, budget)
 
     monkeypatch.setattr(cli, "_roundtrip_json", edit_then_roundtrip)
     return run(capsys, "export", *flags.split(), "--format", "json",
@@ -297,6 +297,23 @@ JSON_MISMATCH_EDITS = {
 def test_json_reimport_must_re_export_to_the_file(tmp_path, capsys, monkeypatch, name):
     flags, edit = JSON_MISMATCH_EDITS[name]
     rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags)
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
+def test_json_reimport_must_rebuild_to_the_exported_rows(tmp_path, capsys, monkeypatch):
+    # the file is exactly what was written, but its rows are not those its fields build
+    build = cli._build_code
+
+    def edited_rows(*args, **kwargs):
+        code, G = build(*args, **kwargs)
+        rows = G.rows.copy()
+        rows[0, 0] = (rows[0, 0] + 1) % code.field.q
+        return code, construction.GeneratorMatrix(rows=rows, provenance=code)
+    monkeypatch.setattr(cli, "_build_code", edited_rows)
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
+                       "--output", str(tmp_path / "code.json"), "--roundtrip")
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""

@@ -125,7 +125,7 @@ def test_a_zero_count_outside_0_to_n_names_the_stage(capsys, monkeypatch):
 def test_a_failed_shift_check_runs_the_full_transform_to_the_same_report(capsys, monkeypatch):
     rc, orbit, _ = analyze(capsys, 3, 2, p=4)
     assert rc == 0 and "spectrum method: orbit" in orbit
-    monkeypatch.setattr(analysis, "_shift_invariant", lambda G: False)
+    monkeypatch.setattr(analysis, "_orbit_keys", lambda G: None)
     rc, transform, err = analyze(capsys, 3, 2, p=4)
     assert rc == 0 and err == ""
     assert transform == orbit.replace("spectrum method: orbit", "spectrum method: transform")

@@ -21,11 +21,15 @@ from hypothesis import strategies as st
 from qtweave import (BudgetExceededError, GeneratorMatrix, Poly, analysis, build_qt_simplex,
                      build_two_weight, expected_counts, field_from_order, simplex_consta,
                      simplex_cyclic, weight_distribution, weight_distribution_of_rows)
-from conftest import SWEEP_CONFIGS, consta_shift, naive_weight_counts
+from qtweave.fields import column_keys
+from conftest import SWEEP_CONFIGS, column_predecessor, consta_shift, naive_weight_counts, scalar
 
 ORACLE_MESSAGES = 256
 # (q, t) of the cyclic bases drawn; h is primitive for q = 2 only
 CYCLIC = ((2, 2), (2, 3), (2, 4), (3, 3), (4, 2), (5, 3), (8, 2))
+# one small code per field order up to 9: (q, t, cyclic base, p or None for qt-simplex)
+SMALL_CODES = ((2, 3, False, None), (3, 2, False, None), (4, 2, True, 3), (5, 2, False, 4),
+               (7, 2, False, 2), (8, 2, True, 2), (9, 2, False, 3))
 
 
 @cache
@@ -168,6 +172,20 @@ def test_shift_check_refuses_an_h_without_low_terms_without_raising(h):
     assert W.method == "transform"
     assert W.counts == naive_weight_counts(G.field, G.rows)
 
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_shift_check_refuses_a_twist_the_base_does_not_have(q):
+    # blocks read modulo x^m - lam' keep every relation inside a block; as
+    # h g = x^m - lam, sigma(row t - 1) + sum h_u row u is (lam' - lam) x^e per
+    # block a x^e g, and p = 2 selects e = 0 only: each failure is at a block start
+    s = base(q, 2, False)
+    other = next(lam for lam in range(1, q) if lam != s.lam)
+    _, G = build_two_weight(replace(s, lam=other), 2)
+    W = weight_distribution(G)
+    assert W.method == "transform"
+    assert W.counts == naive_weight_counts(G.field, G.rows)
+
+
 def test_non_primitive_cyclic_bases_take_the_orbit_path():
     # q = 3, t = 3: the cyclic h = x^3 + x^2 + 2 is irreducible, but x has order 13
     # modulo it; x and the scalars -1, 1 still give all 26 units.  The reversed g
@@ -190,3 +208,41 @@ def test_orbit_path_keeps_the_budget_in_messages():
         weight_distribution(G, budget=2**8 - 1)
     assert (err.value.required, err.value.budget) == (2**8, 2**8 - 1)
     assert weight_distribution(G, budget=2**8).method == "orbit"
+
+
+def small_code(q, t, cyclic, p):
+    s = base(q, t, cyclic)
+    return build_qt_simplex(s) if p is None else build_two_weight(s, p)
+
+
+@pytest.mark.parametrize("q, t, cyclic, p", SMALL_CODES, ids=lambda v: str(v))
+def test_predecessor_tables_match_the_scalar_oracle_on_every_key(q, t, cyclic, p):
+    s = base(q, t, cyclic)
+    pred, wrap = s._pred
+    assert pred.size == wrap.size == q**t
+    assert pred.dtype == np.min_scalar_type(q**t - 1) and not pred.flags.writeable
+    assert pred.tolist() == [column_predecessor(s, key) for key in range(q**t)]
+    assert wrap.tolist() == [column_predecessor(s, key, at_block_start=True)
+                             for key in range(q**t)]
+    assert (wrap is pred) == (s.lam == 1)
+    assert "_pred" not in s.__getstate__()
+
+
+@pytest.mark.parametrize("q, t, cyclic, p", SMALL_CODES, ids=lambda v: str(v))
+def test_shift_check_refuses_every_change_of_every_cell(q, t, cyclic, p):
+    _, G = small_code(q, t, cyclic, p)
+    assert analysis._orbit_keys(G) is not None
+    f = scalar(G.field)
+    for row, col in np.ndindex(G.rows.shape):
+        for delta in range(1, q):
+            rows = G.rows.copy()
+            rows[row, col] = f.add(int(rows[row, col]), delta)
+            assert analysis._orbit_keys(GeneratorMatrix(rows, G.provenance)) is None, (
+                row, col, delta)
+
+
+def test_orbit_keys_are_the_column_keys_of_the_orbit_rows(sweep):
+    for q, t, p, code, G, W, _ in sweep:
+        orbit_rows = G.rows[[0, *range(t, 2 * t)]]
+        assert analysis._orbit_keys(G).tolist() == column_keys(orbit_rows, q)[0].tolist(), (
+            q, t, p)
