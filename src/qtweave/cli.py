@@ -439,8 +439,9 @@ def _roundtrip_text(path, code, G) -> bool:
             return False  # loadtxt would only warn on an empty body
         lines = body.splitlines()
         del body  # the lines hold the same text; loadtxt's arrays need the room
-        # comments=None: a '#' token is not an integer, so it fails the parse
-        rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+        # comments=None: a '#' token is not an integer, so it fails the parse; at the
+        # rows' own dtype a token beyond it, or one with a sign, fails it too
+        rows = np.loadtxt(lines, dtype=G.rows.dtype, ndmin=2, comments=None)
     except ValueError:  # undecodable text, a non-integer header or row, a ragged row
         return False
     return rows.shape == G.rows.shape and bool((rows == G.rows).all())

@@ -23,8 +23,10 @@ view of width m over them, whose row (3a + 2) m - e is the block a x^e g;
 scale 0 gives the zero block.  A row group is a list of (a, e) blocks, its
 row u adds u to every e, and all rows of both groups are one gather from
 that view, so every build over a base reads the same table.  The simplex
-check reads only ext, built once from the division's quotient, so a base
-that is never built on never makes the table.
+check reads only ext, filled once from the quotient's coefficients (with
+lam = 1, as for every q = 2 and every cyclic base, the three parts are
+copies of g and need no scaling gather), so a base that is never built on
+never makes the table.
 
 The consta-shift check of ``analysis`` reads a second per-base table, built
 on the base's first check.  In a row group whose rows are x^u w, u < t, the
@@ -43,7 +45,9 @@ by its stage: one division x^m = g h + lam gives g and lam
 (``simplex check``), and a triangular 2t x 2t minor rank 2t (``rank minor``).
 
 The simplex check is the test of ``is_projective`` on the t x m matrix of the
-shifts x^u g, u < t: each column is scaled to lead with 1 and packed into a
+shifts x^u g, u < t, read in place: its entry (u, j) is ext[2m - u + j], the
+t windows of ext starting at 2m - t + 1 .. 2m, last first, so no t x m copy
+or index is made.  Each column is scaled to lead with 1 and packed into a
 base-q integer key (``fields.column_keys``), and one sort of the m keys
 finds a zero or a repeated one.  Nonzero, pairwise non-proportional, its m
 columns are all m = (q^t - 1)/(q - 1) points of PG(t - 1, q), each once; a
@@ -90,7 +94,6 @@ from functools import cached_property
 from math import gcd
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import polynomial
 from .errors import ParameterError, VerificationError, check_budget
@@ -101,6 +104,15 @@ CONSTA_CYCLIC = "consta-cyclic"
 CYCLIC = "cyclic"
 TWO_WEIGHT = "two-weight"
 QT_SIMPLEX = "qt-simplex"
+
+
+def _windows(flat: np.ndarray, width: int) -> np.ndarray:
+    """The sliding windows of width `width` over the 1-D read-only flat, as one view.
+
+    Row i is flat[i : i + width]; no cell is copied, and unlike
+    sliding_window_view it is one constructor call.
+    """
+    return np.ndarray((flat.size - width + 1, width), flat.dtype, flat, strides=flat.strides * 2)
 
 
 @dataclass(frozen=True)
@@ -131,11 +143,16 @@ class SimplexSpec:
     @cached_property
     def _ext(self) -> np.ndarray:
         """lam^2 g | lam g | g, read-only: x^e g mod (x^m - lam) is [2m - e : 3m - e]."""
-        mul = self.field.tables.mul
-        g = np.zeros(self.m, dtype=mul.dtype)
-        g[:len(self.g.coeffs)] = np.fromiter(self.g.coeffs, mul.dtype, len(self.g.coeffs))
-        lam = mul[self.lam]
-        ext = np.concatenate([lam[lam[g]], lam[g], g])
+        mul, coeffs = self.field.tables.mul, self.g.coeffs
+        ext = np.zeros((3, self.m), dtype=mul.dtype)
+        ext[2, :len(coeffs)] = np.fromiter(coeffs, mul.dtype, len(coeffs))
+        if self.lam == 1:  # every q = 2 and every cyclic base: three copies of g
+            ext[:2] = ext[2]
+        else:
+            lam = mul[self.lam]
+            ext[1] = lam[ext[2]]
+            ext[0] = lam[ext[1]]
+        ext = ext.reshape(-1)
         ext.setflags(write=False)
         return ext
 
@@ -146,9 +163,9 @@ class SimplexSpec:
         A read-only (3qm - m + 1, m) sliding-window view of the q rows a ext,
         a in GF(q), laid end to end; windows across two rows are never read.
         """
-        table = np.take(self.field.tables.mul, self._ext, axis=1)  # row a is a ext, C-ordered
+        table = np.take(self.field.tables.mul, self._ext, axis=1).reshape(-1)  # row a is a ext
         table.setflags(write=False)
-        return sliding_window_view(table.reshape(-1), self.m)
+        return _windows(table, self.m)
 
     @cached_property
     def _pred(self) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +279,8 @@ def is_projective(G: GeneratorMatrix) -> bool:
 def _check_equidistant(s: SimplexSpec) -> None:
     """The t shifts of g span the simplex code: their columns are the points of PG(t - 1, q)."""
     points = (s.q**s.t - 1) // (s.q - 1)
-    if s.m == points:
-        windows = sliding_window_view(s._ext, s.m)  # row 2m - u is x^u g
-        if _distinct_points(s.field, windows[2 * s.m - np.arange(s.t)]):
+    if s.m == points:  # row u is x^u g = ext[2m - u : 3m - u]
+        if _distinct_points(s.field, _windows(s._ext[2 * s.m - s.t + 1:], s.m)[::-1]):
             return
     raise VerificationError(
         f"simplex check: the base is degenerate or not equidistant: the columns of the "

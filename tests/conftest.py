@@ -21,7 +21,9 @@ str.join per row over str() of each symbol.  Matrices may come in as numpy
 arrays; the oracles read them as lists of Python ints.  Irreducibility is
 decided by the classic gcd test, independent of the order-of-x test that
 primitivity uses, and the order of x is found by multiplying by x one step
-at a time; both read a `Poly` only for its field and coefficients.
+at a time; both read a `Poly` only for its field and coefficients.  The
+primitive polynomials of a degree are every monic candidate, in the search's
+order, whose x has that full order.
 """
 
 from collections import Counter
@@ -36,6 +38,7 @@ import pytest
 from qtweave import (
     Field,
     ParameterError,
+    Poly,
     build_two_weight,
     field_create,
     field_from_order,
@@ -440,3 +443,18 @@ def order_of_x(h):
         if acc == one:
             return k
     return None
+
+
+def primitive_polys(field, t, count=None):
+    """The monic degree-t h with order_of_x(h) = q^t - 1, low degree compared first.
+
+    Every candidate is tried in that order; with count, the first count of them.
+    """
+    found = []
+    for tail in product(field.elements(), repeat=t):
+        h = Poly(field, tail + (1,))
+        if order_of_x(h) == field.q**t - 1:
+            found.append(h)
+            if len(found) == count:
+                break
+    return found

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -150,6 +151,8 @@ TEXT_EDITS = {
     "header lambda off by one": _header_token_plus_one(5),
     "empty file": lambda lines: [],
     "symbol out of range": _first_row(lambda row: "3" + row[1:]),
+    "symbol beyond the rows' dtype": _first_row(lambda row: "256" + row[1:]),
+    "minus zero": _first_row(lambda row: row.replace("0", "-0", 1)),  # row 1 is g, with a zero
     "rows swapped": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
 }
 
@@ -177,6 +180,22 @@ def test_text_reimport_is_strict(tmp_path, capsys, monkeypatch, name):
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
+
+
+def test_text_reimport_parses_at_the_rows_dtype(tmp_path):
+    # 1 044 480 one-digit symbols: an int64 parse alone would hold 8.4 MB
+    code, G = construction.build_two_weight(
+        construction.simplex_consta(fields.field_from_order(2), 8), 256)
+    path = tmp_path / "code.txt"
+    cli._write_text_export(path, code, G)
+    tracemalloc.start()
+    try:
+        ok = cli._roundtrip_text(path, code, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and G.rows.size == 1_044_480
+    assert peak < 8 << 20, peak
 
 
 def test_text_reimport_accepts_extra_whitespace(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import signal
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -18,9 +19,11 @@ from qtweave import (
     simplex_consta,
 )
 from conftest import (euler_phi, field_with_products, is_irreducible, order_of_x, poly_divmod,
-                      poly_gcd, poly_mul, pow_mod, scalar)
+                      poly_gcd, poly_mul, pow_mod, primitive_polys, scalar)
 
-FIELDS = [field_from_order(q) for q in (2, 3, 4, 5, 8, 9)]
+# GF(256): every division of the oracle test reads its add table by .item; the
+# small fields read theirs as lists when the quotient is long enough
+FIELDS = [field_from_order(q) for q in (2, 3, 4, 5, 8, 9, 256)]
 
 
 def test_normalization_and_degree(gf3):
@@ -144,10 +147,14 @@ def test_gcd(gf2, gf3):
 def x_pow_mod(n, h):
     """x^n modulo the monic h by polynomial._x_pow, the kernel of find_primitive, as coefficients.
 
-    The kernel runs on the list tables, as find_primitive converts them.
+    The kernel runs on the tables as nested lists and as numpy arrays, the two
+    forms find_primitive reads, which must agree.
     """
-    add, mul, neg = (table.tolist() for table in h.field.tables[:3])
-    return Poly(h.field, polynomial._x_pow(n, [neg[c] for c in h.coeffs[:-1]], add, mul)).coeffs
+    add, mul, neg = h.field.tables[:3]
+    ntail = [neg.item(c) for c in h.coeffs[:-1]]
+    on_lists = polynomial._x_pow(n, ntail, add.tolist(), mul.tolist())
+    assert polynomial._x_pow(n, ntail, add, mul) == on_lists
+    return Poly(h.field, on_lists).coeffs
 
 
 def test_x_pow_mod(gf2, gf3):
@@ -211,18 +218,39 @@ def test_primitivity_agrees_with_the_order_of_x(q, t):
     """Every monic h of degree t: find_primitive and, for t > 1, the checks of the
     simplex base against order_of_x; a supplied h that fails them is invalid input."""
     field = field_from_order(q)
-    candidates = [Poly(field, tail + (1,)) for tail in product(field.elements(), repeat=t)]
-    expected = [order_of_x(h) == q**t - 1 for h in candidates]
-    assert find_primitive(field, t) == [h for h, ok in zip(candidates, expected) if ok]
+    primitive = primitive_polys(field, t)
+    assert find_primitive(field, t) == primitive
     if t == 1:  # a simplex base needs t > 1
         return
-    for h, primitive in zip(candidates, expected):
-        if primitive:
+    for h in (Poly(field, tail + (1,)) for tail in product(field.elements(), repeat=t)):
+        if h in primitive:
             assert simplex_consta(field, t, h).h == h
         else:
             with pytest.raises(ParameterError) as err:
                 simplex_consta(field, t, h)
             assert str(err.value) == f"h = {h} is not a monic primitive polynomial of degree {t}"
+
+
+# longer binary and ternary searches on list tables; q > 64t reads the numpy tables
+@pytest.mark.parametrize("q, t, count", [(2, 5, None), (2, 6, None), (2, 7, None),
+                                         (2, 8, None), (3, 5, None), (128, 1, None),
+                                         (256, 2, 1)])
+def test_find_primitive_lists_the_brute_force(q, t, count):
+    field = field_from_order(q)
+    assert find_primitive(field, t, limit=count) == primitive_polys(field, t, count)
+
+
+def test_primitive_search_over_gf1024_copies_no_table():
+    field = field_from_order(1024)
+    field.tables  # built before the trace: 2 MB of q x q tables
+    tracemalloc.start()
+    try:
+        found = find_primitive(field, 2, limit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [Poly(field, (2, 5, 1))]
+    assert peak < 8 << 20, peak  # a nested-list copy of add and mul peaks at 64 MB
 
 
 @pytest.mark.parametrize("q,t", PRIMITIVITY_CASES)
