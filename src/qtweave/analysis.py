@@ -98,7 +98,7 @@ import numpy as np
 # is_projective lives next to the simplex check, which runs its test; it is re-exported
 from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT, is_projective
 from .errors import ParameterError, VerificationError, check_budget
-from .fields import Field, column_keys
+from .fields import Field, column_keys, key_dtype
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ENTRIES = 1 << 22
@@ -160,10 +160,10 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
 
     With multiplicity M (one count per leading symbol, module docstring) the
     messages of leading symbol u count M[u] times; by default each counts once.
-    keys, when given, are the rows' column keys (``fields.column_keys``, one
-    int64 row of n), which a caller that has proved them passes instead of
-    having them computed: the rows then give k alone, and their entries are
-    not read.
+    keys, when given, are the rows' n column keys (``fields.column_keys``, of
+    dtype ``fields.key_dtype(q, k)``), which a caller that has proved them
+    passes instead of having them computed: the rows then give k alone, and
+    their entries are not read.
     """
     q = field.q
     if keys is None:
@@ -192,9 +192,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
     if keys is None:
         if not _in_field(gen, q):
             raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
-        if q**k > 1 << 63:
-            raise ParameterError(f"{k} rows over GF({q}) exceed the 64-bit column keys")
-        keys = column_keys(gen, q)[0]
+        keys = column_keys(gen, q)
     add, mul, neg, _ = field.tables
     minus = add[:, neg].T  # minus[w, s'] = s' - w
     r = 0
@@ -275,11 +273,11 @@ class GriesmerReport:
 def _orbit_keys(G: GeneratorMatrix) -> np.ndarray | None:
     """The column keys of the rows [top row 0; bottom group] when sigma holds, else None.
 
-    Each row group's columns are keyed once (one einsum) and checked against
-    the base's predecessor tables (module docstring); the bottom keys are
-    then the last t digits of the keys returned.  Rows whose shape or entries
-    do not fit the code, and an h of degree other than t or with no nonzero
-    coefficient below its lead, are refused, not raised on.
+    Each row group's columns are keyed once (``fields.column_keys``) and
+    checked against the base's predecessor tables (module docstring); the
+    bottom keys are then the last t digits of the keys returned.  Rows whose
+    shape or entries do not fit the code, and an h of degree other than t or
+    with no nonzero coefficient below its lead, are refused, not raised on.
     """
     code = G.provenance
     s = code.simplex
@@ -288,14 +286,12 @@ def _orbit_keys(G: GeneratorMatrix) -> np.ndarray | None:
             or not any(s.h.coeffs[:-1]) or not _in_field(rows, q)):
         return None
     pred, wrap = s._pred
-    # powers of the tables' dtype: q^t - 1 fits it, and a narrow sum is the cheap one
-    powers = q ** np.arange(t - 1, -1, -1, dtype=pred.dtype)
-    keys = np.einsum("u,gun->gn", powers, rows.reshape(2, t, code.n))
+    keys = column_keys(rows.reshape(2, t, code.n), q)  # of pred's dtype, key_dtype(q, t)
     blocks = keys.reshape(2, code.block_count, s.m)
     if not ((np.take(pred, blocks[..., 1:]) == blocks[..., :-1]).all()
             and (np.take(wrap, blocks[..., 0]) == blocks[..., -1]).all()):
         return None
-    index = np.multiply(rows[0], q**t, dtype=np.int64)
+    index = np.multiply(rows[0], q**t, dtype=key_dtype(q, t + 1))
     index += keys[1]
     return index
 

@@ -46,8 +46,8 @@ def _load_fixture(name: str) -> dict:
 
 
 def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+    try:  # int() strips a token's outer spaces and refuses inner ones
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParameterError(f"cannot parse coefficient list {text!r}") from None
 
@@ -59,7 +59,7 @@ def _poly_from_user(field: fields.Field, ints) -> Poly:
 
 def _parse_selection(text: str):
     pairs = []
-    for tok in text.replace(" ", "").split(","):
+    for tok in map(str.strip, text.split(",")):
         if not tok:
             continue
         if ":" not in tok:

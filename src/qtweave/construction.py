@@ -34,9 +34,9 @@ column after (c_0, ..., c_(t-1)) is a state of the linear recurrence of h
 one step on, so its predecessor is fixed by h: pred[K] is the base-q key of
 the column before a column of key K, and wrap[K], 1/lam times pred[K], that
 of the last column of a block before its first.  Each has q^t entries of the
-smallest unsigned dtype that holds q^t - 1: at most 2^20 entries (4 MiB of
-uint32), as the primitive search bounds q^t.  wrap is built only when
-lam != 1, never for q = 2.
+dtype of the column keys of t rows (``fields.key_dtype``): at most 2^20
+entries (4 MiB of uint32), as the primitive search bounds q^t.  wrap is
+built only when lam != 1, never for q = 2.
 
 Each invariant is computed once, and a failure raises VerificationError led
 by its stage: one division x^m = g h + lam gives g and lam
@@ -97,7 +97,7 @@ import numpy as np
 
 from . import polynomial
 from .errors import ParameterError, VerificationError, check_budget
-from .fields import Field, column_keys
+from .fields import Field, column_keys, key_dtype
 from .polynomial import Poly, find_primitive
 
 CONSTA_CYCLIC = "consta-cyclic"
@@ -183,7 +183,7 @@ class SimplexSpec:
         for u, c in enumerate(self.h.coeffs[:t]):
             if c:
                 last = add[last, mul[neg[c]].reshape((q,) + (1,) * (t - 1 - u))]
-        dtype = np.min_scalar_type(q**t - 1)
+        dtype = key_dtype(q, t)
         low = np.arange(0, q**t, q, dtype=dtype).reshape((1,) + (q,) * (t - 1))  # (K mod q^(t-1)) q
         pred = np.add(low, last, out=np.empty((q,) * t, dtype=dtype)).reshape(-1)
         wrap = pred
@@ -249,10 +249,10 @@ def _distinct_points(field: Field, cols: np.ndarray) -> bool:
     """No zero column and no two proportional columns in the (k, n) array.
 
     Each column is scaled by the inverse of its first nonzero entry (q = 2
-    needs no scaling), packed into base-q keys and sorted: the zero column
-    has key 0 and sorts first, and proportional columns have equal keys and
-    sort next to each other.  One 1-D sort serves whenever q^k <= 2^63; a
-    longer column is split into several keys, sorted together by lexsort.
+    needs no scaling), packed into one base-q key (``fields.column_keys``)
+    and sorted: the zero column has key 0 and sorts first, and proportional
+    columns have equal keys and sort next to each other.  q^k > 2^63 raises
+    ParameterError.
     """
     q = field.q
     if q > 2:
@@ -261,14 +261,8 @@ def _distinct_points(field: Field, cols: np.ndarray) -> bool:
         # flat gathers: np.take on the flat arrays is faster than 2-D fancy indexing
         first = np.take(cols, (cols != 0).argmax(axis=0) * n + np.arange(n))  # cols[argmax, arange]
         cols = np.take(mul, np.take(inv, first).astype(np.intp) * q + cols)  # mul[inv[first], cols]
-    keys = column_keys(cols, q)
-    if len(keys) == 1:  # 1-D compares: the 2-D ones cost more than the sort on short rows
-        keys = np.sort(keys[0])
-        same = keys[1:] == keys[:-1]
-    else:
-        keys = keys[:, np.lexsort(keys)]
-        same = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
-    return bool(keys[..., 0].any()) and not same.any()  # the smallest column is not zero
+    keys = np.sort(column_keys(cols, q))
+    return bool(keys[0]) and not (keys[1:] == keys[:-1]).any()  # the smallest key is not 0
 
 
 def is_projective(G: GeneratorMatrix) -> bool:

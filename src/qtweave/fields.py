@@ -4,8 +4,9 @@ Elements are plain integers in [0, q).  For a prime field the value is the
 residue itself.  For an extension field the integer packs the base-p digit
 vector of the element's polynomial representation, least significant digit
 first: value = c0 + c1*p + ... + c_{e-1}*p^(e-1).  A column of elements packs
-the same way into base-q int64 keys (`column_keys`), which projectivity sorts
-and the spectrum transform indexes by.
+the same way into one base-q key (`column_keys`, of dtype `key_dtype`), which
+projectivity sorts, the consta-shift check looks up and the spectrum
+transform indexes by.
 
 All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
 built vectorised on first use and shared by all callers; a Field has no other
@@ -96,28 +97,32 @@ class Field:
         return k
 
 
-def column_keys(cols: np.ndarray, q: int) -> np.ndarray:
-    """Base-q int64 keys of the columns of a (k, n) array of elements, first row leading.
+def key_dtype(q: int, k: int) -> np.dtype:
+    """The dtype of base-q keys of k digits: the narrowest unsigned one that holds q^k.
 
-    The keys form a (ceil(k / c), n) array: row i packs rows i c .. i c + c - 1,
-    where c is the largest count with q^c <= 2^63, so a key is the column's
-    base-q value, below 2^63.  Mostly q^k fits and one row of keys packs the
-    whole column.  Equal columns are exactly equal key columns, and the zero
-    column is the only all-zero one; no rows give one row of zero keys.  Each
-    row is one einsum, which buffers the widening cast instead of copying the
-    array to int64.
+    From q^k = 2^32 on it is int64, which numpy mixes with the other integer
+    types without a float; q^k > 2^63 raises ParameterError.  Holding q^k,
+    not just the largest key q^k - 1, lets a key be divided by any power of q
+    up to q^k in its own dtype.
     """
-    k = len(cols)
-    per_key = max(k, 1)
-    while q**per_key > 1 << 63:
-        per_key -= 1
-    starts = range(0, max(k, 1), per_key)
-    keys = np.empty((len(starts), cols.shape[1]), dtype=np.int64)
-    for key, start in zip(keys, starts):
-        digits = cols[start:start + per_key]
-        powers = q ** np.arange(len(digits) - 1, -1, -1, dtype=np.int64)
-        np.einsum("j,jn->n", powers, digits, out=key)
-    return keys
+    if q**k > 1 << 63:
+        raise ParameterError(f"{k} rows over GF({q}) exceed the 64-bit column keys")
+    return np.dtype(np.int64) if q**k >= 1 << 32 else np.min_scalar_type(q**k)
+
+
+def column_keys(cols: np.ndarray, q: int) -> np.ndarray:
+    """The base-q key of each column over the last two axes of cols, first row leading.
+
+    A (..., k, n) array of elements gives (..., n) keys of dtype
+    key_dtype(q, k), so equal columns have equal keys, the zero column is the
+    only one keyed 0, and no rows give zero keys.  The keys are one einsum
+    over the elements as they are; only elements of a type wider than the
+    keys' (int64 rows from lists) give keys that are copied to it.
+    """
+    k = cols.shape[-2]
+    dtype = key_dtype(q, k)
+    powers = q ** np.arange(k - 1, -1, -1, dtype=dtype)
+    return np.einsum("j,...jn->...n", powers, cols).astype(dtype, copy=False)
 
 
 def _build_tables(field: Field) -> FieldTables:

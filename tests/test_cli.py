@@ -41,6 +41,25 @@ def test_construct_accepts_negative_coefficients(capsys):
     assert "g: x^2 + x + 2" in out
 
 
+def test_list_options_allow_spaces_around_separators(capsys):
+    spaced = run(capsys, "construct", "--q", "3", "--t", "2", "--h", " 2, 2, 1", "--p", "3",
+                 "--selection", "1: 0, 2 :1,")
+    plain = run(capsys, "construct", "--q", "3", "--t", "2", "--h", "2,2,1", "--p", "3",
+                "--selection", "1:0,2:1")
+    assert spaced == plain and plain[0] == 0
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--h", "7,1 0,1", "cannot parse coefficient list '7,1 0,1'"),
+    ("--selection", "1:1 0,1:2", "cannot parse selection entry '1:1 0'"),
+], ids=["h", "selection"])
+def test_a_space_inside_a_number_exits_2(capsys, flag, text, message):
+    # over GF(11) "1 0" must not be read as 10
+    rc, out, err = run(capsys, "analyze", "--q", "11", "--t", "2", "--p", "3", flag, text)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_matrix_output(capsys):
     rc, out, _ = run(capsys, "construct", "--q", "3", "--t", "2", "--h", "2,2,1",
                      "--p", "2", "--matrix", "--block-matrix")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from qtweave import (BudgetExceededError, GeneratorMatrix, Poly, analysis, build_qt_simplex,
                      build_two_weight, expected_counts, field_from_order, simplex_consta,
                      simplex_cyclic, weight_distribution, weight_distribution_of_rows)
-from qtweave.fields import column_keys
+from qtweave.fields import column_keys, key_dtype
 from conftest import SWEEP_CONFIGS, column_predecessor, consta_shift, naive_weight_counts, scalar
 
 ORACLE_MESSAGES = 256
@@ -220,7 +220,7 @@ def test_predecessor_tables_match_the_scalar_oracle_on_every_key(q, t, cyclic, p
     s = base(q, t, cyclic)
     pred, wrap = s._pred
     assert pred.size == wrap.size == q**t
-    assert pred.dtype == np.min_scalar_type(q**t - 1) and not pred.flags.writeable
+    assert pred.dtype == key_dtype(q, t) and not pred.flags.writeable
     assert pred.tolist() == [column_predecessor(s, key) for key in range(q**t)]
     assert wrap.tolist() == [column_predecessor(s, key, at_block_start=True)
                              for key in range(q**t)]
@@ -244,5 +244,6 @@ def test_shift_check_refuses_every_change_of_every_cell(q, t, cyclic, p):
 def test_orbit_keys_are_the_column_keys_of_the_orbit_rows(sweep):
     for q, t, p, code, G, W, _ in sweep:
         orbit_rows = G.rows[[0, *range(t, 2 * t)]]
-        assert analysis._orbit_keys(G).tolist() == column_keys(orbit_rows, q)[0].tolist(), (
-            q, t, p)
+        keys = analysis._orbit_keys(G)
+        assert keys.dtype == key_dtype(q, t + 1), (q, t, p)
+        assert keys.tolist() == column_keys(orbit_rows, q).tolist(), (q, t, p)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtweave import field_create, is_projective
-from qtweave.fields import column_keys
+from qtweave.errors import ParameterError
+from qtweave.fields import column_keys, key_dtype
 from conftest import naive_is_projective, scalar
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 8))  # GF(256): q (q - 1) > 255
@@ -50,52 +51,59 @@ def matrices(draw):
 @given(matrices())
 def test_is_projective_matches_naive_oracle(case):
     field, rows = case
+    if field.q ** len(rows) > 1 << 63:  # up to 8 rows over GF(256): one key cannot hold a column
+        with pytest.raises(ParameterError, match="exceed the 64-bit column keys"):
+            is_projective(generator(field, rows))
+        return
     assert is_projective(generator(field, rows)) == naive_is_projective(field, rows)
 
 
 def test_is_projective_beyond_64_bit_column_keys():
-    # q^k = 2^70, so a column packed into one base-q integer would overflow int64
+    # q^k = 2^70: a column is one base-q key, which int64 cannot hold
     field, k = field_create(2, 10), 7
-    f, q = scalar(field), field.q
     rng = random.Random(2)
-    canon = {(1, *(rng.randrange(q) for _ in range(k - 1))) for _ in range(60)}
-    # these two keys agree mod 2^64: their top digits differ by 16 and 16 q^6 = 2^64
-    canon |= {(1, 0, 0, 0, 0, 0, 5), (1, 0, 0, 0, 0, 0, 21)}
-    # distinct projective points, each column scaled by its own nonzero scalar
-    cols = [tuple(f.mul(a, v) for v in c)
-            for c, a in zip(sorted(canon), (rng.randrange(1, q) for _ in canon))]
-    assert is_projective(generator(field, zip(*cols)))
-    # the first column again, scaled, as the last one
-    cols.append(tuple(f.mul(777, v) for v in cols[0]))
-    assert not is_projective(generator(field, zip(*cols)))
+    cols = [(1, *(rng.randrange(field.q) for _ in range(k - 1))) for _ in range(60)]
+    with pytest.raises(ParameterError, match=r"7 rows over GF\(1024\) exceed the 64-bit"):
+        is_projective(generator(field, zip(*cols)))
 
 
 @pytest.mark.parametrize("p, e, k", [(2, 8, 8), (2, 10, 7)], ids=["GF(256) k=8", "GF(1024) k=7"])
 def test_split_keys_match_naive_oracle(p, e, k):
-    # q^k > 2^63: the first key packs k - 1 rows, the second the last row
+    # q^k > 2^63 is refused; k - 1 rows fit one key, checked against the oracle
     field = field_create(p, e)
     f, q = scalar(field), field.q
     rng = random.Random(k)
     pool = rng.sample(range(q), 6)  # few distinct symbols keep the oracle's q - 1 products cheap
     cols = [tuple(rng.choice(pool) for _ in range(k)) for _ in range(6)]
-    head = tuple(rng.choice(pool) for _ in range(k - 1))
-    # equal in the first key's rows, different in the second key's row: distinct points
-    cols += [head + (3,), head + (4,)]
-    assert is_projective(generator(field, zip(*cols))) == naive_is_projective(field, zip(*cols))
+    with pytest.raises(ParameterError, match=f"{k} rows over GF\\({q}\\) exceed the 64-bit"):
+        is_projective(generator(field, zip(*cols)))
+    cols = [col[1:] for col in cols]
+    head = tuple(rng.choice(pool) for _ in range(k - 2))
+    cols += [head + (3,), head + (4,)]  # distinct points equal in all but the last row
     assert is_projective(generator(field, zip(*cols)))
-    # a proportional pair that is zero outside the second key's row
-    cols += [(0,) * (k - 1) + (5,), (0,) * (k - 1) + (f.mul(9, 5),)]
+    assert naive_is_projective(field, zip(*cols))
+    cols += [(0,) * (k - 2) + (5,), (0,) * (k - 2) + (f.mul(9, 5),)]  # a proportional pair
     assert not is_projective(generator(field, zip(*cols)))
     assert not naive_is_projective(field, zip(*cols))
 
 
+# rows_per_key: the rows one key below 2^63 holds, at most max(k, 1); fewer than k are refused
 @pytest.mark.parametrize("q, k, rows_per_key", [(2, 20, 20), (3, 39, 39), (3, 40, 39), (256, 8, 7),
                                                 (1024, 7, 6), (2, 0, 1)])
 def test_column_keys_are_the_base_q_values_of_each_part(q, k, rows_per_key):
     rng = random.Random(q + k)
-    cols = np.array([[rng.randrange(q) for _ in range(5)] for _ in range(k)], dtype=np.int64)
-    cols = cols.reshape(k, 5)
-    parts = [cols[i:i + rows_per_key] for i in range(0, max(k, 1), rows_per_key)]
+    cols = np.array([[rng.randrange(q) for _ in range(5)] for _ in range(2 * k)], dtype=np.int64)
+    cols = cols.reshape(2, k, 5)  # a batch of two (k, 5) arrays
+    narrow = cols[1].astype(np.min_scalar_type(q - 1))  # the dtype of the field tables
+    if rows_per_key < k:
+        for part in (cols, cols[0], narrow):
+            with pytest.raises(ParameterError, match=f"{k} rows over GF\\({q}\\) exceed"):
+                column_keys(part, q)
+        return
     expected = [[sum(int(v) * q**e for e, v in enumerate(reversed(col))) for col in part.T]
-                for part in parts]
-    assert column_keys(cols, q).tolist() == expected
+                for part in cols]
+    dtype = np.dtype(np.int64) if q**k >= 1 << 32 else np.min_scalar_type(q**k)  # holds q^k
+    assert key_dtype(q, k) == dtype
+    for part, keys in ((cols, expected), (cols[0], expected[0]), (narrow, expected[1])):
+        assert column_keys(part, q).dtype == dtype
+        assert column_keys(part, q).tolist() == keys

@@ -65,6 +65,19 @@ def test_large_field_small_message_space_stays_small():
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("q, k", [(256, 1), (256, 2), (1024, 1)])
+def test_prefix_digits_of_narrow_keys_match_naive_oracle(q, k):
+    # the default chunk fixes a message prefix here, and its digits are decoded from
+    # column keys of the narrowest dtype that holds q^k (uint16 for one row over GF(256))
+    assert q ** (k + 2) > analysis._CHUNK_ENTRIES
+    field = field_from_order(q)
+    rng = np.random.default_rng(q + k)
+    rows = rng.integers(0, q, size=(k, 3)).astype(field.tables.mul.dtype)
+    rows[:, 0] = 0
+    rows[:, -1] = q - 1
+    assert weight_distribution_of_rows(field, rows).counts == naive_weight_counts(field, rows)
+
+
 @pytest.mark.parametrize("j", [5, 6])
 def test_chunked_call_peak_memory_follows_the_chunk_size(monkeypatch, j):
     # the chunk rule counts the q^(steps+2)-cell gather, so A and the gather

@@ -11,6 +11,8 @@
   outside ``ALLOWED_OPERATORS``, and each allowed one is run by a package
   module.  The rule above skips dunders, so this one keeps test-only operators
   out.  ``Field`` has no method that duplicates one of its tables.
+* Only ``fields.py`` calls ``einsum``: ``fields.column_keys`` is the one
+  keyer of columns, and a second einsum elsewhere would be a second keyer.
 """
 
 import ast
@@ -104,6 +106,12 @@ def builtin_calls(source: str) -> set[str]:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
+def einsum_calls(source: str) -> int:
+    """Calls of ``einsum`` in a module, as ``np.einsum(...)`` or as a plain name."""
+    return sum(1 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+               and "einsum" in (getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+
+
 def attributes_read_outside_own_def(source: str) -> set[str]:
     """Attribute names a module reads (``x.name``), except reads inside a def of that name.
 
@@ -135,6 +143,12 @@ def attributes_read_outside_own_def(source: str) -> set[str]:
 ])
 def test_private_reads_detects_cross_module_access(source, expected):
     assert private_reads(source) == expected
+
+
+def test_einsum_calls_helper():
+    source = ("import numpy as np\nfrom numpy import einsum\n"
+              "np.einsum('i->', a)\neinsum('i->', a)\nnp.sum(a)\n")
+    assert einsum_calls(source) == 2
 
 
 def test_referenced_names_ignore_own_definition():
@@ -192,3 +206,8 @@ def test_field_arithmetic_is_its_tables():
     methods = {name.partition(".")[2] for name in class_methods((PACKAGE / "fields.py").read_text())
                if name.startswith("Field.")}
     assert "tables" in methods and methods.isdisjoint(FieldTables._fields)
+
+
+def test_only_fields_calls_einsum():
+    calls = {p.name: einsum_calls(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: count for name, count in calls.items() if count} == {"fields.py": 1}
