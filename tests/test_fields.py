@@ -10,8 +10,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qtweave import (ParameterError, Poly, VerificationError, field_create, field_from_order,
-                     fields)
+from qtweave import (Field, ParameterError, Poly, VerificationError, field_create,
+                     field_from_order, fields)
 from conftest import field_with_products, order_of_x, scalar
 
 EXTENSION_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -36,6 +36,17 @@ def test_order_limit(monkeypatch):
     monkeypatch.setattr(fields, "DEFAULT_ORDER_LIMIT", 4096)
     assert field_create(2, 11).q == 2048
     assert field_from_order(2048).q == 2048
+
+
+def test_one_canonical_field_per_order(monkeypatch):
+    f = field_from_order(9)
+    assert field_from_order("3^2") is f and field_from_order(" 9 ") is f and field_create(3, 2) is f
+    assert f.tables is field_create(3, 2).tables
+    monkeypatch.setattr(fields, "DEFAULT_ORDER_LIMIT", 4096)
+    assert field_from_order(2048) is field_create(2, 11)
+    monkeypatch.undo()  # the limit is checked before the lookup, on every call
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        field_from_order(2048)
 
 
 def test_field_from_order():
@@ -83,9 +94,10 @@ def test_small_bad_orders_keep_their_messages(order, message):
 
 
 def test_gf3_basics(gf3):
-    add, mul, neg, inv = gf3.tables
+    add, mul, neg, inv, sub = gf3.tables
     assert inv[2] == 2  # 2 * 2 = 4 = 1 (mod 3)
     assert neg[1] == 2
+    assert sub[2, 1] == 2  # 1 - 2 = -1 = 2 (mod 3)
     assert add[2, 2] == 1
     assert mul[2, 2] == 1
 
@@ -152,7 +164,8 @@ def test_order_divides_group_order():
 
 def test_rebuild_is_deterministic():
     a = field_create(3, 2)
-    b = field_create(3, 2)
+    assert field_create(3, 2) is a  # one canonical field per (p, e)
+    b = Field(a.p, a.e, a.modulus)  # built again from the modulus alone
     assert a.modulus == b.modulus and a.tables is not b.tables
     for x, y in zip(a.tables, b.tables):
         assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -185,7 +198,7 @@ def test_tables_match_the_golden_digest():
     for p, e in EXTENSION_FIELDS:
         f = field_create(p, e)
         digest.update(repr(f.modulus).encode())
-        for t in f.tables:
+        for t in f.tables[:4]:  # add, mul, neg, inv; sub is checked against them below
             digest.update(t.dtype.str.encode() + t.tobytes())
     assert len(EXTENSION_FIELDS) == 26
     assert digest.hexdigest() == TABLES_DIGEST
@@ -213,6 +226,7 @@ def test_field_axioms_exhaustive(pe):
     assert np.array_equal(t.add, add) and np.array_equal(t.mul, mul)
     assert t.neg.tolist() == [s.neg(v) for v in range(q)]
     assert t.inv.tolist() == [0] + [s.inv(v) for v in range(1, q)]
+    assert np.array_equal(add[t.sub, a[:, None]], np.broadcast_to(a, (q, q)))  # (s - w) + w = s
     assert f.tables is t and not any(table.flags.writeable for table in t)
 
 
