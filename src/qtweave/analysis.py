@@ -63,47 +63,12 @@ ends of each chunk's sorted keys are checked before they are counted, and
 such a count raises VerificationError.
 
 For a generator of this package the transform runs over t + 1 rows instead
-of 2t, by the orbit reduction below, weighted (1, q^t - 1, 0, ...); any other
+of 2t, weighted (1, q^t - 1, 0, ...), by the orbit reduction that
+``construction.orbit`` proves (its module docstring): it checks the
+consta-shift on the rows and hands over the orbit rows, their column keys
+and the weights, and the transform indexes by those keys.  Any other
 generator gets the full transform over all q^k messages, and
 ``WeightDistribution.method`` says which one ran.
-
-The blockwise lam-consta-shift sigma maps the word of x^u g to that of
-x^(u+1) g in every block.  When it maps top row u to row u + 1 for u < t - 1
-and row t - 1 to -sum h_u row u, and the bottom group likewise, sigma sends
-the codeword of the message pair (a, b), read as elements of F_q[x]/(h), to
-that of (x a, x b), and keeps its weight, as it only shifts and scales by
-lam != 0.  By the simplex check (the corollary in the ``construction``
-module docstring), x and the nonzero scalars move each pair with a != 0 to
-exactly one pair (1, v).  The spectrum is therefore one transform over the
-rows [top row 0; bottom group]: the pairs (0, v), counted once, and (1, v),
-counted q^t - 1 times.  The three proof obligations are sigma on the rows,
-checked here on every call (the full transform runs if it fails); the
-simplex check, certified once per base; and the total q^(2t), which the
-engine checks on every call, along with the slices of leading symbol
-2..q-1 repeating the histogram of slice 1.
-
-sigma is checked one key per column.  In a row group, let r_u[j] be entry j
-of row u within one block of width m, and c_j = (r_0[j], ..., r_(t-1)[j]) its
-column.  sigma maps row u to row u + 1 and row t - 1 to -sum h_u row u
-exactly when, cell by cell,
-
-    r_(u+1)[j] = r_u[j-1] (u < t - 1)  and  r_(t-1)[j-1] = -sum h_u r_u[j],  0 < j < m,
-    r_(u+1)[0] = lam r_u[m-1] (u < t - 1)  and  lam r_(t-1)[m-1] = -sum h_u r_u[0].
-
-Let P move the digits of a column up one row and put -sum h_u c_u last.  The
-t equalities of the first line at j are the t digits of c_(j-1) = P(c_j);
-those of the second line, each times 1/lam, are the t digits of
-c_(m-1) = P(c_0) / lam.  So each cell condition is one digit of one column
-equality and each digit one condition: the two sets of conditions are the
-same.  Only lam != 0 is inverted, never h_0; a column's successor would
-need 1/h_0 for its new first digit.  Base-q keys are one-to-one on columns
-of elements, so the column equalities read key(c_(j-1)) = pred[key(c_j)]
-and key(c_(m-1)) = wrap[key(c_0)], with pred and wrap the base's tables of
-P and P / lam over all q^t keys (``construction``).  The check keys both
-row groups once, gathers n keys from a table per group, and compares.
-Then the keys of the orbit rows are top row 0's entry times q^t plus the
-bottom group's key, and the transform indexes by them: the orbit rows are
-neither copied nor keyed again.
 
 Projectivity follows from the exact spectrum without another pass over the
 columns.  The first two Pless power moments (MacWilliams & Sloane, ch. 5)
@@ -122,10 +87,11 @@ from itertools import product
 
 import numpy as np
 
+from . import construction
 # is_projective lives next to the simplex check, which runs its test; it is re-exported
 from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT, is_projective
 from .errors import ParameterError, VerificationError, check_budget
-from .fields import Field, column_keys, key_dtype
+from .fields import Field, column_keys, in_field
 
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ENTRIES = 1 << 22
@@ -159,31 +125,25 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, field: Field) -> np.ndarr
     docstring).  Only A, the q^(steps+2)-cell gather and the sum are alive.
     """
     A = np.bincount(flat, minlength=q ** (steps + 1)).astype(np.int32)
-    if steps:  # no q^3 step index for a plain bincount: it would be 2^24 cells at q = 256
-        rest = q ** (steps - 1)
-        pick = field.step_index
-        g = np.empty((q, q, q, rest), dtype=np.int32)
-        rows, out = A.reshape(q * q, rest), A.reshape(q, rest, q)
-        small = rest < _SMALL_REST
-        acc = np.empty((q, q, rest), dtype=np.int32) if small else g[0]
-        swapped = out.transpose(0, 2, 1)
-        for _ in range(steps):
-            # pick rows are in range; "clip" skips buffering the output for bounds errors
-            rows.take(pick, axis=0, out=g, mode="clip")
-            if small:
-                np.add.reduce(g, axis=0, out=acc)
-                np.copyto(swapped, acc)
-            else:
-                for c in range(1, q):
-                    acc += g[c]
-                for u in range(q):
-                    out[:, :, u] = acc[:, u]
+    rest = q ** (steps - 1)
+    pick = field.step_index
+    g = np.empty((q, q, q, rest), dtype=np.int32)
+    rows, out = A.reshape(q * q, rest), A.reshape(q, rest, q)
+    small = rest < _SMALL_REST
+    acc = np.empty((q, q, rest), dtype=np.int32) if small else g[0]
+    swapped = out.transpose(0, 2, 1)
+    for _ in range(steps):
+        # pick rows are in range; "clip" skips buffering the output for bounds errors
+        rows.take(pick, axis=0, out=g, mode="clip")
+        if small:
+            np.add.reduce(g, axis=0, out=acc)
+            np.copyto(swapped, acc)
+        else:
+            for c in range(1, q):
+                acc += g[c]
+            for u in range(q):
+                out[:, :, u] = acc[:, u]
     return A.reshape(q, -1)[0]
-
-
-def _in_field(a: np.ndarray, q: int) -> bool:
-    """Whether an integer array holds elements of GF(q), encoded in 0..q-1."""
-    return a.dtype.kind in "iu" and (a.dtype.kind == "u" or a.min() >= 0) and a.max() < q
 
 
 def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
@@ -222,7 +182,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         raise ParameterError(f"multiplicities {mult} do not total a power of {q}")
     check_budget(q, dim, DEFAULT_BUDGET if budget is None else budget)
     if keys is None:
-        if not _in_field(gen, q):
+        if not in_field(gen, q):
             raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
         keys = column_keys(gen, q)
     add, mul, neg, inv, _ = field.tables
@@ -318,41 +278,14 @@ class GriesmerReport:
     length_optimal: bool
 
 
-def _orbit_keys(G: GeneratorMatrix) -> np.ndarray | None:
-    """The column keys of the rows [top row 0; bottom group] when sigma holds, else None.
-
-    Each row group's columns are keyed once (``fields.column_keys``) and
-    checked against the base's predecessor tables (module docstring); the
-    bottom keys are then the last t digits of the keys returned.  Rows whose
-    shape or entries do not fit the code, and an h of degree other than t or
-    with no nonzero coefficient below its lead, are refused, not raised on.
-    """
-    code = G.provenance
-    s = code.simplex
-    rows, t, q = np.asarray(G.rows), s.t, s.q
-    if (rows.shape != (2 * t, code.n) or not s.lam or s.h.degree != t
-            or not any(s.h.coeffs[:-1]) or not _in_field(rows, q)):
-        return None
-    pred, wrap = s._pred
-    keys = column_keys(rows.reshape(2, t, code.n), q)  # of pred's dtype, key_dtype(q, t)
-    blocks = keys.reshape(2, code.block_count, s.m)
-    if not ((pred.take(blocks[..., 1:]) == blocks[..., :-1]).all()
-            and (wrap.take(blocks[..., 0]) == blocks[..., -1]).all()):
-        return None
-    index = np.multiply(rows[0], q**t, dtype=key_dtype(q, t + 1))
-    index += keys[1]
-    return index
-
-
 def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> WeightDistribution:
     """Exact weight counts of G: the orbit reduction when sigma holds, else the full transform."""
-    keys = _orbit_keys(G)
-    if keys is None:
+    orbit = construction.orbit(G)
+    if orbit is None:
         return weight_distribution_of_rows(G.field, G.rows, budget=budget)
-    q, t = G.field.q, G.provenance.simplex.t
-    # the rows give k alone; views, as the keys stand for their entries
-    W = weight_distribution_of_rows(G.field, [G.rows[0], *G.rows[t:]], budget=budget,
-                                    multiplicity=(1, q**t - 1) + (0,) * (q - 2), keys=keys)
+    rows, keys, multiplicity = orbit
+    W = weight_distribution_of_rows(G.field, rows, budget=budget, multiplicity=multiplicity,
+                                    keys=keys)
     return WeightDistribution(W.n, W.k, W.q, W.counts, "orbit")
 
 

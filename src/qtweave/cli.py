@@ -387,40 +387,27 @@ def _write_text_export(path, code, G):
         fh.write(_row_text(G.rows, code.field.q))
 
 
-def _json_types_ok(value) -> bool:
-    """Whether a loaded JSON value holds no bool and no float, at any depth.
+def _roundtrip_json(path, written: bytes, payload, G, budget) -> bool:
+    """The file must hold the bytes written, and the payload must rebuild through _build to it.
 
-    Once the value equals the exported payload, this leaves only its types:
-    2.0 == 2 and True == 1 compare equal.
+    Equal bytes leave no question of types (2.0 == 2 and True == 1 compare
+    equal once loaded), and a re-indented but equal file is a mismatch.  The
+    rebuild proves that the exported fields describe the exported code: it
+    must have the rows of G, which the payload's rows encode, and the
+    payload's other code fields.  The weight counts are the export's own
+    spectrum, so no second one runs, and the rows are compared as arrays, not
+    encoded again.
     """
-    if isinstance(value, (dict, list)):
-        return all(map(_json_types_ok, value.values() if isinstance(value, dict) else value))
-    return not isinstance(value, (bool, float))
-
-
-def _roundtrip_json(path, payload, G, budget) -> bool:
-    """The file must load to the payload written, then rebuild through _build to it.
-
-    The types are checked after the comparison.  The rebuild proves that the
-    exported fields describe the exported code: it must have the rows of G,
-    which the payload's rows encode, and the payload's other code fields.
-    The weight counts are the export's own spectrum, so no second one runs,
-    and the rows are compared as arrays, not encoded again.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except ValueError:  # empty, undecodable or not JSON
-        return False
-    if data != payload or not _json_types_ok(data):
-        return False
-    try:  # a well-typed value out of range raises ParameterError: the file describes no code
-        field = fields.field_create(data["q_characteristic"], data["q_degree"])
-        cyclic = data["simplex_variant"] == construction.CYCLIC
-        h, g = (None, Poly(field, data["g"])) if cyclic else (Poly(field, data["h"]), None)
-        qt_simplex = data["variant"] == construction.QT_SIMPLEX
-        code, rebuilt = _build(field, data["t"], budget, data["variant"], data["p"],
-                               None if qt_simplex else data["selection"], h, g, cyclic)
+    with open(path, "rb") as fh:
+        if fh.read() != written:
+            return False
+    try:  # fields that describe no code raise ParameterError: the export does not read back
+        field = fields.field_create(payload["q_characteristic"], payload["q_degree"])
+        cyclic = payload["simplex_variant"] == construction.CYCLIC
+        h, g = (None, Poly(field, payload["g"])) if cyclic else (Poly(field, payload["h"]), None)
+        qt_simplex = payload["variant"] == construction.QT_SIMPLEX
+        code, rebuilt = _build(field, payload["t"], budget, payload["variant"], payload["p"],
+                               None if qt_simplex else payload["selection"], h, g, cyclic)
     except ParameterError:
         return False
     return (np.array_equal(rebuilt.rows, G.rows)
@@ -455,14 +442,15 @@ def _cmd_export(args) -> int:
     W = analysis.weight_distribution(G, budget=budget)
     if args.format == "json":
         payload = _export_payload(code, G, W)
-        with open(args.output, "w") as fh:  # json.dump would write chunk by chunk
-            fh.write(json.dumps(payload, indent=1) + "\n")
+        written = (json.dumps(payload, indent=1) + "\n").encode()  # json.dump would write in chunks
+        with open(args.output, "wb") as fh:
+            fh.write(written)
     else:
         _write_text_export(args.output, code, G)
     print(f"wrote {args.format} export to {args.output}")
     if args.roundtrip:
         ok = (
-            _roundtrip_json(args.output, payload, G, budget)
+            _roundtrip_json(args.output, written, payload, G, budget)
             if args.format == "json"
             else _roundtrip_text(args.output, code, G)
         )

@@ -28,16 +28,6 @@ lam = 1, as for every q = 2 and every cyclic base, the three parts are
 copies of g and need no scaling gather), so a base that is never built on
 never makes the table.
 
-The consta-shift check of ``analysis`` reads a second per-base table, built
-on the base's first check.  In a row group whose rows are x^u w, u < t, the
-column after (c_0, ..., c_(t-1)) is a state of the linear recurrence of h
-one step on, so its predecessor is fixed by h: pred[K] is the base-q key of
-the column before a column of key K, and wrap[K], 1/lam times pred[K], that
-of the last column of a block before its first.  Each has q^t entries of the
-dtype of the column keys of t rows (``fields.key_dtype``): at most 2^20
-entries (4 MiB of uint32), as the primitive search bounds q^t.  wrap is
-built only when lam != 1, never for q = 2.
-
 Each invariant is computed once, and a failure raises VerificationError led
 by its stage: one division x^m = g h + lam gives g and lam
 (``simplex division``), lam has order q - 1, or is 1 if cyclic
@@ -61,8 +51,8 @@ a x^j g = a' x^j' g with (a, j) != (a', j') would give x^d g = c g for some
 0 < d < m, so column d of the base would be c^-1 times column 0; and
 a x^j g != 0, since x is a unit modulo x^m - lam.
 
-Corollary, the orbit property behind the reduced spectrum of ``analysis``
-(lam = 1 included): as x^m - lam = g h, a x^j g = a' x^j' g exactly when h
+Corollary, the orbit property behind the reduced spectrum (``orbit``,
+lam = 1 included): as x^m - lam = g h, a x^j g = a' x^j' g exactly when h
 divides a x^j - a' x^j'.  So the q^t - 1 residues c x^j mod h (c in GF(q)^*,
 j < m) are distinct and nonzero, hence all nonzero residues (deg h = t), and
 units, as x is one: h(0) g(0) = -lam != 0.  F_q[x]/(h) is thus a field, and
@@ -84,6 +74,50 @@ triangular with diagonals g_0 (deg x^u g < m) and a_1 lam^w g_0; g_0 != 0 as
 g divides x^m - lam, so a valid code always has rank 2t there.  The build
 checks exactly that shape: a zero strict lower triangle and a nonzero
 diagonal prove rank 2t, and any other minor is rejected without elimination.
+
+The blockwise lam-consta-shift sigma maps the word of x^u g to that of
+x^(u+1) g in every block.  When it maps top row u to row u + 1 for u < t - 1
+and row t - 1 to -sum h_u row u, and the bottom group likewise, sigma sends
+the codeword of the message pair (a, b), read as elements of F_q[x]/(h), to
+that of (x a, x b), and keeps its weight, as it only shifts and scales by
+lam != 0.  By the corollary the spectrum is then one transform over the
+rows [top row 0; bottom group]: the pairs (0, v), counted once, and (1, v),
+counted q^t - 1 times.  ``orbit`` checks sigma on a generator's rows and
+hands the spectrum of ``analysis`` those t + 1 rows, their column keys and
+those weights, or returns None, and the full transform runs.  The simplex
+check is certified once per base; the spectrum checks the total q^(2t) on
+every call, along with the slices of leading symbol 2..q-1 repeating the
+histogram of slice 1.
+
+sigma is checked one key per column.  In a row group, let r_u[j] be entry j
+of row u within one block of width m, and c_j = (r_0[j], ..., r_(t-1)[j]) its
+column.  sigma maps row u to row u + 1 and row t - 1 to -sum h_u row u
+exactly when, cell by cell,
+
+    r_(u+1)[j] = r_u[j-1] (u < t - 1)  and  r_(t-1)[j-1] = -sum h_u r_u[j],  0 < j < m,
+    r_(u+1)[0] = lam r_u[m-1] (u < t - 1)  and  lam r_(t-1)[m-1] = -sum h_u r_u[0].
+
+Let P move the digits of a column up one row and put -sum h_u c_u last: in
+rows x^u w, u < t, a column is a state of the linear recurrence of h and P
+steps it back.  The t equalities of the first line at j are the t digits of
+c_(j-1) = P(c_j); those of the second line, each times 1/lam, are the t
+digits of c_(m-1) = P(c_0) / lam.  So each cell condition is one digit of
+one column equality and each digit one condition: the two sets of
+conditions are the same.  Only lam != 0 is inverted, never h_0; a column's
+successor would need 1/h_0 for its new first digit.  Base-q keys are
+one-to-one on columns of elements, so the column equalities read
+key(c_(j-1)) = pred[key(c_j)] and key(c_(m-1)) = wrap[key(c_0)], with pred
+and wrap the base's tables of P and P / lam over all q^t keys, built on its
+first check.  Each has q^t entries of the dtype of the column keys of t rows
+(``fields.key_dtype``): at most 2^20 entries (4 MiB of uint32), as the
+primitive search bounds q^t; wrap is built only when lam != 1, never for
+q = 2.  A base with lam = 0, deg h != t or no nonzero coefficient of h below
+its lead gives sigma no relation to check; it gets no tables, checked once
+as they would be built, and ``orbit`` returns None for every code over it.
+The check keys both row groups once, gathers n keys from a table per group,
+and compares.  Then the keys of the orbit rows are top row 0's entry times
+q^t plus the bottom group's key, and the transform indexes by them: the
+orbit rows are neither copied nor keyed again.
 """
 
 from __future__ import annotations
@@ -97,7 +131,7 @@ import numpy as np
 
 from . import polynomial
 from .errors import ParameterError, VerificationError, check_budget
-from .fields import Field, column_keys, key_dtype
+from .fields import Field, column_keys, in_field, key_dtype
 from .polynomial import Poly, find_primitive
 
 CONSTA_CYCLIC = "consta-cyclic"
@@ -168,19 +202,22 @@ class SimplexSpec:
         return _windows(table, self.m)
 
     @cached_property
-    def _pred(self) -> tuple[np.ndarray, np.ndarray]:
+    def _pred(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(pred, wrap), read-only and indexed by the base-q key of a column of a row group.
 
         pred[K] is the key of the column before a column of key K: the digits
         move up one row, and the last row gets -sum h_u row u (module
         docstring).  At a block start the column before is 1/lam times that,
         wrap[K]; wrap is pred when lam = 1.  The last digit is one broadcast
-        add per nonzero tap of h, so no entry is built in Python.
+        add per nonzero tap of h, so no entry is built in Python.  None when
+        lam = 0, deg h != t or h has no nonzero coefficient below its lead.
         """
-        q, t = self.q, self.t
+        q, t, h = self.q, self.t, self.h
+        if not self.lam or h.degree != t or not any(h.coeffs[:t]):
+            return None
         add, mul, neg, inv, _ = self.field.tables
         last = np.zeros((1,) * t, dtype=add.dtype)  # axis u is the digit of row u
-        for u, c in enumerate(self.h.coeffs[:t]):
+        for u, c in enumerate(h.coeffs[:t]):
             if c:
                 last = add[last, mul[neg[c]].reshape((q,) + (1,) * (t - 1 - u))]
         dtype = key_dtype(q, t)
@@ -455,3 +492,29 @@ def build_qt_simplex(s: SimplexSpec) -> tuple[QtCodeSpec, GeneratorMatrix]:
 def full_block_matrix(code: QtCodeSpec) -> np.ndarray:
     """The unreduced (2m, n) block form: every twistulant block written out in full."""
     return _assemble_rows(code, code.simplex.m)
+
+
+def orbit(G: GeneratorMatrix) -> tuple[list[np.ndarray], np.ndarray, tuple[int, ...]] | None:
+    """The rows, column keys and weights of G's orbit-reduced spectrum, or None.
+
+    When sigma holds on G (module docstring), these are the t + 1 rows
+    [top row 0; bottom group] as views of G.rows, their column keys (of dtype
+    ``fields.key_dtype(q, t + 1)``), which stand for their entries, and the
+    multiplicities (1, q^t - 1, 0, ...) by leading symbol.  Rows whose shape
+    or entries do not fit the code, a base without predecessor tables and a
+    failed check give None, not an exception.
+    """
+    code = G.provenance
+    s = code.simplex
+    tables, rows, t, q = s._pred, G.rows, s.t, s.q
+    if tables is None or rows.shape != (2 * t, code.n) or not in_field(rows, q):
+        return None
+    pred, wrap = tables
+    keys = column_keys(rows.reshape(2, t, code.n), q)  # of pred's dtype, key_dtype(q, t)
+    blocks = keys.reshape(2, code.block_count, s.m)
+    if not ((pred.take(blocks[..., 1:]) == blocks[..., :-1]).all()
+            and (wrap.take(blocks[..., 0]) == blocks[..., -1]).all()):
+        return None
+    index = np.multiply(rows[0], q**t, dtype=key_dtype(q, t + 1))
+    index += keys[1]
+    return [rows[0], *rows[t:]], index, (1, q**t - 1) + (0,) * (q - 2)

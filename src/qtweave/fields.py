@@ -153,6 +153,11 @@ def column_keys(cols: np.ndarray, q: int) -> np.ndarray:
     return np.einsum("j,...jn->...n", powers, cols).astype(dtype, copy=False)
 
 
+def in_field(a: np.ndarray, q: int) -> bool:
+    """Whether an integer array holds elements of GF(q), encoded in 0..q-1."""
+    return a.dtype.kind in "iu" and (a.dtype.kind == "u" or a.min() >= 0) and a.max() < q
+
+
 def _build_tables(field: Field) -> FieldTables:
     p, e, q = field.p, field.e, field.q
     dtype = np.min_scalar_type(q - 1)

@@ -122,6 +122,10 @@ def test_min_distance(code56, gf2, gf3, s_ternary2):
     assert min_distance(weight_distribution(G24)) == 96
     _, G9 = build_two_weight(s_ternary2, 9)
     assert min_distance(weight_distribution(G9)) == 24
+    zero = weight_distribution_of_rows(gf2, [[0, 0, 0]])
+    assert zero.counts == {0: 2}
+    with pytest.raises(ParameterError, match="^the trivial code has no minimum distance$"):
+        min_distance(zero)
 
 
 def test_griesmer_length_known_values():
@@ -147,6 +151,8 @@ def test_gap_fn_known_values():
         gap_fn(0, 3, 3)
     with pytest.raises(ParameterError):
         gap_fn(10, 3, 3)
+    with pytest.raises(ParameterError, match="^t must be > 1, got 1$"):
+        gap_fn(1, 1, 3)
 
 
 def test_decompose_block_count_known_values():
@@ -318,6 +324,9 @@ def test_expected_counts(code56, s_ternary2, gf2):
     W = weight_distribution(G_max)
     v = verify_two_weight(W, code_max)
     assert (W.counts[v.w1], W.counts[v.w2]) == (12, 3)
+    with pytest.raises(ParameterError, match="^count prediction applies to the two-weight "
+                                             "variant only$"):
+        expected_counts(build_qt_simplex(s_tiny)[0])
 
 
 def test_mean_weight_identity(code56):

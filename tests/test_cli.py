@@ -225,16 +225,20 @@ def test_text_reimport_accepts_extra_whitespace(tmp_path, capsys, monkeypatch):
     assert rc == 0 and "round trip: ok" in out
 
 
-def _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 --p 3"):
-    """Export with --roundtrip, the written file replaced by edit(its content) before the re-read."""
+def _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 --p 3", indent=1):
+    """Export with --roundtrip, the written file replaced by edit(its content) before the re-read.
+
+    The edit is dumped as the export dumps, so an identity edit with indent=1
+    rewrites the same bytes.
+    """
     roundtrip = cli._roundtrip_json
 
-    def edit_then_roundtrip(path, payload, G, budget):
+    def edit_then_roundtrip(path, *args):
         with open(path) as fh:
             data = json.load(fh)
         with open(path, "w") as fh:
-            json.dump(edit(data), fh, indent=1)
-        return roundtrip(path, payload, G, budget)
+            fh.write(json.dumps(edit(data), indent=indent) + "\n")
+        return roundtrip(path, *args)
 
     monkeypatch.setattr(cli, "_roundtrip_json", edit_then_roundtrip)
     return run(capsys, "export", *flags.split(), "--format", "json",
@@ -244,6 +248,15 @@ def _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 
 def test_json_reimport_of_the_file_as_written_is_ok(tmp_path, capsys, monkeypatch):
     rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, lambda data: data)
     assert rc == 0 and "round trip: ok" in out and err == ""
+
+
+def test_json_reimport_of_an_equal_but_re_indented_file_is_a_mismatch(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the round trip compares bytes: the same values laid out otherwise are not the export
+    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, lambda data: data, indent=2)
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
 
 
 @pytest.mark.parametrize("payload", [{}, [], {"generator_rows": []}], ids=["empty", "list", "partial"])
@@ -256,9 +269,9 @@ def test_json_reimport_of_a_malformed_payload_is_a_mismatch(tmp_path, capsys, mo
 
 # one exported field re-read with the wrong type: each of the first seven
 # escaped main as a TypeError or ValueError, or exited 2, before the types were
-# checked.  The last three compare equal to the export (2.0 == 2, True == 1),
-# so only the type check after the comparison refuses them; the float weight
-# count read back ok while the check covered only the code's fields
+# checked.  The last three load equal to the export (2.0 == 2, True == 1), so
+# only their bytes tell them from it; the float weight count read back ok
+# while the check covered only the code's fields
 JSON_EDITS = {
     "t as text": ("t", "2"),
     "t as bool": ("t", True),
@@ -422,8 +435,11 @@ def test_out_of_range_selection_exits_2(capsys, pair, message):
      "selection must list exactly 2 pairs, got 1"),
     ("--q 2 --t 18 --p 3 --budget 1099511627776 --selection 1:0,1:0",
      "selection contains duplicate pairs"),
+    ("--q 3 --t 2 --p 2 --selection ,", "selection is empty"),
+    ("--q 3 --t 2 --p 2 --selection 1-0", "selection entries look like i:j, got '1-0'"),
 ], ids=["no-p", "qt-simplex-p", "qt-simplex-selection", "unparsable-selection", "cyclic-h",
-        "selection-shift", "selection-length", "selection-duplicate"])
+        "selection-shift", "selection-length", "selection-duplicate", "selection-empty",
+        "selection-no-colon"])
 def test_bad_parameters_exit_2_before_any_build(capsys, monkeypatch, argv, message):
     def no_build(*args, **kwargs):
         raise AssertionError("simplex base built before the parameters were checked")
@@ -432,6 +448,15 @@ def test_bad_parameters_exit_2_before_any_build(capsys, monkeypatch, argv, messa
     rc, out, err = run(capsys, "construct", *argv.split())
     assert rc == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_analyze_t_below_2_exits_2_before_any_build(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("simplex base built for t = 1")
+    monkeypatch.setattr(construction, "simplex_consta", no_build)
+    rc, out, err = run(capsys, "analyze", "--q", "2", "--t", "1", "--p", "2")
+    assert rc == 2 and out == ""
+    assert err == "error: dimension t must be > 1, got 1\n"
 
 
 def test_construct_invalid_p(capsys):
@@ -485,6 +510,15 @@ def test_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("QTWEAVE_BUDGET", "10")
     rc, _, err = run(capsys, "analyze", "--q", "2", "--t", "3", "--p", "8")
     assert rc == 3
+
+
+def test_a_budget_variable_that_is_no_integer_exits_2_before_any_field_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fields, "field_from_order", lambda *a, **kw: calls.append(a))
+    monkeypatch.setenv("QTWEAVE_BUDGET", "abc")
+    rc, out, err = run(capsys, "analyze", "--q", "2", "--t", "3", "--p", "2")
+    assert rc == 2 and out == "" and calls == []
+    assert err == "error: QTWEAVE_BUDGET must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["export", "--format", "json", "--output", "x"]],

@@ -84,6 +84,8 @@ def test_rejects_bad_h(gf3):
         simplex_consta(gf3, 3, Poly(gf3, (2, 2, 1)))  # degree 2, not 3
     with pytest.raises(ParameterError):
         simplex_consta(gf3, 1)
+    with pytest.raises(ParameterError, match="^h belongs to a different field$"):
+        simplex_consta(gf3, 2, Poly(field_from_order(5), (2, 1, 1)))
 
 
 def test_cyclic_simplex_parameters(gf3):
@@ -105,6 +107,8 @@ def test_cyclic_binary_matches_consta(gf2):
 def test_cyclic_needs_coprime_t(gf4):
     with pytest.raises(ParameterError):
         simplex_cyclic(gf4, 3)  # gcd(3, 3) = 3
+    with pytest.raises(ParameterError, match="^dimension t must be > 1, got 1$"):
+        simplex_cyclic(gf4, 1)
     s = simplex_cyclic(gf4, 2)
     assert s.params() == (5, 2, 4)
     words = span_words(gf4, twistulant_rows(gf4, s.lam, base_word(s))[:2])
@@ -142,7 +146,8 @@ def test_cyclic_generator_override(gf3):
     assert s.params() == (13, 3, 9)
     # the degree is checked before dividing, so g = 0 raises no ZeroDivisionError
     for g, match in [(Poly(gf3), "degree"), (Poly(gf3, (1, 1)), "degree"),
-                     (Poly.monomial(gf3, 10), "does not divide x\\^13 - 1")]:
+                     (Poly.monomial(gf3, 10), "does not divide x\\^13 - 1"),
+                     (Poly.monomial(field_from_order(2), 10), "^g belongs to a different field$")]:
         with pytest.raises(ParameterError, match=match):
             simplex_cyclic(gf3, 3, g=g)
 

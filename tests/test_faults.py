@@ -125,7 +125,29 @@ def test_a_zero_count_outside_0_to_n_names_the_stage(capsys, monkeypatch):
 def test_a_failed_shift_check_runs_the_full_transform_to_the_same_report(capsys, monkeypatch):
     rc, orbit, _ = analyze(capsys, 3, 2, p=4)
     assert rc == 0 and "spectrum method: orbit" in orbit
-    monkeypatch.setattr(analysis, "_orbit_keys", lambda G: None)
+    monkeypatch.setattr(construction, "orbit", lambda G: None)
     rc, transform, err = analyze(capsys, 3, 2, p=4)
     assert rc == 0 and err == ""
     assert transform == orbit.replace("spectrum method: orbit", "spectrum method: transform")
+
+
+def test_a_gap_that_misses_its_prediction_fails_the_verdict(capsys, monkeypatch):
+    original = analysis.gap_fn
+    monkeypatch.setattr(analysis, "gap_fn", lambda i, t, q: original(i, t, q) + 1)
+    rc, out, err = analyze(capsys, 3, 2, p=4)
+    assert rc == 1 and err == ""
+    assert "gap: observed 2, predicted 3 (i = 3, r = 3)\ngap prediction: FAILED\n" in out
+
+
+def test_a_qt_simplex_spectrum_of_two_weights_fails_the_single_weight_verdict(capsys,
+                                                                             monkeypatch):
+    # a spectrum with minimum distance q^(2t-1) = 8 whose Pless moments hold has that
+    # one weight, so the moments, which would reject these counts first, are patched
+    # to pass, and to call the code not projective, so no SRG is named
+    original = analysis.weight_distribution
+    monkeypatch.setattr(analysis, "weight_distribution", lambda *args, **kwargs: replace(
+        original(*args, **kwargs), counts={0: 1, 8: 14, 12: 1}))
+    monkeypatch.setattr(analysis, "dual_low_counts", lambda W: (1, 0))
+    rc, out, err = analyze(capsys, 2, 2, 4, "--variant", "qt-simplex")
+    assert rc == 1 and err == ""
+    assert "single-weight check: FAILED (expected {8}, observed [8, 12])\n" in out

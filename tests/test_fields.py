@@ -33,6 +33,8 @@ def test_rejects_bad_extension_degree():
 def test_order_limit(monkeypatch):
     with pytest.raises(ParameterError):
         field_create(2, 11)  # 2048 > default limit
+    with pytest.raises(ParameterError, match=r"^field order 3\^7 exceeds the limit 1024$"):
+        field_create(3, 7)  # small enough an exponent for the early check, 2187 > 1024
     monkeypatch.setattr(fields, "DEFAULT_ORDER_LIMIT", 4096)
     assert field_create(2, 11).q == 2048
     assert field_from_order(2048).q == 2048

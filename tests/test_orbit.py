@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtweave import (BudgetExceededError, GeneratorMatrix, Poly, analysis, build_qt_simplex,
-                     build_two_weight, expected_counts, field_from_order, simplex_consta,
+                     build_two_weight, construction, expected_counts, field_from_order, simplex_consta,
                      simplex_cyclic, weight_distribution, weight_distribution_of_rows)
 from qtweave.fields import column_keys, key_dtype
 from conftest import SWEEP_CONFIGS, column_predecessor, consta_shift, naive_weight_counts, scalar
@@ -173,6 +173,20 @@ def test_shift_check_refuses_an_h_without_low_terms_without_raising(h):
     assert W.counts == naive_weight_counts(G.field, G.rows)
 
 
+@pytest.mark.parametrize("change", ["lam 0", "h of degree t + 1"])
+def test_a_base_without_a_relation_to_check_has_no_tables_and_takes_the_full_transform(change):
+    # the base's preconditions are checked once, where its predecessor tables are built
+    s = base(3, 2, False)
+    bad = (replace(s, lam=0) if change == "lam 0"
+           else replace(s, h=Poly(s.field, s.h.coeffs[:-1] + (0, 1))))
+    assert bad._pred is None
+    _, G = build_two_weight(bad, 3)
+    assert construction.orbit(G) is None
+    W = weight_distribution(G)
+    assert W.method == "transform"
+    assert W.counts == naive_weight_counts(G.field, G.rows)
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_shift_check_refuses_a_twist_the_base_does_not_have(q):
     # blocks read modulo x^m - lam' keep every relation inside a block; as
@@ -231,19 +245,22 @@ def test_predecessor_tables_match_the_scalar_oracle_on_every_key(q, t, cyclic, p
 @pytest.mark.parametrize("q, t, cyclic, p", SMALL_CODES, ids=lambda v: str(v))
 def test_shift_check_refuses_every_change_of_every_cell(q, t, cyclic, p):
     _, G = small_code(q, t, cyclic, p)
-    assert analysis._orbit_keys(G) is not None
+    assert construction.orbit(G) is not None
     f = scalar(G.field)
     for row, col in np.ndindex(G.rows.shape):
         for delta in range(1, q):
             rows = G.rows.copy()
             rows[row, col] = f.add(int(rows[row, col]), delta)
-            assert analysis._orbit_keys(GeneratorMatrix(rows, G.provenance)) is None, (
+            assert construction.orbit(GeneratorMatrix(rows, G.provenance)) is None, (
                 row, col, delta)
 
 
 def test_orbit_keys_are_the_column_keys_of_the_orbit_rows(sweep):
     for q, t, p, code, G, W, _ in sweep:
         orbit_rows = G.rows[[0, *range(t, 2 * t)]]
-        keys = analysis._orbit_keys(G)
+        rows, keys, multiplicity = construction.orbit(G)
         assert keys.dtype == key_dtype(q, t + 1), (q, t, p)
         assert keys.tolist() == column_keys(orbit_rows, q).tolist(), (q, t, p)
+        assert np.array_equal(np.array(rows), orbit_rows), (q, t, p)
+        assert all(np.shares_memory(row, G.rows) for row in rows), (q, t, p)  # views
+        assert multiplicity == (1, q**t - 1) + (0,) * (q - 2), (q, t, p)

@@ -89,6 +89,13 @@ def test_division_by_zero(gf3):
         divmod(Poly(gf3, (1,)), Poly(gf3))
 
 
+def test_division_across_fields_and_the_lead_of_zero_are_refused(gf2, gf3):
+    with pytest.raises(ParameterError, match="^operands belong to different fields$"):
+        divmod(Poly(gf3, (1, 1)), Poly(gf2, (1, 1)))
+    with pytest.raises(ParameterError, match="^the zero polynomial has no leading coefficient$"):
+        Poly(gf3).lc
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_divmod_matches_the_schoolbook_oracle(data):
@@ -354,6 +361,11 @@ def test_find_primitive_limit_and_bound(gf2, monkeypatch):
 def test_find_primitive_rejects_limit_below_one(gf2, limit):
     with pytest.raises(ParameterError):
         find_primitive(gf2, 3, limit=limit)
+
+
+def test_find_primitive_rejects_degree_below_one(gf2):
+    with pytest.raises(ParameterError, match="^degree must be >= 1, got 0$"):
+        find_primitive(gf2, 0)
 
 
 def test_pow_mod_matches_naive(gf3):

@@ -2,6 +2,10 @@
 
 * A package module reads no private (``_underscore``) attribute of another
   package module, neither as ``module._name`` nor by ``from .module import _name``.
+* A package module reads no private attribute that only another module's
+  classes define (a method, a cached property, a ``self._x`` assignment, a
+  class-level assignment or a ``__slots__`` entry), so a class's private
+  state is read only by its own module.
 * Every name in ``qtweave.__all__`` is used by code: by a package module other
   than ``__init__.py`` (outside the name's own definition) or by ``bench/``.
 * Every public method of a package class is used by code: its name is read as
@@ -62,6 +66,41 @@ def private_reads(source: str) -> list[str]:
         if (isinstance(node, ast.Attribute) and _is_private(node.attr)
                 and isinstance(node.value, ast.Name) and node.value.id in modules):
             found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def class_private_attributes(source: str) -> set[str]:
+    """Private attribute names a module's classes define: by def, self._x, class body or __slots__."""
+    names = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                assigned = {target.id for target in targets if isinstance(target, ast.Name)}
+                names |= assigned
+                if "__slots__" in assigned:
+                    names |= {n.value for n in ast.walk(stmt.value)
+                              if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        names |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"}
+    return {name for name in names if _is_private(name)}
+
+
+def foreign_private_attributes(sources: dict[str, str]) -> list[str]:
+    """``module: _name`` for each private attribute a module reads that only other modules'
+    classes define."""
+    defined = {name: class_private_attributes(source) for name, source in sources.items()}
+    found = []
+    for name, source in sources.items():
+        read = {node.attr for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and _is_private(node.attr)}
+        found += [f"{name}: {attr}" for attr in sorted(read - defined[name])
+                  if any(attr in d for other, d in defined.items() if other != name)]
     return found
 
 
@@ -145,6 +184,20 @@ def test_private_reads_detects_cross_module_access(source, expected):
     assert private_reads(source) == expected
 
 
+def test_class_private_attributes_helper():
+    source = ("class A:\n    __slots__ = ('_s', 'p')\n    _k = 1\n\n    def __init__(self):\n"
+              "        self._x = self.y = 1\n\n    @cached_property\n    def _c(self):\n"
+              "        return other._z\n\n    def _m(self):\n        return 0\n")
+    assert class_private_attributes(source) == {"_s", "_k", "_x", "_c", "_m"}
+
+
+def test_foreign_private_attributes_detects_a_private_table_read_across_modules():
+    owner = "class S:\n    @cached_property\n    def _pred(self):\n        return self._ext\n"
+    sources = {"construction.py": owner, "analysis.py": "def f(s):\n    return s._pred, s._other\n"}
+    assert foreign_private_attributes(sources) == ["analysis.py: _pred"]
+    assert foreign_private_attributes({**sources, "analysis.py": owner}) == []
+
+
 def test_einsum_calls_helper():
     source = ("import numpy as np\nfrom numpy import einsum\n"
               "np.einsum('i->', a)\neinsum('i->', a)\nnp.sum(a)\n")
@@ -177,6 +230,11 @@ def test_operator_helpers():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_cross_module_reads(path):
     assert private_reads(path.read_text()) == []
+
+
+def test_no_module_reads_another_modules_private_class_attributes():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert foreign_private_attributes(sources) == []
 
 
 def test_every_public_name_is_used_outside_tests():
