@@ -15,9 +15,9 @@ zero count of every message at once.  That costs O(nk + k q^(k+2)) integer
 operations instead of an n q^k enumeration, and it is still exact over the
 whole message space.  A step gathers the q^(k+2) cells A[s' - u c, c] in one
 np.take by the field's q^3 step index (``Field.step_index``, built once per
-field from its sub and mul tables), sums them over c and copies the sum back
-into A with the message coordinate last.  With rest = q^(k-1) cells per
-(s', c) row of A, the sum and the copy depend on rest:
+field from its tables), sums them over c and copies the sum back into A
+with the message coordinate last.  With rest = q^(k-1) cells per (s', c)
+row of A, the sum and the copy depend on rest:
 
 * rest < 128: one np.add.reduce into an int32 buffer and one transposing
   copy, so a step is three numpy calls;
@@ -185,7 +185,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
         if not in_field(gen, q):
             raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
         keys = column_keys(gen, q)
-    add, mul, neg, inv, _ = field.tables
+    add, mul, neg, inv = field.tables
     r = 0
     while r < k and q ** (k - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
         r += 1

@@ -33,6 +33,7 @@ from .polynomial import Poly, find_primitive
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_BYTES = np.frombuffer(_DIGITS.encode(), np.uint8)
+_CHUNK = 1 << 20  # bytes of the written file compared at once by the round trip
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -376,61 +377,59 @@ def _export_payload(code, G, W) -> dict:
     }
 
 
-def _text_header(code) -> list[int]:
+def _text_header(code) -> bytes:
     s = code.simplex
-    return [code.n, code.k, s.q, s.t, code.p, s.lam]
+    return f"{code.n} {code.k} {s.q} {s.t} {code.p} {s.lam}\n".encode()
 
 
-def _write_text_export(path, code, G):
-    with open(path, "wb") as fh:
-        fh.write(" ".join(map(str, _text_header(code))).encode() + b"\n")
-        fh.write(_row_text(G.rows, code.field.q))
+def _holds_exactly(path, parts) -> bool:
+    """The file holds the parts, in order, and nothing after them.
 
-
-def _roundtrip_json(path, written: bytes, payload, G, budget) -> bool:
-    """The file must hold the bytes written, and the payload must rebuild through _build to it.
-
-    Equal bytes leave no question of types (2.0 == 2 and True == 1 compare
-    equal once loaded), and a re-indented but equal file is a mismatch.  The
-    rebuild proves that the exported fields describe the exported code: it
-    must have the rows of G, which the payload's rows encode, and the
-    payload's other code fields.  The weight counts are the export's own
-    spectrum, so no second one runs, and the rows are compared as arrays, not
-    encoded again.
+    Equal bytes leave no question of types or layout (2.0 == 2 and True == 1
+    once loaded; a re-indented JSON file, a blank line or a tab).  Pieces of
+    at most _CHUNK bytes are compared as bytes: bytes == memoryview runs
+    element by element, and a whole-file compare would hold a bool per byte.
     """
     with open(path, "rb") as fh:
-        if fh.read() != written:
-            return False
-    try:  # fields that describe no code raise ParameterError: the export does not read back
+        for part in map(memoryview, parts):
+            for start in range(0, len(part), _CHUNK):
+                piece = part[start:start + _CHUNK].tobytes()
+                if fh.read(len(piece)) != piece:
+                    return False
+        return not fh.read(1)
+
+
+def _roundtrip_json(payload, G, budget) -> bool:
+    """The payload must rebuild through _build to the rows of G and its own code fields.
+
+    The rebuild proves that the exported fields describe the exported code.
+    The weight counts are the export's own spectrum, so no second one runs,
+    and the rows are compared as arrays, not encoded again.
+    """
+    try:  # fields that describe no code, or one beyond the budget, do not read back
         field = fields.field_create(payload["q_characteristic"], payload["q_degree"])
         cyclic = payload["simplex_variant"] == construction.CYCLIC
         h, g = (None, Poly(field, payload["g"])) if cyclic else (Poly(field, payload["h"]), None)
         qt_simplex = payload["variant"] == construction.QT_SIMPLEX
         code, rebuilt = _build(field, payload["t"], budget, payload["variant"], payload["p"],
                                None if qt_simplex else payload["selection"], h, g, cyclic)
-    except ParameterError:
+    except (ParameterError, BudgetExceededError):
         return False
     return (np.array_equal(rebuilt.rows, G.rows)
             and all(payload[key] == value for key, value in _code_fields(code).items()))
 
 
-def _roundtrip_text(path, code, G) -> bool:
-    """The six header integers as written, then exactly the rows of G, as integers.
+def _roundtrip_text(path, G) -> bool:
+    """The rows after the header must parse to exactly the rows of G: the row writer's check.
 
     Equal rows have equal spectra, so no second one runs.
     """
-    try:
-        with open(path) as fh:
-            header, _, body = fh.read().lstrip().partition("\n")
-        if list(map(int, header.split())) != _text_header(code) or not body or body.isspace():
-            return False  # loadtxt would only warn on an empty body
-        lines = body.splitlines()
-        del body  # the lines hold the same text; loadtxt's arrays need the room
-        # comments=None: a '#' token is not an integer, so it fails the parse; at the
-        # rows' own dtype a token beyond it, or one with a sign, fails it too
-        rows = np.loadtxt(lines, dtype=G.rows.dtype, ndmin=2, comments=None)
-    except ValueError:  # undecodable text, a non-integer header or row, a ragged row
-        return False
+    with open(path, encoding="ascii") as fh:
+        fh.readline()
+        try:  # comments=None: a '#' is no integer; at the rows' dtype a sign is none either
+            rows = np.loadtxt(fh, dtype=G.rows.dtype, ndmin=2, comments=None)
+        except ValueError:  # a token that is not an integer, or a ragged row
+            return False
     return rows.shape == G.rows.shape and bool((rows == G.rows).all())
 
 
@@ -442,18 +441,17 @@ def _cmd_export(args) -> int:
     W = analysis.weight_distribution(G, budget=budget)
     if args.format == "json":
         payload = _export_payload(code, G, W)
-        written = (json.dumps(payload, indent=1) + "\n").encode()  # json.dump would write in chunks
-        with open(args.output, "wb") as fh:
-            fh.write(written)
+        parts = [(json.dumps(payload, indent=1) + "\n").encode()]  # json.dump would write in chunks
     else:
-        _write_text_export(args.output, code, G)
+        parts = [_text_header(code), _row_text(G.rows, field.q)]
+    with open(args.output, "wb") as fh:
+        fh.writelines(parts)
     print(f"wrote {args.format} export to {args.output}")
     if args.roundtrip:
-        ok = (
-            _roundtrip_json(args.output, written, payload, G, budget)
-            if args.format == "json"
-            else _roundtrip_text(args.output, code, G)
-        )
+        ok = _holds_exactly(args.output, parts)
+        del parts  # the row text is as large as the parse
+        ok = ok and (_roundtrip_json(payload, G, budget) if args.format == "json"
+                     else _roundtrip_text(args.output, G))
         print("round trip: " + ("ok" if ok else "MISMATCH"))
         if not ok:
             return EXIT_MISMATCH
@@ -514,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--output", required=True)
     p_export.add_argument("--roundtrip", action="store_true",
                           help="re-read the file: it must hold exactly what was written, "
-                               "and a JSON export must rebuild to it")
+                               "a JSON export must rebuild to it, "
+                               "and a text export must parse to its rows")
     p_export.set_defaults(func=_cmd_export)
     return parser
 

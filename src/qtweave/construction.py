@@ -215,7 +215,7 @@ class SimplexSpec:
         q, t, h = self.q, self.t, self.h
         if not self.lam or h.degree != t or not any(h.coeffs[:t]):
             return None
-        add, mul, neg, inv, _ = self.field.tables
+        add, mul, neg, inv = self.field.tables
         last = np.zeros((1,) * t, dtype=add.dtype)  # axis u is the digit of row u
         for u, c in enumerate(h.coeffs[:t]):
             if c:
@@ -293,7 +293,7 @@ def _distinct_points(field: Field, cols: np.ndarray) -> bool:
     """
     q = field.q
     if q > 2:
-        _, mul, _, inv, _ = field.tables
+        _, mul, _, inv = field.tables
         n = cols.shape[1]
         # flat gathers: np.take on the flat arrays is faster than 2-D fancy indexing
         first = np.take(cols, (cols != 0).argmax(axis=0) * n + np.arange(n))  # cols[argmax, arange]
@@ -375,7 +375,7 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
             f"no cyclic simplex code for q = {q}, t = {t}: gcd(t, q - 1) = {gcd(t, q - 1)} != 1"
         )
     m = (q**t - 1) // (q - 1)
-    _, mul, neg, inv, _ = field.tables
+    _, mul, neg, inv = field.tables
     if g is not None:
         if g.field != field:
             raise ParameterError("g belongs to a different field")

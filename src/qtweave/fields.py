@@ -10,16 +10,14 @@ transform indexes by.
 
 All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
 built vectorised on first use and shared by all callers; a Field has no other
-arithmetic interface.  Besides add, mul, neg and inv the tables hold sub,
-sub[w, s] = s - w, the permutations of the s axis that the spectrum
-transform gathers by.  Its q x q x q step index (`Field.step_index`) is
-built from them on the first transform step that runs over the field, once
-per Field object, and dies with it; over GF(q) with q > 45 no step runs
-(``analysis``), so it is never built there.  The defining modulus is the
-canonical one: the first monic primitive polynomial of degree e over GF(p)
-that find_primitive returns, coefficients compared low degree first.  That
-makes the arithmetic reproducible across runs without a hard-coded
-polynomial table.
+arithmetic interface.  The spectrum transform's q x q x q step index
+(`Field.step_index`) is built from them on the first transform step that
+runs over the field, once per Field object, and dies with it; over GF(q)
+with q > 45 no step runs (``analysis``), so it is never built there.  The
+defining modulus is the canonical one: the first monic primitive polynomial
+of degree e over GF(p) that find_primitive returns, coefficients compared
+low degree first.  That makes the arithmetic reproducible across runs
+without a hard-coded polynomial table.
 
 field_create and field_from_order return one canonical Field per (p, e), so
 repeated calls share its modulus search, its tables and its step index.
@@ -41,8 +39,7 @@ DEFAULT_ORDER_LIMIT = 1024
 
 
 class FieldTables(NamedTuple):
-    """Read-only lookup tables: add[a, b], mul[a, b], neg[a], inv[a] (inv[0] = 0) and
-    sub[w, s] = s - w.
+    """Read-only lookup tables: add[a, b], mul[a, b], neg[a] and inv[a] (inv[0] = 0).
 
     The dtype is the smallest unsigned type that holds q - 1, so index
     arithmetic on looked-up values must be widened first.
@@ -52,7 +49,6 @@ class FieldTables(NamedTuple):
     mul: np.ndarray
     neg: np.ndarray
     inv: np.ndarray
-    sub: np.ndarray
 
 
 class Field:
@@ -70,7 +66,7 @@ class Field:
 
     @property
     def tables(self) -> FieldTables:
-        """The q x q add/mul/sub and length-q neg/inv tables, built on first use."""
+        """The q x q add/mul and length-q neg/inv tables, built on first use."""
         if self._tables is None:
             self._tables = _build_tables(self)
         return self._tables
@@ -81,7 +77,7 @@ class Field:
 
         Entry [c, s, u] = (s - u c) q + c, as intp: the row (s - u c, c) of a
         (q q, rest) view of the multiplicity array that feeds cell (s, u) from
-        column coordinate c.  It is read from this field's own mul and sub,
+        column coordinate c.  It is read from this field's own tables,
         so fields that compare equal but hold different tables never share one.
         """
         if self._step_index is None:
@@ -187,18 +183,17 @@ def _build_tables(field: Field) -> FieldTables:
         mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
     neg = np.argmax(add == 0, axis=1)
     inv = np.argmax(mul == 1, axis=1)  # row 0 holds no 1, so inv[0] = 0
-    sub = add[neg]  # add[neg[w], s] = s - w
-    tables = FieldTables(*(t.astype(dtype, copy=False) for t in (add, mul, neg, inv, sub)))
+    tables = FieldTables(*(t.astype(dtype, copy=False) for t in (add, mul, neg, inv)))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
 def _step_index(field: Field) -> np.ndarray:
-    q, (_, mul, _, _, sub) = field.q, field.tables
+    q, (add, mul, neg, _) = field.q, field.tables
     cs = np.arange(q)
-    # sub[mul[u, c], s] * q + c, laid out [c, s, u]
-    return sub[mul.T[:, None, :], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
+    # (s - u c) q + c = add[neg[mul[u, c]], s] q + c, laid out [c, s, u]
+    return add[neg[mul.T[:, None, :]], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
 
 
 def field_create(p: int, e: int = 1) -> Field:

@@ -104,7 +104,7 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        add, mul, neg, inv, _ = f.tables
+        add, mul, neg, inv = f.tables
         db = other.degree
         over_lead = mul[inv.item(other.lc)]  # c -> c / lc
         taps = [i for i in range(db) if other.coeffs[i]]

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qtweave import Poly, analysis, cli, construction, fields
+from qtweave import ParameterError, Poly, analysis, cli, construction, fields
 from qtweave.cli import main
 
 from conftest import text_rows
@@ -150,8 +150,16 @@ def _header_token_plus_one(index):
     return edit
 
 
+def _on_lines(edit):
+    return lambda text: "".join(line + "\n" for line in edit(text.splitlines()))
+
+
+def _spread(lines):  # a blank line first, tabs between and spaces after the tokens
+    return ["", *("  \t".join(line.split()) + " " for line in lines), ""]
+
+
 # each edit of the lines of a q=3 export (a header, then k = 4 rows of n = 12)
-# leaves a file that does not read back
+# leaves a file that does not read back; the last four once read back as ok
 TEXT_EDITS = {
     "token too many": _first_row(lambda row: row + " 0"),
     "token too few": _first_row(lambda row: row.rsplit(" ", 1)[0]),
@@ -173,29 +181,59 @@ TEXT_EDITS = {
     "symbol beyond the rows' dtype": _first_row(lambda row: "256" + row[1:]),
     "minus zero": _first_row(lambda row: row.replace("0", "-0", 1)),  # row 1 is g, with a zero
     "rows swapped": lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+    "blank line": lambda lines: ["", *lines],
+    "tab": _first_row(lambda row: row.replace(" ", "\t", 1)),
+    "trailing space": _first_row(lambda row: row + " "),
+    "extra whitespace": _spread,
 }
 
 
-def _export_edited_text(tmp_path, capsys, monkeypatch, edit):
-    write = cli._write_text_export
+def _export_edited(tmp_path, capsys, monkeypatch, fmt, edit, flags="--q 3 --t 2 --p 3"):
+    """Export with --roundtrip, the file's text replaced by edit(text) before the re-read."""
+    holds_exactly = cli._holds_exactly
 
-    def write_then_edit(path, code, G):
-        write(path, code, G)
+    def edit_then_compare(path, parts):
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
         with open(path, "w") as fh:
-            fh.write("".join(line + "\n" for line in edit(lines)))
+            fh.write(edit(text))
+        return holds_exactly(path, parts)
 
-    monkeypatch.setattr(cli, "_write_text_export", write_then_edit)
+    monkeypatch.setattr(cli, "_holds_exactly", edit_then_compare)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
-        return run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "text",
-                   "--output", str(tmp_path / "code.txt"), "--roundtrip")
+        return run(capsys, "export", *flags.split(), "--format", fmt,
+                   "--output", str(tmp_path / f"code.{fmt}"), "--roundtrip")
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_EDITS))
 def test_text_reimport_is_strict(tmp_path, capsys, monkeypatch, name):
-    rc, out, err = _export_edited_text(tmp_path, capsys, monkeypatch, TEXT_EDITS[name])
+    rc, out, err = _export_edited(tmp_path, capsys, monkeypatch, "text",
+                                  _on_lines(TEXT_EDITS[name]))
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
+def test_text_reimport_of_the_file_as_written_is_ok(tmp_path, capsys, monkeypatch):
+    rc, out, err = _export_edited(tmp_path, capsys, monkeypatch, "text", _on_lines(lambda x: x))
+    assert rc == 0 and "round trip: ok" in out and err == ""
+
+
+# faults of the row writer: the file holds exactly what was written, so only
+# the parse of the rows tells it from the code
+ROW_WRITER_FAULTS = {
+    "rows swapped": lambda text, rows, q: text(rows[[1, 0, *range(2, len(rows))]], q),
+    "ragged row": lambda text, rows, q: text(rows, q)[1:],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_WRITER_FAULTS))
+def test_text_reimport_parses_the_rows_written(tmp_path, capsys, monkeypatch, name):
+    row_text, fault = cli._row_text, ROW_WRITER_FAULTS[name]
+    monkeypatch.setattr(cli, "_row_text", lambda rows, q: fault(row_text, rows, q))
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "text",
+                       "--output", str(tmp_path / "code.txt"), "--roundtrip")
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -206,10 +244,13 @@ def test_text_reimport_parses_at_the_rows_dtype(tmp_path):
     code, G = construction.build_two_weight(
         construction.simplex_consta(fields.field_from_order(2), 8), 256)
     path = tmp_path / "code.txt"
-    cli._write_text_export(path, code, G)
+    parts = [cli._text_header(code), cli._row_text(G.rows, 2)]
+    path.write_bytes(b"".join(parts))
     tracemalloc.start()
     try:
-        ok = cli._roundtrip_text(path, code, G)
+        ok = cli._holds_exactly(path, parts)
+        del parts  # as the export drops them before the parse
+        ok = ok and cli._roundtrip_text(path, G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -217,43 +258,22 @@ def test_text_reimport_parses_at_the_rows_dtype(tmp_path):
     assert peak < 8 << 20, peak
 
 
-def test_text_reimport_accepts_extra_whitespace(tmp_path, capsys, monkeypatch):
-    def spread(lines):  # a blank line first, tabs between and spaces after the tokens
-        return ["", *("  \t".join(line.split()) + " " for line in lines), ""]
-
-    rc, out, _ = _export_edited_text(tmp_path, capsys, monkeypatch, spread)
-    assert rc == 0 and "round trip: ok" in out
-
-
-def _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 --p 3", indent=1):
-    """Export with --roundtrip, the written file replaced by edit(its content) before the re-read.
-
-    The edit is dumped as the export dumps, so an identity edit with indent=1
-    rewrites the same bytes.
-    """
-    roundtrip = cli._roundtrip_json
-
-    def edit_then_roundtrip(path, *args):
-        with open(path) as fh:
-            data = json.load(fh)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(edit(data), indent=indent) + "\n")
-        return roundtrip(path, *args)
-
-    monkeypatch.setattr(cli, "_roundtrip_json", edit_then_roundtrip)
-    return run(capsys, "export", *flags.split(), "--format", "json",
-               "--output", str(tmp_path / "code.json"), "--roundtrip")
+def _on_payload(edit, indent=1):
+    """edit, dumped as the export dumps: the identity with indent=1 writes the same bytes."""
+    return lambda text: json.dumps(edit(json.loads(text)), indent=indent) + "\n"
 
 
 def test_json_reimport_of_the_file_as_written_is_ok(tmp_path, capsys, monkeypatch):
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, lambda data: data)
+    rc, out, err = _export_edited(tmp_path, capsys, monkeypatch, "json",
+                                  _on_payload(lambda data: data))
     assert rc == 0 and "round trip: ok" in out and err == ""
 
 
 def test_json_reimport_of_an_equal_but_re_indented_file_is_a_mismatch(tmp_path, capsys,
                                                                      monkeypatch):
     # the round trip compares bytes: the same values laid out otherwise are not the export
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, lambda data: data, indent=2)
+    rc, out, err = _export_edited(tmp_path, capsys, monkeypatch, "json",
+                                  _on_payload(lambda data: data, indent=2))
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -261,7 +281,8 @@ def test_json_reimport_of_an_equal_but_re_indented_file_is_a_mismatch(tmp_path, 
 
 @pytest.mark.parametrize("payload", [{}, [], {"generator_rows": []}], ids=["empty", "list", "partial"])
 def test_json_reimport_of_a_malformed_payload_is_a_mismatch(tmp_path, capsys, monkeypatch, payload):
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, lambda data: payload)
+    rc, out, err = _export_edited(tmp_path, capsys, monkeypatch, "json",
+                                  _on_payload(lambda data: payload))
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -289,8 +310,8 @@ JSON_EDITS = {
 @pytest.mark.parametrize("name", sorted(JSON_EDITS))
 def test_json_reimport_of_a_mistyped_field_is_a_mismatch(tmp_path, capsys, monkeypatch, name):
     key, value = JSON_EDITS[name]
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
-                                       lambda data: {**data, key: value})
+    rc, out, err = _export_edited(tmp_path, capsys, monkeypatch, "json",
+                                  _on_payload(lambda data: {**data, key: value}))
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -307,11 +328,20 @@ JSON_RANGE_EDITS = {
 }
 
 
+def _export_with_payload(tmp_path, capsys, monkeypatch, edit, flags="--q 3 --t 2 --p 3"):
+    """Export edit(payload) with --roundtrip: the file holds what was written, so only the
+    rebuild can refuse it."""
+    payload = cli._export_payload
+    monkeypatch.setattr(cli, "_export_payload", lambda *a: edit(payload(*a)))
+    return run(capsys, "export", *flags.split(), "--format", "json",
+               "--output", str(tmp_path / "code.json"), "--roundtrip")
+
+
 @pytest.mark.parametrize("name", sorted(JSON_RANGE_EDITS))
 def test_json_reimport_of_an_out_of_range_field_is_a_mismatch(tmp_path, capsys, monkeypatch, name):
     key, value = JSON_RANGE_EDITS[name]
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch,
-                                       lambda data: {**data, key: value})
+    rc, out, err = _export_with_payload(tmp_path, capsys, monkeypatch,
+                                        lambda data: {**data, key: value})
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -321,11 +351,11 @@ def _field_edit(key, value):
     return lambda data: {**data, key: value}
 
 
-def _another_selection(data):
+def _another_selection(data, export_payload=cli._export_payload):  # the unpatched one
     """The export of the same q=3 t=2 p=3 code family with another selection, in full."""
     s = construction.simplex_consta(fields.field_from_order(3), 2)
     code, G = construction.build_two_weight(s, 3, selection=((2, 0), (1, 3)))
-    other = cli._export_payload(code, G, analysis.weight_distribution(G))
+    other = export_payload(code, G, analysis.weight_distribution(G))
     assert other["selection"] != data["selection"]
     assert other["weight_counts"] == data["weight_counts"]
     return other
@@ -347,7 +377,7 @@ JSON_MISMATCH_EDITS = {
 @pytest.mark.parametrize("name", sorted(JSON_MISMATCH_EDITS))
 def test_json_reimport_must_re_export_to_the_file(tmp_path, capsys, monkeypatch, name):
     flags, edit = JSON_MISMATCH_EDITS[name]
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, edit, flags)
+    rc, out, err = _export_with_payload(tmp_path, capsys, monkeypatch, edit, flags)
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
@@ -376,11 +406,29 @@ def test_json_reimport_beyond_the_budget_is_a_mismatch_before_building(tmp_path,
     builds = []
     monkeypatch.setattr(construction, "simplex_consta",
                         lambda *a, **kw: builds.append(a) or build(*a, **kw))
-    rc, out, err = _export_edited_json(tmp_path, capsys, monkeypatch, _field_edit("t", 40))
+    rc, out, err = _export_with_payload(tmp_path, capsys, monkeypatch, _field_edit("t", 40))
     assert rc == 1
     assert "round trip: MISMATCH" in out
     assert err == ""
     assert len(builds) == 1  # the export's own code, not the re-read one
+
+
+def test_json_reimport_whose_fields_build_no_code_is_a_mismatch(tmp_path, capsys, monkeypatch):
+    # the file is exactly what was written, but the rebuild from its fields raises
+    build, calls = cli._build, []
+
+    def export_only(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise ParameterError("the re-read fields build no code")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_build", export_only)
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
+                       "--output", str(tmp_path / "code.json"), "--roundtrip")
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == "" and len(calls) == 2
 
 
 def test_a_spectrum_that_fails_its_own_check_is_a_verification_failure(capsys, monkeypatch):

@@ -270,7 +270,7 @@ def test_norm_rule_holds_and_admits_every_generator(q, t):
                  if order_of_x(h) == q**t - 1]
     assert primitive and all(field.element_order(sign(h.coeffs[0])) == q - 1 for h in primitive)
     generators = {g for g in range(1, q) if field.element_order(g) == q - 1}
-    _, mul, neg, _, _ = field.tables
+    _, mul, neg, _ = field.tables
     assert (polynomial._norms(field, t, mul.tolist(), neg.tolist())
             == {sign(g) for g in generators})
 
