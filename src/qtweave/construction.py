@@ -33,6 +33,9 @@ by its stage: one division x^m = g h + lam gives g and lam
 (``simplex division``), lam has order q - 1, or is 1 if cyclic
 (``twist constant``), the columns of the t shifts of g prove equidistance
 (``simplex check``), and a triangular 2t x 2t minor rank 2t (``rank minor``).
+The constructor of ``SimplexSpec(field, t, h, variant)`` derives m, lam and
+g and runs the first three, so every base, one from ``dataclasses.replace``
+included, has passed them.
 
 The simplex check is the test of ``is_projective`` on the t x m matrix of the
 shifts x^u g, u < t, read in place: its entry (u, j) is ext[2m - u + j], the
@@ -61,8 +64,9 @@ units, as x is one: h(0) g(0) = -lam != 0.  F_q[x]/(h) is thus a field, and
 
 The same checks certify that the h of a consta-cyclic base is primitive, so
 a supplied h or g gets no other test: one that fails them is a
-ParameterError, as is one with q^t above the bound of the primitive search,
-checked before the division.  With lam = x^m of order q - 1, the powers
+ParameterError, as is an h over another field or not monic of degree t;
+q^t above the bound of the primitive search raises BudgetExceededError
+before the division.  With lam = x^m of order q - 1, the powers
 x^(im + j) = lam^i x^j modulo h, i < q - 1 and j < m, are the q^t - 1
 distinct residues c x^j above, so x has order q^t - 1.  Conversely, a
 primitive h gives x^m of order q - 1, so in GF(q)^*, and the simplex code
@@ -85,9 +89,9 @@ rows [top row 0; bottom group]: the pairs (0, v), counted once, and (1, v),
 counted q^t - 1 times.  ``orbit`` checks sigma on a generator's rows and
 hands the spectrum of ``analysis`` those t + 1 rows, their column keys and
 those weights, or returns None, and the full transform runs.  The simplex
-check is certified once per base; the spectrum checks the total q^(2t) on
-every call, along with the slices of leading symbol 2..q-1 repeating the
-histogram of slice 1.
+check is certified once per base, when it is constructed; the spectrum
+checks the total q^(2t) on every call, along with the slices of leading
+symbol 2..q-1 repeating the histogram of slice 1.
 
 sigma is checked one key per column.  In a row group, let r_u[j] be entry j
 of row u within one block of width m, and c_j = (r_0[j], ..., r_(t-1)[j]) its
@@ -111,19 +115,16 @@ and wrap the base's tables of P and P / lam over all q^t keys, built on its
 first check.  Each has q^t entries of the dtype of the column keys of t rows
 (``fields.key_dtype``): at most 2^20 entries (4 MiB of uint32), as the
 primitive search bounds q^t; wrap is built only when lam != 1, never for
-q = 2.  A base with lam = 0, deg h != t or no nonzero coefficient of h below
-its lead gives sigma no relation to check; it gets no tables, checked once
-as they would be built, and ``orbit`` returns None for every code over it.
-The check keys both row groups once, gathers n keys from a table per group,
-and compares.  Then the keys of the orbit rows are top row 0's entry times
-q^t plus the bottom group's key, and the transform indexes by them: the
-orbit rows are neither copied nor keyed again.
+q = 2.  The check keys both row groups once, gathers n keys from a table
+per group, and compares.  Then the keys of the orbit rows are top row 0's
+entry times q^t plus the bottom group's key, and the transform indexes by
+them: the orbit rows are neither copied nor keyed again.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from math import gcd
 
@@ -151,13 +152,41 @@ def _windows(flat: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimplexSpec:
+    """The base of h: the constructor derives m, lam and g and runs the checks.
+
+    So does ``dataclasses.replace``, which refuses m, lam and g.
+    """
     field: Field
     t: int
-    m: int
-    lam: int
+    m: int = dataclass_field(init=False)
+    lam: int = dataclass_field(init=False)
     h: Poly
-    g: Poly
+    g: Poly = dataclass_field(init=False)
     variant: str
+
+    def __post_init__(self):
+        field, t, h, q = self.field, self.t, self.h, self.field.q
+        if h.field != field:
+            raise ParameterError("h belongs to a different field")
+        if h.degree != t or not h.is_monic():
+            kind = "polynomial" if self.variant == CYCLIC else "primitive polynomial"
+            raise ParameterError(f"h = {h} is not a monic {kind} of degree {t}")
+        check_budget(q, t, polynomial.DEFAULT_SEARCH_BOUND,
+                     "the simplex base of a supplied h", "residues")
+        m = (q**t - 1) // (q - 1)
+        g, rem = divmod(Poly.monomial(field, m), h)  # x^m = g h + lam, so h divides x^m - lam
+        if rem.degree > 0:
+            raise VerificationError(f"simplex division: x^{m} mod h = {rem} is no constant "
+                                    f"for h = {h}")
+        lam = rem.coeffs[0] if rem.coeffs else 0  # h = x^t leaves the zero remainder
+        if self.variant == CYCLIC:
+            if lam != 1:
+                raise VerificationError(f"twist constant: the cyclic build gave {lam}, expected 1")
+        elif not lam or field.element_order(lam) != q - 1:
+            raise VerificationError(f"twist constant: {lam} does not have order {q - 1}")
+        for name, value in ("m", m), ("lam", lam), ("g", g):
+            object.__setattr__(self, name, value)  # frozen, so set once here
+        _check_equidistant(self)
 
     @property
     def q(self) -> int:
@@ -202,19 +231,16 @@ class SimplexSpec:
         return _windows(table, self.m)
 
     @cached_property
-    def _pred(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _pred(self) -> tuple[np.ndarray, np.ndarray]:
         """(pred, wrap), read-only and indexed by the base-q key of a column of a row group.
 
         pred[K] is the key of the column before a column of key K: the digits
         move up one row, and the last row gets -sum h_u row u (module
         docstring).  At a block start the column before is 1/lam times that,
         wrap[K]; wrap is pred when lam = 1.  The last digit is one broadcast
-        add per nonzero tap of h, so no entry is built in Python.  None when
-        lam = 0, deg h != t or h has no nonzero coefficient below its lead.
+        add per nonzero tap of h, so no entry is built in Python.
         """
         q, t, h = self.q, self.t, self.h
-        if not self.lam or h.degree != t or not any(h.coeffs[:t]):
-            return None
         add, mul, neg, inv = self.field.tables
         last = np.zeros((1,) * t, dtype=add.dtype)  # axis u is the digit of row u
         for u, c in enumerate(h.coeffs[:t]):
@@ -308,33 +334,13 @@ def is_projective(G: GeneratorMatrix) -> bool:
 
 
 def _check_equidistant(s: SimplexSpec) -> None:
-    """The t shifts of g span the simplex code: their columns are the points of PG(t - 1, q)."""
-    points = (s.q**s.t - 1) // (s.q - 1)
-    if s.m == points:  # row u is x^u g = ext[2m - u : 3m - u]
-        if _distinct_points(s.field, _windows(s._ext[2 * s.m - s.t + 1:], s.m)[::-1]):
-            return
-    raise VerificationError(
-        f"simplex check: the base is degenerate or not equidistant: the columns of the "
-        f"{s.t} shifts of g are not the {points} points of PG({s.t - 1}, {s.q})"
-    )
-
-
-def _assemble_simplex(field: Field, t: int, h: Poly, variant: str) -> SimplexSpec:
-    q = field.q
-    m = (q**t - 1) // (q - 1)
-    g, rem = divmod(Poly.monomial(field, m), h)  # x^m = g h + lam, so h divides x^m - lam
-    if rem.degree > 0:
-        raise VerificationError(f"simplex division: x^{m} mod h = {rem} is no constant "
-                                f"for h = {h}")
-    lam = rem.coeffs[0] if rem.coeffs else 0  # h = x^t leaves the zero remainder
-    if variant == CYCLIC:
-        if lam != 1:
-            raise VerificationError(f"twist constant: the cyclic build gave {lam}, expected 1")
-    elif not lam or field.element_order(lam) != q - 1:
-        raise VerificationError(f"twist constant: {lam} does not have order {q - 1}")
-    s = SimplexSpec(field, t, m, lam, h, g, variant)
-    _check_equidistant(s)
-    return s
+    """The t shifts of g span the simplex code: their columns are the m points of PG(t - 1, q)."""
+    # row u is x^u g = ext[2m - u : 3m - u]
+    if not _distinct_points(s.field, _windows(s._ext[2 * s.m - s.t + 1:], s.m)[::-1]):
+        raise VerificationError(
+            f"simplex check: the base is degenerate or not equidistant: the columns of the "
+            f"{s.t} shifts of g are not the {s.m} points of PG({s.t - 1}, {s.q})"
+        )
 
 
 def simplex_consta(field: Field, t: int, h: Poly | None = None) -> SimplexSpec:
@@ -342,18 +348,11 @@ def simplex_consta(field: Field, t: int, h: Poly | None = None) -> SimplexSpec:
     if t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {t}")
     if h is None:
-        return _assemble_simplex(field, t, find_primitive(field, t, limit=1)[0], CONSTA_CYCLIC)
-    if h.field != field:
-        raise ParameterError("h belongs to a different field")
-    bad_h = f"h = {h} is not a monic primitive polynomial of degree {t}"
-    if h.degree != t or not h.is_monic():
-        raise ParameterError(bad_h)
-    check_budget(field.q, t, polynomial.DEFAULT_SEARCH_BOUND,
-                 "the simplex base of a supplied h", "residues")
+        return SimplexSpec(field, t, find_primitive(field, t, limit=1)[0], CONSTA_CYCLIC)
     try:
-        return _assemble_simplex(field, t, h, CONSTA_CYCLIC)
+        return SimplexSpec(field, t, h, CONSTA_CYCLIC)
     except VerificationError:
-        raise ParameterError(bad_h) from None
+        raise ParameterError(f"h = {h} is not a monic primitive polynomial of degree {t}") from None
 
 
 def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
@@ -388,7 +387,7 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
             raise ParameterError(f"g = {g} does not divide x^{m} - 1")
         h = Poly(field, mul[inv[h.lc], h.coeffs].tolist())  # h / lc, monic
         try:
-            return _assemble_simplex(field, t, h, CYCLIC)
+            return SimplexSpec(field, t, h, CYCLIC)
         except VerificationError:
             raise ParameterError(f"g = {g} does not generate a cyclic simplex code "
                                  f"of dimension {t}") from None
@@ -401,7 +400,7 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
     for a in reversed(h0.coeffs):  # h_j = c^(j-t) h0_j, from j = t down
         coeffs.append(mul.item(scale, a))
         scale = mul.item(scale, inv.item(c))
-    return _assemble_simplex(field, t, Poly(field, coeffs[::-1]), CYCLIC)
+    return SimplexSpec(field, t, Poly(field, coeffs[::-1]), CYCLIC)
 
 
 def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]:
@@ -501,15 +500,14 @@ def orbit(G: GeneratorMatrix) -> tuple[list[np.ndarray], np.ndarray, tuple[int, 
     [top row 0; bottom group] as views of G.rows, their column keys (of dtype
     ``fields.key_dtype(q, t + 1)``), which stand for their entries, and the
     multiplicities (1, q^t - 1, 0, ...) by leading symbol.  Rows whose shape
-    or entries do not fit the code, a base without predecessor tables and a
-    failed check give None, not an exception.
+    or entries do not fit the code and a failed check give None, not an
+    exception.
     """
     code = G.provenance
     s = code.simplex
-    tables, rows, t, q = s._pred, G.rows, s.t, s.q
-    if tables is None or rows.shape != (2 * t, code.n) or not in_field(rows, q):
+    (pred, wrap), rows, t, q = s._pred, G.rows, s.t, s.q
+    if rows.shape != (2 * t, code.n) or not in_field(rows, q):
         return None
-    pred, wrap = tables
     keys = column_keys(rows.reshape(2, t, code.n), q)  # of pred's dtype, key_dtype(q, t)
     blocks = keys.reshape(2, code.block_count, s.m)
     if not ((pred.take(blocks[..., 1:]) == blocks[..., :-1]).all()

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from qtweave import (
     simplex_cyclic,
     weight_distribution_of_rows,
 )
-from qtweave.construction import CYCLIC, _check_equidistant
+from qtweave.construction import CONSTA_CYCLIC, CYCLIC, _check_equidistant
 from conftest import (SWEEP_CONFIGS, base_word, consta_shift, is_irreducible, naive_rank,
-                      naive_weight_counts, order_of_x, poly_divmod, poly_mul, scalar, span_words,
-                      table_words, twist_modulus, twistulant_rows)
+                      naive_weight_counts, order_of_x, poly_divmod, poly_mul, residue, scalar,
+                      span_words, table_words, twist_modulus, twistulant_rows)
 
 # (q, t) with gcd(t, q - 1) = 1, so a cyclic simplex base exists
 CYCLIC_CONFIGS = ((2, 3), (2, 5), (3, 3), (3, 5), (4, 2), (5, 3), (8, 2), (9, 3))
@@ -351,56 +352,81 @@ def test_rank_deficient_generator_with_a_nonzero_diagonal_is_rejected(s_ternary,
 def test_equidistance_check_rejects_non_simplex_spans(gf3):
     # h = x^2 + 1 is irreducible over GF(3) but not primitive: x^4 = 1 mod h, and
     # g = (x^4 - 1)/h = x^2 - 1 spans a code with weights 2 and 4
-    h, g = Poly(gf3, (1, 0, 1)), Poly(gf3, (2, 0, 1))
-    with pytest.raises(VerificationError, match="not equidistant"):
-        _check_equidistant(SimplexSpec(gf3, 2, 4, 1, h, g, CYCLIC))
-    with pytest.raises(VerificationError):  # x^2 g = -g: three shifts span only 9 words
-        _check_equidistant(SimplexSpec(gf3, 3, 4, 1, h, g, CYCLIC))
+    with pytest.raises(VerificationError, match="^simplex check: .* not equidistant"):
+        SimplexSpec(gf3, 2, Poly(gf3, (1, 0, 1)), CYCLIC)
+    # x^2 - 1 divides x^4 - 1 too, and g = x^2 + 1 repeats the columns of its two shifts
+    with pytest.raises(VerificationError, match="^simplex check: "):
+        SimplexSpec(gf3, 2, Poly(gf3, (2, 0, 1)), CYCLIC)
+
+
+def test_a_hand_built_base_of_a_non_primitive_h_is_refused(gf2):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 modulo it, and
+    # g = (x^15 - 1)/h spans weights 6 and 12, not 8: its base would give the
+    # orbit spectrum wrong counts.  replace builds a base and checks it again.
+    h = Poly(gf2, (1, 1, 1, 1, 1))
+    with pytest.raises(VerificationError, match="^simplex check: "):
+        SimplexSpec(gf2, 4, h, CYCLIC)
+    s = simplex_consta(gf2, 4)
+    with pytest.raises(VerificationError, match="^simplex check: "):
+        replace(s, h=h)
+    other = find_primitive(gf2, 4)[1]
+    assert replace(s, h=other) == simplex_consta(gf2, 4, other) != s
+
+
+@pytest.mark.parametrize("name", ["m", "lam", "g"])
+def test_the_derived_fields_of_a_base_cannot_be_replaced(s_ternary, name):
+    value = {"m": 5, "lam": 0, "g": Poly(s_ternary.field, (1,))}[name]
+    with pytest.raises(ValueError, match=f"^field {name} is declared with init=False"):
+        replace(s_ternary, **{name: value})
 
 
 # small (q, t) for the differential test of the simplex check
 EQUIDISTANCE_CONFIGS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (9, 2))
 
 
-@st.composite
-def simplex_spans(draw):
-    """A SimplexSpec of consistent (q, t, m) with an arbitrary g and lam in {1, a generator}.
+@cache
+def twist_divisors(q, t, lam):
+    """Every monic h of degree t that divides x^m - lam, by the scalar oracle's division."""
+    field = field_from_order(q)
+    modulus = twist_modulus(field, (q**t - 1) // (q - 1), lam)
+    return [Poly(field, tail + (1,)) for tail in product(range(q), repeat=t)
+            if not poly_divmod(field, modulus, tail + (1,))[1]]
 
-    g is the quotient of x^m - lam by a primitive h, by a monic h of degree
-    t - 1, t or t + 1 (dividing or not), or m - 1 or fewer random coefficients.
-    The check does not read h, so h is x^t throughout.
+
+@st.composite
+def simplex_bases(draw):
+    """(field, t, h, variant) whose h passes the division and the twist constant.
+
+    h is a monic divisor of x^m - lam of degree t, lam = 1 for the cyclic
+    variant and a generator of GF(q)^* for the consta-cyclic one, so only the
+    simplex check decides the base.
     """
     q, t = draw(st.sampled_from(EQUIDISTANCE_CONFIGS))
     field = field_from_order(q)
-    m = (q**t - 1) // (q - 1)
     generator = next(a for a in range(1, q) if field.element_order(a) == q - 1)
-    lam = draw(st.sampled_from([1, generator]))
-    symbol = st.integers(0, q - 1)
-    kind = draw(st.sampled_from(["primitive", "monic", "random"]))
-    if kind == "random":
-        g = Poly(field, draw(st.lists(symbol, max_size=m)))
-    else:
-        if kind == "primitive":
-            h = draw(st.sampled_from(find_primitive(field, t)))
-        else:
-            h = Poly(field, draw(st.lists(symbol, min_size=t - 1, max_size=t + 1)) + [1])
-        g = Poly(field, poly_divmod(field, twist_modulus(field, m, lam), h.coeffs)[0])
-    return SimplexSpec(field, t, m, lam, Poly.monomial(field, t), g, CYCLIC)
+    variant, lam = draw(st.sampled_from([(CYCLIC, 1), (CONSTA_CYCLIC, generator)]))
+    return field, t, draw(st.sampled_from(twist_divisors(q, t, lam))), variant
 
 
 @settings(deadline=None, max_examples=300)
-@given(simplex_spans())
-def test_equidistance_check_agrees_with_the_spectrum(s):
-    # the check sorts the columns of the t shifts of g; the engine counts their weights
-    rows = table_words(s, 1, range(s.t))
-    counts = weight_distribution_of_rows(s.field, rows).counts
-    equidistant = counts == {0: 1, s.weight: s.q**s.t - 1}
+@given(simplex_bases())
+def test_equidistance_check_agrees_with_the_spectrum(base):
+    # the check sorts the columns of the t shifts of g; the engine counts the
+    # weights of those shifts, x^u g with g = x^m // h from the scalar oracle
+    field, t, h, variant = base
+    q = field.q
+    m = (q**t - 1) // (q - 1)
+    g, rem = poly_divmod(field, (0,) * m + (1,), h.coeffs)
+    rows = [residue(field, (0,) * u + g, m, rem[0]) for u in range(t)]
+    counts = weight_distribution_of_rows(field, rows).counts
+    equidistant = counts == {0: 1, q ** (t - 1): q**t - 1}
     try:
-        _check_equidistant(s)
-    except VerificationError:
-        assert not equidistant, counts
+        s = SimplexSpec(field, t, h, variant)
+    except VerificationError as err:
+        assert str(err).startswith("simplex check: ") and not equidistant, (err, counts)
     else:
         assert equidistant, counts
+        assert table_words(s, 1, range(t)).tolist() == [list(row) for row in rows]
 
 
 @pytest.mark.parametrize("q, cyclic", [(256, False), (1024, False), (256, True)],
@@ -413,10 +439,12 @@ def test_large_field_bases_pass_the_simplex_check(q, cyclic):
 
 
 def test_large_field_simplex_check_rejects_a_perturbed_g():
-    s = simplex_consta(field_from_order(256), 2)
-    g = Poly(s.field, (scalar(s.field).add(s.g.coeffs[0], 1), *s.g.coeffs[1:]))
-    with pytest.raises(VerificationError, match="not equidistant"):
-        _check_equidistant(replace(s, g=g))
+    # h = x^2 + 995x + 713 passes the division and the twist constant, so only
+    # the simplex check refuses its g.  Over GF(256) at t = 2 no h does: one
+    # that passes the first two stages is primitive, as q + 1 = 257 is prime.
+    field = field_from_order(1024)
+    with pytest.raises(VerificationError, match="^simplex check: .* not equidistant"):
+        SimplexSpec(field, 2, Poly(field, (713, 995, 1)), CONSTA_CYCLIC)
 
 
 def test_qt_simplex_shape(gf2, s_ternary):

@@ -12,17 +12,20 @@ shape must take the full transform and still give the oracle's counts.
 import random
 from dataclasses import replace
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import (BudgetExceededError, GeneratorMatrix, Poly, analysis, build_qt_simplex,
-                     build_two_weight, construction, expected_counts, field_from_order, simplex_consta,
-                     simplex_cyclic, weight_distribution, weight_distribution_of_rows)
+from qtweave import (BudgetExceededError, GeneratorMatrix, ParameterError, Poly, SimplexSpec,
+                     VerificationError, analysis, build_qt_simplex, build_two_weight, construction,
+                     expected_counts, field_from_order, simplex_consta, simplex_cyclic,
+                     weight_distribution, weight_distribution_of_rows)
 from qtweave.fields import column_keys, key_dtype
-from conftest import SWEEP_CONFIGS, column_predecessor, consta_shift, naive_weight_counts, scalar
+from conftest import (SWEEP_CONFIGS, column_predecessor, consta_shift, naive_weight_counts, poly_mul,
+                      residue, scalar)
 
 ORACLE_MESSAGES = 256
 # (q, t) of the cyclic bases drawn; h is primitive for q = 2 only
@@ -162,42 +165,64 @@ def test_shift_check_refuses_an_extra_column_without_raising():
     assert W.counts == naive_weight_counts(H.field, H.rows)
 
 
-@pytest.mark.parametrize("h", ["x^t", "zero"])
-def test_shift_check_refuses_an_h_without_low_terms_without_raising(h):
-    # a hand-made base whose h is x^t or 0 gives sigma no relation to check
+@pytest.mark.parametrize("h", ["x^t", "zero", "high-degree"])
+def test_the_constructor_refuses_an_h_without_a_relation_to_check(h):
+    # sigma needs lam != 0 and deg h = t (h(0) != 0 follows, as h(0) g(0) = -lam):
+    # x^t leaves lam = 0, and a base of the other two is never divided out
     s = base(3, 2, False)
-    poly = Poly.monomial(s.field, 2) if h == "x^t" else Poly(s.field)
-    _, G = build_two_weight(replace(s, h=poly), 3)
-    W = weight_distribution(G)
-    assert W.method == "transform"
-    assert W.counts == naive_weight_counts(G.field, G.rows)
-
-
-@pytest.mark.parametrize("change", ["lam 0", "h of degree t + 1"])
-def test_a_base_without_a_relation_to_check_has_no_tables_and_takes_the_full_transform(change):
-    # the base's preconditions are checked once, where its predecessor tables are built
-    s = base(3, 2, False)
-    bad = (replace(s, lam=0) if change == "lam 0"
-           else replace(s, h=Poly(s.field, s.h.coeffs[:-1] + (0, 1))))
-    assert bad._pred is None
-    _, G = build_two_weight(bad, 3)
-    assert construction.orbit(G) is None
-    W = weight_distribution(G)
-    assert W.method == "transform"
-    assert W.counts == naive_weight_counts(G.field, G.rows)
+    poly, error, match = {
+        "x^t": (Poly.monomial(s.field, 2), VerificationError, "^twist constant: 0 "),
+        "zero": (Poly(s.field), ParameterError, "^h = 0 is not a monic"),
+        "high-degree": (Poly(s.field, s.h.coeffs[:-1] + (0, 1)), ParameterError, "is not a monic"),
+    }[h]
+    with pytest.raises(error, match=match):
+        SimplexSpec(s.field, 2, poly, s.variant)
+    with pytest.raises(error, match=match):
+        replace(s, h=poly)
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_shift_check_refuses_a_twist_the_base_does_not_have(q):
-    # blocks read modulo x^m - lam' keep every relation inside a block; as
-    # h g = x^m - lam, sigma(row t - 1) + sum h_u row u is (lam' - lam) x^e per
-    # block a x^e g, and p = 2 selects e = 0 only: each failure is at a block start
+    # the certified base's rows, each block read modulo x^m - lam' by the scalar
+    # oracle.  x^(e+u) g reduces once e + u >= t, so with the selected shift e = 1
+    # row 1 of that block starts with lam' times the last cell of row 0, where
+    # sigma expects lam times it: the check fails at that block start
     s = base(q, 2, False)
+    code, G = build_two_weight(s, 2, selection=((1, 1),))
     other = next(lam for lam in range(1, q) if lam != s.lam)
-    _, G = build_two_weight(replace(s, lam=other), 2)
-    W = weight_distribution(G)
+    f, m, g = s.field, s.m, s.g.coeffs
+    groups = ([(1, 0)] * code.p, [(0, 0), *code.selection])  # (a, e): block a x^e g
+    rows = np.array([[v for a, e in group
+                      for v in residue(f, poly_mul(f, (0,) * (e + u) + (a,), g), m, other)]
+                     for group in groups for u in range(s.t)], dtype=G.rows.dtype)
+    H = GeneratorMatrix(rows=rows, provenance=code)
+    assert not np.array_equal(H.rows, G.rows)
+    assert construction.orbit(H) is None
+    W = weight_distribution(H)
     assert W.method == "transform"
-    assert W.counts == naive_weight_counts(G.field, G.rows)
+    assert W.counts == naive_weight_counts(H.field, H.rows)
+
+
+@pytest.mark.parametrize("q, t", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_every_base_the_constructor_accepts_has_an_exact_orbit_spectrum(q, t):
+    # every monic h of degree t, both variants: a base is refused, or its codes'
+    # orbit spectra equal the full transform over all q^(2t) messages
+    field = field_from_order(q)
+    accepted = refused = 0
+    for tail, variant in product(product(range(q), repeat=t),
+                                 (construction.CONSTA_CYCLIC, construction.CYCLIC)):
+        try:
+            s = SimplexSpec(field, t, Poly(field, tail + (1,)), variant)
+        except VerificationError:
+            refused += 1
+            continue
+        accepted += 1
+        for p in (2, 3):
+            _, G = build_two_weight(s, p)
+            W = weight_distribution(G)
+            assert W.method == "orbit", (tail, variant, p)
+            assert W.counts == weight_distribution_of_rows(G.field, G.rows).counts, (tail, variant, p)
+    assert accepted and refused
 
 
 def test_non_primitive_cyclic_bases_take_the_orbit_path():
