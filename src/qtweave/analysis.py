@@ -45,30 +45,26 @@ bincount over the columns then gives the zero counts of the chunk's q
 messages in O(n + q) cells, where one step would gather q^3.  So the step
 index is built only over fields with q <= 45, at most 0.6 MiB.
 
-A caller may weight the messages by their leading symbol: with multiplicities
-M[0..q-1], a message whose first coordinate is u counts M[u] times, and
-prefixes whose leading symbol has M[u] = 0 are skipped.  The counts then stand
-for q^(k-1) sum(M) messages, which must be a power q^K of q; K is the
-dimension reported.  Whatever the weights, every computed slice of nonzero
-leading symbol must give the same weight histogram: u -> c u is a
-weight-preserving bijection between the messages with leading symbol 1 and
-those with leading symbol c, for any linear code.
-
 The histograms are tallied over the zero counts that occur, not over q (n + 1)
 cells: each chunk's zero counts z, keyed z q + u by their leading symbol u,
 are sorted once and counted run by run into one dict of exact Python ints
 over all chunks, which is split into (z, u) once per distinct key at the end.
 A zero count outside 0..n would be read as a weight of no codeword, so the
 ends of each chunk's sorted keys are checked before they are counted, and
-such a count raises VerificationError.
+such a count raises VerificationError.  Every computed slice of nonzero
+leading symbol must give the same weight histogram: u -> c u is a
+weight-preserving bijection between the messages with leading symbol 1 and
+those with leading symbol c, for any linear code.
 
 For a generator of this package the transform runs over t + 1 rows instead
-of 2t, weighted (1, q^t - 1, 0, ...), by the orbit reduction that
-``construction.orbit`` proves (its module docstring): it checks the
-consta-shift on the rows and hands over the orbit rows, their column keys
-and the weights, and the transform indexes by those keys.  Any other
-generator gets the full transform over all q^k messages, and
-``WeightDistribution.method`` says which one ran.
+of 2t, by the orbit reduction that ``construction.orbit`` proves (its module
+docstring): it checks the consta-shift on the 2t rows and returns the column
+keys of the orbit rows [top row 0; bottom group].  Given them, the engine
+derives the rest from the number of rows: a message of leading symbol u
+counts M[u] times, M = (1, q^t - 1, 0, ...), so chunk prefixes of leading
+symbol 2..q-1 are skipped, and the counts stand for the q^(2t) messages of
+the code the rows span.  Any other generator gets the full transform over
+all q^k messages, and ``WeightDistribution.method`` says which one ran.
 
 Projectivity follows from the exact spectrum without another pass over the
 columns.  The first two Pless power moments (MacWilliams & Sloane, ch. 5)
@@ -81,7 +77,6 @@ independent check the tests compare it with.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -105,7 +100,7 @@ class WeightDistribution:
     k: int
     q: int
     counts: dict  # weight -> number of codewords, weight 0 included
-    method: str = "transform"  # "orbit" when weight_distribution used the consta-shift reduction
+    method: str = "transform"  # "orbit" when the transform ran over orbit keys
 
     def nonzero_weights(self) -> tuple[int, ...]:
         return tuple(sorted(w for w, c in self.counts.items() if w > 0 and c > 0))
@@ -146,19 +141,16 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, field: Field) -> np.ndarr
     return A.reshape(q, -1)[0]
 
 
-def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
-                                multiplicity=None, *, keys=None) -> WeightDistribution:
+def weight_distribution_of_rows(field: Field, rows, budget: int | None = None, *,
+                                orbit_keys=None) -> WeightDistribution:
     """Exact weight counts of the code spanned by the rows of a (k, n) array or list.
 
-    With multiplicity M (one count per leading symbol, module docstring) the
-    messages of leading symbol u count M[u] times; by default each counts once.
-    keys, when given, are the rows' n column keys (``fields.column_keys``, of
-    dtype ``fields.key_dtype(q, k)``), which a caller that has proved them
-    passes instead of having them computed: the rows then give k alone, and
-    their entries are not read.
+    orbit_keys, when given, are the column keys that ``construction.orbit``
+    returns for k generator rows: the transform runs over them, weighted by
+    leading symbol (module docstring), and the rows give k alone.
     """
     q = field.q
-    if keys is None:
+    if orbit_keys is None:
         try:
             gen = np.asarray(rows)
         except ValueError:
@@ -167,31 +159,23 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
             raise ParameterError("need at least one nonempty row")
         k, n = gen.shape
     else:
-        k, n = len(rows), len(keys)
+        k, n = len(rows), len(orbit_keys)
     if n > _MAX_LENGTH:
         raise ParameterError(f"length {n} exceeds the 32-bit column counts ({_MAX_LENGTH})")
-    # a list, not tuple(map(...)), which would strand a resized tuple on a free list per call
-    mult = [1] * q if multiplicity is None else [operator.index(m) for m in multiplicity]
-    if len(mult) != q or min(mult) < 0:
-        raise ParameterError(f"need {q} nonnegative multiplicities, got {mult}")
-    total = q ** (k - 1) * sum(mult)
-    dim = k - 1
-    while q**dim < total:
-        dim += 1
-    if q**dim != total:
-        raise ParameterError(f"multiplicities {mult} do not total a power of {q}")
-    check_budget(q, dim, DEFAULT_BUDGET if budget is None else budget)
-    if keys is None:
+    check_budget(q, k, DEFAULT_BUDGET if budget is None else budget)
+    if orbit_keys is None:
         if not in_field(gen, q):
             raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
-        keys = column_keys(gen, q)
+        keys, width, mult = column_keys(gen, q), k, [1] * q
+    else:  # the orbit weights by leading symbol (module docstring)
+        keys, width, mult = orbit_keys, k // 2 + 1, [1, q ** (k // 2) - 1] + [0] * (q - 2)
     add, mul, neg, inv = field.tables
     r = 0
-    while r < k and q ** (k - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
+    while r < width and q ** (width - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
         r += 1
-    if r == k - 1:  # one step's q^3 gather per chunk costs more than a sweep of the last row
-        r = k
-    steps = k - r
+    if r == width - 1:  # one step's q^3 gather per chunk costs more than a sweep of the last row
+        r = width
+    steps = width - r
     cells = q**steps
     looped = r if steps else r - 1  # with no step, the last row is swept whole per chunk
     if not steps:  # columns with a nonzero entry a_j in the last row first, and -1/a_j for them
@@ -245,12 +229,12 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None,
     result = {}
     for m, hist in zip(mult, hists):
         for w, c in hist.items():
-            result[w] = result.get(w, 0) + m * c  # Python ints, however large M is
+            result[w] = result.get(w, 0) + m * c  # Python ints, however large q^t is
     result = {w: c for w, c in sorted(result.items()) if c}
-    if sum(result.values()) != total:
+    if sum(result.values()) != q**k:
         raise VerificationError(f"spectrum: the transform counted {sum(result.values())} "
-                                f"codewords, not {total}")
-    return WeightDistribution(n=n, k=dim, q=q, counts=result)
+                                f"codewords, not {q**k}")
+    return WeightDistribution(n, k, q, result, "transform" if orbit_keys is None else "orbit")
 
 
 @dataclass(frozen=True)
@@ -280,13 +264,8 @@ class GriesmerReport:
 
 def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> WeightDistribution:
     """Exact weight counts of G: the orbit reduction when sigma holds, else the full transform."""
-    orbit = construction.orbit(G)
-    if orbit is None:
-        return weight_distribution_of_rows(G.field, G.rows, budget=budget)
-    rows, keys, multiplicity = orbit
-    W = weight_distribution_of_rows(G.field, rows, budget=budget, multiplicity=multiplicity,
-                                    keys=keys)
-    return WeightDistribution(W.n, W.k, W.q, W.counts, "orbit")
+    return weight_distribution_of_rows(G.field, G.rows, budget=budget,
+                                       orbit_keys=construction.orbit(G))
 
 
 def min_distance(W: WeightDistribution) -> int:

@@ -33,6 +33,9 @@ from .polynomial import Poly, find_primitive
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_BYTES = np.frombuffer(_DIGITS.encode(), np.uint8)
+# each byte's value as a lowercase base-36 digit, 255 for none: the JSON re-read's own decoder
+_DIGIT_VALUES = np.array([int(c, 36) if c.isascii() and (c.isdigit() or c.islower()) else 255
+                          for c in map(chr, range(256))], np.uint8)
 _CHUNK = 1 << 20  # bytes of the written file compared at once by the round trip
 
 EXIT_OK = 0
@@ -400,12 +403,15 @@ def _holds_exactly(path, parts) -> bool:
 
 
 def _roundtrip_json(payload, G, budget) -> bool:
-    """The payload must rebuild through _build to the rows of G and its own code fields.
+    """The written digit strings must decode to the rows of G, and the payload rebuild to them.
 
-    The rebuild proves that the exported fields describe the exported code.
-    The weight counts are the export's own spectrum, so no second one runs,
-    and the rows are compared as arrays, not encoded again.
+    The strings are decoded by one gather from _DIGIT_VALUES, not by the
+    writer's table.  The rebuild through _build proves that the exported
+    fields describe the exported code.  The weight counts are the export's
+    own spectrum, so no second one runs.
     """
+    strings = payload["generator_rows"]
+    cells = _DIGIT_VALUES[np.frombuffer("".join(strings).encode(), np.uint8)]
     try:  # fields that describe no code, or one beyond the budget, do not read back
         field = fields.field_create(payload["q_characteristic"], payload["q_degree"])
         cyclic = payload["simplex_variant"] == construction.CYCLIC
@@ -415,7 +421,8 @@ def _roundtrip_json(payload, G, budget) -> bool:
                                None if qt_simplex else payload["selection"], h, g, cyclic)
     except (ParameterError, BudgetExceededError):
         return False
-    return (np.array_equal(rebuilt.rows, G.rows)
+    return ([len(row) for row in strings] == [G.n] * G.k and np.array_equal(cells, G.rows.ravel())
+            and np.array_equal(rebuilt.rows, G.rows)
             and all(payload[key] == value for key, value in _code_fields(code).items()))
 
 

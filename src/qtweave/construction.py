@@ -64,7 +64,8 @@ units, as x is one: h(0) g(0) = -lam != 0.  F_q[x]/(h) is thus a field, and
 
 The same checks certify that the h of a consta-cyclic base is primitive, so
 a supplied h or g gets no other test: one that fails them is a
-ParameterError, as is an h over another field or not monic of degree t;
+ParameterError, as are an h over another field or not monic of degree t
+and a variant other than consta-cyclic or cyclic (checked first);
 q^t above the bound of the primitive search raises BudgetExceededError
 before the division.  With lam = x^m of order q - 1, the powers
 x^(im + j) = lam^i x^j modulo h, i < q - 1 and j < m, are the q^t - 1
@@ -87,11 +88,11 @@ that of (x a, x b), and keeps its weight, as it only shifts and scales by
 lam != 0.  By the corollary the spectrum is then one transform over the
 rows [top row 0; bottom group]: the pairs (0, v), counted once, and (1, v),
 counted q^t - 1 times.  ``orbit`` checks sigma on a generator's rows and
-hands the spectrum of ``analysis`` those t + 1 rows, their column keys and
-those weights, or returns None, and the full transform runs.  The simplex
-check is certified once per base, when it is constructed; the spectrum
-checks the total q^(2t) on every call, along with the slices of leading
-symbol 2..q-1 repeating the histogram of slice 1.
+hands the spectrum of ``analysis`` the column keys of those t + 1 rows, from
+which it derives those weights, or returns None, and the full transform
+runs.  The simplex check is certified once per base, when it is
+constructed; the spectrum checks the total q^(2t) on every call, along with
+the slices of leading symbol 2..q-1 repeating the histogram of slice 1.
 
 sigma is checked one key per column.  In a row group, let r_u[j] be entry j
 of row u within one block of width m, and c_j = (r_0[j], ..., r_(t-1)[j]) its
@@ -116,9 +117,8 @@ first check.  Each has q^t entries of the dtype of the column keys of t rows
 (``fields.key_dtype``): at most 2^20 entries (4 MiB of uint32), as the
 primitive search bounds q^t; wrap is built only when lam != 1, never for
 q = 2.  The check keys both row groups once, gathers n keys from a table
-per group, and compares.  Then the keys of the orbit rows are top row 0's
-entry times q^t plus the bottom group's key, and the transform indexes by
-them: the orbit rows are neither copied nor keyed again.
+per group, and compares.  The orbit rows' keys are then top row 0's entry
+times q^t plus the bottom group's key: no orbit row is copied or keyed again.
 """
 
 from __future__ import annotations
@@ -166,6 +166,9 @@ class SimplexSpec:
 
     def __post_init__(self):
         field, t, h, q = self.field, self.t, self.h, self.field.q
+        if self.variant not in (CONSTA_CYCLIC, CYCLIC):
+            raise ParameterError(f"variant must be {CONSTA_CYCLIC!r} or {CYCLIC!r}, "
+                                 f"got {self.variant!r}")
         if h.field != field:
             raise ParameterError("h belongs to a different field")
         if h.degree != t or not h.is_monic():
@@ -493,15 +496,11 @@ def full_block_matrix(code: QtCodeSpec) -> np.ndarray:
     return _assemble_rows(code, code.simplex.m)
 
 
-def orbit(G: GeneratorMatrix) -> tuple[list[np.ndarray], np.ndarray, tuple[int, ...]] | None:
-    """The rows, column keys and weights of G's orbit-reduced spectrum, or None.
+def orbit(G: GeneratorMatrix) -> np.ndarray | None:
+    """The column keys, of dtype ``fields.key_dtype(q, t + 1)``, of G's orbit rows, or None.
 
-    When sigma holds on G (module docstring), these are the t + 1 rows
-    [top row 0; bottom group] as views of G.rows, their column keys (of dtype
-    ``fields.key_dtype(q, t + 1)``), which stand for their entries, and the
-    multiplicities (1, q^t - 1, 0, ...) by leading symbol.  Rows whose shape
-    or entries do not fit the code and a failed check give None, not an
-    exception.
+    The orbit rows are [top row 0; bottom group].  Rows whose shape or entries
+    do not fit the code and a failed sigma check give None, not an exception.
     """
     code = G.provenance
     s = code.simplex
@@ -514,5 +513,4 @@ def orbit(G: GeneratorMatrix) -> tuple[list[np.ndarray], np.ndarray, tuple[int, 
             and (wrap.take(blocks[..., 0]) == blocks[..., -1]).all()):
         return None
     index = np.multiply(rows[0], q**t, dtype=key_dtype(q, t + 1))
-    index += keys[1]
-    return [rows[0], *rows[t:]], index, (1, q**t - 1) + (0,) * (q - 2)
+    return np.add(index, keys[1], out=index)

@@ -347,7 +347,7 @@ def test_weight_distribution_of_rows_validation(gf3):
     keys = np.broadcast_to(np.uint8(0), (2**31,))
     with pytest.raises(ParameterError, match=r"^length 2147483648 exceeds the 32-bit column "
                                              r"counts \(2147483647\)$"):
-        weight_distribution_of_rows(gf3, [[0]], keys=keys)
+        weight_distribution_of_rows(gf3, [[0], [0]], orbit_keys=keys)
 
 
 def test_two_weights_hold_for_randomized_selections():

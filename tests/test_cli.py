@@ -400,6 +400,21 @@ def test_json_reimport_must_rebuild_to_the_exported_rows(tmp_path, capsys, monke
     assert err == ""
 
 
+def test_json_reimport_decodes_the_written_rows(tmp_path, capsys, monkeypatch):
+    # a digit table with 1 and 2 swapped wrote "112011201120" for row 0 and once
+    # read back as ok: the file held what was written, and the rebuild matched G
+    swapped = cli._DIGIT_BYTES.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    monkeypatch.setattr(cli, "_DIGIT_BYTES", swapped)
+    path = tmp_path / "code.json"
+    rc, out, err = run(capsys, "export", "--q", "3", "--t", "2", "--p", "3", "--format", "json",
+                       "--output", str(path), "--roundtrip")
+    assert json.loads(path.read_text())["generator_rows"][0] == "112011201120"
+    assert rc == 1
+    assert "round trip: MISMATCH" in out
+    assert err == ""
+
+
 def test_json_reimport_beyond_the_budget_is_a_mismatch_before_building(tmp_path, capsys,
                                                                        monkeypatch):
     build = construction.simplex_consta

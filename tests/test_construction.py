@@ -380,6 +380,17 @@ def test_the_derived_fields_of_a_base_cannot_be_replaced(s_ternary, name):
         replace(s_ternary, **{name: value})
 
 
+@pytest.mark.parametrize("h", [(2, 2, 1), (1, 0, 1)], ids=["primitive", "not primitive"])
+def test_a_base_of_an_unknown_variant_is_refused(gf3, s_ternary, h):
+    # x^2 + 2x + 2 once built a base reported as variant "bogus"; the variant is
+    # refused before the division, so x^2 + 1 raises no simplex check either
+    with pytest.raises(ParameterError, match="^variant must be 'consta-cyclic' or 'cyclic', "
+                                             "got 'bogus'$"):
+        SimplexSpec(gf3, 2, Poly(gf3, h), "bogus")
+    with pytest.raises(ParameterError, match="^variant must be "):
+        replace(s_ternary, variant="bogus")
+
+
 # small (q, t) for the differential test of the simplex check
 EQUIDISTANCE_CONFIGS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (9, 2))
 
