@@ -1,12 +1,12 @@
 """Exact verification: weight spectra, Griesmer bound, gap prediction, projectivity.
 
-Weight spectra come from a column-multiplicity transform; everything else
-here is checked against those spectra.  Each column c of a k x n generator
-is a point of F_q^k, and the codeword of a message u has weight
-n - #{columns c : u.c = 0}.  The engine buckets the n columns into a
-multiplicity array A[s, c] (s = 0 for every column) and then takes one step
-per coordinate: the column coordinate c_j is replaced by the message
-coordinate u_j while s tracks the partial inner product,
+Weight spectra come from a column-multiplicity transform, or from the points
+of a package code's blocks; everything else here is checked against them.
+Each column c of a k x n generator is a point of F_q^k, and the codeword of a
+message u has weight n - #{columns c : u.c = 0}.  The transform buckets the
+n columns into a multiplicity array A[s, c] (s = 0 for every column) and then
+takes one step per coordinate: the column coordinate c_j is replaced by the
+message coordinate u_j while s tracks the partial inner product,
 
     A'[s, ..., u_j, ...] = sum over c_j of A[s - u_j c_j, ..., c_j, ...].
 
@@ -51,20 +51,23 @@ are sorted once and counted run by run into one dict of exact Python ints
 over all chunks, which is split into (z, u) once per distinct key at the end.
 A zero count outside 0..n would be read as a weight of no codeword, so the
 ends of each chunk's sorted keys are checked before they are counted, and
-such a count raises VerificationError.  Every computed slice of nonzero
-leading symbol must give the same weight histogram: u -> c u is a
-weight-preserving bijection between the messages with leading symbol 1 and
-those with leading symbol c, for any linear code.
+such a count raises VerificationError.  Every slice of nonzero leading
+symbol must give the same weight histogram: u -> c u is a weight-preserving
+bijection between the messages with leading symbol 1 and those with leading
+symbol c, for any linear code.
 
-For a generator of this package the transform runs over t + 1 rows instead
-of 2t, by the orbit reduction that ``construction.orbit`` proves (its module
-docstring): it checks the consta-shift on the 2t rows and returns the column
-keys of the orbit rows [top row 0; bottom group].  Given them, the engine
-derives the rest from the number of rows: a message of leading symbol u
-counts M[u] times, M = (1, q^t - 1, 0, ...), so chunk prefixes of leading
-symbol 2..q-1 are skipped, and the counts stand for the q^(2t) messages of
-the code the rows span.  Any other generator gets the full transform over
-all q^k messages, and ``WeightDistribution.method`` says which one ran.
+A generator of this package whose consta-shift holds needs no transform.
+``construction.points`` proves that the message (a, b) in K^2,
+K = F_q[x]/(h), gives block j the word of a b_0j + b b_1j, of weight 0 or
+q^(t-1), so unless b_0j = b_1j = 0 the block vanishes on the q^t - 1 nonzero
+messages over one point P_j = (-b_1j : b_0j) of PG(1, q^t) (its module
+docstring).  Each of the q^t + 1 points P then carries q^t - 1 messages of
+weight q^(t-1) (live - c(P)), live counting the blocks not zero in both
+groups and c(P) those with P_j = P (Calderbank & Kantor 1986, section 3).
+By the column-0 keys that ``points`` hands over, the blocks of nonzero top
+lie on one point per bottom key and the rest on (1 : 0), so one np.unique
+gives every c(P), and ``WeightDistribution.method`` is "points".  Any other
+generator gets the full transform over all q^k messages, "transform".
 
 Projectivity follows from the exact spectrum without another pass over the
 columns.  The first two Pless power moments (MacWilliams & Sloane, ch. 5)
@@ -100,7 +103,7 @@ class WeightDistribution:
     k: int
     q: int
     counts: dict  # weight -> number of codewords, weight 0 included
-    method: str = "transform"  # "orbit" when the transform ran over orbit keys
+    method: str = "transform"  # "points" when tallied from the blocks' points
 
     def nonzero_weights(self) -> tuple[int, ...]:
         return tuple(sorted(w for w, c in self.counts.items() if w > 0 and c > 0))
@@ -142,40 +145,36 @@ def _zero_counts(flat: np.ndarray, q: int, steps: int, field: Field) -> np.ndarr
 
 
 def weight_distribution_of_rows(field: Field, rows, budget: int | None = None, *,
-                                orbit_keys=None) -> WeightDistribution:
+                                points=None) -> WeightDistribution:
     """Exact weight counts of the code spanned by the rows of a (k, n) array or list.
 
-    orbit_keys, when given, are the column keys that ``construction.orbit``
-    returns for k generator rows: the transform runs over them, weighted by
-    leading symbol (module docstring), and the rows give k alone.
+    points, when given, are the (2, blocks) column-0 keys that
+    ``construction.points`` returns for the rows: the counts are tallied from
+    the blocks' points (module docstring), and the rows give k and n alone.
     """
     q = field.q
-    if orbit_keys is None:
-        try:
-            gen = np.asarray(rows)
-        except ValueError:
-            raise ParameterError("rows have unequal lengths") from None
-        if gen.ndim != 2 or not gen.size:
-            raise ParameterError("need at least one nonempty row")
-        k, n = gen.shape
-    else:
-        k, n = len(rows), len(orbit_keys)
+    try:
+        gen = np.asarray(rows)
+    except ValueError:
+        raise ParameterError("rows have unequal lengths") from None
+    if gen.ndim != 2 or not gen.size:
+        raise ParameterError("need at least one nonempty row")
+    k, n = gen.shape
     if n > _MAX_LENGTH:
         raise ParameterError(f"length {n} exceeds the 32-bit column counts ({_MAX_LENGTH})")
     check_budget(q, k, DEFAULT_BUDGET if budget is None else budget)
-    if orbit_keys is None:
-        if not in_field(gen, q):
-            raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
-        keys, width, mult = column_keys(gen, q), k, [1] * q
-    else:  # the orbit weights by leading symbol (module docstring)
-        keys, width, mult = orbit_keys, k // 2 + 1, [1, q ** (k // 2) - 1] + [0] * (q - 2)
+    if points is not None:
+        return _point_counts(q, k, n, np.asarray(points))
+    if not in_field(gen, q):
+        raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
+    keys = column_keys(gen, q)
     add, mul, neg, inv = field.tables
     r = 0
-    while r < width and q ** (width - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
+    while r < k and q ** (k - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
         r += 1
-    if r == width - 1:  # one step's q^3 gather per chunk costs more than a sweep of the last row
-        r = width
-    steps = width - r
+    if r == k - 1:  # one step's q^3 gather per chunk costs more than a sweep of the last row
+        r = k
+    steps = k - r
     cells = q**steps
     looped = r if steps else r - 1  # with no step, the last row is swept whole per chunk
     if not steps:  # columns with a nonzero entry a_j in the last row first, and -1/a_j for them
@@ -190,8 +189,6 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None, *
     leads = np.arange(q)[:, None]
     tally = {}  # zero count * q + leading symbol -> messages, over all chunks
     for prefix in product(range(q), repeat=looped):
-        if prefix and not mult[prefix[0]]:
-            continue
         if r:
             s = np.zeros(n, dtype=add.dtype)
             for u, row in zip(prefix, fixed):
@@ -218,23 +215,36 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None, *
             tally[run] = tally.get(run, 0) + end - start
             start = end
         del zeros, key  # this chunk's A-sized arrays must not outlive it into the next chunk
-    hists = [{} for _ in range(q)]  # weight -> messages per leading symbol
-    for run, count in tally.items():
+    hists, result = [{} for _ in range(q)], {}  # weight -> messages, per leading symbol and all
+    for run, count in sorted(tally.items(), reverse=True):  # by weight n - z, ascending
         z, u = divmod(run, q)
         hists[u][n - z] = count
-    computed = [hists[u] for u in range(1, q) if not looped or mult[u]]
-    if any(hist != computed[0] for hist in computed[1:]):
+        result[n - z] = result.get(n - z, 0) + count  # Python ints, however large q^k is
+    if any(hist != hists[1] for hist in hists[2:]):
         raise VerificationError("spectrum: nonzero leading symbols gave different weight "
                                 "histograms")
-    result = {}
-    for m, hist in zip(mult, hists):
-        for w, c in hist.items():
-            result[w] = result.get(w, 0) + m * c  # Python ints, however large q^t is
-    result = {w: c for w, c in sorted(result.items()) if c}
     if sum(result.values()) != q**k:
         raise VerificationError(f"spectrum: the transform counted {sum(result.values())} "
                                 f"codewords, not {q**k}")
-    return WeightDistribution(n, k, q, result, "transform" if orbit_keys is None else "orbit")
+    return WeightDistribution(n, k, q, result)
+
+
+def _point_counts(q: int, k: int, n: int, points: np.ndarray) -> WeightDistribution:
+    """The counts of k = 2t rows from the column-0 keys of their blocks (module docstring)."""
+    t, blocks = k // 2, points.shape[-1]
+    if (k % 2 or points.shape != (2, blocks) or n * (q - 1) != blocks * (q**t - 1)
+            or not in_field(points, q**t)):
+        raise ParameterError(f"points must be 2 x n/m keys below q^(k/2), got {points.shape}")
+    top, bottom = points
+    # blocks of nonzero top (one element) lie on a point per bottom key, the rest on (1 : 0)
+    per_point = np.append(np.unique(bottom[top != 0], return_counts=True)[1],
+                          np.count_nonzero(bottom[top == 0]))
+    live, unit, qt = int(per_point.sum()), q ** (t - 1), q**t
+    sizes, freq = np.unique(per_point, return_counts=True)
+    counts = {0: 1}  # the zero message, then q^t - 1 messages per point
+    for c, f in zip([0, *sizes.tolist()], [qt + 1 - per_point.size, *freq.tolist()]):
+        counts[unit * (live - c)] = counts.get(unit * (live - c), 0) + f * (qt - 1)
+    return WeightDistribution(n, k, q, {w: c for w, c in sorted(counts.items()) if c}, "points")
 
 
 @dataclass(frozen=True)
@@ -263,9 +273,9 @@ class GriesmerReport:
 
 
 def weight_distribution(G: GeneratorMatrix, budget: int | None = None) -> WeightDistribution:
-    """Exact weight counts of G: the orbit reduction when sigma holds, else the full transform."""
+    """Exact weight counts of G: its blocks' points when sigma holds, else the full transform."""
     return weight_distribution_of_rows(G.field, G.rows, budget=budget,
-                                       orbit_keys=construction.orbit(G))
+                                       points=construction.points(G))
 
 
 def min_distance(W: WeightDistribution) -> int:

@@ -54,13 +54,12 @@ a x^j g = a' x^j' g with (a, j) != (a', j') would give x^d g = c g for some
 0 < d < m, so column d of the base would be c^-1 times column 0; and
 a x^j g != 0, since x is a unit modulo x^m - lam.
 
-Corollary, the orbit property behind the reduced spectrum (``orbit``,
-lam = 1 included): as x^m - lam = g h, a x^j g = a' x^j' g exactly when h
-divides a x^j - a' x^j'.  So the q^t - 1 residues c x^j mod h (c in GF(q)^*,
-j < m) are distinct and nonzero, hence all nonzero residues (deg h = t), and
-units, as x is one: h(0) g(0) = -lam != 0.  F_q[x]/(h) is thus a field, and
-<x> x GF(q)^* moves each message pair (a, b) with a != 0 to exactly one pair
-(1, v), keeping its weight: the multiplicities are (1, q^t - 1, 0, ...).
+Corollary, the field behind the points spectrum (``points``, lam = 1
+included): as x^m - lam = g h, a x^j g = a' x^j' g exactly when h divides
+a x^j - a' x^j'.  So the q^t - 1 residues c x^j mod h (c in GF(q)^*, j < m)
+are distinct and nonzero, hence all nonzero residues (deg h = t), and units,
+as x is one: h(0) g(0) = -lam != 0.  K = F_q[x]/(h) is thus a field, and
+b -> b g mod (x^m - lam) maps it onto the simplex code.
 
 The same checks certify that the h of a consta-cyclic base is primitive, so
 a supplied h or g gets no other test: one that fails them is a
@@ -82,43 +81,36 @@ diagonal prove rank 2t, and any other minor is rejected without elimination.
 
 The blockwise lam-consta-shift sigma maps the word of x^u g to that of
 x^(u+1) g in every block.  When it maps top row u to row u + 1 for u < t - 1
-and row t - 1 to -sum h_u row u, and the bottom group likewise, sigma sends
-the codeword of the message pair (a, b), read as elements of F_q[x]/(h), to
-that of (x a, x b), and keeps its weight, as it only shifts and scales by
-lam != 0.  By the corollary the spectrum is then one transform over the
-rows [top row 0; bottom group]: the pairs (0, v), counted once, and (1, v),
-counted q^t - 1 times.  ``orbit`` checks sigma on a generator's rows and
-hands the spectrum of ``analysis`` the column keys of those t + 1 rows, from
-which it derives those weights, or returns None, and the full transform
-runs.  The simplex check is certified once per base, when it is
-constructed; the spectrum checks the total q^(2t) on every call, along with
-the slices of leading symbol 2..q-1 repeating the histogram of slice 1.
+and row t - 1 to -sum h_u row u, and the bottom group likewise, row 0 of each
+block is a word w with h w = 0 modulo x^m - lam = g h, so w = b g for one b
+in K, and row u is x^u b g.  The message (a, b) in K^2 then gives block j
+the word of a b_0j + b b_1j, zero or of weight q^(t-1), and the spectrum of
+``analysis`` counts it from the points (-b_1j : b_0j) of PG(1, q^t).
+``points`` checks sigma and hands over the column-0 key of every block,
+which fixes b, as column j > 0 is P^(m-j)(c_0) / lam (below).  It returns
+None when sigma fails or the nonzero top blocks differ (every build's top
+group repeats g), and the full transform runs.  The simplex check is
+certified once per base, when it is constructed.
 
 sigma is checked one key per column.  In a row group, let r_u[j] be entry j
 of row u within one block of width m, and c_j = (r_0[j], ..., r_(t-1)[j]) its
-column.  sigma maps row u to row u + 1 and row t - 1 to -sum h_u row u
-exactly when, cell by cell,
+column.  Inside a block, sigma maps row u to row u + 1 and row t - 1 to
+-sum h_u row u exactly when, cell by cell,
 
-    r_(u+1)[j] = r_u[j-1] (u < t - 1)  and  r_(t-1)[j-1] = -sum h_u r_u[j],  0 < j < m,
-    r_(u+1)[0] = lam r_u[m-1] (u < t - 1)  and  lam r_(t-1)[m-1] = -sum h_u r_u[0].
+    r_(u+1)[j] = r_u[j-1] (u < t - 1)  and  r_(t-1)[j-1] = -sum h_u r_u[j],  0 < j < m.
 
 Let P move the digits of a column up one row and put -sum h_u c_u last: in
 rows x^u w, u < t, a column is a state of the linear recurrence of h and P
-steps it back.  The t equalities of the first line at j are the t digits of
-c_(j-1) = P(c_j); those of the second line, each times 1/lam, are the t
-digits of c_(m-1) = P(c_0) / lam.  So each cell condition is one digit of
-one column equality and each digit one condition: the two sets of
-conditions are the same.  Only lam != 0 is inverted, never h_0; a column's
-successor would need 1/h_0 for its new first digit.  Base-q keys are
-one-to-one on columns of elements, so the column equalities read
-key(c_(j-1)) = pred[key(c_j)] and key(c_(m-1)) = wrap[key(c_0)], with pred
-and wrap the base's tables of P and P / lam over all q^t keys, built on its
-first check.  Each has q^t entries of the dtype of the column keys of t rows
-(``fields.key_dtype``): at most 2^20 entries (4 MiB of uint32), as the
-primitive search bounds q^t; wrap is built only when lam != 1, never for
-q = 2.  The check keys both row groups once, gathers n keys from a table
-per group, and compares.  The orbit rows' keys are then top row 0's entry
-times q^t plus the bottom group's key: no orbit row is copied or keyed again.
+steps it back.  The t equalities at j are the t digits of c_(j-1) = P(c_j).
+The block start, c_(m-1) = P(c_0) / lam, follows: P is the companion map of
+h, so P^m = lam I as x^m - lam = g h, and c_0 = P^(m-1) c_(m-1).  Only
+lam != 0 is inverted, never h_0; a column's successor would need 1/h_0 for
+its new first digit.  Base-q keys are one-to-one on columns of elements, so
+the check reads key(c_(j-1)) = pred[key(c_j)], with pred the base's table of
+P over all q^t keys, built on its first check: q^t entries of the dtype of
+the column keys of t rows (``fields.key_dtype``), at most 2^20 (4 MiB of
+uint32), as the primitive search bounds q^t.  The check keys both row groups
+once, gathers n - blocks keys from the table, and compares.
 """
 
 from __future__ import annotations
@@ -234,17 +226,15 @@ class SimplexSpec:
         return _windows(table, self.m)
 
     @cached_property
-    def _pred(self) -> tuple[np.ndarray, np.ndarray]:
-        """(pred, wrap), read-only and indexed by the base-q key of a column of a row group.
+    def _pred(self) -> np.ndarray:
+        """pred[K], read-only: the key of the column before a column of key K in a row group.
 
-        pred[K] is the key of the column before a column of key K: the digits
-        move up one row, and the last row gets -sum h_u row u (module
-        docstring).  At a block start the column before is 1/lam times that,
-        wrap[K]; wrap is pred when lam = 1.  The last digit is one broadcast
-        add per nonzero tap of h, so no entry is built in Python.
+        The digits move up one row, and the last row gets -sum h_u row u
+        (module docstring).  The last digit is one broadcast add per nonzero
+        tap of h, so no entry is built in Python.
         """
         q, t, h = self.q, self.t, self.h
-        add, mul, neg, inv = self.field.tables
+        add, mul, neg, _ = self.field.tables
         last = np.zeros((1,) * t, dtype=add.dtype)  # axis u is the digit of row u
         for u, c in enumerate(h.coeffs[:t]):
             if c:
@@ -252,16 +242,8 @@ class SimplexSpec:
         dtype = key_dtype(q, t)
         low = np.arange(0, q**t, q, dtype=dtype).reshape((1,) + (q,) * (t - 1))  # (K mod q^(t-1)) q
         pred = np.add(low, last, out=np.empty((q,) * t, dtype=dtype)).reshape(-1)
-        wrap = pred
-        if self.lam != 1:
-            scale = mul[inv[self.lam]].astype(dtype)  # one digit times 1/lam
-            scaled = scale
-            for _ in range(t - 1):  # the key of K / lam, one more digit per step
-                scaled = np.add.outer(scaled * q, scale).reshape(-1)
-            wrap = scaled[pred]
-            wrap.setflags(write=False)
         pred.setflags(write=False)
-        return pred, wrap
+        return pred
 
     @cached_property
     def _lower(self) -> np.ndarray:
@@ -496,21 +478,21 @@ def full_block_matrix(code: QtCodeSpec) -> np.ndarray:
     return _assemble_rows(code, code.simplex.m)
 
 
-def orbit(G: GeneratorMatrix) -> np.ndarray | None:
-    """The column keys, of dtype ``fields.key_dtype(q, t + 1)``, of G's orbit rows, or None.
+def points(G: GeneratorMatrix) -> np.ndarray | None:
+    """The column-0 keys of the blocks of G's two row groups, (2, blocks), or None.
 
-    The orbit rows are [top row 0; bottom group].  Rows whose shape or entries
-    do not fit the code and a failed sigma check give None, not an exception.
+    The keys are of dtype ``fields.key_dtype(q, t)``.  Rows whose shape or
+    entries do not fit the code, a failed sigma check and nonzero top blocks
+    that differ give None, not an exception.
     """
     code = G.provenance
     s = code.simplex
-    (pred, wrap), rows, t, q = s._pred, G.rows, s.t, s.q
+    rows, t, q = G.rows, s.t, s.q
     if rows.shape != (2 * t, code.n) or not in_field(rows, q):
         return None
-    keys = column_keys(rows.reshape(2, t, code.n), q)  # of pred's dtype, key_dtype(q, t)
-    blocks = keys.reshape(2, code.block_count, s.m)
-    if not ((pred.take(blocks[..., 1:]) == blocks[..., :-1]).all()
-            and (wrap.take(blocks[..., 0]) == blocks[..., -1]).all()):
+    blocks = column_keys(rows.reshape(2, t, code.n), q).reshape(2, code.block_count, s.m)
+    if not (s._pred.take(blocks[..., 1:]) == blocks[..., :-1]).all():
         return None
-    index = np.multiply(rows[0], q**t, dtype=key_dtype(q, t + 1))
-    return np.add(index, keys[1], out=index)
+    starts = blocks[..., 0]
+    top = starts[0][starts[0] != 0]
+    return None if (top != top[:1]).any() else starts

@@ -343,11 +343,11 @@ def test_weight_distribution_of_rows_validation(gf3):
         weight_distribution_of_rows(gf3, [(1, 2), (1,)])
     with pytest.raises(ParameterError):
         weight_distribution_of_rows(gf3, [(1, 3)])  # 3 is not an element of GF(3)
-    # a zero-stride view: 2^31 column keys in one byte
-    keys = np.broadcast_to(np.uint8(0), (2**31,))
+    # zero-stride views: two rows of 2^31 columns and their points in one byte each
+    rows = points = np.broadcast_to(np.uint8(0), (2, 2**31))
     with pytest.raises(ParameterError, match=r"^length 2147483648 exceeds the 32-bit column "
                                              r"counts \(2147483647\)$"):
-        weight_distribution_of_rows(gf3, [[0], [0]], orbit_keys=keys)
+        weight_distribution_of_rows(gf3, rows, points=points)
 
 
 def test_two_weights_hold_for_randomized_selections():

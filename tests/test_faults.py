@@ -100,6 +100,7 @@ def test_an_srg_identity_that_fails_names_the_stage(capsys, monkeypatch):
 
 def test_a_transform_that_miscounts_every_slice_alike_fails_its_total(capsys, monkeypatch):
     # one extra weight-0 word per leading symbol: the slices still agree, the total does not
+    monkeypatch.setattr(construction, "points", lambda G: None)  # the transform runs
     original = analysis._zero_counts
 
     def extra_word(flat, q, *args):
@@ -111,6 +112,7 @@ def test_a_transform_that_miscounts_every_slice_alike_fails_its_total(capsys, mo
 
 def test_a_zero_count_outside_0_to_n_names_the_stage(capsys, monkeypatch):
     # n + 1 columns orthogonal to one message: no weight of a codeword, so no tally key
+    monkeypatch.setattr(construction, "points", lambda G: None)  # the transform runs
     original = analysis._zero_counts
 
     def too_many(flat, *args):
@@ -123,12 +125,12 @@ def test_a_zero_count_outside_0_to_n_names_the_stage(capsys, monkeypatch):
 
 
 def test_a_failed_shift_check_runs_the_full_transform_to_the_same_report(capsys, monkeypatch):
-    rc, orbit, _ = analyze(capsys, 3, 2, p=4)
-    assert rc == 0 and "spectrum method: orbit" in orbit
-    monkeypatch.setattr(construction, "orbit", lambda G: None)
+    rc, points, _ = analyze(capsys, 3, 2, p=4)
+    assert rc == 0 and "spectrum method: points" in points
+    monkeypatch.setattr(construction, "points", lambda G: None)
     rc, transform, err = analyze(capsys, 3, 2, p=4)
     assert rc == 0 and err == ""
-    assert transform == orbit.replace("spectrum method: orbit", "spectrum method: transform")
+    assert transform == points.replace("spectrum method: points", "spectrum method: transform")
 
 
 def test_a_gap_that_misses_its_prediction_fails_the_verdict(capsys, monkeypatch):

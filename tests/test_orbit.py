@@ -1,12 +1,15 @@
-"""The orbit-reduced spectrum against two independent exact methods, and its refusals.
+"""The points spectrum against two independent exact methods, and its refusals.
 
-``analysis.weight_distribution`` runs one transform over t + 1 rows when the
-consta-shift check holds; the simplex check of the construction proves the
-orbit counts for every base, consta-cyclic or cyclic (lam = 1, where h is
-not primitive once q > 2).  Every case here is compared with the full
-transform over all q^k messages and, while q^k <= 256, with the scalar oracle
-of ``conftest``.  A generator that breaks the shift relation or has the wrong
-shape must take the full transform and still give the oracle's counts.
+``analysis.weight_distribution`` tallies a package code's spectrum from the
+points of PG(1, q^t) its blocks lie on when the consta-shift check holds.
+The nonzero messages (a, b) over one point are one orbit of the units c of
+K = F_q[x]/(h), acting as (c a, c b), so the tests call that the orbit path;
+the simplex check of the construction proves its counts for every base,
+consta-cyclic or cyclic (lam = 1, where h is not primitive once q > 2).
+Every case here is compared with the full transform over all q^k messages
+and, while q^k <= 256, with the scalar oracle of ``conftest``.  A generator
+that breaks the shift relation, has the wrong shape or nonzero top blocks
+that differ must take the full transform and still give the oracle's counts.
 """
 
 import random
@@ -56,7 +59,7 @@ def qt_codes(draw):
 
 
 def assert_exact(G, W):
-    """W against the full transform and, for small codes, the scalar oracle."""
+    """W against the full transform over G.rows and, for small codes, the scalar oracle."""
     assert W.counts == weight_distribution_of_rows(G.field, G.rows).counts
     if G.field.q**G.k <= ORACLE_MESSAGES:
         assert W.counts == naive_weight_counts(G.field, G.rows)
@@ -69,14 +72,14 @@ def assert_exact(G, W):
 def test_orbit_path_matches_full_transform_and_oracle(split, data):
     code, G = data.draw(qt_codes())
     q, t = code.simplex.q, code.simplex.t
+    W = weight_distribution(G)
+    assert W.method == "points"  # consta-cyclic or cyclic, whatever q
     with pytest.MonkeyPatch.context() as mp:
         if split:
-            # the orbit transform has t + 1 rows; chunks of q^j cells fix a prefix
-            # of min(t + 1, t + 3 - j) of them, and j <= 2 splits down to single messages
-            mp.setattr(analysis, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, t + 2)))
-        W = weight_distribution(G)
-    assert W.method == "orbit"  # consta-cyclic or cyclic, whatever q
-    assert_exact(G, W)
+            # the reference transform has 2t rows; chunks of q^j cells fix a prefix
+            # of min(2t, 2t + 2 - j) of them, and j <= 2 splits down to single messages
+            mp.setattr(analysis, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, 2 * t + 2)))
+        assert_exact(G, W)
 
 
 @pytest.mark.parametrize("p", [2, 3, 17**2])
@@ -86,14 +89,14 @@ def test_orbit_path_over_gf17_matches_full_transform(p):
     s = base(17, 2, False)
     code, G = build_qt_simplex(s) if p == 17**2 else build_two_weight(s, p)
     W = weight_distribution(G)
-    assert W.method == "orbit"
+    assert W.method == "points"
     assert_exact(G, W)
 
 
 def test_every_sweep_code_takes_the_orbit_path(sweep):
     # a silent fallback costs the full transform, so it must fail here
     for q, t, p, code, G, W, _ in sweep:
-        assert W.method == "orbit", (q, t, p)
+        assert W.method == "points", (q, t, p)
         assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == (
             expected_counts(code))
 
@@ -105,7 +108,7 @@ def test_heavy_points_take_the_orbit_path(q, t, p, cyclic):
     # beyond the default budget's practical reach for the full transform
     code, G = build_two_weight(base(q, t, cyclic), p)
     W = weight_distribution(G, budget=q ** (2 * t))
-    assert W.method == "orbit" and W.total() == q ** (2 * t)
+    assert W.method == "points" and W.total() == q ** (2 * t)
     assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == expected_counts(code)
 
 
@@ -197,7 +200,7 @@ def test_shift_check_refuses_a_twist_the_base_does_not_have(q):
                      for group in groups for u in range(s.t)], dtype=G.rows.dtype)
     H = GeneratorMatrix(rows=rows, provenance=code)
     assert not np.array_equal(H.rows, G.rows)
-    assert construction.orbit(H) is None
+    assert construction.points(H) is None
     W = weight_distribution(H)
     assert W.method == "transform"
     assert W.counts == naive_weight_counts(H.field, H.rows)
@@ -206,7 +209,7 @@ def test_shift_check_refuses_a_twist_the_base_does_not_have(q):
 @pytest.mark.parametrize("q, t", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_every_base_the_constructor_accepts_has_an_exact_orbit_spectrum(q, t):
     # every monic h of degree t, both variants: a base is refused, or its codes'
-    # orbit spectra equal the full transform over all q^(2t) messages
+    # points spectra equal the full transform over all q^(2t) messages
     field = field_from_order(q)
     accepted = refused = 0
     for tail, variant in product(product(range(q), repeat=t),
@@ -220,7 +223,7 @@ def test_every_base_the_constructor_accepts_has_an_exact_orbit_spectrum(q, t):
         for p in (2, 3):
             _, G = build_two_weight(s, p)
             W = weight_distribution(G)
-            assert W.method == "orbit", (tail, variant, p)
+            assert W.method == "points", (tail, variant, p)
             assert W.counts == weight_distribution_of_rows(G.field, G.rows).counts, (tail, variant, p)
     assert accepted and refused
 
@@ -236,7 +239,7 @@ def test_non_primitive_cyclic_bases_take_the_orbit_path():
         for p in (2, 4):
             _, G = build_two_weight(s, p)
             W = weight_distribution(G)
-            assert W.method == "orbit"
+            assert W.method == "points"
             assert_exact(G, W)
             assert W.counts == naive_weight_counts(G.field, G.rows)
 
@@ -246,7 +249,7 @@ def test_orbit_path_keeps_the_budget_in_messages():
     with pytest.raises(BudgetExceededError) as err:
         weight_distribution(G, budget=2**8 - 1)
     assert (err.value.required, err.value.budget) == (2**8, 2**8 - 1)
-    assert weight_distribution(G, budget=2**8).method == "orbit"
+    assert weight_distribution(G, budget=2**8).method == "points"
 
 
 def small_code(q, t, cyclic, p):
@@ -257,35 +260,40 @@ def small_code(q, t, cyclic, p):
 @pytest.mark.parametrize("q, t, cyclic, p", SMALL_CODES, ids=lambda v: str(v))
 def test_predecessor_tables_match_the_scalar_oracle_on_every_key(q, t, cyclic, p):
     s = base(q, t, cyclic)
-    pred, wrap = s._pred
-    assert pred.size == wrap.size == q**t
+    pred = s._pred
+    assert pred.size == q**t
     assert pred.dtype == key_dtype(q, t) and not pred.flags.writeable
     assert pred.tolist() == [column_predecessor(s, key) for key in range(q**t)]
-    assert wrap.tolist() == [column_predecessor(s, key, at_block_start=True)
-                             for key in range(q**t)]
-    assert (wrap is pred) == (s.lam == 1)
+    # the block start needs no table: P^m = lam I, so m - 1 steps of pred followed by
+    # the block start's P / lam return every key to itself
+    keys = np.arange(q**t)
+    for _ in range(s.m - 1):
+        keys = pred[keys]
+    assert [column_predecessor(s, key, at_block_start=True) for key in keys.tolist()] == (
+        list(range(q**t)))
     assert "_pred" not in s.__getstate__()
 
 
 @pytest.mark.parametrize("q, t, cyclic, p", SMALL_CODES, ids=lambda v: str(v))
 def test_shift_check_refuses_every_change_of_every_cell(q, t, cyclic, p):
     _, G = small_code(q, t, cyclic, p)
-    assert construction.orbit(G) is not None
+    assert construction.points(G) is not None
     f = scalar(G.field)
     for row, col in np.ndindex(G.rows.shape):
         for delta in range(1, q):
             rows = G.rows.copy()
             rows[row, col] = f.add(int(rows[row, col]), delta)
-            assert construction.orbit(GeneratorMatrix(rows, G.provenance)) is None, (
+            assert construction.points(GeneratorMatrix(rows, G.provenance)) is None, (
                 row, col, delta)
 
 
-def test_orbit_keys_are_the_column_keys_of_the_orbit_rows(sweep):
+def test_points_are_the_column_0_keys_of_the_blocks(sweep):
     for q, t, p, code, G, W, _ in sweep:
-        keys = construction.orbit(G)
-        assert keys.dtype == key_dtype(q, t + 1), (q, t, p)
-        assert keys.tolist() == column_keys(G.rows[[0, *range(t, 2 * t)]], q).tolist(), (q, t, p)
-        assert (W.k, W.method) == (2 * t, "orbit"), (q, t, p)
+        points = construction.points(G)
+        assert points.dtype == key_dtype(q, t), (q, t, p)
+        keys = column_keys(G.rows.reshape(2, t, G.n), q)
+        assert points.tolist() == keys[:, ::code.simplex.m].tolist(), (q, t, p)
+        assert (W.k, W.method) == (2 * t, "points"), (q, t, p)
 
 
 @pytest.mark.parametrize("sigma", [True, False], ids=["orbit", "sigma fails"])
@@ -303,5 +311,88 @@ def test_weight_distribution_is_one_call_of_the_engine_on_the_generator_rows(mon
     W = weight_distribution(G)
     assert len(calls) == 1 and calls[0][1] is G.rows
     assert (W.k, W.total(), W.method) == (len(G.rows), 3 ** len(G.rows),
-                                          "orbit" if sigma else "transform")
+                                          "points" if sigma else "transform")
     assert W.counts == naive_weight_counts(G.field, G.rows)
+
+
+def edited(G, edit):
+    """G with edit(blocks) applied to a copy of its rows, viewed as (group, row, block, column)."""
+    s = G.provenance.simplex
+    rows = G.rows.copy()
+    edit(rows.reshape(2, s.t, -1, s.m))
+    return GeneratorMatrix(rows, G.provenance)
+
+
+def zero_block(blocks, j):
+    blocks[:, :, j] = 0
+
+
+def copy_block(blocks, j, onto):
+    blocks[:, :, onto] = blocks[:, :, j]
+
+
+def zero_top(blocks, *js):
+    blocks[0, :, list(js)] = 0
+
+
+HAND_BUILT = {
+    # block 0 is (g, 0): zero it in both groups, so live = p - 1 < p blocks
+    "dead block": lambda b: zero_block(b, 0),
+    # blocks 1 and 2 on one point: c(P) = 2 and three nonzero weights
+    "shared point": lambda b: copy_block(b, 2, 1),
+    # both at once: at q = 3, t = 2, p = 4 the weights 3, 6 and 9
+    "dead and shared": lambda b: (zero_block(b, 3), copy_block(b, 2, 1)),
+    # two blocks of zero top and distinct nonzero bottoms, both on (1 : 0)
+    "two at infinity": lambda b: zero_top(b, 1, 2),
+}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_generators_take_the_orbit_path_to_the_oracle(q, case):
+    # sigma is linear and holds on zero blocks, so each edit keeps it, and the nonzero
+    # top blocks stay copies of g: no build function reaches these point counts
+    _, G = build_two_weight(base(q, 2, False), 4)
+    H = edited(G, HAND_BUILT[case])
+    assert construction.points(H) is not None
+    W = weight_distribution(H)
+    assert W.method == "points"
+    assert W.counts == naive_weight_counts(H.field, H.rows)
+    assert (W.n, W.k, W.total()) == (H.n, H.k, q**H.k)
+    if (q, case) == (3, "dead and shared"):
+        assert W.counts == {0: 1, 3: 8, 6: 8, 9: 64}
+    if case == "shared point":
+        assert len(W.nonzero_weights()) == 3
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_a_scaled_top_block_takes_the_transform(q):
+    # 2 g passes sigma, but differs from the other top blocks: the bottom key alone no
+    # longer fixes the point, so points is None and the full transform counts
+    _, G = build_two_weight(base(q, 2, False), 4)
+    f = scalar(G.field)
+
+    def scale_top(blocks):
+        blocks[0, :, 1] = [[f.mul(2, int(v)) for v in row] for row in blocks[0, :, 1]]
+    H = edited(G, scale_top)
+    assert construction.points(H) is None
+    W = weight_distribution(H)
+    assert W.method == "transform"
+    assert W.counts == naive_weight_counts(H.field, H.rows)
+
+
+@pytest.mark.parametrize("change", ["odd k", "three groups", "one group", "extra block",
+                                    "flat", "key of t + 1 digits"])
+def test_points_of_another_shape_are_refused(change):
+    _, G = build_two_weight(base(3, 2, False), 4)
+    rows, points = G.rows, construction.points(G)
+    rows, points = {
+        "odd k": (rows[:3], points),
+        "three groups": (rows, np.vstack([points, points[:1]])),
+        "one group": (rows, points[:1]),
+        "extra block": (rows, np.hstack([points, points[:, :1]])),
+        "flat": (rows, points.ravel()),
+        "key of t + 1 digits": (rows, points + np.uint8(9)),
+    }[change]
+    with pytest.raises(ParameterError, match="^points must be "):
+        weight_distribution_of_rows(G.field, rows, points=points)
