@@ -494,5 +494,4 @@ def points(G: GeneratorMatrix) -> np.ndarray | None:
     if not (s._pred.take(blocks[..., 1:]) == blocks[..., :-1]).all():
         return None
     starts = blocks[..., 0]
-    top = starts[0][starts[0] != 0]
-    return None if (top != top[:1]).any() else starts
+    return None if len(set(starts[0].tolist()) - {0}) > 1 else starts

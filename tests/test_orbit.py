@@ -365,6 +365,37 @@ def test_hand_built_generators_take_the_orbit_path_to_the_oracle(q, case):
         assert len(W.nonzero_weights()) == 3
 
 
+@st.composite
+def edited_codes(draw):
+    """A small code with a random sequence of the edits above applied to its blocks."""
+    q, t = draw(st.sampled_from([(2, 3), (3, 2), (4, 2), (5, 2), (3, 3)]))
+    s = base(q, t, False)
+    p = draw(st.integers(2, q**t + 1))  # q^t + 1 stands for the qt-simplex code
+    if p > q**t:
+        code, G = build_qt_simplex(s)
+    else:
+        pairs = [(i, j) for i in range(1, q) for j in range(s.m)]
+        code, G = build_two_weight(s, p, random.Random(draw(st.integers(0, 2**32))).sample(
+            pairs, p - 1))
+    block = st.integers(0, code.block_count - 1)
+    some = st.just(list(range(code.block_count))) | st.lists(block, min_size=1, unique=True)
+    edits = draw(st.lists(st.tuples(st.just(zero_block), some)
+                          | st.tuples(st.just(copy_block), block, block)
+                          | some.map(lambda js: (zero_top, *js)), max_size=8))
+    return edited(G, lambda b: [edit(b, *args) for edit, *args in edits])
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(edited_codes())
+def test_the_tally_counts_any_multiset_of_points(H):
+    # each edit keeps sigma and leaves every nonzero top block a copy of g, so dead
+    # blocks, c(P) >= 3, several blocks on (1 : 0) and the all-dead generator all reach
+    # the tally, which must still give the transform's and the oracle's counts
+    W = weight_distribution(H)
+    assert W.method == "points"
+    assert_exact(H, W)
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_a_scaled_top_block_takes_the_transform(q):
     # 2 g passes sigma, but differs from the other top blocks: the bottom key alone no
@@ -382,10 +413,12 @@ def test_a_scaled_top_block_takes_the_transform(q):
 
 
 @pytest.mark.parametrize("change", ["odd k", "three groups", "one group", "extra block",
-                                    "flat", "key of t + 1 digits"])
+                                    "flat", "key of t + 1 digits", "float keys", "negative key"])
 def test_points_of_another_shape_are_refused(change):
     _, G = build_two_weight(base(3, 2, False), 4)
     rows, points = G.rows, construction.points(G)
+    negative = points.astype(np.int64)
+    negative[1, 0] = -1
     rows, points = {
         "odd k": (rows[:3], points),
         "three groups": (rows, np.vstack([points, points[:1]])),
@@ -393,6 +426,8 @@ def test_points_of_another_shape_are_refused(change):
         "extra block": (rows, np.hstack([points, points[:, :1]])),
         "flat": (rows, points.ravel()),
         "key of t + 1 digits": (rows, points + np.uint8(9)),
+        "float keys": (rows, points.astype(float)),
+        "negative key": (rows, negative),
     }[change]
     with pytest.raises(ParameterError, match="^points must be "):
         weight_distribution_of_rows(G.field, rows, points=points)
