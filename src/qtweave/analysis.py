@@ -14,25 +14,11 @@ After k steps A[s, u] counts the columns with u.c = s, so A[0] holds the
 zero count of every message at once.  That costs O(nk + k q^(k+2)) integer
 operations instead of an n q^k enumeration, and it is still exact over the
 whole message space.  A step gathers the q^(k+2) cells A[s' - u c, c] in one
-np.take by the field's q^3 step index (``Field.step_index``, built once per
-field from its tables), sums them over c and copies the sum back into A
-with the message coordinate last.  With rest = q^(k-1) cells per (s', c)
-row of A, the sum and the copy depend on rest:
-
-* rest < 128: one np.add.reduce into an int32 buffer and one transposing
-  copy, so a step is three numpy calls;
-* rest >= 128: q - 1 in-place adds and q strided copies, whose inner loops
-  run over rest contiguous cells.
-
-The rule is measured (one 2-vCPU machine, numpy 2.4, median us per step,
-in-place adds and strided copies / reduce and one transposing copy): q = 2 at
-rest 64 7.2 / 7.4 and at 128 7.9 / 9.0; q = 3 at 81 11.4 / 10.5 and at 243
-13.4 / 15.4; q = 4 at 64 15.3 / 12.3 and at 256 20.7 / 22.8; q = 8 at 64
-38.9 / 26.1 and at 512 135 / 171; q = 9 at 81 58 / 44.  The reduce is the
-slower sum on large arrays (q = 2, rest 2^18: 0.91 ms against 0.36 ms for
-the in-place add) and the transposing copy the slower copy (2.0 ms against
-0.52 ms), so large transforms keep the adds and strided copies.  The q^(k+1)
-cells of A, the gather and the sum are alive at once.
+np.take by a q^3 index built from the field's tables once per call
+(``_step_index``), sums them over c by q - 1 in-place adds and copies the sum
+back into A, message coordinate last, by q strided copies.  A, the gather and
+the sum are alive at once.  No benchmark workload runs the transform: every
+code of this package takes the points count below.
 
 When the q^(k+2) cells of the gather exceed the chunk size, a message prefix
 of length r is fixed per chunk and seeds s with its inner product with the
@@ -42,7 +28,7 @@ fixed per chunk and the last row a is swept whole: column j is orthogonal
 to the message (prefix, u) exactly when s_j + u a_j = 0, that is for
 u = -s_j / a_j alone when a_j != 0 and for every u when a_j = s_j = 0.  One
 bincount over the columns then gives the zero counts of the chunk's q
-messages in O(n + q) cells, where one step would gather q^3.  So the step
+messages in O(n + q) cells, where one step would gather q^3.  So a step
 index is built only over fields with q <= 45, at most 0.6 MiB.
 
 The histograms are tallied over the zero counts that occur, not over q (n + 1)
@@ -96,7 +82,6 @@ from .fields import Field, column_keys, in_field
 DEFAULT_BUDGET = 1 << 24
 _CHUNK_ENTRIES = 1 << 22
 _MAX_LENGTH = (1 << 31) - 1  # a cell counts columns and is an int32
-_SMALL_REST = 128  # below it a transform step sums and copies in one call each (module docstring)
 
 
 @dataclass(frozen=True)
@@ -114,35 +99,36 @@ class WeightDistribution:
         return sum(self.counts.values())
 
 
-def _zero_counts(flat: np.ndarray, q: int, steps: int, field: Field) -> np.ndarray:
+def _step_index(field: Field) -> np.ndarray:
+    """The step's gather index: [c, s, u] = (s - u c) q + c, the row of A that feeds (s, u)."""
+    q, (add, mul, neg, _) = field.q, field.tables
+    cs = np.arange(q)
+    # (s - u c) q + c = add[neg[mul[u, c]], s] q + c, laid out [c, s, u]
+    return add[neg[mul.T[:, None, :]], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
+
+
+def _zero_counts(flat: np.ndarray, q: int, steps: int, pick: np.ndarray) -> np.ndarray:
     """Columns orthogonal to each message, from each column's flat index into A[s, c].
 
     c runs over the last `steps` coordinates, so A has q^(steps+1) cells.  Each
     step reads the leading column coordinate and writes the message coordinate
     last, so after all steps the axes are back in their original order.  A
     step is one gather g[c, s', u] = A[s' - u c, c] over the rows (s, c) of A
-    by the field's step index, a sum over c and a copy back into A (module
-    docstring).  Only A, the q^(steps+2)-cell gather and the sum are alive.
+    by pick, q - 1 in-place adds over c and q strided copies back into A
+    (module docstring); no benchmark workload runs it.  Only A, the
+    q^(steps+2)-cell gather and the sum are alive.
     """
     A = np.bincount(flat, minlength=q ** (steps + 1)).astype(np.int32)
     rest = q ** (steps - 1)
-    pick = field.step_index
     g = np.empty((q, q, q, rest), dtype=np.int32)
-    rows, out = A.reshape(q * q, rest), A.reshape(q, rest, q)
-    small = rest < _SMALL_REST
-    acc = np.empty((q, q, rest), dtype=np.int32) if small else g[0]
-    swapped = out.transpose(0, 2, 1)
+    rows, out, acc = A.reshape(q * q, rest), A.reshape(q, rest, q), g[0]
     for _ in range(steps):
         # pick rows are in range; "clip" skips buffering the output for bounds errors
         rows.take(pick, axis=0, out=g, mode="clip")
-        if small:
-            np.add.reduce(g, axis=0, out=acc)
-            np.copyto(swapped, acc)
-        else:
-            for c in range(1, q):
-                acc += g[c]
-            for u in range(q):
-                out[:, :, u] = acc[:, u]
+        for c in range(1, q):
+            acc += g[c]
+        for u in range(q):
+            out[:, :, u] = acc[:, u]
     return A.reshape(q, -1)[0]
 
 
@@ -179,6 +165,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None, *
     steps = k - r
     cells = q**steps
     looped = r if steps else r - 1  # with no step, the last row is swept whole per chunk
+    pick = _step_index(field) if steps else None
     if not steps:  # columns with a nonzero entry a_j in the last row first, and -1/a_j for them
         last = keys % q
         nonzero = last != 0
@@ -201,7 +188,7 @@ def weight_distribution_of_rows(field: Field, rows, budget: int | None = None, *
             zeros += np.count_nonzero(s[nz:] == 0)
         else:  # table dtypes are too narrow for the flat index
             zeros = _zero_counts(s.astype(np.int64) * cells + index if r else index, q, steps,
-                                 field)
+                                 pick)
         # without a prefix, zeros is led by the first symbol
         key = np.multiply(zeros.reshape(1 if prefix else q, -1), q, dtype=np.int64)
         key += prefix[0] if prefix else leads

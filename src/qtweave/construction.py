@@ -123,7 +123,7 @@ from math import gcd
 import numpy as np
 
 from . import polynomial
-from .errors import ParameterError, VerificationError, check_budget
+from .errors import ParameterError, VerificationError, check_budget, check_integer
 from .fields import Field, column_keys, in_field, key_dtype
 from .polynomial import Poly, find_primitive
 
@@ -330,6 +330,7 @@ def _check_equidistant(s: SimplexSpec) -> None:
 
 def simplex_consta(field: Field, t: int, h: Poly | None = None) -> SimplexSpec:
     """Consta-cyclic simplex code for a primitive h of degree t (canonical default)."""
+    t = check_integer("dimension t", t)
     if t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {t}")
     if h is None:
@@ -352,6 +353,7 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
     A supplied g of degree m - t dividing x^m - 1 replaces that derivation.
     """
     q = field.q
+    t = check_integer("dimension t", t)
     if t <= 1:
         raise ParameterError(f"dimension t must be > 1, got {t}")
     if gcd(t, q - 1) != 1:
@@ -461,6 +463,7 @@ def _finish(code: QtCodeSpec) -> GeneratorMatrix:
 
 def build_two_weight(s: SimplexSpec, p: int, selection=None) -> tuple[QtCodeSpec, GeneratorMatrix]:
     """Assemble the two-weight code with p blocks over the given simplex code."""
+    p = check_integer("block count p", p)
     pairs = check_two_weight(s.q, s.t, p, selection) or default_selection(s, p - 1)
     code = QtCodeSpec(simplex=s, p=p, selection=pairs, variant=TWO_WEIGHT)
     return code, _finish(code)

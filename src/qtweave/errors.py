@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its one budget rule.
+"""Exception types shared across the package, its one budget rule and its one integer rule.
 
 The CLI maps these onto exit codes: VerificationError -> 1,
 ParameterError -> 2, BudgetExceededError -> 3.
 """
+
+import operator
 
 
 class ParameterError(ValueError):
@@ -20,6 +22,14 @@ class BudgetExceededError(RuntimeError):
 
 class VerificationError(RuntimeError):
     """A computed object fails a property it is required to satisfy."""
+
+
+def check_integer(name: str, value) -> int:
+    """value as an int, read by operator.index; a float or any other type raises ParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_budget(q: int, k: int, budget: int, job: str = "enumeration",

@@ -10,19 +10,17 @@ transform indexes by.
 
 All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
 built vectorised on first use and shared by all callers; a Field has no other
-arithmetic interface.  The spectrum transform's q x q x q step index
-(`Field.step_index`) is built from them on the first transform step that
-runs over the field, once per Field object, and dies with it; over GF(q)
-with q > 45 no step runs (``analysis``), so it is never built there.  The
-defining modulus is the canonical one: the first monic primitive polynomial
-of degree e over GF(p) that find_primitive returns, coefficients compared
-low degree first.  That makes the arithmetic reproducible across runs
-without a hard-coded polynomial table.
+arithmetic interface.  The spectrum transform builds its step index from
+them once per call (``analysis``); no benchmark workload runs the transform.
+The defining modulus is the canonical one: the first monic primitive
+polynomial of degree e over GF(p) that find_primitive returns, coefficients
+compared low degree first.  That makes the arithmetic reproducible across
+runs without a hard-coded polynomial table.
 
 field_create and field_from_order return one canonical Field per (p, e), so
-repeated calls share its modulus search, its tables and its step index.
-The order limit is checked on every call before the lookup, so a field made
-under a raised limit is not returned once the limit is lowered again.
+repeated calls share its modulus search and its tables.  The order limit is
+checked on every call before the lookup, so a field made under a raised
+limit is not returned once the limit is lowered again.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError, VerificationError, check_integer
 from .polynomial import find_primitive, prime_factors
 
 DEFAULT_ORDER_LIMIT = 1024
@@ -54,7 +52,7 @@ class FieldTables(NamedTuple):
 class Field:
     """A finite field GF(p^e) operating on canonically encoded integers."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_tables", "_step_index")
+    __slots__ = ("p", "e", "q", "modulus", "_tables")
 
     def __init__(self, p, e, modulus):
         self.p = p
@@ -62,7 +60,6 @@ class Field:
         self.q = p**e
         self.modulus = modulus  # ascending monic coefficients, None for e == 1
         self._tables = None
-        self._step_index = None
 
     @property
     def tables(self) -> FieldTables:
@@ -70,19 +67,6 @@ class Field:
         if self._tables is None:
             self._tables = _build_tables(self)
         return self._tables
-
-    @property
-    def step_index(self) -> np.ndarray:
-        """The gather index of one spectrum transform step (``analysis``), built on first use.
-
-        Entry [c, s, u] = (s - u c) q + c, as intp: the row (s - u c, c) of a
-        (q q, rest) view of the multiplicity array that feeds cell (s, u) from
-        column coordinate c.  It is read from this field's own tables,
-        so fields that compare equal but hold different tables never share one.
-        """
-        if self._step_index is None:
-            self._step_index = _step_index(self)
-        return self._step_index
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -189,18 +173,12 @@ def _build_tables(field: Field) -> FieldTables:
     return tables
 
 
-def _step_index(field: Field) -> np.ndarray:
-    q, (add, mul, neg, _) = field.q, field.tables
-    cs = np.arange(q)
-    # (s - u c) q + c = add[neg[mul[u, c]], s] q + c, laid out [c, s, u]
-    return add[neg[mul.T[:, None, :]], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
-
-
 def field_create(p: int, e: int = 1) -> Field:
     """The canonical GF(p^e): one Field per (p, e), built on the first call.
 
     The order limit is DEFAULT_ORDER_LIMIT, read and checked on every call.
     """
+    p, e = check_integer("characteristic", p), check_integer("extension degree", e)
     limit = DEFAULT_ORDER_LIMIT
     # p >= 2 and e >= limit.bit_length() give p^e >= 2^e > limit; checking
     # that first keeps prime_factors and p**e away from huge inputs
@@ -236,6 +214,7 @@ def field_from_order(q: int | str) -> Field:
             raise ParameterError(f"cannot parse field order {q.strip()!r}") from None
         if e is not None:
             return field_create(q, e)
+    q = check_integer("field order", q)
     if q < 2:
         raise ParameterError(f"field order must be >= 2, got {q}")
     if q > DEFAULT_ORDER_LIMIT:

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError, VerificationError, check_budget
+from .errors import ParameterError, VerificationError, check_budget, check_integer
 
 if TYPE_CHECKING:  # fields imports find_primitive from here
     from .fields import Field
@@ -283,6 +283,7 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
     in GF(q).  A search over more than DEFAULT_SEARCH_BOUND candidates (read
     at call time) raises BudgetExceededError.
     """
+    t = check_integer("degree", t)
     if t < 1:
         raise ParameterError(f"degree must be >= 1, got {t}")
     if limit is not None and limit < 1:

@@ -18,6 +18,7 @@ from qtweave import (
     build_two_weight,
     construction,
     default_selection,
+    field_create,
     field_from_order,
     find_primitive,
     full_block_matrix,
@@ -103,6 +104,33 @@ def test_cyclic_simplex_parameters(gf3):
 
 def test_cyclic_binary_matches_consta(gf2):
     assert simplex_cyclic(gf2, 3).g == simplex_consta(gf2, 3).g
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: field_from_order(4.5), "field order must be an integer, got 4.5"),
+    (lambda: field_from_order(4.0), "field order must be an integer, got 4.0"),
+    (lambda: field_create(2, 2.0), "extension degree must be an integer, got 2.0"),
+    (lambda: field_create(2.0), "characteristic must be an integer, got 2.0"),
+    (lambda: find_primitive(field_create(2), 3.0), "degree must be an integer, got 3.0"),
+    (lambda: simplex_consta(field_create(2), 3.0), "dimension t must be an integer, got 3.0"),
+    (lambda: simplex_consta(field_create(2), "3", Poly(field_create(2), (1, 1, 0, 1))),
+     "dimension t must be an integer, got '3'"),
+    (lambda: simplex_cyclic(field_create(2), 3.0), "dimension t must be an integer, got 3.0"),
+    (lambda: build_two_weight(simplex_consta(field_create(2), 3), 3.0),
+     "block count p must be an integer, got 3.0"),
+], ids=["order 4.5", "order 4.0", "degree 2.0", "characteristic 2.0", "primitive degree 3.0",
+        "consta t 3.0", "consta t '3' with h", "cyclic t 3.0", "block count 3.0"])
+def test_non_integer_parameters_are_refused(call, message):
+    # each value is read by operator.index before any table, search or build
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integer_parameters_are_read_as_ints():
+    field = field_create(np.int64(2), np.int64(2))
+    assert field is field_from_order(np.uint8(4)) is field_from_order(4)
+    code, _ = build_two_weight(simplex_consta(field, np.int64(2)), np.int32(3))
+    assert type(code.p) is int and type(code.simplex.t) is int
 
 
 def test_cyclic_needs_coprime_t(gf4):

@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtweave import (BudgetExceededError, GeneratorMatrix, ParameterError, Poly, SimplexSpec,
-                     VerificationError, analysis, build_qt_simplex, build_two_weight, construction,
-                     expected_counts, field_from_order, simplex_consta, simplex_cyclic,
-                     weight_distribution, weight_distribution_of_rows)
+                     VerificationError, analysis, build_qt_simplex, build_two_weight, cli,
+                     construction, expected_counts, field_from_order, simplex_consta,
+                     simplex_cyclic, weight_distribution, weight_distribution_of_rows)
 from qtweave.fields import column_keys, key_dtype
 from conftest import (SWEEP_CONFIGS, column_predecessor, consta_shift, naive_weight_counts, poly_mul,
                       residue, scalar)
@@ -99,6 +99,27 @@ def test_every_sweep_code_takes_the_orbit_path(sweep):
         assert W.method == "points", (q, t, p)
         assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == (
             expected_counts(code))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_every_cli_command_takes_the_orbit_path(monkeypatch, capsys, tmp_path, fmt):
+    # the commands of the benchmark's cli workload; none may fall back to the transform
+    count, calls = analysis.weight_distribution_of_rows, []
+
+    def points_only(field, rows, budget=None, *, points=None):
+        if points is None:
+            pytest.fail("a cli command took the full transform")
+        calls.append(field.q)
+        return count(field, rows, budget, points=points)
+
+    monkeypatch.setattr(analysis, "weight_distribution_of_rows", points_only)
+    export = ["export", "--q", "3", "--t", "4", "--p", "81", "--format", fmt,
+              "--output", str(tmp_path / f"export.{fmt}"), "--roundtrip"]
+    for argv in ["table1"], ["examples"], export:
+        before = len(calls)
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        assert len(calls) > before, argv
+    assert "round trip: ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("q, t, p, cyclic", [

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtweave import (BudgetExceededError, Field, ParameterError, VerificationError, analysis,
-                     build_two_weight, construction, field_create, field_from_order, fields,
+                     build_two_weight, construction, field_create, field_from_order,
                      simplex_consta, weight_distribution_of_rows)
-from conftest import field_with_products, naive_weight_counts
+from conftest import naive_weight_counts
 
 FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4))
 ORACLE_MESSAGES = 256  # q^k bound that keeps the scalar oracle fast
@@ -78,12 +78,13 @@ def test_prefix_digits_of_narrow_keys_match_naive_oracle(q, k):
     assert weight_distribution_of_rows(field, rows).counts == naive_weight_counts(field, rows)
 
 
-@pytest.mark.parametrize("small_rest", [1 << 30, 0], ids=["one-copy", "strided-copies"])
-@pytest.mark.parametrize("q, k", [(2, 3), (2, 9), (3, 5), (4, 4), (8, 3), (9, 2)])
-def test_both_sides_of_the_step_copy_rule_match_naive_oracle(monkeypatch, small_rest, q, k):
-    # every step takes the side the patched rule names: one sum and one
-    # transposing copy, or q - 1 adds and q strided copies
-    monkeypatch.setattr(analysis, "_SMALL_REST", small_rest)
+@pytest.mark.parametrize("q, k", [
+    pytest.param(q, k, id=f"{q}-{k}-strided-copies")
+    for q, k in [(2, 3), (2, 9), (3, 5), (4, 4), (8, 3), (9, 2)]])
+def test_both_sides_of_the_step_copy_rule_match_naive_oracle(q, k):
+    # shapes from both sides of the former 128-cell step copy rule: every step now
+    # takes q - 1 adds and q strided copies, the one-sum-and-copy side is gone;
+    # (2, 9), (3, 5) and (4, 4) lie beyond the messages of the differential above
     field = field_from_order(q)
     rows = np.random.default_rng(q * k).integers(0, q, size=(k, 7), dtype=np.uint8)
     rows[:, 3] = 0
@@ -91,22 +92,22 @@ def test_both_sides_of_the_step_copy_rule_match_naive_oracle(monkeypatch, small_
     assert weight_distribution_of_rows(field, rows).counts == naive_weight_counts(field, rows)
 
 
-def test_step_index_is_built_once_per_field_and_only_when_a_step_runs(monkeypatch):
-    make, built = fields._step_index, []
-    monkeypatch.setattr(fields, "_step_index", lambda f: built.append(f) or make(f))
+def test_step_index_is_built_once_per_call_and_only_when_a_step_runs(monkeypatch):
+    make, built = analysis._step_index, []
+    monkeypatch.setattr(analysis, "_step_index", lambda f: built.append(f) or make(f))
     rows = [(1, 2, 0, 1), (0, 1, 1, 2)]
-    fresh = Field(3, 1, None)
-    broken = field_with_products(3, {(2, 2): 2})  # equal to fresh, with other mul entries
-    assert fresh == broken
-    for _ in range(3):
-        assert weight_distribution_of_rows(fresh, rows).counts == naive_weight_counts(fresh, rows)
-    assert len(built) == 1 and built[0] is fresh
-    assert broken.step_index is broken.step_index is not fresh.step_index
-    assert len(built) == 2 and built[1] is broken
-    assert not np.array_equal(fresh.step_index, broken.step_index)
+    field = Field(3, 1, None)
+    for calls in range(1, 4):
+        assert weight_distribution_of_rows(field, rows).counts == naive_weight_counts(field, rows)
+        assert len(built) == calls and built[-1] is field
     big = Field(2, 8, field_from_order(256).modulus)  # no step runs over GF(256)
     weight_distribution_of_rows(big, [(1, 2, 3), (4, 0, 6)])
-    assert len(built) == 2
+    assert len(built) == 3
+    # 3^4 cells fix one of three rows per chunk: 3 chunks of two steps share one index
+    monkeypatch.setattr(analysis, "_CHUNK_ENTRIES", 3**4)
+    rows.append((2, 2, 1, 0))
+    assert weight_distribution_of_rows(field, rows).counts == naive_weight_counts(field, rows)
+    assert len(built) == 4
 
 
 @pytest.mark.parametrize("q, k", [(64, 2), (256, 2), (1024, 1)])
@@ -115,7 +116,7 @@ def test_whole_last_row_sweep_matches_naive_oracle(monkeypatch, q, k):
     # its q messages at once, with zero and nonzero entries in the last row
     assert q**4 > analysis._CHUNK_ENTRIES
     field = field_from_order(q)
-    monkeypatch.setattr(fields, "_step_index", lambda f: pytest.fail("a transform step ran"))
+    monkeypatch.setattr(analysis, "_step_index", lambda f: pytest.fail("a transform step ran"))
     rows = np.random.default_rng(q).integers(1, q, size=(2, 6)).astype(field.tables.mul.dtype)
     rows[1, 1] = rows[1, 4] = 0
     rows[0, 2] = 0
