@@ -17,7 +17,6 @@ from .analysis import (
     srg_parameters,
     verify_two_weight,
     weight_distribution,
-    weight_distribution_of_rows,
 )
 from .construction import (
     GeneratorMatrix,
@@ -71,5 +70,4 @@ __all__ = [
     "srg_parameters",
     "verify_two_weight",
     "weight_distribution",
-    "weight_distribution_of_rows",
 ]

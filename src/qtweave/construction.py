@@ -87,10 +87,11 @@ in K, and row u is x^u b g.  The message (a, b) in K^2 then gives block j
 the word of a b_0j + b b_1j, zero or of weight q^(t-1), and the spectrum of
 ``analysis`` counts it from the points (-b_1j : b_0j) of PG(1, q^t).
 ``points`` checks sigma and hands over the column-0 key of every block,
-which fixes b, as column j > 0 is P^(m-j)(c_0) / lam (below).  It returns
-None when sigma fails or the nonzero top blocks differ (every build's top
-group repeats g), and the full transform runs.  The simplex check is
-certified once per base, when it is constructed.
+which fixes b, as column j > 0 is P^(m-j)(c_0) / lam (below).  Every build's
+top group repeats g, so rows of another shape, a failed sigma or nonzero top
+blocks that differ can only come from a construction bug, and raise
+VerificationError led by ``sigma``.  The simplex check is certified once per
+base, when it is constructed.
 
 sigma is checked one key per column.  In a row group, let r_u[j] be entry j
 of row u within one block of width m, and c_j = (r_0[j], ..., r_(t-1)[j]) its
@@ -157,10 +158,11 @@ class SimplexSpec:
     variant: str
 
     def __post_init__(self):
-        field, t, h, q = self.field, self.t, self.h, self.field.q
+        field, h, q = self.field, self.h, self.field.q
         if self.variant not in (CONSTA_CYCLIC, CYCLIC):
             raise ParameterError(f"variant must be {CONSTA_CYCLIC!r} or {CYCLIC!r}, "
                                  f"got {self.variant!r}")
+        t = check_integer("dimension t", self.t)
         if h.field != field:
             raise ParameterError("h belongs to a different field")
         if h.degree != t or not h.is_monic():
@@ -179,7 +181,7 @@ class SimplexSpec:
                 raise VerificationError(f"twist constant: the cyclic build gave {lam}, expected 1")
         elif not lam or field.element_order(lam) != q - 1:
             raise VerificationError(f"twist constant: {lam} does not have order {q - 1}")
-        for name, value in ("m", m), ("lam", lam), ("g", g):
+        for name, value in ("t", t), ("m", m), ("lam", lam), ("g", g):
             object.__setattr__(self, name, value)  # frozen, so set once here
         _check_equidistant(self)
 
@@ -481,20 +483,23 @@ def full_block_matrix(code: QtCodeSpec) -> np.ndarray:
     return _assemble_rows(code, code.simplex.m)
 
 
-def points(G: GeneratorMatrix) -> np.ndarray | None:
-    """The column-0 keys of the blocks of G's two row groups, (2, blocks), or None.
+def points(G: GeneratorMatrix) -> np.ndarray:
+    """The column-0 keys of the blocks of G's two row groups, (2, blocks).
 
     The keys are of dtype ``fields.key_dtype(q, t)``.  Rows whose shape or
-    entries do not fit the code, a failed sigma check and nonzero top blocks
-    that differ give None, not an exception.
+    entries do not fit the code, a column that is not the consta-shift of the
+    one after it and nonzero top blocks that differ raise VerificationError.
     """
     code = G.provenance
     s = code.simplex
     rows, t, q = G.rows, s.t, s.q
     if rows.shape != (2 * t, code.n) or not in_field(rows, q):
-        return None
+        raise VerificationError(f"sigma: the rows are not {2 * t} x {code.n} elements of GF({q})")
     blocks = column_keys(rows.reshape(2, t, code.n), q).reshape(2, code.block_count, s.m)
     if not (s._pred.take(blocks[..., 1:]) == blocks[..., :-1]).all():
-        return None
+        raise VerificationError("sigma: a column of the rows is not the consta-shift of the "
+                                "next one")
     starts = blocks[..., 0]
-    return None if len(set(starts[0].tolist()) - {0}) > 1 else starts
+    if len(set(starts[0].tolist()) - {0}) > 1:
+        raise VerificationError("sigma: the nonzero top blocks differ")
+    return starts

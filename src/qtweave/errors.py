@@ -38,8 +38,9 @@ def check_budget(q: int, k: int, budget: int, job: str = "enumeration",
 
     The exponent decides first: q >= 2 gives q^k > budget once k >=
     budget.bit_length(), so a huge k never builds q^k.  The error's required
-    is q^k for k <= 64 and None beyond.
+    is q^k for k <= 64 and None beyond.  budget is read by check_integer.
     """
+    budget = check_integer("budget", budget)
     if k >= budget.bit_length() or q**k > budget:
         raise BudgetExceededError(
             f"{job} needs {q}^{k} {unit}, budget is {budget}",

@@ -5,14 +5,11 @@ residue itself.  For an extension field the integer packs the base-p digit
 vector of the element's polynomial representation, least significant digit
 first: value = c0 + c1*p + ... + c_{e-1}*p^(e-1).  A column of elements packs
 the same way into one base-q key (`column_keys`, of dtype `key_dtype`), which
-projectivity sorts, the consta-shift check looks up and the spectrum
-transform indexes by.
+projectivity sorts and the consta-shift check looks up.
 
 All arithmetic reads one set of numpy lookup tables (the `tables` attribute),
 built vectorised on first use and shared by all callers; a Field has no other
-arithmetic interface.  The spectrum transform builds its step index from
-them once per call (``analysis``); no benchmark workload runs the transform.
-The defining modulus is the canonical one: the first monic primitive
+arithmetic interface.  The defining modulus is the canonical one: the first monic primitive
 polynomial of degree e over GF(p) that find_primitive returns, coefficients
 compared low degree first.  That makes the arithmetic reproducible across
 runs without a hard-coded polynomial table.

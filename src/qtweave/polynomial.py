@@ -286,7 +286,7 @@ def find_primitive(field: Field, t: int, limit: int | None = None) -> list[Poly]
     t = check_integer("degree", t)
     if t < 1:
         raise ParameterError(f"degree must be >= 1, got {t}")
-    if limit is not None and limit < 1:
+    if limit is not None and check_integer("limit", limit) < 1:
         raise ParameterError(f"limit must be >= 1, got {limit}")
     check_budget(field.q, t, DEFAULT_SEARCH_BOUND,
                  f"enumerating degree-{t} polynomials over {field!r}", "candidates")

@@ -15,7 +15,7 @@ predecessor under h is one digit step, rank is row reduction with scalar
 field operations, projectivity compares every pair of columns, and dual
 weight counts come from the MacWilliams transform of a spectrum or from
 counting zero columns and proportional pairs one by one, so they can catch
-bugs in the spectrum transform, the block gather, the consta-shift tables,
+bugs in the points spectrum, the block gather, the consta-shift tables,
 the rank check, the projectivity check and the Pless moments.  Row text is one
 str.join per row over str() of each symbol.  Matrices may come in as numpy
 arrays; the oracles read them as lists of Python ints.  Irreducibility is
@@ -24,6 +24,13 @@ primitivity uses, and the order of x is found by multiplying by x one step
 at a time; both read a `Poly` only for its field and coefficients.  The
 primitive polynomials of a degree are every monic candidate, in the search's
 order, whose x has that full order.
+
+`transform_distribution` is the second exact spectrum method, for message
+spaces beyond the scalar loop: a column-multiplicity transform over all q^k
+messages of any rows, on the package's field tables (test_fields checks them
+against the scalar arithmetic) and column keys.  It needs no consta-shift
+and no point of PG(1, q^t), so it also counts rows that fail sigma, which the
+package refuses.
 """
 
 from collections import Counter
@@ -36,9 +43,12 @@ import numpy as np
 import pytest
 
 from qtweave import (
+    DEFAULT_BUDGET,
     Field,
     ParameterError,
     Poly,
+    VerificationError,
+    WeightDistribution,
     build_two_weight,
     field_create,
     field_from_order,
@@ -46,6 +56,8 @@ from qtweave import (
     simplex_consta,
     weight_distribution,
 )
+from qtweave.errors import check_budget
+from qtweave.fields import column_keys, in_field
 
 SWEEP_CONFIGS = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2))
 
@@ -185,6 +197,155 @@ def naive_weight_counts(field, rows) -> dict:
                     word[j] = f.add(word[j], f.mul(c, v))
         counts[sum(1 for v in word if v)] += 1
     return dict(counts)
+
+
+# The transform below is the second exact method: it counts all q^k messages of any
+# rows, so it needs no sigma and no point of PG(1, q^t), and the tests compare the
+# points tally of the package with it beyond the reach of naive_weight_counts.
+_CHUNK_ENTRIES = 1 << 22
+_MAX_LENGTH = (1 << 31) - 1  # a cell counts columns and is an int32
+
+
+def _step_index(field) -> np.ndarray:
+    """The step's gather index: [c, s, u] = (s - u c) q + c, the row of A that feeds (s, u)."""
+    q, (add, mul, neg, _) = field.q, field.tables
+    cs = np.arange(q)
+    # (s - u c) q + c = add[neg[mul[u, c]], s] q + c, laid out [c, s, u]
+    return add[neg[mul.T[:, None, :]], cs[None, :, None]].astype(np.intp) * q + cs[:, None, None]
+
+
+def _zero_counts(flat: np.ndarray, q: int, steps: int, pick: np.ndarray) -> np.ndarray:
+    """Columns orthogonal to each message, from each column's flat index into A[s, c].
+
+    c runs over the last `steps` coordinates, so A has q^(steps+1) cells.  Each
+    step reads the leading column coordinate and writes the message coordinate
+    last, so after all steps the axes are back in their original order.  A
+    step is one gather g[c, s', u] = A[s' - u c, c] over the rows (s, c) of A
+    by pick, q - 1 in-place adds over c and q strided copies back into A
+    (``transform_distribution``).  Only A, the q^(steps+2)-cell gather and the
+    sum are alive.
+    """
+    A = np.bincount(flat, minlength=q ** (steps + 1)).astype(np.int32)
+    rest = q ** (steps - 1)
+    g = np.empty((q, q, q, rest), dtype=np.int32)
+    rows, out, acc = A.reshape(q * q, rest), A.reshape(q, rest, q), g[0]
+    for _ in range(steps):
+        # pick rows are in range; "clip" skips buffering the output for bounds errors
+        rows.take(pick, axis=0, out=g, mode="clip")
+        for c in range(1, q):
+            acc += g[c]
+        for u in range(q):
+            out[:, :, u] = acc[:, u]
+    return A.reshape(q, -1)[0]
+
+
+def transform_distribution(field, rows, budget=None) -> WeightDistribution:
+    """Exact weight counts of the code spanned by the rows of a (k, n) array or list.
+
+    A column-multiplicity transform.  Each column c is a point of F_q^k, and
+    the codeword of a message u has weight n - #{columns c : u.c = 0}.  The
+    n columns are bucketed into a multiplicity array A[s, c] (s = 0 for every
+    column), and then one step per coordinate replaces the column coordinate
+    c_j by the message coordinate u_j while s tracks the partial inner product,
+
+        A'[s, ..., u_j, ...] = sum over c_j of A[s - u_j c_j, ..., c_j, ...].
+
+    After k steps A[s, u] counts the columns with u.c = s, so A[0] holds the
+    zero count of every message at once, in O(nk + k q^(k+2)) integer
+    operations.  A step gathers the q^(k+2) cells A[s' - u c, c] in one
+    np.take by the q^3 index of ``_step_index``, sums them over c and copies
+    the sum back into A, message coordinate last.
+
+    When the gather exceeds _CHUNK_ENTRIES cells, a message prefix of length r
+    is fixed per chunk and seeds s with its inner product with the first r
+    rows.  When that leaves one step or none (always for one row, and for
+    q > 45), all rows but the last are fixed per chunk and the last row a is
+    swept whole: column j is orthogonal to the message (prefix, u) exactly
+    when s_j + u a_j = 0, that is for u = -s_j / a_j alone when a_j != 0 and
+    for every u when a_j = s_j = 0, so one bincount gives the zero counts of
+    the chunk's q messages.
+
+    The zero counts z of each chunk, keyed z q + u by their leading symbol u,
+    are sorted and counted run by run into one dict of exact Python ints.  A
+    zero count outside 0..n, slices of nonzero leading symbol with different
+    weight histograms (u -> c u is a weight-preserving bijection between
+    them) and a total other than q^k raise VerificationError.  method is
+    "transform".
+    """
+    q = field.q
+    try:
+        gen = np.asarray(rows)
+    except ValueError:
+        raise ParameterError("rows have unequal lengths") from None
+    if gen.ndim != 2 or not gen.size:
+        raise ParameterError("need at least one nonempty row")
+    k, n = gen.shape
+    if n > _MAX_LENGTH:
+        raise ParameterError(f"length {n} exceeds the 32-bit column counts ({_MAX_LENGTH})")
+    check_budget(q, k, DEFAULT_BUDGET if budget is None else budget)
+    if not in_field(gen, q):
+        raise ParameterError(f"row entries must be elements of GF({q}), encoded in 0..{q - 1}")
+    keys = column_keys(gen, q)
+    add, mul, neg, inv = field.tables
+    r = 0
+    while r < k and q ** (k - r + 2) > _CHUNK_ENTRIES:  # the gather of _zero_counts
+        r += 1
+    if r == k - 1:  # one step's q^3 gather per chunk costs more than a sweep of the last row
+        r = k
+    steps = k - r
+    cells = q**steps
+    looped = r if steps else r - 1  # with no step, the last row is swept whole per chunk
+    pick = _step_index(field) if steps else None
+    if not steps:  # columns with a nonzero entry a_j in the last row first, and -1/a_j for them
+        last = keys % q
+        nonzero = last != 0
+        keys, nz = np.concatenate([keys[nonzero], keys[~nonzero]]), np.count_nonzero(nonzero)
+        solver = neg[inv[last[nonzero]]]
+    index, fixed = keys, []
+    if r:  # a prefix of r rows is fixed per chunk: their entries are the keys' leading digits
+        head, index = np.divmod(keys, cells)
+        fixed = [(head // q ** (r - 1 - u) % q).astype(add.dtype) for u in range(looped)]
+    leads = np.arange(q)[:, None]
+    tally = {}  # zero count * q + leading symbol -> messages, over all chunks
+    for prefix in product(range(q), repeat=looped):
+        if r:
+            s = np.zeros(n, dtype=add.dtype)
+            for u, row in zip(prefix, fixed):
+                if u:
+                    s = add[s, mul[u, row]]
+        if not steps:  # column j < nz counts for u = -s_j/a_j alone, j >= nz for all u if s_j = 0
+            zeros = np.bincount(mul[s[:nz], solver], minlength=q)
+            zeros += np.count_nonzero(s[nz:] == 0)
+        else:  # table dtypes are too narrow for the flat index
+            zeros = _zero_counts(s.astype(np.int64) * cells + index if r else index, q, steps,
+                                 pick)
+        # without a prefix, zeros is led by the first symbol
+        key = np.multiply(zeros.reshape(1 if prefix else q, -1), q, dtype=np.int64)
+        key += prefix[0] if prefix else leads
+        key = key.ravel()
+        key.sort()  # zero count * q + leading symbol, ascending
+        ends = (key[1:] != key[:-1]).nonzero()[0].tolist()  # the last index of each run
+        ends.append(key.size - 1)
+        runs = key[ends].tolist()
+        if runs[0] < 0 or runs[-1] >= (n + 1) * q:
+            raise VerificationError(f"spectrum: the transform gave a zero count outside 0..{n}")
+        start = -1
+        for end, run in zip(ends, runs):
+            tally[run] = tally.get(run, 0) + end - start
+            start = end
+        del zeros, key  # this chunk's A-sized arrays must not outlive it into the next chunk
+    hists, result = [{} for _ in range(q)], {}  # weight -> messages, per leading symbol and all
+    for run, count in sorted(tally.items(), reverse=True):  # by weight n - z, ascending
+        z, u = divmod(run, q)
+        hists[u][n - z] = count
+        result[n - z] = result.get(n - z, 0) + count  # Python ints, however large q^k is
+    if any(hist != hists[1] for hist in hists[2:]):
+        raise VerificationError("spectrum: nonzero leading symbols gave different weight "
+                                "histograms")
+    if sum(result.values()) != q**k:
+        raise VerificationError(f"spectrum: the transform counted {sum(result.values())} "
+                                f"codewords, not {q**k}")
+    return WeightDistribution(n, k, q, result, "transform")
 
 
 def naive_rank(field, rows) -> int:

@@ -23,10 +23,9 @@ from qtweave import (
     simplex_cyclic,
     verify_two_weight,
     weight_distribution,
-    weight_distribution_of_rows,
 )
 from conftest import (SWEEP_CONFIGS, base_word, consta_shift, poly_mul, residue,
-                      schoolbook_vec_mat, span_words, twistulant_rows)
+                      schoolbook_vec_mat, span_words, transform_distribution, twistulant_rows)
 
 
 def _fixture(name):
@@ -213,9 +212,9 @@ def test_criterion_10_property_suite(sweep):
     for s, code, G in closure_cases:
         t = s.t
         unit = s.weight
-        top = weight_distribution_of_rows(s.field, G.rows[:t])
+        top = transform_distribution(s.field, G.rows[:t])
         assert top.nonzero_weights() == (code.p * unit,)
-        bottom = weight_distribution_of_rows(s.field, G.rows[t:])
+        bottom = transform_distribution(s.field, G.rows[t:])
         expected_bottom = (code.p - 1) * unit if code.variant == "two-weight" else code.p * unit
         assert bottom.nonzero_weights() == (expected_bottom,)
 

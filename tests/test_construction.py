@@ -25,12 +25,13 @@ from qtweave import (
     polynomial,
     simplex_consta,
     simplex_cyclic,
-    weight_distribution_of_rows,
+    weight_distribution,
 )
 from qtweave.construction import CONSTA_CYCLIC, CYCLIC, _check_equidistant
 from conftest import (SWEEP_CONFIGS, base_word, consta_shift, is_irreducible, naive_rank,
                       naive_weight_counts, order_of_x, poly_divmod, poly_mul, residue, scalar,
-                      span_words, table_words, twist_modulus, twistulant_rows)
+                      span_words, table_words, transform_distribution, twist_modulus,
+                      twistulant_rows)
 
 # (q, t) with gcd(t, q - 1) = 1, so a cyclic simplex base exists
 CYCLIC_CONFIGS = ((2, 3), (2, 5), (3, 3), (3, 5), (4, 2), (5, 3), (8, 2), (9, 3))
@@ -118,10 +119,16 @@ def test_cyclic_binary_matches_consta(gf2):
     (lambda: simplex_cyclic(field_create(2), 3.0), "dimension t must be an integer, got 3.0"),
     (lambda: build_two_weight(simplex_consta(field_create(2), 3), 3.0),
      "block count p must be an integer, got 3.0"),
+    (lambda: SimplexSpec(field_create(2), 3.0, Poly(field_create(2), (1, 1, 0, 1)), CONSTA_CYCLIC),
+     "dimension t must be an integer, got 3.0"),
+    (lambda: find_primitive(field_create(2), 3, limit=1.5), "limit must be an integer, got 1.5"),
+    (lambda: weight_distribution(build_two_weight(simplex_consta(field_create(2), 3), 3)[1],
+                                 budget=10.5), "budget must be an integer, got 10.5"),
 ], ids=["order 4.5", "order 4.0", "degree 2.0", "characteristic 2.0", "primitive degree 3.0",
-        "consta t 3.0", "consta t '3' with h", "cyclic t 3.0", "block count 3.0"])
+        "consta t 3.0", "consta t '3' with h", "cyclic t 3.0", "block count 3.0", "spec t 3.0",
+        "search limit 1.5", "budget 10.5"])
 def test_non_integer_parameters_are_refused(call, message):
-    # each value is read by operator.index before any table, search or build
+    # each value is read by operator.index before any table, search, build or count
     with pytest.raises(ParameterError, match=f"^{message}$"):
         call()
 
@@ -450,14 +457,14 @@ def simplex_bases(draw):
 @settings(deadline=None, max_examples=300)
 @given(simplex_bases())
 def test_equidistance_check_agrees_with_the_spectrum(base):
-    # the check sorts the columns of the t shifts of g; the engine counts the
+    # the check sorts the columns of the t shifts of g; the transform oracle counts the
     # weights of those shifts, x^u g with g = x^m // h from the scalar oracle
     field, t, h, variant = base
     q = field.q
     m = (q**t - 1) // (q - 1)
     g, rem = poly_divmod(field, (0,) * m + (1,), h.coeffs)
     rows = [residue(field, (0,) * u + g, m, rem[0]) for u in range(t)]
-    counts = weight_distribution_of_rows(field, rows).counts
+    counts = transform_distribution(field, rows).counts
     equidistant = counts == {0: 1, q ** (t - 1): q**t - 1}
     try:
         s = SimplexSpec(field, t, h, variant)

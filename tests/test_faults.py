@@ -4,19 +4,21 @@
 The primitive search is patched to hand the consta-cyclic base a polynomial
 that fails one check; a searched h is trusted input, so the failure is a
 verification failure (exit 1), not invalid input.  The rank fault zeroes
-one generator row as it is assembled.  The analysis faults edit the counts
-of the exact spectrum of analyze --q 3 --t 2 --p 4, {0: 1, 9: 32, 12: 48},
-before the checks read it, or make the transform miscount.  The cyclic base
-is reached through analyze --cyclic with a searched h0 that the derivation
-cannot rescale to a divisor of x^m - 1.
+one generator row as it is assembled, and the sigma fault changes one cell
+of the built rows, so the consta-shift check refuses them before any
+spectrum is counted.  The analysis faults edit the counts of the exact
+spectrum of analyze --q 3 --t 2 --p 4, {0: 1, 9: 32, 12: 48}, before the
+checks read it.  The cyclic base is reached through analyze --cyclic with a
+searched h0 that the derivation cannot rescale to a divisor of x^m - 1.
 """
 
+import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from qtweave import Poly, analysis, construction, field_from_order
+from qtweave import (GeneratorMatrix, Poly, VerificationError, analysis, build_two_weight, cli,
+                     construction, field_from_order, simplex_consta, weight_distribution)
 from qtweave.cli import main
 
 SEARCHED_FAULTS = [
@@ -98,39 +100,46 @@ def test_an_srg_identity_that_fails_names_the_stage(capsys, monkeypatch):
     assert_stage_failure(*analyze(capsys, 3, 2, p=4), "srg: ", quiet=False)
 
 
-def test_a_transform_that_miscounts_every_slice_alike_fails_its_total(capsys, monkeypatch):
-    # one extra weight-0 word per leading symbol: the slices still agree, the total does not
-    monkeypatch.setattr(construction, "points", lambda G: None)  # the transform runs
-    original = analysis._zero_counts
-
-    def extra_word(flat, q, *args):
-        zeros = original(flat, q, *args).reshape(q, -1)
-        return np.hstack([zeros, np.full((q, 1), len(flat), zeros.dtype)]).ravel()
-    monkeypatch.setattr(analysis, "_zero_counts", extra_word)
-    assert_stage_failure(*analyze(capsys, 3, 2, p=4), "spectrum: the transform counted ")
+def _bump(rows):
+    """A copy of rows over GF(3) with cell (1, 0) plus 1: no longer the shift of column 1."""
+    rows = rows.copy()
+    rows[1, 0] = (rows[1, 0] + 1) % 3
+    return rows
 
 
-def test_a_zero_count_outside_0_to_n_names_the_stage(capsys, monkeypatch):
-    # n + 1 columns orthogonal to one message: no weight of a codeword, so no tally key
-    monkeypatch.setattr(construction, "points", lambda G: None)  # the transform runs
-    original = analysis._zero_counts
-
-    def too_many(flat, *args):
-        zeros = original(flat, *args).copy()
-        zeros[0] = len(flat) + 1
-        return zeros
-    monkeypatch.setattr(analysis, "_zero_counts", too_many)
-    assert_stage_failure(*analyze(capsys, 3, 2, p=4),
-                         "spectrum: the transform gave a zero count outside 0..16")
+def _scale_top_block(rows):
+    """A copy of rows over GF(3), m = 4, with top block 1 times 2: a shift still, but not g."""
+    rows = rows.copy()
+    rows[:2, 4:8] = rows[:2, 4:8] * 2 % 3
+    return rows
 
 
-def test_a_failed_shift_check_runs_the_full_transform_to_the_same_report(capsys, monkeypatch):
-    rc, points, _ = analyze(capsys, 3, 2, p=4)
-    assert rc == 0 and "spectrum method: points" in points
-    monkeypatch.setattr(construction, "points", lambda G: None)
-    rc, transform, err = analyze(capsys, 3, 2, p=4)
-    assert rc == 0 and err == ""
-    assert transform == points.replace("spectrum method: points", "spectrum method: transform")
+SIGMA_FAULTS = {
+    "shape": (lambda rows: rows[:, :-1], "the rows are not 4 x 16 elements of GF(3)"),
+    "entries": (lambda rows: rows + 3, "the rows are not 4 x 16 elements of GF(3)"),
+    "shift": (_bump, "a column of the rows is not the consta-shift of the next one"),
+    "top blocks": (_scale_top_block, "the nonzero top blocks differ"),
+}
+
+
+def test_a_broken_sigma_cell_names_the_stage(capsys, monkeypatch):
+    # the edit comes after the build's rank minor, so only sigma can catch it
+    build = cli._build_code
+
+    def bumped(*args, **kwargs):
+        code, G = build(*args, **kwargs)
+        return code, GeneratorMatrix(rows=_bump(G.rows), provenance=code)
+    monkeypatch.setattr(cli, "_build_code", bumped)
+    assert_stage_failure(*analyze(capsys, 3, 2, p=4), "sigma: a column of the rows ")
+
+
+@pytest.mark.parametrize("fault", sorted(SIGMA_FAULTS))
+def test_a_sigma_failure_names_its_condition(fault):
+    code, G = build_two_weight(simplex_consta(field_from_order(3), 2), 4)
+    edit, message = SIGMA_FAULTS[fault]
+    H = GeneratorMatrix(rows=edit(G.rows), provenance=code)
+    with pytest.raises(VerificationError, match=f"^sigma: {re.escape(message)}$"):
+        weight_distribution(H)
 
 
 def test_a_gap_that_misses_its_prediction_fails_the_verdict(capsys, monkeypatch):

@@ -6,10 +6,11 @@ The nonzero messages (a, b) over one point are one orbit of the units c of
 K = F_q[x]/(h), acting as (c a, c b), so the tests call that the orbit path;
 the simplex check of the construction proves its counts for every base,
 consta-cyclic or cyclic (lam = 1, where h is not primitive once q > 2).
-Every case here is compared with the full transform over all q^k messages
-and, while q^k <= 256, with the scalar oracle of ``conftest``.  A generator
-that breaks the shift relation, has the wrong shape or nonzero top blocks
-that differ must take the full transform and still give the oracle's counts.
+Every case here is compared with the transform of ``conftest`` over all q^k
+messages and, while q^k <= 256, with its scalar oracle.  A generator that
+breaks the shift relation, has the wrong shape or nonzero top blocks that
+differ is refused: ``construction.points`` raises VerificationError led by
+``sigma``, so no spectrum is counted for it.
 """
 
 import random
@@ -22,13 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from qtweave import (BudgetExceededError, GeneratorMatrix, ParameterError, Poly, SimplexSpec,
                      VerificationError, analysis, build_qt_simplex, build_two_weight, cli,
                      construction, expected_counts, field_from_order, simplex_consta,
-                     simplex_cyclic, weight_distribution, weight_distribution_of_rows)
+                     simplex_cyclic, weight_distribution)
 from qtweave.fields import column_keys, key_dtype
 from conftest import (SWEEP_CONFIGS, column_predecessor, consta_shift, naive_weight_counts, poly_mul,
-                      residue, scalar)
+                      residue, scalar, transform_distribution)
 
 ORACLE_MESSAGES = 256
 # (q, t) of the cyclic bases drawn; h is primitive for q = 2 only
@@ -60,7 +62,7 @@ def qt_codes(draw):
 
 def assert_exact(G, W):
     """W against the full transform over G.rows and, for small codes, the scalar oracle."""
-    assert W.counts == weight_distribution_of_rows(G.field, G.rows).counts
+    assert W.counts == transform_distribution(G.field, G.rows).counts
     if G.field.q**G.k <= ORACLE_MESSAGES:
         assert W.counts == naive_weight_counts(G.field, G.rows)
     assert (W.n, W.k, W.total()) == (G.n, G.k, G.field.q**G.k)
@@ -78,7 +80,7 @@ def test_orbit_path_matches_full_transform_and_oracle(split, data):
         if split:
             # the reference transform has 2t rows; chunks of q^j cells fix a prefix
             # of min(2t, 2t + 2 - j) of them, and j <= 2 splits down to single messages
-            mp.setattr(analysis, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, 2 * t + 2)))
+            mp.setattr(conftest, "_CHUNK_ENTRIES", q ** data.draw(st.integers(1, 2 * t + 2)))
         assert_exact(G, W)
 
 
@@ -94,7 +96,7 @@ def test_orbit_path_over_gf17_matches_full_transform(p):
 
 
 def test_every_sweep_code_takes_the_orbit_path(sweep):
-    # a silent fallback costs the full transform, so it must fail here
+    # the worked sweep takes the points of its blocks and gives the predicted counts
     for q, t, p, code, G, W, _ in sweep:
         assert W.method == "points", (q, t, p)
         assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == (
@@ -103,12 +105,12 @@ def test_every_sweep_code_takes_the_orbit_path(sweep):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_every_cli_command_takes_the_orbit_path(monkeypatch, capsys, tmp_path, fmt):
-    # the commands of the benchmark's cli workload; none may fall back to the transform
+    # the commands of the benchmark's cli workload; each reaches the tally with points
     count, calls = analysis.weight_distribution_of_rows, []
 
     def points_only(field, rows, budget=None, *, points=None):
         if points is None:
-            pytest.fail("a cli command took the full transform")
+            pytest.fail("a cli command reached the tally without points")
         calls.append(field.q)
         return count(field, rows, budget, points=points)
 
@@ -126,7 +128,7 @@ def test_every_cli_command_takes_the_orbit_path(monkeypatch, capsys, tmp_path, f
     (8, 4, 2, False), (2, 14, 3, False), (8, 4, 2, True),
 ], ids=["8-4-2", "2-14-3", "cyclic-8-4-2"])
 def test_heavy_points_take_the_orbit_path(q, t, p, cyclic):
-    # beyond the default budget's practical reach for the full transform
+    # beyond the default budget's practical reach for a count over all messages
     code, G = build_two_weight(base(q, t, cyclic), p)
     W = weight_distribution(G, budget=q ** (2 * t))
     assert W.method == "points" and W.total() == q ** (2 * t)
@@ -147,9 +149,8 @@ def test_shift_check_refuses_a_perturbed_entry(q, t, p, where):
     row, col = {"top inside": (1, 2), "top wrap": (0, m - 1),
                 "bottom inside": (t, m + 1), "bottom wrap": (2 * t - 1, 2 * m - 1)}[where]
     H = perturbed(G, row, col)
-    W = weight_distribution(H)
-    assert W.method == "transform"
-    assert W.counts == naive_weight_counts(H.field, H.rows)
+    with pytest.raises(VerificationError, match="^sigma: a column "):
+        weight_distribution(H)
 
 
 @settings(deadline=None, max_examples=30)
@@ -159,9 +160,8 @@ def test_shift_check_refuses_any_single_change(data):
     row = data.draw(st.integers(0, G.k - 1))
     col = data.draw(st.integers(0, G.n - 1))
     H = perturbed(G, row, col)
-    W = weight_distribution(H)
-    assert W.method == "transform"
-    assert_exact(H, W)
+    with pytest.raises(VerificationError, match="^sigma: "):
+        weight_distribution(H)
 
 
 @pytest.mark.parametrize("q, t, p", [(2, 3, 5), (3, 2, 4), (4, 2, 3)])
@@ -176,17 +176,17 @@ def test_shift_check_refuses_the_shifts_of_a_foreign_word(q, t, p):
         blocks = rows[u - 1].reshape(-1, s.m)
         rows[u] = [v for block in blocks for v in consta_shift(s.field, s.lam, block.tolist())]
     H = GeneratorMatrix(rows=rows, provenance=G.provenance)
-    W = weight_distribution(H)
-    assert W.method == "transform"
-    assert W.counts == naive_weight_counts(H.field, H.rows)
+    with pytest.raises(VerificationError, match="^sigma: a column "):
+        weight_distribution(H)
 
 
-def test_shift_check_refuses_an_extra_column_without_raising():
+def test_shift_check_refuses_an_extra_column_by_its_shape():
+    # the rows are never reshaped into blocks they do not fill
     _, G = build_two_weight(base(3, 2, False), 3)
     H = GeneratorMatrix(rows=np.column_stack([G.rows, G.rows[:, 0]]), provenance=G.provenance)
-    W = weight_distribution(H)
-    assert W.method == "transform"
-    assert W.counts == naive_weight_counts(H.field, H.rows)
+    with pytest.raises(VerificationError,
+                       match=r"^sigma: the rows are not 4 x 12 elements of GF\(3\)$"):
+        weight_distribution(H)
 
 
 @pytest.mark.parametrize("h", ["x^t", "zero", "high-degree"])
@@ -221,16 +221,14 @@ def test_shift_check_refuses_a_twist_the_base_does_not_have(q):
                      for group in groups for u in range(s.t)], dtype=G.rows.dtype)
     H = GeneratorMatrix(rows=rows, provenance=code)
     assert not np.array_equal(H.rows, G.rows)
-    assert construction.points(H) is None
-    W = weight_distribution(H)
-    assert W.method == "transform"
-    assert W.counts == naive_weight_counts(H.field, H.rows)
+    with pytest.raises(VerificationError, match="^sigma: a column "):
+        construction.points(H)
 
 
 @pytest.mark.parametrize("q, t", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_every_base_the_constructor_accepts_has_an_exact_orbit_spectrum(q, t):
     # every monic h of degree t, both variants: a base is refused, or its codes'
-    # points spectra equal the full transform over all q^(2t) messages
+    # points spectra equal the transform over all q^(2t) messages
     field = field_from_order(q)
     accepted = refused = 0
     for tail, variant in product(product(range(q), repeat=t),
@@ -245,7 +243,7 @@ def test_every_base_the_constructor_accepts_has_an_exact_orbit_spectrum(q, t):
             _, G = build_two_weight(s, p)
             W = weight_distribution(G)
             assert W.method == "points", (tail, variant, p)
-            assert W.counts == weight_distribution_of_rows(G.field, G.rows).counts, (tail, variant, p)
+            assert W.counts == transform_distribution(G.field, G.rows).counts, (tail, variant, p)
     assert accepted and refused
 
 
@@ -304,8 +302,8 @@ def test_shift_check_refuses_every_change_of_every_cell(q, t, cyclic, p):
         for delta in range(1, q):
             rows = G.rows.copy()
             rows[row, col] = f.add(int(rows[row, col]), delta)
-            assert construction.points(GeneratorMatrix(rows, G.provenance)) is None, (
-                row, col, delta)
+            with pytest.raises(VerificationError, match="^sigma: "):
+                construction.points(GeneratorMatrix(rows, G.provenance))
 
 
 def test_points_are_the_column_0_keys_of_the_blocks(sweep):
@@ -320,7 +318,8 @@ def test_points_are_the_column_0_keys_of_the_blocks(sweep):
 @pytest.mark.parametrize("sigma", [True, False], ids=["orbit", "sigma fails"])
 def test_weight_distribution_is_one_call_of_the_engine_on_the_generator_rows(monkeypatch, sigma):
     # bench/spans.py times the spectrum by replacing the module attribute and
-    # counts q^len(rows) messages from the rows passed second
+    # counts q^len(rows) messages from the rows passed second; a failed sigma
+    # raises before the tally is called
     code, G = build_two_weight(base(3, 2, False), 3)
     if not sigma:
         rows = G.rows.copy()
@@ -329,10 +328,14 @@ def test_weight_distribution_is_one_call_of_the_engine_on_the_generator_rows(mon
     engine, calls = analysis.weight_distribution_of_rows, []
     monkeypatch.setattr(analysis, "weight_distribution_of_rows",
                         lambda *args, **kwargs: calls.append(args) or engine(*args, **kwargs))
+    if not sigma:
+        with pytest.raises(VerificationError, match="^sigma: a column "):
+            weight_distribution(G)
+        assert calls == []
+        return
     W = weight_distribution(G)
     assert len(calls) == 1 and calls[0][1] is G.rows
-    assert (W.k, W.total(), W.method) == (len(G.rows), 3 ** len(G.rows),
-                                          "points" if sigma else "transform")
+    assert (W.k, W.total(), W.method) == (len(G.rows), 3 ** len(G.rows), "points")
     assert W.counts == naive_weight_counts(G.field, G.rows)
 
 
@@ -411,7 +414,7 @@ def edited_codes(draw):
 def test_the_tally_counts_any_multiset_of_points(H):
     # each edit keeps sigma and leaves every nonzero top block a copy of g, so dead
     # blocks, c(P) >= 3, several blocks on (1 : 0) and the all-dead generator all reach
-    # the tally, which must still give the transform's and the oracle's counts
+    # the tally, which must still give the transform's and the scalar oracle's counts
     W = weight_distribution(H)
     assert W.method == "points"
     assert_exact(H, W)
@@ -420,16 +423,16 @@ def test_the_tally_counts_any_multiset_of_points(H):
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_a_scaled_top_block_takes_the_transform(q):
     # 2 g passes sigma, but differs from the other top blocks: the bottom key alone no
-    # longer fixes the point, so points is None and the full transform counts
+    # longer fixes the point, so points refuses it and only the transform counts it
     _, G = build_two_weight(base(q, 2, False), 4)
     f = scalar(G.field)
 
     def scale_top(blocks):
         blocks[0, :, 1] = [[f.mul(2, int(v)) for v in row] for row in blocks[0, :, 1]]
     H = edited(G, scale_top)
-    assert construction.points(H) is None
-    W = weight_distribution(H)
-    assert W.method == "transform"
+    with pytest.raises(VerificationError, match="^sigma: the nonzero top blocks differ$"):
+        weight_distribution(H)
+    W = transform_distribution(H.field, H.rows)
     assert W.counts == naive_weight_counts(H.field, H.rows)
 
 
@@ -451,4 +454,4 @@ def test_points_of_another_shape_are_refused(change):
         "negative key": (rows, negative),
     }[change]
     with pytest.raises(ParameterError, match="^points must be "):
-        weight_distribution_of_rows(G.field, rows, points=points)
+        analysis.weight_distribution_of_rows(G.field, rows, points=points)
