@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import construction
 # is_projective lives next to the simplex check, which runs its test; it is re-exported
 from .construction import GeneratorMatrix, QtCodeSpec, TWO_WEIGHT, is_projective
-from .errors import ParameterError, VerificationError, check_budget
+from .errors import ParameterError, VerificationError, check_budget, check_integer
 from .fields import Field, in_field
 
 DEFAULT_BUDGET = 1 << 24
@@ -44,7 +44,6 @@ class WeightDistribution:
     k: int
     q: int
     counts: dict  # weight -> number of codewords, weight 0 included
-    method: str = "points"  # how the counts were taken: the package tallies the blocks' points
 
     def nonzero_weights(self) -> tuple[int, ...]:
         return tuple(sorted(w for w, c in self.counts.items() if w > 0 and c > 0))
@@ -151,6 +150,7 @@ def expected_counts(code: QtCodeSpec) -> tuple[int, int]:
 
 def griesmer_length(k: int, d: int, q: int) -> int:
     """Smallest length allowed by the Griesmer bound for a [n, k, d]_q code."""
+    k, d, q = map(check_integer, ("dimension k", "minimum distance d", "field order"), (k, d, q))
     if k < 1 or d < 1 or q < 2:
         raise ParameterError(f"need k >= 1, d >= 1, q >= 2, got ({k}, {d}, {q})")
     return sum((d + q**j - 1) // q**j for j in range(k))
@@ -158,6 +158,7 @@ def griesmer_length(k: int, d: int, q: int) -> int:
 
 def gap_fn(i: int, t: int, q: int) -> int:
     """Predicted distance of the family from the Griesmer bound, as a function of i."""
+    i, t, q = map(check_integer, ("i", "dimension t", "field order"), (i, t, q))
     if t <= 1:
         raise ParameterError(f"t must be > 1, got {t}")
     if not 1 <= i <= q ** (t - 1):
@@ -167,6 +168,7 @@ def gap_fn(i: int, t: int, q: int) -> int:
 
 def decompose_block_count(p: int, t: int, q: int) -> tuple[int, int]:
     """The unique (i, r) with r in 1..q and p = q^t - i*q + r + 1."""
+    p, t, q = map(check_integer, ("block count p", "dimension t", "field order"), (p, t, q))
     if not 2 <= p <= q**t + 1:
         raise ParameterError(f"p must be in 2..{q ** t + 1}, got {p}")
     s = q**t + 1 - p

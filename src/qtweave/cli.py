@@ -173,9 +173,9 @@ def _build(field, t, budget, variant, p, selection, h, g, cyclic, block_form=Fal
 
 def _build_code(args, field, budget, block_form=False):
     """Parse --h, --g and --selection, then build the code of the common flags."""
-    h = _poly_from_user(field, _parse_ints(args.h)) if args.h else None
-    g = _poly_from_user(field, _parse_ints(args.g)) if args.g else None
-    selection = _parse_selection(args.selection) if args.selection else None
+    h = _poly_from_user(field, _parse_ints(args.h)) if args.h is not None else None
+    g = _poly_from_user(field, _parse_ints(args.g)) if args.g is not None else None
+    selection = _parse_selection(args.selection) if args.selection is not None else None
     return _build(field, args.t, budget, args.variant, args.p, selection, h, g, args.cyclic,
                   block_form)
 
@@ -200,8 +200,7 @@ def _print_code_details(code, W):
     print(f"g: {s.g}")
     sel = " ".join(f"({i},{j})" for i, j in code.selection)
     print(f"selection: {sel}")
-    d = analysis.min_distance(W)
-    print(f"min distance: {d} (exact over {W.total()} codewords, spectrum method: {W.method})")
+    print(f"min distance: {analysis.min_distance(W)} (exact over {W.total()} codewords)")
 
 
 def _cmd_construct(args) -> int:
@@ -530,7 +529,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetExceededError as exc:
@@ -539,9 +538,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 def entrypoint():

@@ -394,6 +394,8 @@ def simplex_cyclic(field: Field, t: int, g: Poly | None = None) -> SimplexSpec:
 
 def default_selection(s: SimplexSpec, count: int) -> tuple[tuple[int, int], ...]:
     """First `count` (scale, shift) pairs in canonical order: scale ascending, then shift."""
+    if check_integer("selection count", count) < 0:
+        raise ParameterError(f"selection count must be >= 0, got {count}")
     m = s.m  # slicing the range clips count as slicing the full pair list would
     return tuple([(1 + c // m, c % m) for c in range((s.q - 1) * m)[:count]])
 

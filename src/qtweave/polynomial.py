@@ -60,8 +60,8 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def monomial(cls, field, degree, coeff=1):
-        return cls._normalized(field, [0] * degree + [field.check(coeff)])
+    def monomial(cls, field, degree):
+        return cls._normalized(field, [0] * degree + [1])
 
     @classmethod
     def _normalized(cls, field, cs: list):

@@ -269,8 +269,7 @@ def transform_distribution(field, rows, budget=None) -> WeightDistribution:
     are sorted and counted run by run into one dict of exact Python ints.  A
     zero count outside 0..n, slices of nonzero leading symbol with different
     weight histograms (u -> c u is a weight-preserving bijection between
-    them) and a total other than q^k raise VerificationError.  method is
-    "transform".
+    them) and a total other than q^k raise VerificationError.
     """
     q = field.q
     try:
@@ -345,7 +344,7 @@ def transform_distribution(field, rows, budget=None) -> WeightDistribution:
     if sum(result.values()) != q**k:
         raise VerificationError(f"spectrum: the transform counted {sum(result.values())} "
                                 f"codewords, not {q**k}")
-    return WeightDistribution(n, k, q, result, "transform")
+    return WeightDistribution(n, k, q, result)
 
 
 def naive_rank(field, rows) -> int:

@@ -60,6 +60,18 @@ def test_a_space_inside_a_number_exits_2(capsys, flag, text, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--h", "h = 0 is not a monic primitive polynomial of degree 2"),
+    ("--g", "g = 0 must have degree m - t = 3"),
+    ("--selection", "selection is empty"),
+], ids=["h", "g", "selection"])
+def test_an_empty_list_option_exits_2(capsys, flag, message):
+    # "" is supplied, as ",," is: --g "" must not fall back to the consta-cyclic base
+    rc, out, err = run(capsys, "analyze", "--q", "4", "--t", "2", "--p", "3", flag, "")
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_matrix_output(capsys):
     rc, out, _ = run(capsys, "construct", "--q", "3", "--t", "2", "--h", "2,2,1",
                      "--p", "2", "--matrix", "--block-matrix")
@@ -70,14 +82,15 @@ def test_construct_matrix_output(capsys):
 
 # SHA-256 of the stdout of `construct ... --matrix --block-matrix`, frozen from the
 # output of tuple rows, so any change of row type or number formatting shows; re-pinned
-# once when the spectrum method line changed from "orbit" to "points"
+# when the spectrum method line changed from "orbit" to "points", and when the
+# min distance line dropped its "spectrum method" suffix
 CONSTRUCT_DIGESTS = {
     "--q 3 --t 2 --p 3 --selection 1:0,2:1":
-        "070eab0215aa39c9953000e5e4880b9685e78dfbca8632ca2e7b40568555f295",
+        "02beb2159959ae1a053d7f7f4ecdfc8b3a6753f9722e780674bed153f672104a",
     "--cyclic --q 3 --t 3 --p 4":
-        "1f6111ca2750204aa86159a63a46e438d1020f9c966726df4d7f4f74e348c966",
+        "812efba99fdffebf9789f7c3a98c64352010de833ce47809a8e88301c7f5287c",
     "--variant qt-simplex --q 2 --t 2":
-        "03335a615494ebf0a8e9613cbadb4a6f646a10999c9aeadf92e7d883902d89f1",
+        "1eff4d36d9fcaf021d35ca4d3b456158cb6a7e66880ec0122e942229db58abe7",
 }
 
 
@@ -622,16 +635,14 @@ def test_analyze_decides_projectivity_without_a_pass_over_the_columns(capsys, mo
     assert widths == [1023]
 
 
-@pytest.mark.parametrize("argv, method", [
-    (["--q", "3", "--t", "3", "--p", "17"], "points"),
-    (["--q", "3", "--t", "3", "--p", "4", "--cyclic"], "points"),
+@pytest.mark.parametrize("argv, line", [
+    (["--q", "3", "--t", "3", "--p", "17"], "min distance: 144 (exact over 729 codewords)"),
+    (["--q", "3", "--t", "3", "--p", "4", "--cyclic"], "min distance: 27 (exact over 729 codewords)"),
 ], ids=["consta-cyclic", "non-primitive-cyclic"])
-def test_analyze_reports_the_spectrum_method(capsys, argv, method):
+def test_analyze_reports_the_min_distance_line(capsys, argv, line):
     rc, out, _ = run(capsys, "analyze", *argv)
     assert rc == 0
-    assert out.count("spectrum method") == out.count("min distance") == 1
-    [line] = [line for line in out.splitlines() if line.startswith("min distance: ")]
-    assert line.endswith(f"spectrum method: {method})")
+    assert [text for text in out.splitlines() if "min distance" in text] == [line]
 
 
 def test_unfactorable_order_exits_3(capsys, monkeypatch):

@@ -17,11 +17,14 @@ from qtweave import (
     build_qt_simplex,
     build_two_weight,
     construction,
+    decompose_block_count,
     default_selection,
     field_create,
     field_from_order,
     find_primitive,
     full_block_matrix,
+    gap_fn,
+    griesmer_length,
     polynomial,
     simplex_consta,
     simplex_cyclic,
@@ -124,9 +127,19 @@ def test_cyclic_binary_matches_consta(gf2):
     (lambda: find_primitive(field_create(2), 3, limit=1.5), "limit must be an integer, got 1.5"),
     (lambda: weight_distribution(build_two_weight(simplex_consta(field_create(2), 3), 3)[1],
                                  budget=10.5), "budget must be an integer, got 10.5"),
+    (lambda: griesmer_length(8, 96.5, 2), "minimum distance d must be an integer, got 96.5"),
+    (lambda: griesmer_length(8.0, 96, 2), "dimension k must be an integer, got 8.0"),
+    (lambda: gap_fn(1, 4.0, 2), "dimension t must be an integer, got 4.0"),
+    (lambda: gap_fn(1.5, 4, 2), "i must be an integer, got 1.5"),
+    (lambda: decompose_block_count(13, 4, 2.5), "field order must be an integer, got 2.5"),
+    (lambda: default_selection(simplex_consta(field_create(2), 3), 2.5),
+     "selection count must be an integer, got 2.5"),
+    (lambda: default_selection(simplex_consta(field_create(2), 3), -1),
+     "selection count must be >= 0, got -1"),
 ], ids=["order 4.5", "order 4.0", "degree 2.0", "characteristic 2.0", "primitive degree 3.0",
         "consta t 3.0", "consta t '3' with h", "cyclic t 3.0", "block count 3.0", "spec t 3.0",
-        "search limit 1.5", "budget 10.5"])
+        "search limit 1.5", "budget 10.5", "griesmer d 96.5", "griesmer k 8.0", "gap t 4.0",
+        "gap i 1.5", "decompose q 2.5", "selection count 2.5", "selection count -1"])
 def test_non_integer_parameters_are_refused(call, message):
     # each value is read by operator.index before any table, search, build or count
     with pytest.raises(ParameterError, match=f"^{message}$"):

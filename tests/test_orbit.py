@@ -75,7 +75,6 @@ def test_orbit_path_matches_full_transform_and_oracle(split, data):
     code, G = data.draw(qt_codes())
     q, t = code.simplex.q, code.simplex.t
     W = weight_distribution(G)
-    assert W.method == "points"  # consta-cyclic or cyclic, whatever q
     with pytest.MonkeyPatch.context() as mp:
         if split:
             # the reference transform has 2t rows; chunks of q^j cells fix a prefix
@@ -91,14 +90,12 @@ def test_orbit_path_over_gf17_matches_full_transform(p):
     s = base(17, 2, False)
     code, G = build_qt_simplex(s) if p == 17**2 else build_two_weight(s, p)
     W = weight_distribution(G)
-    assert W.method == "points"
     assert_exact(G, W)
 
 
 def test_every_sweep_code_takes_the_orbit_path(sweep):
     # the worked sweep takes the points of its blocks and gives the predicted counts
     for q, t, p, code, G, W, _ in sweep:
-        assert W.method == "points", (q, t, p)
         assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == (
             expected_counts(code))
 
@@ -108,9 +105,7 @@ def test_every_cli_command_takes_the_orbit_path(monkeypatch, capsys, tmp_path, f
     # the commands of the benchmark's cli workload; each reaches the tally with points
     count, calls = analysis.weight_distribution_of_rows, []
 
-    def points_only(field, rows, budget=None, *, points=None):
-        if points is None:
-            pytest.fail("a cli command reached the tally without points")
+    def points_only(field, rows, budget=None, *, points):
         calls.append(field.q)
         return count(field, rows, budget, points=points)
 
@@ -131,7 +126,7 @@ def test_heavy_points_take_the_orbit_path(q, t, p, cyclic):
     # beyond the default budget's practical reach for a count over all messages
     code, G = build_two_weight(base(q, t, cyclic), p)
     W = weight_distribution(G, budget=q ** (2 * t))
-    assert W.method == "points" and W.total() == q ** (2 * t)
+    assert W.total() == q ** (2 * t)
     assert (W.counts[(p - 1) * q ** (t - 1)], W.counts[p * q ** (t - 1)]) == expected_counts(code)
 
 
@@ -242,7 +237,6 @@ def test_every_base_the_constructor_accepts_has_an_exact_orbit_spectrum(q, t):
         for p in (2, 3):
             _, G = build_two_weight(s, p)
             W = weight_distribution(G)
-            assert W.method == "points", (tail, variant, p)
             assert W.counts == transform_distribution(G.field, G.rows).counts, (tail, variant, p)
     assert accepted and refused
 
@@ -258,7 +252,6 @@ def test_non_primitive_cyclic_bases_take_the_orbit_path():
         for p in (2, 4):
             _, G = build_two_weight(s, p)
             W = weight_distribution(G)
-            assert W.method == "points"
             assert_exact(G, W)
             assert W.counts == naive_weight_counts(G.field, G.rows)
 
@@ -268,7 +261,7 @@ def test_orbit_path_keeps_the_budget_in_messages():
     with pytest.raises(BudgetExceededError) as err:
         weight_distribution(G, budget=2**8 - 1)
     assert (err.value.required, err.value.budget) == (2**8, 2**8 - 1)
-    assert weight_distribution(G, budget=2**8).method == "points"
+    assert weight_distribution(G, budget=2**8).total() == 2**8
 
 
 def small_code(q, t, cyclic, p):
@@ -312,7 +305,7 @@ def test_points_are_the_column_0_keys_of_the_blocks(sweep):
         assert points.dtype == key_dtype(q, t), (q, t, p)
         keys = column_keys(G.rows.reshape(2, t, G.n), q)
         assert points.tolist() == keys[:, ::code.simplex.m].tolist(), (q, t, p)
-        assert (W.k, W.method) == (2 * t, "points"), (q, t, p)
+        assert W.k == 2 * t, (q, t, p)
 
 
 @pytest.mark.parametrize("sigma", [True, False], ids=["orbit", "sigma fails"])
@@ -335,7 +328,7 @@ def test_weight_distribution_is_one_call_of_the_engine_on_the_generator_rows(mon
         return
     W = weight_distribution(G)
     assert len(calls) == 1 and calls[0][1] is G.rows
-    assert (W.k, W.total(), W.method) == (len(G.rows), 3 ** len(G.rows), "points")
+    assert (W.k, W.total()) == (len(G.rows), 3 ** len(G.rows))
     assert W.counts == naive_weight_counts(G.field, G.rows)
 
 
@@ -380,7 +373,6 @@ def test_hand_built_generators_take_the_orbit_path_to_the_oracle(q, case):
     H = edited(G, HAND_BUILT[case])
     assert construction.points(H) is not None
     W = weight_distribution(H)
-    assert W.method == "points"
     assert W.counts == naive_weight_counts(H.field, H.rows)
     assert (W.n, W.k, W.total()) == (H.n, H.k, q**H.k)
     if (q, case) == (3, "dead and shared"):
@@ -416,7 +408,6 @@ def test_the_tally_counts_any_multiset_of_points(H):
     # blocks, c(P) >= 3, several blocks on (1 : 0) and the all-dead generator all reach
     # the tally, which must still give the transform's and the scalar oracle's counts
     W = weight_distribution(H)
-    assert W.method == "points"
     assert_exact(H, W)
 
 
