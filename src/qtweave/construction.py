@@ -40,14 +40,17 @@ included, has passed them.
 The simplex check is the test of ``is_projective`` on the t x m matrix of the
 shifts x^u g, u < t, read in place: its entry (u, j) is ext[2m - u + j], the
 t windows of ext starting at 2m - t + 1 .. 2m, last first, so no t x m copy
-or index is made.  Each column is scaled to lead with 1 and packed into a
-base-q integer key (``fields.column_keys``), and one sort of the m keys
-finds a zero or a repeated one.  Nonzero, pairwise non-proportional, its m
-columns are all m = (q^t - 1)/(q - 1) points of PG(t - 1, q), each once; a
-nonzero message is orthogonal to the (q^(t-1) - 1)/(q - 1) of them in its
-hyperplane, so its word has weight q^(t-1).  Conversely the columns of an
-equidistant [m, t, q^(t-1)] code are these points (MacWilliams & Sloane,
-ch. 1).
+or index is made.  Each column gets the base-q integer key it has once
+scaled to lead with 1, and one sort of the m keys finds a zero or a
+repeated one.  For q > 2 no cell is scaled: chunks of c rows are keyed by
+``fields.column_keys``, and two per-field tables of at most 2^16 / q
+entries give the inverse of the first nonzero digit and each chunk's key
+times it, so a key costs one table read per c digits.  Nonzero, pairwise
+non-proportional, its m columns are all m = (q^t - 1)/(q - 1) points of
+PG(t - 1, q), each once; a nonzero message is orthogonal to the
+(q^(t-1) - 1)/(q - 1) of them in its hyperplane, so its word has weight
+q^(t-1).  Conversely the columns of an equidistant [m, t, q^(t-1)] code are
+these points (MacWilliams & Sloane, ch. 1).
 
 Distinct in-range pairs give distinct nonzero blocks without a check.
 a x^j g = a' x^j' g with (a, j) != (a', j') would give x^d g = c g for some
@@ -132,6 +135,9 @@ CONSTA_CYCLIC = "consta-cyclic"
 CYCLIC = "cyclic"
 TWO_WEIGHT = "two-weight"
 QT_SIMPLEX = "qt-simplex"
+
+_CHUNK_CELLS = 1 << 16  # the chunk width c of _normal_keys has q^(c+2) <= this
+_CHUNKS: dict[int, tuple] = {}  # id(tables) -> (tables, c, scaled, lead): see _chunk_tables
 
 
 def _windows(flat: np.ndarray, width: int) -> np.ndarray:
@@ -295,24 +301,79 @@ class GeneratorMatrix:
         return self.rows.shape[0]
 
 
+def _chunk_tables(field: Field) -> tuple[int, np.ndarray, np.ndarray]:
+    """(c, scaled, lead), the tables of ``_normal_keys``, built on first use.
+
+    c is the largest chunk width with q^(c+2) <= _CHUNK_CELLS, at least 1.
+    scaled[a q^c + K] is the key of a times the c digits of key K, and
+    lead[K] = inv(d) q^c for the first nonzero digit d of K (lead[0] = 0),
+    the start of the part of scaled that makes d a 1.  Both take c
+    broadcasts, and scaled is mul itself at c = 1.  They are kept per table
+    set, which the entry holds, so a field whose tables are replaced gets its own.
+    """
+    tables = field.tables
+    _, mul, _, inv = tables
+    entry = _CHUNKS.get(id(tables))
+    if entry is None:
+        q, c = field.q, 1
+        while q ** (c + 3) <= _CHUNK_CELLS:
+            c += 1
+        times = mul.astype(np.min_scalar_type(q**c - 1), copy=False)  # a d, as wide as a key
+        digit = np.arange(q)[:, None]
+        scaled, lead = times, digit.reshape(-1)
+        for width in (q**i for i in range(1, c)):  # put one more digit d in front of the keys
+            scaled = (times[:, :, None] * width + scaled[:, None, :]).reshape(q, -1)
+            lead = np.where(digit, digit, lead).reshape(-1)
+        lead = (inv.astype(np.min_scalar_type(q ** (c + 1) - 1)) * q**c)[lead]
+        for table in scaled, lead:
+            table.setflags(write=False)
+        entry = _CHUNKS[id(tables)] = (tables, c, scaled.reshape(-1), lead)
+    return entry[1:]
+
+
+def _normal_keys(field: Field, cols: np.ndarray) -> np.ndarray:
+    """The key of each column of the (k, n) array once scaled to lead with 1.
+
+    The keys are base-q and first row leading, as ``fields.column_keys``
+    gives them, of dtype ``key_dtype(q, k)``; the zero column keeps key 0,
+    and q^k > 2^63 raises ParameterError before any work.  q = 2 needs no
+    scaling.  For q > 2 no cell is scaled: the rows are cut into a head of
+    k mod c rows and chunks of c rows (``_chunk_tables``), and each part is
+    keyed.  The first nonzero part from the top leads with the column's
+    first nonzero digit, so its lead entry picks the part of scaled that
+    every part is read through, and the key folds those reads, head first.
+    """
+    q, k = field.q, cols.shape[0]
+    dtype = key_dtype(q, k)
+    if q == 2 or not k:
+        return column_keys(cols, q)
+    c, scaled, lead = _chunk_tables(field)
+    if c == 1:  # a one-digit key is the cell itself
+        parts = list(cols)
+    else:
+        parts = [column_keys(cols[:k % c], q)] if k % c else []  # the head
+        parts += [column_keys(cols[i:i + c], q) for i in range(k % c, k, c)]
+    first = parts[-1]
+    for part in parts[-2::-1]:
+        first = np.where(part, part, first)
+    row = lead.take(first)
+    keys = scaled.take(row + parts[0]).astype(dtype, copy=False)
+    for part in parts[1:]:
+        keys *= q**c
+        keys += scaled.take(row + part)
+    return keys
+
+
 def _distinct_points(field: Field, cols: np.ndarray) -> bool:
     """No zero column and no two proportional columns in the (k, n) array.
 
-    Each column is scaled by the inverse of its first nonzero entry (q = 2
-    needs no scaling), packed into one base-q key (``fields.column_keys``)
-    and sorted: the zero column has key 0 and sorts first, and proportional
-    columns have equal keys and sort next to each other.  q^k > 2^63 raises
-    ParameterError.
+    Sorted, the normalised keys (``_normal_keys``) put the zero column, key
+    0, first, and proportional columns have equal keys and sort next to each
+    other.  An array with no columns has neither.
     """
-    q = field.q
-    if q > 2:
-        _, mul, _, inv = field.tables
-        n = cols.shape[1]
-        # flat gathers: np.take on the flat arrays is faster than 2-D fancy indexing
-        first = np.take(cols, (cols != 0).argmax(axis=0) * n + np.arange(n))  # cols[argmax, arange]
-        cols = np.take(mul, np.take(inv, first).astype(np.intp) * q + cols)  # mul[inv[first], cols]
-    keys = np.sort(column_keys(cols, q))
-    return bool(keys[0]) and not (keys[1:] == keys[:-1]).any()  # the smallest key is not 0
+    keys = _normal_keys(field, cols)
+    keys.sort()
+    return not keys.size or (bool(keys[0]) and not (keys[1:] == keys[:-1]).any())
 
 
 def is_projective(G: GeneratorMatrix) -> bool:

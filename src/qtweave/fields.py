@@ -177,14 +177,14 @@ def field_create(p: int, e: int = 1) -> Field:
     """
     p, e = check_integer("characteristic", p), check_integer("extension degree", e)
     limit = DEFAULT_ORDER_LIMIT
+    if e < 1:
+        raise ParameterError(f"extension degree must be >= 1, got {e}")
     # p >= 2 and e >= limit.bit_length() give p^e >= 2^e > limit; checking
     # that first keeps prime_factors and p**e away from huge inputs
     if p > limit or (p >= 2 and e >= limit.bit_length()):
         raise ParameterError(f"field order {p}^{e} exceeds the limit {limit}")
     if p < 2 or prime_factors(p) != [p]:
         raise ParameterError(f"characteristic {p} is not prime")
-    if e < 1:
-        raise ParameterError(f"extension degree must be >= 1, got {e}")
     if p**e > limit:
         raise ParameterError(f"field order {p}^{e} exceeds the limit {limit}")
     return _canonical_field(p, e)

@@ -89,6 +89,7 @@ def test_oversized_order_is_rejected_before_any_factoring(monkeypatch, order):
 
 @pytest.mark.parametrize("order, message", [(6, "not a prime power"), ("1000", "not a prime power"),
                                             ("4^2", "4 is not prime"), ("2^0", "extension degree"),
+                                            ("2000^0", "^extension degree must be >= 1, got 0$"),
                                             (2048, "exceeds the limit"), ("2^11", "exceeds the limit")])
 def test_small_bad_orders_keep_their_messages(order, message):
     with pytest.raises(ParameterError, match=message):

@@ -1,5 +1,6 @@
 """Differential tests of the key-sort projectivity kernel against a scalar oracle."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -8,17 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtweave import field_create, is_projective
+from qtweave import construction, field_create, is_projective
 from qtweave.errors import ParameterError
 from qtweave.fields import column_keys, key_dtype
 from conftest import naive_is_projective, scalar
 
-FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (2, 8))  # GF(256): q (q - 1) > 255
+# GF(256): q (q - 1) > 255.  The chunk widths c of the normalised keys are 8 at
+# GF(3), 6 at GF(4), 4 at GF(5), 3 at GF(8) and GF(9), 2 at GF(16) and 1 at
+# GF(27) and GF(256), so up to 16 rows give heads of k mod c = 0 and > 0 rows
+# and several chunks at each width
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3), (2, 8))
+CHUNKED = [pe for pe in FIELDS if pe != (2, 1)]
 
 
 def generator(field, rows):
     """A stand-in generator matrix: is_projective reads only its field and its (k, n) rows."""
     return SimpleNamespace(field=field, rows=np.array(list(rows), dtype=field.tables.mul.dtype))
+
+
+def normal_key(field, col) -> int:
+    """The base-q key of the column scaled by the inverse of its first nonzero entry, 0 if none."""
+    f, q = scalar(field), field.q
+    lead = next((v for v in col if v), 0)
+    return sum(f.mul(f.inv(lead), v) * q**i for i, v in enumerate(reversed(col))) if lead else 0
 
 
 @st.composite
@@ -27,7 +40,7 @@ def matrices(draw):
     repeated or dependent rows mixed in."""
     field = field_create(*draw(st.sampled_from(FIELDS)))
     f, q = scalar(field), field.q
-    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    k, n = draw(st.integers(1, 16)), draw(st.integers(1, 12))
     symbol = st.integers(0, q - 1)
     cols = draw(st.lists(st.lists(symbol, min_size=k, max_size=k), min_size=n, max_size=n))
     for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "scale"]), max_size=3)):
@@ -55,7 +68,53 @@ def test_is_projective_matches_naive_oracle(case):
         with pytest.raises(ParameterError, match="exceed the 64-bit column keys"):
             is_projective(generator(field, rows))
         return
-    assert is_projective(generator(field, rows)) == naive_is_projective(field, rows)
+    G = generator(field, rows)
+    assert is_projective(G) == naive_is_projective(field, rows)
+    keys = construction._normal_keys(field, G.rows)
+    assert keys.dtype == key_dtype(field.q, len(rows))
+    assert keys.tolist() == [normal_key(field, col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("pe", CHUNKED, ids=[f"GF({p ** e})" for p, e in CHUNKED])
+def test_normal_keys_at_every_head_and_chunk_count(pe):
+    # a head of k mod c rows or none, one to three chunks, and leading zeros
+    # that end in the head, in any chunk or never
+    field = field_create(*pe)
+    q, c = field.q, construction._chunk_tables(field)[0]
+    rng = random.Random(q)
+    for k in sorted({k for k in (c - 1, c, c + 1, 2 * c, 2 * c + 1, 3 * c) if k >= 1 and q**k <= 1 << 63}):
+        cols = [[0] * z + [rng.randrange(q) for _ in range(k - z)] for z in range(k + 1) for _ in range(3)]
+        keys = construction._normal_keys(field, generator(field, zip(*cols)).rows)
+        assert keys.tolist() == [normal_key(field, col) for col in cols], k
+
+
+@pytest.mark.parametrize("pe", CHUNKED, ids=[f"GF({p ** e})" for p, e in CHUNKED])
+def test_chunk_tables_are_scalar_products(pe):
+    # every entry of scaled and lead, against scalar products; c is the widest chunk
+    # whose scaled table has q^(c+1) <= _CHUNK_CELLS / q entries, and at c = 1 scaled is mul
+    field = field_create(*pe)
+    f, q = scalar(field), field.q
+    c, scaled, lead = construction._chunk_tables(field)
+    assert c == max([1] + [w for w in range(1, 17) if q ** (w + 2) <= construction._CHUNK_CELLS])
+    assert (c == 1) == np.shares_memory(scaled, field.tables.mul)
+    digits = list(itertools.product(range(q), repeat=c))  # in key order, first digit leading
+    assert lead.tolist() == [f.inv(d[0]) * q**c if d else 0
+                             for d in ([v for v in ds if v] for ds in digits)]
+    assert scaled.tolist() == [sum(f.mul(a, v) * q**i for i, v in enumerate(reversed(ds)))
+                               for a in range(q) for ds in digits]
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2), (2, 8)], ids=["GF(2)", "GF(3)", "GF(4)", "GF(256)"])
+def test_no_columns_are_projective(pe):
+    # no column is zero and no two are multiples; the 64-bit refusal still comes first
+    field = field_create(*pe)
+    for k in (1, 4, 8):
+        rows = [[]] * k
+        if field.q**k > 1 << 63:
+            with pytest.raises(ParameterError, match="exceed the 64-bit column keys"):
+                is_projective(generator(field, rows))
+        else:
+            assert is_projective(generator(field, rows)) and naive_is_projective(field, rows)
 
 
 def test_is_projective_beyond_64_bit_column_keys():
